@@ -92,4 +92,4 @@ def description_length(params, Y: np.ndarray, order: int) -> float:
     Q = solve_discrete_lyapunov(A, R1)
     _, logdet_obs = np.linalg.slogdet(C @ Q @ C.T + R2)
     penalty = 0.5 * order * math.log(2.0 * N * N / (2.0 * math.pi) ** 2)
-    return fit + 0.5 * logdet_obs + penalty
+    return float(fit + 0.5 * logdet_obs + penalty)

@@ -36,7 +36,8 @@ def import_program():
 def timed_calls(wl, inp, seed, seconds, traced_calls, probe):
     """Call the workload ``traced_calls`` times or, when that is 0, as long
     as the next call is expected to end within ``seconds`` of call time (at
-    least once).  Probe chunks are not call time."""
+    least once, and at most once per protocol sequence).  Probe chunks are
+    not call time."""
     calls = []
     elapsed = 0.0
     while True:
@@ -54,15 +55,17 @@ def timed_calls(wl, inp, seed, seconds, traced_calls, probe):
         if traced_calls:
             if len(calls) >= traced_calls:
                 return calls
-        elif elapsed * (len(calls) + 1) / len(calls) > seconds:
+        elif (elapsed * (len(calls) + 1) / len(calls) > seconds
+              or len(calls) >= wl.protocol_seeds):
             return calls
-        inp = wl.prepare(seed + len(calls))
+        inp = wl.prepare((seed + len(calls)) % wl.protocol_seeds)
 
 
 def check_calls(wl, calls):
     """Check every call's selection; returns (attempted, failed, problems,
     selections).  A call that raised fails all its orders but is no check
     failure."""
+    from perfbench.workloads import Selection
     attempted = failed = 0
     problems, selections = [], []
     for c in calls:
@@ -73,14 +76,16 @@ def check_calls(wl, calls):
             print(f"seed {c['inp']['seed']}: {c['error']}", file=sys.stderr)
             c["orders"] = 0
             continue
-        sel = wl.check(c["inp"], c["result"])
+        try:
+            sel = wl.check(c["inp"], c["result"])
+        except Exception:
+            sel = Selection(c["inp"]["seed"], [], [], None, [traceback.format_exc()],
+                            [], wl.expected_orders())
         attempted += sel.attempted
-        if sel.problems:
-            failed += sel.attempted
-            problems.extend(f"seed {sel.seed}: {p}" for p in sel.problems)
-        else:
-            failed += len(sel.errors)
-        c["orders"] = sel.attempted - len(sel.errors)
+        call_failed = sel.attempted if sel.problems else len(sel.errors)
+        failed += call_failed
+        problems.extend(f"seed {sel.seed}: {p}" for p in sel.problems)
+        c["orders"] = sel.attempted - call_failed
         selections.append(sel)
     return attempted, failed, problems, selections
 
@@ -152,7 +157,8 @@ def main(argv=None):
     os.makedirs(workdir, exist_ok=True)
     try:
         wl = WORKLOADS[args.workload](ldsmdl, workdir)
-        inp = wl.prepare(args.seed)
+        first_seed = args.seed % wl.protocol_seeds
+        inp = wl.prepare(first_seed)
         setup_s = time.perf_counter() - T_START
         if args.setup_only:
             print(json.dumps({"setup_s": setup_s}))
@@ -163,7 +169,7 @@ def main(argv=None):
             from perfbench.tracing import Tracer, install_all
             tracer = Tracer(clock=lambda: time.perf_counter() - probe.total_s)
             install_all(tracer, ldsmdl)
-        calls = timed_calls(wl, inp, args.seed, args.seconds,
+        calls = timed_calls(wl, inp, first_seed, args.seconds,
                             wl.traced_calls if args.trace else 0, probe)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         layers = None
@@ -177,7 +183,7 @@ def main(argv=None):
                 repeat = wl.repeat(calls[0]["inp"], selections[0])
             except Exception:
                 repeat = [traceback.format_exc()]
-            problems.extend(f"repeat of seed {args.seed}: {p}" for p in repeat)
+            problems.extend(f"repeat of seed {first_seed}: {p}" for p in repeat)
         timed_s = sum(c["wall_s"] for c in calls)
         orders = sum(c["orders"] for c in calls)
         out = {
