@@ -7,6 +7,16 @@ numerical failure (singular innovation covariance, rank-deficient M-step
 accumulators) are flagged in an ``ok`` mask and frozen with placeholder
 values instead of aborting the whole batch.
 
+For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
+does not depend on Y and reaches a fixed point after a transient.  The
+filter runs the full Joseph-form step until the predicted covariance of
+every element still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its
+own size in one time update; from then on S, K and log|S| are frozen and
+only the mean recursion runs.  The smoother reuses J wherever its inputs
+are bitwise equal to the previous step's (exactly the frozen stretch), and
+once the smoothed covariance settles by the same test it copies V and the
+cross-covariance instead of recomputing them.
+
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
 """
@@ -16,11 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import STABILITY_MARGIN, STABILITY_RESCALE
+from .model import STABILITY_MARGIN, STABILITY_RESCALE, sym
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 #: innovation covariances with conditioning below this are treated as degenerate
 DEGENERACY_RCOND = 1e-12
+#: relative move below which a covariance recursion counts as settled
+SETTLE_RTOL = 8.0 * np.finfo(float).eps
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
 #: conditioning limit for M-step accumulator inversions
@@ -54,10 +66,6 @@ class ParamsBatch:
         return ParamsBatch(*(getattr(self, f).copy()
                              for f in ("A", "C", "R1", "R2", "mu0", "R0")))
 
-    def select(self, idx) -> "ParamsBatch":
-        return ParamsBatch(*(getattr(self, f)[idx]
-                             for f in ("A", "C", "R1", "R2", "mu0", "R0")))
-
 
 def stack_params(params_list) -> ParamsBatch:
     """Stack LdsParams-like objects into a ParamsBatch."""
@@ -69,10 +77,6 @@ def stack_params(params_list) -> ParamsBatch:
         mu0=np.stack([p.mu0 for p in params_list]),
         R0=np.stack([p.R0 for p in params_list]),
     )
-
-
-def _sym(M):
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def _T(M):
@@ -114,10 +118,41 @@ def _solve_guarded(M, rhs, ok):
 
 def psd_floor_batch(M, floor=COV_FLOOR):
     """Batched symmetrize + eigenvalue floor; returns (floored, fired-mask)."""
-    w, V = np.linalg.eigh(_sym(M))
+    w, V = np.linalg.eigh(sym(M))
     fired = np.any(w < floor, axis=-1)
     w = np.maximum(w, floor)
     return np.einsum("...ij,...j,...kj->...ik", V, w, V), fired
+
+
+def _settled(new, old, ok) -> bool:
+    """True when every ``ok`` element moved by at most SETTLE_RTOL of its size."""
+    move = abs(new - old).max(axis=(-2, -1))
+    size = abs(old).max(axis=(-2, -1))
+    return bool(((move <= SETTLE_RTOL * size) | ~ok).all())
+
+
+def _same_as_next(M):
+    """Per step t, whether M[:, t] and M[:, t + 1] are bitwise equal for every element."""
+    bits = M.view(np.int64)
+    return np.all(bits[:, :-1] == bits[:, 1:], axis=(0, 2, 3))
+
+
+def _innovation_cov(pb: ParamsBatch, P, ok):
+    """C P, the innovation covariance S, log|S|, and ok with degenerate S cleared."""
+    CP = pb.C @ P                                      # (B, p, d)
+    S = sym(CP @ _T(pb.C) + pb.R2)
+    L, ok = _chol_guarded(S, ok)
+    diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))
+    rcond = (np.min(diag, axis=-1) / np.max(diag, axis=-1)) ** 2
+    ok &= rcond >= DEGENERACY_RCOND
+    logdet_S = 2.0 * np.sum(np.log(np.maximum(diag, 1e-300)), axis=-1)
+    return CP, S, logdet_S, ok
+
+
+def _joseph(pb: ParamsBatch, P, K):
+    """Joseph-form filtered covariance (I - K C) P (I - K C)^T + K R2 K^T."""
+    ImKC = np.eye(pb.d) - K @ pb.C
+    return sym(ImKC @ P @ _T(ImKC) + K @ pb.R2 @ _T(K))
 
 
 def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
@@ -126,14 +161,17 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     Returns a dict with per-element logliks, per-step loglik contributions,
     an ``ok`` mask (False where an innovation covariance degenerated), and,
     when ``store`` is set, the full predicted/filtered trajectories.
+
+    Once the predicted covariance of every ``ok`` element has settled (see
+    the module docstring), S, K and log|S| are frozen and the remaining
+    steps run only the innovation, its quadratic form and the mean update;
+    the stored covariances of those steps are the frozen ones.
     """
     B, d, p = pb.B, pb.d, pb.p
     T = Y.shape[0]
     ok = np.ones(B, dtype=bool)
     x = pb.mu0.copy()              # predicted mean at t
-    P = _sym(pb.R0.copy())         # predicted covariance at t
-    Ct = _T(pb.C)
-    eye_d = np.eye(d)
+    P = sym(pb.R0)                 # predicted covariance at t
     step_ll = np.zeros((B, T))
     out = {}
     if store:
@@ -141,17 +179,12 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         out["pred_covs"] = np.empty((B, T, d, d))
         out["filt_means"] = np.empty((B, T, d))
         out["filt_covs"] = np.empty((B, T, d, d))
-    for t in range(T):
+    t = 0
+    while t < T:
         if store:
             out["pred_means"][:, t] = x
             out["pred_covs"][:, t] = P
-        CP = pb.C @ P                                  # (B, p, d)
-        S = _sym(CP @ Ct + pb.R2)
-        L, ok = _chol_guarded(S, ok)
-        diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))
-        rcond = (np.min(diag, axis=-1) / np.max(diag, axis=-1)) ** 2
-        ok &= rcond >= DEGENERACY_RCOND
-        logdet_S = 2.0 * np.sum(np.log(np.maximum(diag, 1e-300)), axis=-1)
+        CP, S, logdet_S, ok = _innovation_cov(pb, P, ok)
         innov = Y[t] - np.einsum("bpd,bd->bp", pb.C, x)
         z, ok = _solve_guarded(S, innov[..., None], ok)
         z = z[..., 0]
@@ -159,14 +192,38 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         KT, ok = _solve_guarded(S, CP, ok)             # (B, p, d) = S^{-1} C P
         K = _T(KT)                                     # (B, d, p)
         x = x + np.einsum("bdp,bp->bd", K, innov)
-        ImKC = eye_d - K @ pb.C
-        P = _sym(ImKC @ P @ _T(ImKC) + K @ pb.R2 @ _T(K))
+        Pf = _joseph(pb, P, K)
         if store:
             out["filt_means"][:, t] = x
-            out["filt_covs"][:, t] = P
-        if t < T - 1:
+            out["filt_covs"][:, t] = Pf
+        t += 1
+        if t == T:
+            break
+        x = np.einsum("bde,be->bd", pb.A, x)
+        P_next = sym(pb.A @ Pf @ _T(pb.A) + pb.R1)
+        settled = _settled(P_next, P, ok)
+        P = P_next
+        if settled:
+            break
+    if t < T:
+        # steady state from step t on: P is the fixed point of the recursion
+        CP, S, logdet_S, ok = _innovation_cov(pb, P, ok)
+        Sinv, ok = _solve_guarded(S, np.broadcast_to(np.eye(p), S.shape), ok)
+        K = _T(Sinv @ CP)
+        if store:
+            out["pred_covs"][:, t:] = P[:, None]
+            out["filt_covs"][:, t:] = _joseph(pb, P, K)[:, None]
+        const = p * LOG_2PI + logdet_S
+        for s in range(t, T):
+            if store:
+                out["pred_means"][:, s] = x
+            innov = Y[s] - np.einsum("bpd,bd->bp", pb.C, x)
+            z = np.einsum("bpq,bq->bp", Sinv, innov)
+            step_ll[:, s] = -0.5 * (const + np.einsum("bp,bp->b", innov, z))
+            x = x + np.einsum("bdp,bp->bd", K, innov)
+            if store:
+                out["filt_means"][:, s] = x
             x = np.einsum("bde,be->bd", pb.A, x)
-            P = _sym(pb.A @ P @ _T(pb.A) + pb.R1)
     out["step_loglik"] = step_ll
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
@@ -177,7 +234,9 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     """Batched RTS smoother over a stored filter pass.
 
     The lag-one cross-covariance uses the smoother-gain identity
-    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.
+    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  J_t is reused without a solve
+    where its inputs equal the previous step's bitwise (the filter's frozen
+    stretch); there, once V settles, V and the cross-covariance are copied.
     """
     fm, fP = fr["filt_means"], fr["filt_covs"]
     pm, pP = fr["pred_means"], fr["pred_covs"]
@@ -188,15 +247,25 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     cross = np.empty((B, max(T - 1, 0), d, d))
     means[:, -1] = fm[:, -1]
     covs[:, -1] = fP[:, -1]
-    At = _T(pb.A)
+    # reuse[t]: the inputs of J_t are bitwise equal to those of J_{t+1}
+    reuse = np.zeros(T, dtype=bool)
+    reuse[:T - 2] = _same_as_next(fP)[:-1] & _same_as_next(pP)[1:]
+    settled = False
     for t in range(T - 2, -1, -1):
-        # J_t = P^f_t A^T (P^pred_{t+1})^{-1}
-        APf = pb.A @ fP[:, t]                           # (B, d, d)
-        X, ok = _solve_guarded(pP[:, t + 1], APf, ok)
-        J = _T(X)
+        if not reuse[t]:
+            # J_t = P^f_t A^T (P^pred_{t+1})^{-1}
+            X, ok = _solve_guarded(pP[:, t + 1], pb.A @ fP[:, t], ok)
+            J = _T(X)
+            settled = False
         means[:, t] = fm[:, t] + np.einsum("bde,be->bd", J, means[:, t + 1] - pm[:, t + 1])
-        covs[:, t] = _sym(fP[:, t] + J @ (covs[:, t + 1] - pP[:, t + 1]) @ _T(J))
-        cross[:, t] = covs[:, t + 1] @ _T(J)
+        if settled:
+            covs[:, t] = covs[:, t + 1]
+            cross[:, t] = cross[:, t + 1]
+        else:
+            covs[:, t] = sym(fP[:, t] + J @ (covs[:, t + 1] - pP[:, t + 1]) @ _T(J))
+            cross[:, t] = covs[:, t + 1] @ _T(J)
+            # the V recursion is time-invariant only while J is reused
+            settled = reuse[t - 1] and _settled(covs[:, t], covs[:, t + 1], ok)
     return {"means": means, "covs": covs, "cross": cross, "ok": ok}
 
 
@@ -240,7 +309,7 @@ def m_step_batch(sm: dict, Y: np.ndarray, fix_observation: bool = False,
 
 
 def _well_conditioned(M, rcond=MSTEP_RCOND):
-    w = np.abs(np.linalg.eigvalsh(_sym(M)))
+    w = np.abs(np.linalg.eigvalsh(sym(M)))
     return (np.min(w, axis=-1) / np.maximum(np.max(w, axis=-1), 1e-300)) >= rcond
 
 

@@ -60,10 +60,10 @@ def cmd_simulate(args) -> int:
         kind = cfg["type"]
         if kind not in ("lds", "narma"):
             raise ValueError(f"unknown generator type {kind!r}")
-    except (OSError, ValueError, KeyError) as exc:
+        seed = _seed_override(int(cfg.get("seed", 0)))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    seed = _seed_override(int(cfg.get("seed", 0)))
     cfg["seed"] = seed
     try:
         if kind == "lds":

@@ -231,9 +231,15 @@ def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
 
     Per-timestep score vectors of the innovation-form loglik are estimated
     by central finite differences (relative step) and accumulated as an
-    outer product.  When the outer product is rank deficient (more free
-    parameters than timesteps) the pseudo-determinant over the numerically
-    nonzero spectrum is used.
+    outer product F.  Two rules make the value well defined:
+
+    - the score row of a parameter whose + or - perturbed filter is not
+      ``ok`` (a degenerate innovation covariance) is set to zero, so it
+      drops out like any other null direction;
+    - the result is always the pseudo-determinant over the eigenvalues of F
+      above ``1e-12`` times the largest, so a numerically rank-deficient F
+      (more free parameters than timesteps, or non-identifiable
+      directions) gives the same kind of value as a full-rank one.
     """
     theta = _pack(params, fix_observation)
     n = theta.size
@@ -246,10 +252,8 @@ def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
     fr = _engine.filter_batch(pb, data.Y, store=False)
     ll = fr["step_loglik"]                       # (2n, T)
     scores = (ll[0::2] - ll[1::2]) / (2.0 * h[:, None])   # (n, T)
+    scores[~(fr["ok"][0::2] & fr["ok"][1::2])] = 0.0
     F = scores @ scores.T
-    sign, logdet = np.linalg.slogdet(F)
-    if sign > 0 and np.isfinite(logdet):
-        return 0.5 * float(logdet)
     w = np.linalg.eigvalsh(0.5 * (F + F.T))
     w = w[w > max(w.max(), 0.0) * 1e-12]
     if w.size == 0:

@@ -42,14 +42,6 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def psd_floor(M: np.ndarray, floor: float = EIGENVALUE_TOL) -> tuple[np.ndarray, bool]:
-    """Symmetrize and clip eigenvalues at ``floor``; report whether clipping fired."""
-    w, V = np.linalg.eigh(sym(M))
-    fired = bool(np.any(w < floor))
-    w = np.maximum(w, floor)
-    return (V * w) @ V.T, fired
-
-
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix (negative roundoff clipped to zero)."""
     w, V = np.linalg.eigh(sym(M))

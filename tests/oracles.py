@@ -1,8 +1,8 @@
 """Independent brute-force references used by the tests.
 
-Everything here works on the explicit joint Gaussian of (x_{1:T}, y_{1:T})
-or on direct series summation, never on the recursive code paths under
-test.
+Everything here works on the explicit joint Gaussian of (x_{1:T}, y_{1:T}),
+on direct series summation, or on the textbook per-step recursions written
+out for one sequence at a time, never on the batched code paths under test.
 """
 import numpy as np
 
@@ -79,3 +79,61 @@ def lyapunov_series(A, W, terms=200):
         Am = Am @ A
         Q = Q + Am @ W @ Am.T
     return Q
+
+
+def textbook_step_logliks(params, Y):
+    """Per-step innovation logliks of the textbook Kalman filter
+    (Anderson & Moore 1979, ch. 3), one step at a time with the covariance
+    updated at every step.  Returns None when an innovation covariance is
+    not positive definite.
+
+    ``params`` needs only the attributes A, C, R1, R2, mu0 and R0.
+    """
+    return _textbook_filter(params, Y)[0]
+
+
+def _textbook_filter(params, Y):
+    A, C, R1, R2 = params.A, params.C, params.R1, params.R2
+    x, P = np.array(params.mu0, dtype=float), np.array(params.R0, dtype=float)
+    T, p = Y.shape
+    d = x.size
+    step_ll = np.empty(T)
+    xp, Pp = np.empty((T, d)), np.empty((T, d, d))
+    xf, Pf = np.empty((T, d)), np.empty((T, d, d))
+    for t in range(T):
+        xp[t], Pp[t] = x, P
+        S = C @ P @ C.T + R2
+        try:
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            return None, None
+        Sinv = np.linalg.inv(S)
+        r = Y[t] - C @ x
+        step_ll[t] = -0.5 * (p * np.log(2 * np.pi) + 2 * np.sum(np.log(np.diag(L)))
+                             + r @ Sinv @ r)
+        K = P @ C.T @ Sinv
+        x = x + K @ r
+        P = P - K @ S @ K.T
+        xf[t], Pf[t] = x, P
+        x = A @ x
+        P = A @ P @ A.T + R1
+    return step_ll, (xp, Pp, xf, Pf)
+
+
+def textbook_smoother(params, Y):
+    """Textbook Kalman filter and RTS smoother (Shumway & Stoffer 1982) with
+    the lag-one cross-covariance Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.
+
+    Returns (loglik, means, covs, cross).
+    """
+    step_ll, (xp, Pp, xf, Pf) = _textbook_filter(params, Y)
+    A = params.A
+    T, d = xf.shape
+    means, covs = xf.copy(), Pf.copy()
+    cross = np.empty((T - 1, d, d))
+    for t in range(T - 2, -1, -1):
+        J = Pf[t] @ A.T @ np.linalg.inv(Pp[t + 1])
+        means[t] = xf[t] + J @ (means[t + 1] - xp[t + 1])
+        covs[t] = Pf[t] + J @ (covs[t + 1] - Pp[t + 1]) @ J.T
+        cross[t] = covs[t + 1] @ J.T
+    return float(step_ll.sum()), means, covs, cross

@@ -71,6 +71,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("seed", ["x1", None])
+    def test_bad_config_seed_exit(self, tmp_path, seed):
+        cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,
+                                      "length": 5, "seed": seed})
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+    def test_bad_env_seed_exit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LDSMDL_SEED", "abc")
+        cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,
+                                      "length": 5, "seed": 0})
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_generation_error_exit(self, tmp_path):
         # NARMA length below order + 1 cannot be generated
         cfg = write_config(tmp_path, {"type": "narma", "order": 10, "length": 5})

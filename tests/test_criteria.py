@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from ldsmdl import (CriterionValue, DimensionError, KAPPA_ASYMPTOTIC,
 from ldsmdl.criteria import mdl_order_penalty
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.em import EmConfig, default_init, em_fit
+
+from .oracles import textbook_step_logliks
 
 
 class TestCountParams:
@@ -202,3 +205,39 @@ class TestEmpiricalFisher:
         data = simulate(gen, T=10, seed=4)   # fewer timesteps than parameters
         val = empirical_fisher_log_det(gen, data)
         assert np.isfinite(val)
+
+    def test_failed_perturbation_drops_its_score_row(self):
+        # y_2 carries no state and has variance 5e-6, below the 1e-5 step:
+        # the minus perturbation of R2[1, 1] makes S indefinite, so exactly
+        # that filter fails and its parameter must drop out of F
+        p = LdsParams(A=[[0.8, 0.1], [0.0, 0.5]], C=[[1.0, 0.5], [0.0, 0.0]],
+                      R1=0.5 * np.eye(2), R2=np.diag([1.0, 5e-6]),
+                      mu0=np.zeros(2), R0=np.eye(2))
+        data = simulate(p, T=40, seed=1)
+        tril = list(zip(*np.tril_indices(2)))
+        entries = ([("A", i, j) for i in range(2) for j in range(2)]
+                   + [("C", i, j) for i in range(2) for j in range(2)]
+                   + [("R1",) + ij for ij in tril] + [("R2",) + ij for ij in tril]
+                   + [("mu0", 0), ("mu0", 1)] + [("R0",) + ij for ij in tril])
+        fields = ("A", "C", "R1", "R2", "mu0", "R0")
+        rows, failed = [], []
+        for name, *ij in entries:
+            h = 1e-5 * max(1.0, abs(getattr(p, name)[tuple(ij)]))
+            lls = []
+            for sign in (1.0, -1.0):
+                q = {f: getattr(p, f).copy() for f in fields}
+                q[name][tuple(ij)] += sign * h
+                if len(ij) == 2 and name in ("R1", "R2", "R0") and ij[0] != ij[1]:
+                    q[name][ij[1], ij[0]] += sign * h
+                lls.append(textbook_step_logliks(SimpleNamespace(**q), data.Y))
+            if any(ll is None for ll in lls):
+                failed.append((name, *ij))
+                continue
+            rows.append((lls[0] - lls[1]) / (2 * h))
+        assert failed == [("R2", 1, 1)]
+        S = np.array(rows)
+        w = np.linalg.eigvalsh(S @ S.T)
+        expected = 0.5 * np.sum(np.log(w[w > w.max() * 1e-12]))
+        got = empirical_fisher_log_det(p, data)
+        assert np.isfinite(got)
+        assert got == pytest.approx(expected, abs=1e-6)

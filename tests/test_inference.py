@@ -4,9 +4,10 @@ import pytest
 from ldsmdl import (DegeneracyError, LdsParams, SequenceData,
                     complete_data_loglik, enforce_stability, kalman_filter,
                     rts_smooth, simulate)
+from ldsmdl import _engine
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 
-from .oracles import joint_loglik, smoothed_moments
+from .oracles import joint_loglik, smoothed_moments, textbook_smoother
 
 
 def random_model(d, d_out, seed):
@@ -115,6 +116,91 @@ class TestRtsSmooth:
         for t in range(data.T):
             gap = np.linalg.eigvalsh(fr.filt_covs[t] - sm.covs[t])
             assert np.min(gap) >= -1e-10
+
+
+def switch_step(pred_covs):
+    """First step from which every stored predicted covariance is bitwise
+    equal to the last one: where the filter froze its covariance recursion.
+    ``pred_covs`` is (T, d, d) or (B, T, d, d)."""
+    steps = np.moveaxis(pred_covs, -3, 0)
+    t = len(steps)
+    while t > 0 and np.array_equal(steps[t - 1], steps[-1], equal_nan=True):
+        t -= 1
+    return t
+
+
+class TestSteadyState:
+    """The filter freezes S, K and the covariances once the predicted
+    covariance settles; the smoother then reuses J and copies V."""
+
+    def test_long_sequence_matches_textbook_recursion(self):
+        for seed in range(3):
+            p = random_model(3, 2, seed=seed + 40)
+            data = simulate(p, T=1000, seed=seed)
+            fr = kalman_filter(p, data)
+            assert switch_step(fr.pred_covs) < data.T // 2
+            sm = rts_smooth(p, fr)
+            loglik, means, covs, cross = textbook_smoother(p, data.Y)
+            assert fr.loglik == pytest.approx(loglik, rel=1e-9)
+            np.testing.assert_allclose(sm.means, means, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(sm.covs, covs, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(sm.cross_covs, cross, rtol=0, atol=1e-8)
+
+    def test_failed_element_does_not_block_the_switch(self):
+        # S is singular from the first step, and the unobserved, unstable
+        # second state makes this element's covariance grow without bound
+        degenerate = LdsParams(A=1.5 * np.eye(2), C=[[1.0, 0.0], [0.0, 0.0]],
+                               R1=np.eye(2), R2=np.diag([1.0, 0.0]),
+                               mu0=np.zeros(2), R0=np.eye(2))
+        models = [random_model(2, 2, seed=s) for s in (50, 51, 52)]
+        models.insert(1, degenerate)
+        Y = simulate(models[0], T=400, seed=1).Y
+        batch = _engine.stack_params(models)
+        fr = _engine.filter_batch(batch, Y)
+        np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
+        assert switch_step(fr["pred_covs"]) < 200
+        sm = _engine.smooth_batch(batch, fr)
+        for b in (0, 2, 3):
+            pb = _engine.stack_params([models[b]])
+            one = _engine.filter_batch(pb, Y)
+            one_sm = _engine.smooth_batch(pb, one)
+            assert fr["loglik"][b] == pytest.approx(one["loglik"][0], rel=1e-12)
+            for key in ("filt_means", "filt_covs", "pred_means", "pred_covs"):
+                np.testing.assert_allclose(fr[key][b], one[key][0],
+                                           rtol=1e-12, atol=1e-12)
+            for key in ("means", "covs", "cross"):
+                np.testing.assert_allclose(sm[key][b], one_sm[key][0],
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_short_sequences_never_switch(self, monkeypatch):
+        # the acceptance-1 setting: T <= 5 ends inside the transient, so the
+        # outputs are bit-identical to a run whose settle test never passes
+        rng = np.random.default_rng(0)
+        cases = []
+        for seed in range(50):
+            d, d_out = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            T = int(rng.integers(1, 6))
+            p = random_stable_lds(RandomLdsConfig(d=d, d_out=d_out, seed=seed))
+            cases.append((p, simulate(p, T=T, seed=seed)))
+
+        def run_all():
+            out = []
+            for p, data in cases:
+                fr = kalman_filter(p, data)
+                out.append((fr, rts_smooth(p, fr)))
+            return out
+
+        fast = run_all()
+        monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
+        full = run_all()
+        for (fr, sm), (fr_full, sm_full) in zip(fast, full):
+            assert fr.loglik == fr_full.loglik
+            for a, b in ((fr.pred_covs, fr_full.pred_covs),
+                         (fr.filt_means, fr_full.filt_means),
+                         (fr.filt_covs, fr_full.filt_covs),
+                         (sm.means, sm_full.means), (sm.covs, sm_full.covs),
+                         (sm.cross_covs, sm_full.cross_covs)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestCompleteDataLoglik:
