@@ -12,16 +12,31 @@ does not depend on Y and reaches a fixed point after a transient.  The
 filter runs the full Joseph-form step until the predicted covariance of
 every element still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its
 own size in one time update; from then on S, K and log|S| are frozen and
-only the mean recursion runs.  The smoother reuses J wherever its inputs
-are bitwise equal to the previous step's (exactly the frozen stretch), and
-once the smoothed covariance settles by the same test it copies V and the
-cross-covariance instead of recomputing them.
+the predicted mean follows the linear time-invariant recursion
+x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.  That recursion runs as
+a blocked prefix scan (``_affine_scan``): about 3 sqrt(N) batched products
+for N frozen steps, sqrt(N) of them for the powers of F, instead of N
+interpreted steps; the innovations, their quadratic forms and the filtered
+means are then whole-stretch products.  The smoother solves for J once
+per stretch of bitwise-equal inputs (exactly the frozen stretch), runs the
+smoothed means of that stretch through the same scan backward, and once
+the smoothed covariance settles by the same test it copies V and the
+cross-covariance in one assignment.
+
+The scans go chunk by chunk so that memory stays bounded: a chunk has
+n = SCAN_CHUNK // (B w) steps, w = max(d, p) in the filter and d in the
+smoother, so its (B, n, w) arrays hold at most ``SCAN_CHUNK`` doubles (the
+scan pads its block array by fewer than sqrt(n) + 1 steps).  A small
+batch on a long sequence (an EM fit) scans its whole frozen stretch at
+once; a large batch (the Fisher perturbations, B d in the thousands) gets
+chunks of a few steps, where the scan saves little over stepping.
 
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +48,15 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
+#: doubles in each (B, n, width) array of one chunk of a mean scan
+SCAN_CHUNK = 2 ** 15
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
 #: conditioning limit for M-step accumulator inversions
 MSTEP_RCOND = 1e-12
+
+
+PARAM_FIELDS = ("A", "C", "R1", "R2", "mu0", "R0")
 
 
 @dataclass
@@ -63,8 +83,14 @@ class ParamsBatch:
         return self.C.shape[1]
 
     def copy(self) -> "ParamsBatch":
-        return ParamsBatch(*(getattr(self, f).copy()
-                             for f in ("A", "C", "R1", "R2", "mu0", "R0")))
+        return ParamsBatch(*(getattr(self, f).copy() for f in PARAM_FIELDS))
+
+    def where(self, mask: np.ndarray, other: "ParamsBatch") -> "ParamsBatch":
+        """Element b from self where mask[b], else from other."""
+        def pick(a, b):
+            return np.where(mask.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+        return ParamsBatch(*(pick(getattr(self, f), getattr(other, f))
+                             for f in PARAM_FIELDS))
 
 
 def stack_params(params_list) -> ParamsBatch:
@@ -83,8 +109,21 @@ def _T(M):
     return np.swapaxes(M, -1, -2)
 
 
+def _identity_where_failed(M, ok):
+    """M with the elements already marked not ``ok`` swapped for the identity;
+    the caller's M is never written."""
+    if ok.all():
+        return M
+    return np.where(ok[:, None, None], M, np.eye(M.shape[-1]))
+
+
 def _chol_guarded(S, ok):
-    """Batched Cholesky; failed elements get the identity and ok[b] = False."""
+    """Batched Cholesky; failed elements get the identity and ok[b] = False.
+
+    Elements already failed factor the identity, so the per-element loop
+    runs only on the step where an element newly fails.
+    """
+    S = _identity_where_failed(S, ok)
     try:
         return np.linalg.cholesky(S), ok
     except np.linalg.LinAlgError:
@@ -94,24 +133,24 @@ def _chol_guarded(S, ok):
             try:
                 L[b] = np.linalg.cholesky(S[b])
             except np.linalg.LinAlgError:
-                S[b] = eye
                 L[b] = eye
                 ok[b] = False
         return L, ok
 
 
 def _solve_guarded(M, rhs, ok):
-    """Batched solve M x = rhs; singular elements solve against identity."""
+    """Batched solve M x = rhs; failed and singular elements solve against
+    the identity."""
+    M = _identity_where_failed(M, ok)
     try:
         return np.linalg.solve(M, rhs), ok
     except np.linalg.LinAlgError:
         out = np.empty_like(rhs)
-        eye = np.eye(M.shape[-1])
         for b in range(M.shape[0]):
             try:
                 out[b] = np.linalg.solve(M[b], rhs[b])
             except np.linalg.LinAlgError:
-                out[b] = np.linalg.solve(eye, rhs[b])
+                out[b] = rhs[b]
                 ok[b] = False
         return out, ok
 
@@ -135,6 +174,55 @@ def _same_as_next(M):
     """Per step t, whether M[:, t] and M[:, t + 1] are bitwise equal for every element."""
     bits = M.view(np.int64)
     return np.all(bits[:, :-1] == bits[:, 1:], axis=(0, 2, 3))
+
+
+def _chunk_len(B: int, width: int) -> int:
+    """Steps per chunk so that a (B, n, width) array holds at most SCAN_CHUNK doubles."""
+    return max(1, SCAN_CHUNK // (B * width))
+
+
+def _scan_powers(M, n: int):
+    """M, M^2, .., M^L side by side as one (B, d, L d) array, for a scan of
+    n steps: L = ceil(sqrt(n)).  M is (B, d, d) and C-contiguous."""
+    B, d, _ = M.shape
+    L = math.isqrt(max(n, 1) - 1) + 1
+    powers = np.empty((B, d, L * d))
+    powers[:, :, :d] = M
+    for i in range(1, L):
+        powers[:, :, i * d:(i + 1) * d] = powers[:, :, (i - 1) * d:i * d] @ M
+    return powers
+
+
+def _affine_scan(powers, u, x0):
+    """All states of x_{i+1} = x_i M + u_i from x_0 = x0, as a blocked scan.
+
+    States are rows, so M is the transpose of the usual transition matrix.
+    ``powers`` holds M .. M^L (see ``_scan_powers``), u is (B, n, d) with
+    n >= 1 and x0 is (B, d); returns the (B, n + 1, d) states x_0 .. x_n.
+    The n steps are cut into K = ceil(n / L) blocks of L: L - 1 batched
+    products scan inside every block at once from a zero start, the block
+    start states are carried with M^L in K - 1 steps, and each block's
+    start times M^(i+1) is added back in one product.  With
+    L = ceil(sqrt(n)) that is about 2 sqrt(n) products instead of n steps.
+    """
+    B, n, d = u.shape
+    L = powers.shape[-1] // d
+    K = -(-n // L)
+    x = np.empty((B, K * L + 1, d))
+    x[:, 0] = x0
+    x[:, 1:n + 1] = u
+    x[:, n + 1:] = 0.0
+    w = x[:, 1:].reshape(B, K, L, d)                   # a view: block k, step i
+    M = powers[:, :, :d]
+    for i in range(1, L):
+        w[:, :, i] += w[:, :, i - 1] @ M
+    starts = np.empty((B, K, d))
+    starts[:, 0] = x0
+    ML = powers[:, :, -d:]
+    for k in range(1, K):
+        starts[:, k] = (starts[:, k - 1, None] @ ML)[:, 0] + w[:, k - 1, -1]
+    w += (starts @ powers).reshape(B, K, L, d)
+    return x[:, :n + 1]
 
 
 def _innovation_cov(pb: ParamsBatch, P, ok):
@@ -163,9 +251,10 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     when ``store`` is set, the full predicted/filtered trajectories.
 
     Once the predicted covariance of every ``ok`` element has settled (see
-    the module docstring), S, K and log|S| are frozen and the remaining
-    steps run only the innovation, its quadratic form and the mean update;
-    the stored covariances of those steps are the frozen ones.
+    the module docstring), S, K and log|S| are frozen, the means of the
+    remaining steps come from a blocked scan and their innovations and
+    quadratic forms from whole-stretch products; the stored covariances of
+    those steps are the frozen ones.
     """
     B, d, p = pb.B, pb.d, pb.p
     T = Y.shape[0]
@@ -209,21 +298,36 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         # steady state from step t on: P is the fixed point of the recursion
         CP, S, logdet_S, ok = _innovation_cov(pb, P, ok)
         Sinv, ok = _solve_guarded(S, np.broadcast_to(np.eye(p), S.shape), ok)
-        K = _T(Sinv @ CP)
+        KT = Sinv @ CP                                 # (B, p, d)
         if store:
             out["pred_covs"][:, t:] = P[:, None]
-            out["filt_covs"][:, t:] = _joseph(pb, P, K)[:, None]
-        const = p * LOG_2PI + logdet_S
-        for s in range(t, T):
+            out["filt_covs"][:, t:] = _joseph(pb, P, _T(KT))[:, None]
+        # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
+        # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
+        # the batch, so y_s G^T of every element is one product with the
+        # (p, B d) matrix G_all.  The other transposes are made contiguous
+        # once: a transposed view slows every batched product it enters.
+        G_all = np.ascontiguousarray(np.swapaxes(KT @ _T(pb.A), 0, 1))
+        G_all = G_all.reshape(p, B * d)
+        GT = np.swapaxes(G_all.reshape(p, B, d), 0, 1)
+        CT = np.ascontiguousarray(_T(pb.C))
+        n = _chunk_len(B, max(d, p))
+        powers = _scan_powers(np.ascontiguousarray(_T(pb.A - _T(GT) @ pb.C)),
+                              min(n, T - t))
+        const = (p * LOG_2PI + logdet_S)[:, None]
+        for lo in range(t, T, n):
+            hi = min(lo + n, T)
+            u = (Y[lo:hi] @ G_all).reshape(hi - lo, B, d).swapaxes(0, 1)
+            xs = _affine_scan(powers, u, x)
+            x = xs[:, -1]
+            xs = xs[:, :-1]                            # predicted means of lo..hi-1
+            innov = Y[lo:hi] - xs @ CT
+            # r^T S^{-1} r, with S^{-1} applied from the right
+            step_ll[:, lo:hi] = -0.5 * (const + np.einsum("bsp,bsp->bs", innov,
+                                                          innov @ Sinv))
             if store:
-                out["pred_means"][:, s] = x
-            innov = Y[s] - np.einsum("bpd,bd->bp", pb.C, x)
-            z = np.einsum("bpq,bq->bp", Sinv, innov)
-            step_ll[:, s] = -0.5 * (const + np.einsum("bp,bp->b", innov, z))
-            x = x + np.einsum("bdp,bp->bd", K, innov)
-            if store:
-                out["filt_means"][:, s] = x
-            x = np.einsum("bde,be->bd", pb.A, x)
+                out["pred_means"][:, lo:hi] = xs
+                out["filt_means"][:, lo:hi] = xs + innov @ KT
     out["step_loglik"] = step_ll
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
@@ -234,9 +338,10 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     """Batched RTS smoother over a stored filter pass.
 
     The lag-one cross-covariance uses the smoother-gain identity
-    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  J_t is reused without a solve
-    where its inputs equal the previous step's bitwise (the filter's frozen
-    stretch); there, once V settles, V and the cross-covariance are copied.
+    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  J_t is solved once per stretch
+    of steps whose inputs are bitwise equal (the filter's frozen stretch);
+    on such a stretch the means are one backward scan, and once V settles,
+    V and the cross-covariance are copied for the rest of it.
     """
     fm, fP = fr["filt_means"], fr["filt_covs"]
     pm, pP = fr["pred_means"], fr["pred_covs"]
@@ -250,22 +355,30 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     # reuse[t]: the inputs of J_t are bitwise equal to those of J_{t+1}
     reuse = np.zeros(T, dtype=bool)
     reuse[:T - 2] = _same_as_next(fP)[:-1] & _same_as_next(pP)[1:]
-    settled = False
-    for t in range(T - 2, -1, -1):
-        if not reuse[t]:
-            # J_t = P^f_t A^T (P^pred_{t+1})^{-1}
-            X, ok = _solve_guarded(pP[:, t + 1], pb.A @ fP[:, t], ok)
-            J = _T(X)
-            settled = False
-        means[:, t] = fm[:, t] + np.einsum("bde,be->bd", J, means[:, t + 1] - pm[:, t + 1])
-        if settled:
-            covs[:, t] = covs[:, t + 1]
-            cross[:, t] = cross[:, t + 1]
-        else:
-            covs[:, t] = sym(fP[:, t] + J @ (covs[:, t + 1] - pP[:, t + 1]) @ _T(J))
-            cross[:, t] = covs[:, t + 1] @ _T(J)
-            # the V recursion is time-invariant only while J is reused
-            settled = reuse[t - 1] and _settled(covs[:, t], covs[:, t + 1], ok)
+    n = _chunk_len(B, d)
+    hi = T - 1
+    while hi > 0:
+        # J_t = P^f_t A^T (P^pred_{t+1})^{-1}, shared by the steps lo..hi-1
+        JT, ok = _solve_guarded(pP[:, hi], pb.A @ fP[:, hi - 1], ok)
+        J = _T(JT)
+        lo = hi - 1
+        while lo > 0 and reuse[lo - 1]:
+            lo -= 1
+        # m_t = J m_{t+1} + (fm_t - J pm_{t+1}), scanned backward chunk by chunk
+        powers = _scan_powers(JT, min(n, hi - lo))
+        for c_hi in range(hi, lo, -n):
+            c_lo = max(lo, c_hi - n)
+            u = fm[:, c_lo:c_hi] - pm[:, c_lo + 1:c_hi + 1] @ JT
+            means[:, c_lo:c_hi] = _affine_scan(powers, u[:, ::-1], means[:, c_hi])[:, :0:-1]
+        for t in range(hi - 1, lo - 1, -1):
+            covs[:, t] = sym(fP[:, t] + J @ (covs[:, t + 1] - pP[:, t + 1]) @ JT)
+            cross[:, t] = covs[:, t + 1] @ JT
+            # the V recursion is time-invariant on the stretch: once settled, copy
+            if t > lo and _settled(covs[:, t], covs[:, t + 1], ok):
+                covs[:, lo:t] = covs[:, t, None]
+                cross[:, lo:t] = cross[:, t, None]
+                break
+        hi = lo
     return {"means": means, "covs": covs, "cross": cross, "ok": ok}
 
 
@@ -338,6 +451,14 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
     final = init.copy()
+    # benign placeholder for failed elements, so later batched linear
+    # algebra stays finite
+    d, p = init.d, init.p
+    neutral = ParamsBatch(A=np.zeros_like(init.A), C=np.zeros_like(init.C),
+                          R1=np.broadcast_to(np.eye(d), init.R1.shape),
+                          R2=np.broadcast_to(np.eye(p), init.R2.shape),
+                          mu0=np.zeros_like(init.mu0),
+                          R0=np.broadcast_to(np.eye(d), init.R0.shape))
     for it in range(1, max_iters + 1):
         active = ~(converged | failed)
         if not np.any(active):
@@ -351,8 +472,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
             traces[b].append(float(ll[b]))
         iterations[active] = it
         just_conv = active & (np.abs(ll - prev_ll) < eps)
-        for b in np.flatnonzero(just_conv):
-            _write_element(final, cur, b)
+        final = cur.where(just_conv, final)
         converged |= just_conv
         active &= ~just_conv
         prev_ll = np.where(active, ll, prev_ll)
@@ -368,14 +488,9 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         new.A = A_stable
         for b in np.flatnonzero(active & resc):
             rescale_iters[b].append(it)
-        for b in np.flatnonzero(active):
-            _write_element(cur, new, b)
-        for b in np.flatnonzero(active):
-            _write_element(final, cur, b)
-        # freeze failed elements with a benign placeholder so later batched
-        # linear algebra stays finite
-        for b in np.flatnonzero(failed):
-            _neutralize_element(cur, b)
+        cur = new.where(active, cur)
+        final = cur.where(active, final)
+        cur = neutral.where(failed, cur)
     return {
         "params": final,
         "loglik": np.array([t[-1] if t else -np.inf for t in traces]),
@@ -385,18 +500,3 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         "iterations": iterations,
         "rescale_iters": rescale_iters,
     }
-
-
-def _write_element(dst: ParamsBatch, src: ParamsBatch, b: int) -> None:
-    for f in ("A", "C", "R1", "R2", "mu0", "R0"):
-        getattr(dst, f)[b] = getattr(src, f)[b]
-
-
-def _neutralize_element(pb: ParamsBatch, b: int) -> None:
-    d, p = pb.d, pb.p
-    pb.A[b] = 0.0
-    pb.C[b] = 0.0
-    pb.R1[b] = np.eye(d)
-    pb.R2[b] = np.eye(p)
-    pb.mu0[b] = 0.0
-    pb.R0[b] = np.eye(d)

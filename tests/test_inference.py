@@ -134,17 +134,25 @@ class TestSteadyState:
     covariance settles; the smoother then reuses J and copies V."""
 
     def test_long_sequence_matches_textbook_recursion(self):
-        for seed in range(3):
-            p = random_model(3, 2, seed=seed + 40)
-            data = simulate(p, T=1000, seed=seed)
-            fr = kalman_filter(p, data)
-            assert switch_step(fr.pred_covs) < data.T // 2
-            sm = rts_smooth(p, fr)
-            loglik, means, covs, cross = textbook_smoother(p, data.Y)
-            assert fr.loglik == pytest.approx(loglik, rel=1e-9)
-            np.testing.assert_allclose(sm.means, means, rtol=0, atol=1e-8)
-            np.testing.assert_allclose(sm.covs, covs, rtol=0, atol=1e-8)
-            np.testing.assert_allclose(sm.cross_covs, cross, rtol=0, atol=1e-8)
+        # batches of B = 3 models on one sequence, p = 1..3, through the
+        # public B = 1 wrappers and through the batched engine
+        for d, d_out in ((3, 1), (3, 2), (4, 3)):
+            models = [random_model(d, d_out, seed=40 + 3 * d + b) for b in range(3)]
+            Y = simulate(models[0], T=1000, seed=d_out).Y
+            batch = _engine.stack_params(models)
+            fr = _engine.filter_batch(batch, Y)
+            assert switch_step(fr["pred_covs"]) < len(Y) // 2
+            sm = _engine.smooth_batch(batch, fr)
+            one = kalman_filter(models[0], SequenceData(Y=Y))
+            one_sm = rts_smooth(models[0], one)
+            runs = [(fr["loglik"][b], sm["means"][b], sm["covs"][b], sm["cross"][b])
+                    for b in range(3)]
+            runs.append((one.loglik, one_sm.means, one_sm.covs, one_sm.cross_covs))
+            for b, (loglik, means, covs, cross) in enumerate(runs):
+                ref = textbook_smoother(models[b % 3], Y)
+                assert loglik == pytest.approx(ref[0], rel=1e-9)
+                for got, want in zip((means, covs, cross), ref[1:]):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
     def test_failed_element_does_not_block_the_switch(self):
         # S is singular from the first step, and the unobserved, unstable
@@ -201,6 +209,95 @@ class TestSteadyState:
                          (sm.means, sm_full.means), (sm.covs, sm_full.covs),
                          (sm.cross_covs, sm_full.cross_covs)):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestBlockedScan:
+    """The steady-state mean recursions run as a blocked prefix scan over
+    chunks of bounded size."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_affine_scan_matches_plain_loop(self, n, B):
+        rng = np.random.default_rng(n + 10 * B)
+        d = 3
+        M = rng.standard_normal((B, d, d))
+        M *= 0.95 / np.max(np.abs(np.linalg.eigvals(M)), axis=-1)[:, None, None]
+        u = rng.standard_normal((B, n, d))
+        x0 = rng.standard_normal((B, d))
+        got = _engine._affine_scan(_engine._scan_powers(M, n), u, x0)
+        want = np.empty((B, n + 1, d))
+        want[:, 0] = x0
+        for i in range(n):
+            want[:, i + 1] = np.einsum("bd,bde->be", want[:, i], M) + u[:, i]
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+    def test_many_chunks_match_one_chunk(self, monkeypatch):
+        models = [random_model(3, 2, seed=s) for s in (60, 61, 62)]
+        Y = simulate(models[0], T=300, seed=2).Y
+        batch = _engine.stack_params(models)
+
+        def run():
+            fr = _engine.filter_batch(batch, Y)
+            return fr, _engine.smooth_batch(batch, fr)
+
+        whole = run()
+        assert _engine._chunk_len(3, 3) >= len(Y)
+        # 7-step chunks: the frozen stretch spans dozens of them, the last one short
+        monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * 3 * 3)
+        assert _engine._chunk_len(3, 3) == 7
+        chunked = run()
+        assert switch_step(whole[0]["pred_covs"]) < 100
+        for key in ("loglik", "step_loglik", "pred_means", "filt_means",
+                    "pred_covs", "filt_covs"):
+            np.testing.assert_allclose(chunked[0][key], whole[0][key],
+                                       rtol=1e-12, atol=1e-12)
+        for key in ("means", "covs", "cross"):
+            np.testing.assert_allclose(chunked[1][key], whole[1][key],
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_store_false_gives_the_same_step_logliks(self):
+        models = [random_model(4, 2, seed=s) for s in (70, 71)]
+        Y = simulate(models[0], T=500, seed=3).Y
+        batch = _engine.stack_params(models)
+        stored = _engine.filter_batch(batch, Y, store=True)
+        bare = _engine.filter_batch(batch, Y, store=False)
+        np.testing.assert_array_equal(bare["step_loglik"], stored["step_loglik"])
+        np.testing.assert_array_equal(bare["loglik"], stored["loglik"])
+        np.testing.assert_array_equal(bare["ok"], stored["ok"])
+        assert "pred_means" not in bare
+
+
+class TestGuardedFactorizations:
+    def test_failed_element_costs_one_per_element_pass(self, monkeypatch):
+        # the degenerate element fails at step 0; later steps factor the
+        # identity in its place, so the batched Cholesky succeeds again and
+        # the per-element fallback runs exactly once over the batch
+        degenerate = LdsParams(A=1.5 * np.eye(2), C=[[1.0, 0.0], [0.0, 0.0]],
+                               R1=np.eye(2), R2=np.diag([1.0, 0.0]),
+                               mu0=np.zeros(2), R0=np.eye(2))
+        models = [random_model(2, 2, seed=s) for s in (50, 51, 52)]
+        models.insert(1, degenerate)
+        Y = simulate(models[0], T=200, seed=1).Y
+        batch = _engine.stack_params(models)
+        real = np.linalg.cholesky
+        calls = {"batched": 0, "single": 0}
+
+        def counting(a, *args, **kwargs):
+            calls["single" if a.ndim == 2 else "batched"] += 1
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        fr = _engine.filter_batch(batch, Y)
+        pred_covs = fr["pred_covs"].copy()
+        _engine.smooth_batch(batch, fr)
+        np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
+        transient = switch_step(fr["pred_covs"])
+        assert transient > 1
+        assert calls["batched"] == transient + 1
+        assert calls["single"] == len(models)
+        # the guarded calls never write into the caller's arrays
+        np.testing.assert_array_equal(fr["pred_covs"], pred_covs)
 
 
 class TestCompleteDataLoglik:
