@@ -5,35 +5,35 @@
         --claim narma10-observable/orders_per_s --claim-ratio 1.5
 
 PARENT_DIR and CHANGE_DIR are two source checkouts, each with its own copy
-of ``perfbench/``.  Pair i runs ``perfbench/run.py --seed i`` on both
+of ``perfbench/``.  The command, the run length, the workloads and the
+end-to-end metrics come from the change's ``BENCHMARK.json``; ``--pairs``
+is at least 10.  Pair i runs the command with ``--seed i`` on both
 sides, the parent first in even pairs and the change first in odd pairs,
 with the workloads interleaved within each pair.  After the pairs, each
 side makes one traced run per workload at ``--seed 0``.  The behaviour
 fingerprints of every pair are compared with the change's
 ``perfbench/compare_fingerprints.py``.  Everything is written to
-``BENCH_<pr>.json`` (or ``--out``): medians, quartiles and every run of the
+``BENCH_<pr>.json``: medians, quartiles and every run of the
 end-to-end metrics, pair wins, the traced per-layer figures, fingerprint
 results and the ``src/`` line count of both sides.
 
-Standard library only; the runs themselves need numpy in the interpreter
-that runs this script.
+Standard library only; the runs themselves need numpy.
 """
 import argparse
 import glob
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("narma10-observable", "grid-d4", "cli-annihilate-d6")
-END_TO_END = {"orders_per_s": ("1/s", "higher"), "setup_s": ("s", "lower"),
-              "peak_rss_mb": ("MB", "lower")}
+MIN_PAIRS = 10
 
 
-def run(checkout, workload, seed, seconds, trace):
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+def run(checkout, bench, workload, seed, trace):
+    cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
+                              "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -85,27 +85,28 @@ def main(argv=None):
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--change", dest="summary", required=True,
                     help="one line saying what the change does")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--claim", help="WORKLOAD/METRIC the change claims to improve")
     ap.add_argument("--claim-ratio", type=float, default=1.0,
                     help="least change/parent ratio of the medians the claim needs")
-    ap.add_argument("--out")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
+    if args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be at least {MIN_PAIRS}")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    with open(os.path.join(sides["change"], "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    end_to_end_metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
 
-    untraced = {w: {"parent": [], "change": []} for w in args.workloads}
-    fingerprints = {w: [] for w in args.workloads}
+    untraced = {w: {"parent": [], "change": []} for w in workloads}
+    fingerprints = {w: [] for w in workloads}
     environment = None
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for w in args.workloads:
+        for w in workloads:
             got = {}
             for side in order:
-                got[side] = run(sides[side], w, i, args.seconds, 0)
+                got[side] = run(sides[side], bench, w, i, 0)
                 print(f"pair {i} {w} {side}: orders_per_s "
                       f"{got[side]['metrics']['orders_per_s']['value']:.4g} "
                       f"correct {got[side]['correct']}", file=sys.stderr, flush=True)
@@ -120,7 +121,7 @@ def main(argv=None):
                  "all_correct": all(r["correct"] for side in runs.values() for r in side),
                  "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in runs.items()},
                  "failed": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()}}
-        for metric, (unit, better) in END_TO_END.items():
+        for metric, (unit, better) in end_to_end_metrics.items():
             values = {s: [r["metrics"][metric]["value"] for r in rs] for s, rs in runs.items()}
             entry[metric] = {
                 "unit": unit, "better": better,
@@ -131,8 +132,8 @@ def main(argv=None):
         end_to_end[w] = entry
 
     traced = {}
-    for w in args.workloads:
-        got = {side: run(sides[side], w, 0, args.seconds, 1) for side in ("parent", "change")}
+    for w in workloads:
+        got = {side: run(sides[side], bench, w, 0, 1) for side in ("parent", "change")}
         traced[w] = {side: {k: m["value"] for k, m in got[side]["metrics"].items()}
                      for side in got}
         traced[w]["fingerprint"] = compare(sides["change"], got["parent"]["fingerprint"],
@@ -141,8 +142,8 @@ def main(argv=None):
     doc = {"pr": args.pr, "change": args.summary, "parent_commit": git_head(sides["parent"]),
            "environment": {k: v for k, v in environment.items() if k != "git_commit"},
            "method": {
-               "command": f"python3 perfbench/run.py --workload W --seed N "
-                          f"--seconds {args.seconds:g} --trace 0",
+               "command": " ".join(bench["command"]) + " --workload W --seed N "
+                          f"--seconds {bench['run_seconds']:g} --trace 0",
                "pairs_per_workload": args.pairs, "seeds": list(range(args.pairs)),
                "order": "pair i uses --seed i on both sides; the parent runs first in "
                         "even pairs, the change first in odd pairs; the workloads are "
@@ -159,19 +160,21 @@ def main(argv=None):
         if m["better"] == "lower":
             ratio = 1 / ratio
         n_wins = int(m["change_wins"].split("/")[0])
+        need_wins = math.ceil(0.9 * args.pairs)
         doc["claim"] = {
             "metric": args.claim,
             "required": f"change median >= {args.claim_ratio:g}x parent median, change "
-                        f"better in >= 9 of 10 pairs, median gap > parent quartile distance",
+                        f"better in >= {need_wins} of {args.pairs} pairs, median gap > "
+                        f"parent quartile distance",
             "parent_median": p["median"], "change_median": c["median"], "ratio": ratio,
             "wins": m["change_wins"],
-            "met": bool(ratio >= args.claim_ratio and n_wins >= 0.9 * args.pairs
+            "met": bool(ratio >= args.claim_ratio and n_wins >= need_wins
                         and abs(c["median"] - p["median"]) > p["q3"] - p["q1"])}
     doc["traced_seed0"] = traced
     doc["fingerprints"] = {w: {"untraced_pairs": f, "all_exit_0": all(x["exit"] == 0 for x in f)}
                            for w, f in fingerprints.items()}
     doc["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
-    out = args.out or f"BENCH_{args.pr}.json"
+    out = f"BENCH_{args.pr}.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
