@@ -11,25 +11,37 @@ For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
 filter runs the full Joseph-form step until the predicted covariance of
 every element still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its
-own size in one time update; from then on S, K and log|S| are frozen and
-the predicted mean follows the linear time-invariant recursion
-x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.  That recursion runs as
-a blocked prefix scan (``_affine_scan``): about 3 sqrt(N) batched products
-for N frozen steps, sqrt(N) of them for the powers of F, instead of N
-interpreted steps; the innovations, their quadratic forms and the filtered
-means are then whole-stretch products.  The smoother solves for J once
-per stretch of bitwise-equal inputs (exactly the frozen stretch), runs the
-smoothed means of that stretch through the same scan backward, and once
-the smoothed covariance settles by the same test it copies V and the
-cross-covariance in one assignment.
+own size in one time update.  A transient step factors S once (Cholesky,
+for the ``ok`` test and log|S|) and solves it once, for the gain and the
+innovation together; the log-dets and quadratic forms of the transient
+enter the step logliks in one expression after it.  From the switch on,
+S, K and log|S| are frozen and the predicted mean follows the linear
+time-invariant recursion x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
+That recursion runs as a blocked prefix scan (``_affine_scan``): about
+3 sqrt(N) batched products for N frozen steps, sqrt(N) of them for the
+powers of F, instead of N interpreted steps; the innovations, their
+quadratic forms and the filtered means are then whole-stretch products.
+
+The smoother cuts the steps into stretches whose J inputs are bitwise
+equal: the frozen stretch is one, and each transient step is one of its
+own.  J is solved for every stretch in one batched call over (B, H)
+matrices, before the backward walk.  A one-step stretch is stepped with
+plain products, and the cross-covariances of all of them are one product
+after the walk.  On the frozen stretch the smoothed means run through the
+same affine scan backward, and V through a blocked scan of the congruence
+map V -> P^f + J (V - P^pred) J^T (``_congruence_scan``): block starts are
+carried with J^L, each block is filled from its start in one product, and
+the carry stops at the first block start that has settled by the same
+test, after which V and the cross-covariance are one copy.
 
 The scans go chunk by chunk so that memory stays bounded: a chunk has
-n = SCAN_CHUNK // (B w) steps, w = max(d, p) in the filter and d in the
-smoother, so its (B, n, w) arrays hold at most ``SCAN_CHUNK`` doubles (the
-scan pads its block array by fewer than sqrt(n) + 1 steps).  A small
-batch on a long sequence (an EM fit) scans its whole frozen stretch at
-once; a large batch (the Fisher perturbations, B d in the thousands) gets
-chunks of a few steps, where the scan saves little over stepping.
+n = SCAN_CHUNK // (B w) steps, w = max(d, p) in the filter, d for the
+smoothed means and d^2 for V, so its (B, n, w) arrays hold at most
+``SCAN_CHUNK`` doubles (a scan pads its block array by fewer than
+sqrt(n) + 1 steps).  A small batch on a long sequence (an EM fit) scans
+its whole frozen stretch at once; a large batch (the Fisher perturbations,
+B d in the thousands) gets chunks of a few steps, where the scan saves
+little over stepping.
 
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
@@ -48,7 +60,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
-#: doubles in each (B, n, width) array of one chunk of a mean scan
+#: doubles in each (B, n, width) array of one chunk of a scan
 SCAN_CHUNK = 2 ** 15
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
@@ -111,10 +123,10 @@ def _T(M):
 
 def _identity_where_failed(M, ok):
     """M with the elements already marked not ``ok`` swapped for the identity;
-    the caller's M is never written."""
+    the caller's M is never written.  M is (B, .., n, n)."""
     if ok.all():
         return M
-    return np.where(ok[:, None, None], M, np.eye(M.shape[-1]))
+    return np.where(ok.reshape((-1,) + (1,) * (M.ndim - 1)), M, np.eye(M.shape[-1]))
 
 
 def _chol_guarded(S, ok):
@@ -140,7 +152,8 @@ def _chol_guarded(S, ok):
 
 def _solve_guarded(M, rhs, ok):
     """Batched solve M x = rhs; failed and singular elements solve against
-    the identity."""
+    the identity.  M may hold several matrices per element, (B, H, n, n):
+    an element fails when any of its matrices is singular."""
     M = _identity_where_failed(M, ok)
     try:
         return np.linalg.solve(M, rhs), ok
@@ -225,21 +238,25 @@ def _affine_scan(powers, u, x0):
     return x[:, :n + 1]
 
 
-def _innovation_cov(pb: ParamsBatch, P, ok):
-    """C P, the innovation covariance S, log|S|, and ok with degenerate S cleared."""
+def _innovation_cov(pb: ParamsBatch, P, CT, ok):
+    """C P, the innovation covariance S, the diagonal of its Cholesky factor,
+    and ok with degenerate S cleared.  CT is C^T, contiguous."""
     CP = pb.C @ P                                      # (B, p, d)
-    S = sym(CP @ _T(pb.C) + pb.R2)
+    S = sym(CP @ CT + pb.R2)
     L, ok = _chol_guarded(S, ok)
-    diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))
-    rcond = (np.min(diag, axis=-1) / np.max(diag, axis=-1)) ** 2
-    ok &= rcond >= DEGENERACY_RCOND
-    logdet_S = 2.0 * np.sum(np.log(np.maximum(diag, 1e-300)), axis=-1)
-    return CP, S, logdet_S, ok
+    diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))    # a copy: L is not kept
+    ok &= (diag.min(axis=-1) / diag.max(axis=-1)) ** 2 >= DEGENERACY_RCOND
+    return CP, S, diag, ok
 
 
-def _joseph(pb: ParamsBatch, P, K):
+def _log_det(diag):
+    """log|S| from the diagonal of the Cholesky factor of S."""
+    return 2.0 * np.sum(np.log(np.maximum(diag, 1e-300)), axis=-1)
+
+
+def _joseph(pb: ParamsBatch, P, K, eye):
     """Joseph-form filtered covariance (I - K C) P (I - K C)^T + K R2 K^T."""
-    ImKC = np.eye(pb.d) - K @ pb.C
+    ImKC = eye - K @ pb.C
     return sym(ImKC @ P @ _T(ImKC) + K @ pb.R2 @ _T(K))
 
 
@@ -250,18 +267,25 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     an ``ok`` mask (False where an innovation covariance degenerated), and,
     when ``store`` is set, the full predicted/filtered trajectories.
 
-    Once the predicted covariance of every ``ok`` element has settled (see
-    the module docstring), S, K and log|S| are frozen, the means of the
-    remaining steps come from a blocked scan and their innovations and
-    quadratic forms from whole-stretch products; the stored covariances of
-    those steps are the frozen ones.
+    A transient step solves S once for the gain and the innovation together;
+    the log-dets and quadratic forms of the transient enter the step logliks
+    after it.  Once the predicted covariance of every ``ok`` element has
+    settled (see the module docstring), S, K and log|S| are frozen, the means
+    of the remaining steps come from a blocked scan and their innovations
+    and quadratic forms from whole-stretch products; the stored covariances
+    of those steps are the frozen ones.
     """
     B, d, p = pb.B, pb.d, pb.p
     T = Y.shape[0]
     ok = np.ones(B, dtype=bool)
     x = pb.mu0.copy()              # predicted mean at t
     P = sym(pb.R0)                 # predicted covariance at t
+    # transposed views slow every batched product they enter: made contiguous once
+    AT = np.ascontiguousarray(_T(pb.A))
+    CT = np.ascontiguousarray(_T(pb.C))
+    eye = np.eye(d)
     step_ll = np.zeros((B, T))
+    diags, quads = [], []          # per transient step: (B, p) and (B,)
     out = {}
     if store:
         out["pred_means"] = np.empty((B, T, d))
@@ -273,15 +297,15 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         if store:
             out["pred_means"][:, t] = x
             out["pred_covs"][:, t] = P
-        CP, S, logdet_S, ok = _innovation_cov(pb, P, ok)
+        CP, S, diag, ok = _innovation_cov(pb, P, CT, ok)
         innov = Y[t] - np.einsum("bpd,bd->bp", pb.C, x)
-        z, ok = _solve_guarded(S, innov[..., None], ok)
-        z = z[..., 0]
-        step_ll[:, t] = -0.5 * (p * LOG_2PI + logdet_S + np.einsum("bp,bp->b", innov, z))
-        KT, ok = _solve_guarded(S, CP, ok)             # (B, p, d) = S^{-1} C P
-        K = _T(KT)                                     # (B, d, p)
-        x = x + np.einsum("bdp,bp->bd", K, innov)
-        Pf = _joseph(pb, P, K)
+        # S^{-1} [C P | r]: the transposed gain and S^{-1} r in one solve
+        sol, ok = _solve_guarded(S, np.concatenate((CP, innov[..., None]), axis=-1), ok)
+        KT = sol[..., :d]                              # (B, p, d) = S^{-1} C P
+        diags.append(diag)
+        quads.append(np.einsum("bp,bp->b", innov, sol[..., d]))
+        x = x + np.einsum("bpd,bp->bd", KT, innov)
+        Pf = _joseph(pb, P, _T(KT), eye)
         if store:
             out["filt_means"][:, t] = x
             out["filt_covs"][:, t] = Pf
@@ -289,32 +313,32 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         if t == T:
             break
         x = np.einsum("bde,be->bd", pb.A, x)
-        P_next = sym(pb.A @ Pf @ _T(pb.A) + pb.R1)
+        P_next = sym(pb.A @ Pf @ AT + pb.R1)
         settled = _settled(P_next, P, ok)
         P = P_next
         if settled:
             break
+    step_ll[:, :t] = -0.5 * (p * LOG_2PI + _log_det(np.stack(diags, axis=1))
+                             + np.stack(quads, axis=1))
     if t < T:
         # steady state from step t on: P is the fixed point of the recursion
-        CP, S, logdet_S, ok = _innovation_cov(pb, P, ok)
+        CP, S, diag, ok = _innovation_cov(pb, P, CT, ok)
         Sinv, ok = _solve_guarded(S, np.broadcast_to(np.eye(p), S.shape), ok)
         KT = Sinv @ CP                                 # (B, p, d)
         if store:
             out["pred_covs"][:, t:] = P[:, None]
-            out["filt_covs"][:, t:] = _joseph(pb, P, _T(KT))[:, None]
+            out["filt_covs"][:, t:] = _joseph(pb, P, _T(KT), eye)[:, None]
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
         # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
         # the batch, so y_s G^T of every element is one product with the
-        # (p, B d) matrix G_all.  The other transposes are made contiguous
-        # once: a transposed view slows every batched product it enters.
-        G_all = np.ascontiguousarray(np.swapaxes(KT @ _T(pb.A), 0, 1))
+        # (p, B d) matrix G_all.
+        G_all = np.ascontiguousarray(np.swapaxes(KT @ AT, 0, 1))
         G_all = G_all.reshape(p, B * d)
         GT = np.swapaxes(G_all.reshape(p, B, d), 0, 1)
-        CT = np.ascontiguousarray(_T(pb.C))
         n = _chunk_len(B, max(d, p))
         powers = _scan_powers(np.ascontiguousarray(_T(pb.A - _T(GT) @ pb.C)),
                               min(n, T - t))
-        const = (p * LOG_2PI + logdet_S)[:, None]
+        const = (p * LOG_2PI + _log_det(diag))[:, None]
         for lo in range(t, T, n):
             hi = min(lo + n, T)
             u = (Y[lo:hi] @ G_all).reshape(hi - lo, B, d).swapaxes(0, 1)
@@ -334,14 +358,59 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     return out
 
 
+def _congruence_powers(J, F, G, n: int):
+    """J^j and S_j = F + sum_{0<i<j} J^i (F - G) (J^T)^i for j = 1..L,
+    L = ceil(sqrt(n)), as two (B, L, d, d) arrays: the block operators of
+    ``_congruence_scan`` for the map W -> F + J (W - G) J^T."""
+    B, d, _ = J.shape
+    L = math.isqrt(max(n, 1) - 1) + 1
+    powers = np.empty((B, L, d, d))
+    powers[:, 0] = J
+    for j in range(1, L):
+        powers[:, j] = powers[:, j - 1] @ J
+    sums = np.empty_like(powers)
+    sums[:, 0] = F
+    sums[:, 1:] = F[:, None] + np.cumsum(powers[:, :-1] @ (F - G)[:, None]
+                                         @ _T(powers[:, :-1]), axis=1)
+    return powers, sums
+
+
+def _congruence_scan(powers, sums, G, W0, n: int, ok):
+    """W_1 .. W_m of W_{i+1} = sym(F + J (W_i - G) J^T) from W_0 = W0
+    (m <= n), as a blocked scan; returns the (B, m, d, d) states and whether
+    they settled.
+
+    ``powers`` and ``sums`` come from ``_congruence_powers``.  The block
+    starts W_0, W_L, W_2L, .. are carried with J^L one at a time, and every
+    block is then filled from its start in one product,
+    W_{kL+j} = J^j (W_{kL} - G) (J^T)^j + S_j; for j = 1 that is the plain
+    step.  The carry stops at the first block start that has settled against
+    the one before it (``_settled``): W has reached its fixed point there,
+    so m is that start's step and the steps after it are copies of W_m.
+    """
+    B, L, d, _ = powers.shape
+    K = -(-n // L)
+    JL, JLT, SL = powers[:, -1], _T(powers[:, -1]), sums[:, -1]
+    starts = [W0]
+    settled = False
+    while len(starts) < K and not settled:
+        starts.append(sym(JL @ (starts[-1] - G) @ JLT + SL))
+        settled = _settled(starts[-1], starts[-2], ok)
+    X = np.stack(starts[:len(starts) - settled], axis=1)[:, :, None]    # (B, k, 1, d, d)
+    W = powers[:, None] @ (X - G[:, None, None]) @ _T(powers)[:, None]   # (B, k, L, d, d)
+    return sym(W + sums[:, None]).reshape(B, -1, d, d)[:, :n], settled
+
+
 def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     """Batched RTS smoother over a stored filter pass.
 
     The lag-one cross-covariance uses the smoother-gain identity
-    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  J_t is solved once per stretch
-    of steps whose inputs are bitwise equal (the filter's frozen stretch);
-    on such a stretch the means are one backward scan, and once V settles,
-    V and the cross-covariance are copied for the rest of it.
+    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  The steps are cut into
+    stretches whose J inputs are bitwise equal (the filter's frozen stretch
+    is one; each transient step is one of its own), and J is solved for all
+    stretches in one batched call.  A one-step stretch is stepped with plain
+    products; on a longer one the means are a backward affine scan and V a
+    backward congruence scan that stops once V settles.
     """
     fm, fP = fr["filt_means"], fr["filt_covs"]
     pm, pP = fr["pred_means"], fr["pred_covs"]
@@ -352,33 +421,52 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     cross = np.empty((B, max(T - 1, 0), d, d))
     means[:, -1] = fm[:, -1]
     covs[:, -1] = fP[:, -1]
-    # reuse[t]: the inputs of J_t are bitwise equal to those of J_{t+1}
-    reuse = np.zeros(T, dtype=bool)
-    reuse[:T - 2] = _same_as_next(fP)[:-1] & _same_as_next(pP)[1:]
-    n = _chunk_len(B, d)
-    hi = T - 1
-    while hi > 0:
-        # J_t = P^f_t A^T (P^pred_{t+1})^{-1}, shared by the steps lo..hi-1
-        JT, ok = _solve_guarded(pP[:, hi], pb.A @ fP[:, hi - 1], ok)
-        J = _T(JT)
-        lo = hi - 1
-        while lo > 0 and reuse[lo - 1]:
-            lo -= 1
-        # m_t = J m_{t+1} + (fm_t - J pm_{t+1}), scanned backward chunk by chunk
-        powers = _scan_powers(JT, min(n, hi - lo))
-        for c_hi in range(hi, lo, -n):
-            c_lo = max(lo, c_hi - n)
-            u = fm[:, c_lo:c_hi] - pm[:, c_lo + 1:c_hi + 1] @ JT
+    # stretch k covers the steps los[k]..his[k]-1; a stretch ends where the
+    # inputs of J_t differ from those of J_{t+1} (T = 1 has no steps)
+    same = _same_as_next(fP)[:-1] & _same_as_next(pP)[1:]
+    edges = np.flatnonzero(np.concatenate(([True], ~same, [True])))[:T]
+    los, his = edges[:-1], edges[1:]
+    # J_t = P^f_t A^T (P^pred_{t+1})^{-1}, one (B, H, d, d) solve for every stretch
+    JT, ok = _solve_guarded(pP[:, his], pb.A[:, None] @ fP[:, his - 1], ok)
+    single = his - los == 1
+    one = los[single]
+    # m_t = J m_{t+1} + (fm_t - J pm_{t+1}); the bracket of every one-step stretch at once
+    u_one = fm[:, one] - (pm[:, one + 1, None] @ JT[:, single])[:, :, 0]
+    i_one = len(one)
+    nm, nv = _chunk_len(B, d), _chunk_len(B, d * d)
+    for k in range(len(los) - 1, -1, -1):
+        lo, hi = los[k], his[k]
+        JTk = JT[:, k]
+        J = _T(JTk)
+        if single[k]:
+            i_one -= 1
+            means[:, lo] = (means[:, hi, None] @ JTk)[:, 0] + u_one[:, i_one]
+            covs[:, lo] = sym(fP[:, lo] + J @ (covs[:, hi] - pP[:, hi]) @ JTk)
+            continue
+        # the means, scanned backward chunk by chunk
+        JTk = np.ascontiguousarray(JTk)
+        powers = _scan_powers(JTk, min(nm, hi - lo))
+        for c_hi in range(hi, lo, -nm):
+            c_lo = max(lo, c_hi - nm)
+            u = fm[:, c_lo:c_hi] - pm[:, c_lo + 1:c_hi + 1] @ JTk
             means[:, c_lo:c_hi] = _affine_scan(powers, u[:, ::-1], means[:, c_hi])[:, :0:-1]
-        for t in range(hi - 1, lo - 1, -1):
-            covs[:, t] = sym(fP[:, t] + J @ (covs[:, t + 1] - pP[:, t + 1]) @ JT)
-            cross[:, t] = covs[:, t + 1] @ JT
-            # the V recursion is time-invariant on the stretch: once settled, copy
-            if t > lo and _settled(covs[:, t], covs[:, t + 1], ok):
-                covs[:, lo:t] = covs[:, t, None]
-                cross[:, lo:t] = cross[:, t, None]
+        # V_t = P^f + J (V_{t+1} - P^pred) J^T, scanned backward until V settles
+        powers, sums = _congruence_powers(np.ascontiguousarray(J), fP[:, lo], pP[:, hi],
+                                          min(nv, hi - lo))
+        c_hi = hi
+        while c_hi > lo:
+            W, settled = _congruence_scan(powers, sums, pP[:, hi], covs[:, c_hi],
+                                          min(nv, c_hi - lo), ok)
+            c_lo = c_hi - W.shape[1]
+            covs[:, c_lo:c_hi] = W[:, ::-1]
+            np.matmul(covs[:, c_lo + 1:c_hi + 1], JTk[:, None], out=cross[:, c_lo:c_hi])
+            c_hi = c_lo
+            if settled:
+                covs[:, lo:c_hi] = covs[:, c_hi, None]
+                cross[:, lo:c_hi] = (covs[:, c_hi] @ JTk)[:, None]
                 break
-        hi = lo
+    # the cross-covariances of every one-step stretch in one product
+    cross[:, one] = covs[:, one + 1] @ JT[:, single]
     return {"means": means, "covs": covs, "cross": cross, "ok": ok}
 
 

@@ -13,14 +13,15 @@ import json
 import os
 import sys
 
-from .criteria import CRITERION_NAMES, normalize_values
+from .criteria import CRITERION_NAMES
 from .datagen import (NarmaSpec, RandomLdsConfig, narma_generate,
                       preprocess_center_trim, random_stable_lds)
 from .em import EmConfig
 from .errors import LdsError
 from .model import (LdsParams, ModelOrderBounds, read_sequence_csv, simulate,
                     write_sequence_csv)
-from .selection import annihilation_search, grid_search, write_sweep_csv
+from .selection import (annihilation_search, criterion_table, grid_search,
+                        write_sweep_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +83,7 @@ def cmd_simulate(args) -> int:
                 input_range=tuple(cfg.get("input_range", (0.0, 0.5))), seed=seed))
             if cfg.get("preprocess", False):
                 data = preprocess_center_trim(data)
-    except (LdsError, KeyError, ValueError) as exc:
+    except (LdsError, KeyError, ValueError, TypeError) as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     try:
@@ -163,17 +164,13 @@ def cmd_compare(args) -> int:
     except LdsError as exc:
         print(f"fitting failure: {exc}", file=sys.stderr)
         return EXIT_FITTING
-    rows = sorted((r for r in trace.per_order if r.fit is not None),
-                  key=lambda r: r.order)
+    rows, table = criterion_table(trace)
     try:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["criterion", "argmin_order"]
                        + [f"d={r.order}" for r in rows])
-            for name in CRITERION_NAMES:
-                raw = [r.criterion(name).value for r in rows]
-                norm = normalize_values(raw) if len(raw) >= 2 else [0.0] * len(raw)
-                argmin = rows[int(min(range(len(raw)), key=raw.__getitem__))].order
+            for name, (raw, norm, argmin) in table.items():
                 w.writerow([name, argmin]
                            + [f"{nv:.4f} ({rv:.2f})" for nv, rv in zip(norm, raw)])
                 print(f"{name}: {argmin}")

@@ -155,69 +155,47 @@ def normalize_values(values) -> list:
 
 # --- empirical Fisher information (geometric-complexity surrogate for FIA) ---
 
-def _free_param_layout(d: int, d_out: int, fix_observation: bool):
-    """Index bookkeeping for the free-parameter vector.
+def _free_param_blocks(d: int, d_out: int, fix_observation: bool):
+    """The blocks of the free-parameter vector in order, as
+    (name, size, pack, unpack): pack(params) gives the block's entries and
+    unpack(chunk) turns a (B, size) chunk into a batch of the parameter.
 
     Symmetric blocks expose their lower triangle; perturbing an off-diagonal
-    entry moves both mirrored matrix entries.
+    entry moves both mirrored matrix entries.  In observable-state mode C
+    and R2 are pinned and have no block.
     """
-    tril_d = np.tril_indices(d)
-    tril_p = np.tril_indices(d_out)
-    blocks = [("A", d * d), ]
-    if not fix_observation:
-        blocks.append(("C", d_out * d))
-    blocks.append(("R1", len(tril_d[0])))
-    if not fix_observation:
-        blocks.append(("R2", len(tril_p[0])))
-    blocks.append(("mu0", d))
-    blocks.append(("R0", len(tril_d[0])))
-    return blocks, tril_d, tril_p
+    def dense(name, shape):
+        return (name, math.prod(shape), lambda params: getattr(params, name).ravel(),
+                lambda chunk: chunk.reshape((-1,) + shape))
+
+    def symmetric(name, n):
+        rows, cols = np.tril_indices(n)
+
+        def unpack(chunk):
+            M = np.zeros((chunk.shape[0], n, n))
+            M[:, rows, cols] = chunk
+            return M + np.swapaxes(M, 1, 2) - M * np.eye(n)  # undo double-counted diagonal
+        return (name, rows.size, lambda params: getattr(params, name)[rows, cols], unpack)
+
+    blocks = [dense("A", (d, d)), dense("C", (d_out, d)), symmetric("R1", d),
+              symmetric("R2", d_out), dense("mu0", (d,)), symmetric("R0", d)]
+    return [b for b in blocks if not (fix_observation and b[0] in ("C", "R2"))]
 
 
 def _pack(params: LdsParams, fix_observation: bool) -> np.ndarray:
-    blocks, tril_d, tril_p = _free_param_layout(params.d, params.d_out, fix_observation)
-    parts = []
-    for name, _size in blocks:
-        if name == "A":
-            parts.append(params.A.ravel())
-        elif name == "C":
-            parts.append(params.C.ravel())
-        elif name == "R1":
-            parts.append(params.R1[tril_d])
-        elif name == "R2":
-            parts.append(params.R2[tril_p])
-        elif name == "mu0":
-            parts.append(params.mu0)
-        elif name == "R0":
-            parts.append(params.R0[tril_d])
-    return np.concatenate(parts)
+    blocks = _free_param_blocks(params.d, params.d_out, fix_observation)
+    return np.concatenate([pack(params) for _name, _size, pack, _unpack in blocks])
 
 
 def _unpack_batch(vecs: np.ndarray, template: LdsParams,
                   fix_observation: bool) -> _engine.ParamsBatch:
     d, p = template.d, template.d_out
-    blocks, tril_d, tril_p = _free_param_layout(d, p, fix_observation)
     B = vecs.shape[0]
     out = {}
     pos = 0
-    for name, size in blocks:
-        chunk = vecs[:, pos:pos + size]
+    for name, size, _pack, unpack in _free_param_blocks(d, p, fix_observation):
+        out[name] = unpack(vecs[:, pos:pos + size])
         pos += size
-        if name == "A":
-            out["A"] = chunk.reshape(B, d, d)
-        elif name == "C":
-            out["C"] = chunk.reshape(B, p, d)
-        elif name in ("R1", "R0"):
-            M = np.zeros((B, d, d))
-            M[:, tril_d[0], tril_d[1]] = chunk
-            out[name] = M + np.swapaxes(M, 1, 2) - \
-                M * np.eye(d)  # undo double-counted diagonal
-        elif name == "R2":
-            M = np.zeros((B, p, p))
-            M[:, tril_p[0], tril_p[1]] = chunk
-            out[name] = M + np.swapaxes(M, 1, 2) - M * np.eye(p)
-        elif name == "mu0":
-            out["mu0"] = chunk
     if fix_observation:
         out["C"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
         out["R2"] = np.broadcast_to(template.R2, (B, p, p)).copy()

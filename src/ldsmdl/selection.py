@@ -166,19 +166,30 @@ def _finish(per_order: list, criterion: str, stopped_early: bool) -> SelectionTr
                           chosen_params=best.fit.params, stopped_early=stopped_early)
 
 
-def write_sweep_csv(trace: SelectionTrace, path) -> None:
-    """Write the per-order criterion table with raw and min-max normalized columns."""
+def criterion_table(trace: SelectionTrace) -> tuple[list, dict]:
+    """The fitted orders of a trace, ascending, and for each criterion they
+    carry its (raw values, min-max normalized values, argmin order)."""
     rows = sorted((r for r in trace.per_order if r.fit is not None),
                   key=lambda r: r.order)
-    names = [n for n in CRITERION_NAMES if rows and rows[0].criterion(n) is not None]
-    norms = {}
-    for name in names:
-        vals = [r.criterion(name).value for r in rows]
-        norms[name] = normalize_values(vals) if len(vals) >= 2 else [0.0] * len(vals)
+    table = {}
+    for name in CRITERION_NAMES:
+        if not rows or rows[0].criterion(name) is None:
+            continue
+        raw = [r.criterion(name).value for r in rows]
+        norm = normalize_values(raw) if len(raw) >= 2 else [0.0] * len(raw)
+        argmin = rows[min(range(len(raw)), key=raw.__getitem__)].order
+        table[name] = (raw, norm, argmin)
+    return rows, table
+
+
+def write_sweep_csv(trace: SelectionTrace, path) -> None:
+    """Write the per-order criterion table with raw and min-max normalized columns."""
+    rows, table = criterion_table(trace)
+    names = list(table)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["order", "loglik"] + names + [f"{n}_norm" for n in names])
         for i, r in enumerate(rows):
             w.writerow([r.order, repr(float(r.fit.loglik))]
-                       + [repr(float(r.criterion(n).value)) for n in names]
-                       + [repr(float(norms[n][i])) for n in names])
+                       + [repr(float(table[n][0][i])) for n in names]
+                       + [repr(float(table[n][1][i])) for n in names])

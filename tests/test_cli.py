@@ -92,6 +92,13 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == EXIT_GENERATION
 
+    @pytest.mark.parametrize("bad", [{"d": None}, {"d": 2, "length": [3]}])
+    def test_wrongly_typed_generator_value_exit(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, {"type": "lds", "length": 10, **bad})
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == EXIT_GENERATION
+        assert "generation error:" in capsys.readouterr().err
+
     def test_io_error_exit(self, tmp_path):
         cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,
                                       "length": 5, "seed": 0})

@@ -256,6 +256,66 @@ class TestBlockedScan:
             np.testing.assert_allclose(chunked[1][key], whole[1][key],
                                        rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 17, 1000])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_congruence_scan_matches_plain_loop(self, n, B, monkeypatch):
+        # with the settle test off the scan fills all n steps
+        monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
+        rng = np.random.default_rng(n + 10 * B)
+        d = 3
+        J = rng.standard_normal((B, d, d))
+        J *= 0.95 / np.max(np.abs(np.linalg.eigvals(J)), axis=-1)[:, None, None]
+        F, G, W0 = (_engine.psd_floor_batch(rng.standard_normal((B, d, d)))[0]
+                    for _ in range(3))
+        powers, sums = _engine._congruence_powers(J, F, G, n)
+        got, settled = _engine._congruence_scan(powers, sums, G, W0, n, np.ones(B, bool))
+        want = np.empty((B, n + 1, d, d))
+        want[:, 0] = W0
+        for i in range(n):
+            want[:, i + 1] = F + J @ (want[:, i] - G) @ np.swapaxes(J, 1, 2)
+        assert not settled
+        np.testing.assert_allclose(got, want[:, 1:], rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("d", [2, 7, 12])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_covariance_scan_matches_textbook_smoother(self, d, B):
+        models = [random_model(d, 1 + d % 3, seed=80 + d + b) for b in range(B)]
+        Y = simulate(models[0], T=1000, seed=d).Y
+        batch = _engine.stack_params(models)
+        fr = _engine.filter_batch(batch, Y)
+        assert switch_step(fr["pred_covs"]) < len(Y) // 2
+        sm = _engine.smooth_batch(batch, fr)
+        for b, model in enumerate(models):
+            _, _, covs, cross = textbook_smoother(model, Y)
+            np.testing.assert_allclose(sm["covs"][b], covs, rtol=0,
+                                       atol=1e-8 * np.abs(covs).max())
+            np.testing.assert_allclose(sm["cross"][b], cross, rtol=0,
+                                       atol=1e-8 * np.abs(cross).max())
+
+    def test_covariance_scan_chunks_match_one_chunk(self, monkeypatch):
+        models = [random_model(3, 2, seed=s) for s in (60, 61, 62)]
+        Y = simulate(models[0], T=300, seed=2).Y
+        batch = _engine.stack_params(models)
+        fr = _engine.filter_batch(batch, Y)
+        whole = _engine.smooth_batch(batch, fr)
+        assert _engine._chunk_len(3, 9) >= len(Y)
+        real = _engine._congruence_scan
+        calls = []
+
+        def counting(*args):
+            calls.append(args[4])
+            return real(*args)
+
+        # 7-step V chunks: V settles only after several of them
+        monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * 3 * 9)
+        monkeypatch.setattr(_engine, "_congruence_scan", counting)
+        assert _engine._chunk_len(3, 9) == 7
+        chunked = _engine.smooth_batch(batch, fr)
+        assert len(calls) >= 3 and set(calls) == {7}
+        for key in ("means", "covs", "cross"):
+            np.testing.assert_allclose(chunked[key], whole[key], rtol=1e-12, atol=1e-12)
+
     def test_store_false_gives_the_same_step_logliks(self):
         models = [random_model(4, 2, seed=s) for s in (70, 71)]
         Y = simulate(models[0], T=500, seed=3).Y
@@ -298,6 +358,26 @@ class TestGuardedFactorizations:
         assert calls["single"] == len(models)
         # the guarded calls never write into the caller's arrays
         np.testing.assert_array_equal(fr["pred_covs"], pred_covs)
+
+
+    def test_one_solve_per_smoother_pass(self, monkeypatch):
+        # J of every stretch (the transient steps and the frozen stretch) in
+        # one batched call
+        models = [random_model(3, 2, seed=s) for s in (60, 61, 62)]
+        Y = simulate(models[0], T=200, seed=2).Y
+        batch = _engine.stack_params(models)
+        fr = _engine.filter_batch(batch, Y)
+        assert fr["ok"].all() and switch_step(fr["pred_covs"]) > 1
+        real = np.linalg.solve
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        _engine.smooth_batch(batch, fr)
+        assert calls == [(3, switch_step(fr["pred_covs"]) + 1, 3, 3)]
 
 
 class TestCompleteDataLoglik:

@@ -64,6 +64,25 @@ def wins(parent, change, better):
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
+def regression(m, bound):
+    """The change median's relative move in the worse direction against the
+    metric's bound.  The metric is unresolved when either side's quartile
+    distance over median exceeds the bound, unless every change run beats
+    every parent run."""
+    p, c = m["parent"], m["change"]
+    move = (c["median"] - p["median"]) / p["median"]
+    if m["better"] == "higher":
+        move = -move
+        all_beat = min(c["runs"]) > max(p["runs"])
+    else:
+        all_beat = max(c["runs"]) < min(p["runs"])
+    spreads = {side: (s["q3"] - s["q1"]) / s["median"] for side, s in (("parent", p),
+                                                                          ("change", c))}
+    return {"worse_move": move, "bound": bound, "exceeded": move > bound,
+            "quartile_distance_over_median": spreads, "change_runs_all_better": all_beat,
+            "unresolved": max(spreads.values()) > bound and not all_beat}
+
+
 def src_lines(checkout):
     total = 0
     for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
@@ -97,6 +116,7 @@ def main(argv=None):
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
     end_to_end_metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     untraced = {w: {"parent": [], "change": []} for w in workloads}
     fingerprints = {w: [] for w in workloads}
@@ -170,6 +190,14 @@ def main(argv=None):
             "wins": m["change_wins"],
             "met": bool(ratio >= args.claim_ratio and n_wins >= need_wins
                         and abs(c["median"] - p["median"]) > p["q3"] - p["q1"])}
+    doc["regressions"] = {w: {metric: regression(end_to_end[w][metric], bounds[metric])
+                              for metric in end_to_end_metrics} for w in workloads}
+    flagged = {kind: [f"{w}/{metric} {r['worse_move']:+.1%} (bound {r['bound']:.0%})"
+                      for w, rs in doc["regressions"].items() for metric, r in rs.items()
+                      if r[kind]]
+               for kind in ("exceeded", "unresolved")}
+    print("regressions: exceeded its bound: " + (", ".join(flagged["exceeded"]) or "none")
+          + "; unresolved: " + (", ".join(flagged["unresolved"]) or "none"), file=sys.stderr)
     doc["traced_seed0"] = traced
     doc["fingerprints"] = {w: {"untraced_pairs": f, "all_exit_0": all(x["exit"] == 0 for x in f)}
                            for w, f in fingerprints.items()}
