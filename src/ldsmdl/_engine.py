@@ -5,7 +5,8 @@ and finite-difference parameter perturbations advance through the Kalman
 recursions as single vectorized numpy operations.  Elements that hit a
 numerical failure (singular innovation covariance, rank-deficient M-step
 accumulators) are flagged in an ``ok`` mask and frozen with placeholder
-values instead of aborting the whole batch.
+values instead of aborting the whole batch; the filter carries the
+identity as the predicted covariance of such an element.
 
 For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
@@ -22,17 +23,16 @@ That recursion runs as a blocked prefix scan (``_affine_scan``): about
 powers of F, instead of N interpreted steps; the innovations, their
 quadratic forms and the filtered means are then whole-stretch products.
 
-The smoother cuts the steps into stretches whose J inputs are bitwise
-equal: the frozen stretch is one, and each transient step is one of its
-own.  J is solved for every stretch in one batched call over (B, H)
-matrices, before the backward walk.  A one-step stretch is stepped with
-plain products, and the cross-covariances of all of them are one product
-after the walk.  On the frozen stretch the smoothed means run through the
-same affine scan backward, and V through a blocked scan of the congruence
-map V -> P^f + J (V - P^pred) J^T (``_congruence_scan``): block starts are
-carried with J^L, each block is filled from its start in one product, and
-the carry stops at the first block start that has settled by the same
-test, after which V and the cross-covariance are one copy.
+The filter hands its switch step to the smoother, which mirrors it in two
+phases: J of every transient step and the one J shared by the frozen steps
+are solved in one batched call before the backward walk.  On the frozen
+steps the smoothed means run through the same affine scan backward, and V
+through a blocked scan of the congruence map V -> P^f + J (V - P^pred) J^T
+(``_congruence_scan``): block starts are carried with J^L, each block is
+filled from its start in one product, and the carry stops at the first
+block start that has settled by the same test, after which V and the
+cross-covariance are one copy.  The transient steps are then stepped with
+plain products, and their cross-covariances are one product.
 
 The scans go chunk by chunk so that memory stays bounded: a chunk has
 n = SCAN_CHUNK // (B w) steps, w = max(d, p) in the filter, d for the
@@ -66,6 +66,8 @@ SCAN_CHUNK = 2 ** 15
 COV_FLOOR = 1e-10
 #: conditioning limit for M-step accumulator inversions
 MSTEP_RCOND = 1e-12
+#: fixed observation noise scale in observable-state mode
+OBSERVABLE_MODE_NOISE = 1e-6
 
 
 PARAM_FIELDS = ("A", "C", "R1", "R2", "mu0", "R0")
@@ -183,12 +185,6 @@ def _settled(new, old, ok) -> bool:
     return bool(((move <= SETTLE_RTOL * size) | ~ok).all())
 
 
-def _same_as_next(M):
-    """Per step t, whether M[:, t] and M[:, t + 1] are bitwise equal for every element."""
-    bits = M.view(np.int64)
-    return np.all(bits[:, :-1] == bits[:, 1:], axis=(0, 2, 3))
-
-
 def _chunk_len(B: int, width: int) -> int:
     """Steps per chunk so that a (B, n, width) array holds at most SCAN_CHUNK doubles."""
     return max(1, SCAN_CHUNK // (B * width))
@@ -264,8 +260,9 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     """Batched Kalman filter with Joseph-form covariance updates.
 
     Returns a dict with per-element logliks, per-step loglik contributions,
-    an ``ok`` mask (False where an innovation covariance degenerated), and,
-    when ``store`` is set, the full predicted/filtered trajectories.
+    an ``ok`` mask (False where an innovation covariance degenerated), the
+    ``switch`` step (the first frozen step, T when the filter never froze)
+    and, when ``store`` is set, the full predicted/filtered trajectories.
 
     A transient step solves S once for the gain and the innovation together;
     the log-dets and quadratic forms of the transient enter the step logliks
@@ -315,7 +312,9 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         x = np.einsum("bde,be->bd", pb.A, x)
         P_next = sym(pb.A @ Pf @ AT + pb.R1)
         settled = _settled(P_next, P, ok)
-        P = P_next
+        # an element already not ok carries the identity: its placeholder
+        # covariance cannot grow without bound
+        P = _identity_where_failed(P_next, ok)
         if settled:
             break
     step_ll[:, :t] = -0.5 * (p * LOG_2PI + _log_det(np.stack(diags, axis=1))
@@ -355,6 +354,7 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     out["step_loglik"] = step_ll
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
+    out["switch"] = t
     return out
 
 
@@ -405,12 +405,13 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     """Batched RTS smoother over a stored filter pass.
 
     The lag-one cross-covariance uses the smoother-gain identity
-    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  The steps are cut into
-    stretches whose J inputs are bitwise equal (the filter's frozen stretch
-    is one; each transient step is one of its own), and J is solved for all
-    stretches in one batched call.  A one-step stretch is stepped with plain
-    products; on a longer one the means are a backward affine scan and V a
-    backward congruence scan that stops once V settles.
+    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  The smoother reads the filter's
+    ``switch`` and mirrors it in two phases, cut at s = min(switch, T - 1):
+    J_0 .. J_{s-1} of the transient steps and J_s, which every later step
+    shares, are solved in one batched call.  On the steps s .. T-2 the means
+    are a backward affine scan and V a backward congruence scan that stops
+    once V settles; the transient steps s-1 .. 0 are then stepped with plain
+    products.
     """
     fm, fP = fr["filt_means"], fr["filt_covs"]
     pm, pP = fr["pred_means"], fr["pred_covs"]
@@ -421,62 +422,51 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     cross = np.empty((B, max(T - 1, 0), d, d))
     means[:, -1] = fm[:, -1]
     covs[:, -1] = fP[:, -1]
-    # stretch k covers the steps los[k]..his[k]-1; a stretch ends where the
-    # inputs of J_t differ from those of J_{t+1} (T = 1 has no steps)
-    same = _same_as_next(fP)[:-1] & _same_as_next(pP)[1:]
-    edges = np.flatnonzero(np.concatenate(([True], ~same, [True])))[:T]
-    los, his = edges[:-1], edges[1:]
-    # J_t = P^f_t A^T (P^pred_{t+1})^{-1}, one (B, H, d, d) solve for every stretch
-    JT, ok = _solve_guarded(pP[:, his], pb.A[:, None] @ fP[:, his - 1], ok)
-    single = his - los == 1
-    one = los[single]
-    # m_t = J m_{t+1} + (fm_t - J pm_{t+1}); the bracket of every one-step stretch at once
-    u_one = fm[:, one] - (pm[:, one + 1, None] @ JT[:, single])[:, :, 0]
-    i_one = len(one)
-    nm, nv = _chunk_len(B, d), _chunk_len(B, d * d)
-    for k in range(len(los) - 1, -1, -1):
-        lo, hi = los[k], his[k]
-        JTk = JT[:, k]
-        J = _T(JTk)
-        if single[k]:
-            i_one -= 1
-            means[:, lo] = (means[:, hi, None] @ JTk)[:, 0] + u_one[:, i_one]
-            covs[:, lo] = sym(fP[:, lo] + J @ (covs[:, hi] - pP[:, hi]) @ JTk)
-            continue
+    s = min(fr["switch"], T - 1)
+    # J_t = P^f_t A^T (P^pred_{t+1})^{-1} for t = 0..s, t < T - 1, in one (B, H, d, d) solve
+    H = min(s + 1, T - 1)
+    JT, ok = _solve_guarded(pP[:, 1:H + 1], pb.A[:, None] @ fP[:, :H], ok)
+    if s < T - 1:
+        JTs = np.ascontiguousarray(JT[:, s])
         # the means, scanned backward chunk by chunk
-        JTk = np.ascontiguousarray(JTk)
-        powers = _scan_powers(JTk, min(nm, hi - lo))
-        for c_hi in range(hi, lo, -nm):
-            c_lo = max(lo, c_hi - nm)
-            u = fm[:, c_lo:c_hi] - pm[:, c_lo + 1:c_hi + 1] @ JTk
-            means[:, c_lo:c_hi] = _affine_scan(powers, u[:, ::-1], means[:, c_hi])[:, :0:-1]
+        nm, nv = _chunk_len(B, d), _chunk_len(B, d * d)
+        powers = _scan_powers(JTs, min(nm, T - 1 - s))
+        for hi in range(T - 1, s, -nm):
+            lo = max(s, hi - nm)
+            u = fm[:, lo:hi] - pm[:, lo + 1:hi + 1] @ JTs
+            means[:, lo:hi] = _affine_scan(powers, u[:, ::-1], means[:, hi])[:, :0:-1]
         # V_t = P^f + J (V_{t+1} - P^pred) J^T, scanned backward until V settles
-        powers, sums = _congruence_powers(np.ascontiguousarray(J), fP[:, lo], pP[:, hi],
-                                          min(nv, hi - lo))
-        c_hi = hi
-        while c_hi > lo:
-            W, settled = _congruence_scan(powers, sums, pP[:, hi], covs[:, c_hi],
-                                          min(nv, c_hi - lo), ok)
-            c_lo = c_hi - W.shape[1]
-            covs[:, c_lo:c_hi] = W[:, ::-1]
-            np.matmul(covs[:, c_lo + 1:c_hi + 1], JTk[:, None], out=cross[:, c_lo:c_hi])
-            c_hi = c_lo
+        powers, sums = _congruence_powers(np.ascontiguousarray(_T(JTs)), fP[:, s],
+                                          pP[:, -1], min(nv, T - 1 - s))
+        hi = T - 1
+        while hi > s:
+            W, settled = _congruence_scan(powers, sums, pP[:, -1], covs[:, hi],
+                                          min(nv, hi - s), ok)
+            lo = hi - W.shape[1]
+            covs[:, lo:hi] = W[:, ::-1]
+            np.matmul(covs[:, lo + 1:hi + 1], JTs[:, None], out=cross[:, lo:hi])
+            hi = lo
             if settled:
-                covs[:, lo:c_hi] = covs[:, c_hi, None]
-                cross[:, lo:c_hi] = (covs[:, c_hi] @ JTk)[:, None]
+                covs[:, s:hi] = covs[:, hi, None]
+                cross[:, s:hi] = (covs[:, hi] @ JTs)[:, None]
                 break
-    # the cross-covariances of every one-step stretch in one product
-    cross[:, one] = covs[:, one + 1] @ JT[:, single]
+    # the transient, stepped backward: m_t = J m_{t+1} + (fm_t - J pm_{t+1}),
+    # with every bracket in one product
+    u = fm[:, :s] - (pm[:, 1:s + 1, None] @ JT[:, :s])[:, :, 0]
+    for t in range(s - 1, -1, -1):
+        means[:, t] = (means[:, t + 1, None] @ JT[:, t])[:, 0] + u[:, t]
+        covs[:, t] = sym(fP[:, t] + _T(JT[:, t]) @ (covs[:, t + 1] - pP[:, t + 1]) @ JT[:, t])
+    cross[:, :s] = covs[:, 1:s + 1] @ JT[:, :s]
     return {"means": means, "covs": covs, "cross": cross, "ok": ok}
 
 
-def m_step_batch(sm: dict, Y: np.ndarray, fix_observation: bool = False,
-                 obs_noise: float = 1e-6) -> tuple[ParamsBatch, np.ndarray, np.ndarray]:
+def m_step_batch(sm: dict, Y: np.ndarray,
+                 fix_observation: bool = False) -> tuple[ParamsBatch, np.ndarray, np.ndarray]:
     """Batched M-step returning (params, floor-fired mask, ok mask).
 
     With ``fix_observation`` the observation model is pinned to C = I and
-    R2 = obs_noise * I (observable-state mode); only the state blocks are
-    updated.
+    R2 = OBSERVABLE_MODE_NOISE * I (observable-state mode); only the state
+    blocks are updated.
     """
     m, V, cross = sm["means"], sm["covs"], sm["cross"]
     B, T, d = m.shape
@@ -493,7 +483,7 @@ def m_step_batch(sm: dict, Y: np.ndarray, fix_observation: bool = False,
     R1, fired1 = psd_floor_batch(R1)
     if fix_observation:
         C = np.broadcast_to(np.eye(d), (B, d, d)).copy()
-        R2 = np.broadcast_to(obs_noise * np.eye(d), (B, d, d)).copy()
+        R2 = np.broadcast_to(OBSERVABLE_MODE_NOISE * np.eye(d), (B, d, d)).copy()
         fired2 = np.zeros(B, dtype=bool)
     else:
         Syx = np.einsum("tp,btd->bpd", Y, m)
@@ -523,7 +513,7 @@ def enforce_stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
-            fix_observation: bool = False, obs_noise: float = 1e-6) -> dict:
+            fix_observation: bool = False) -> dict:
     """Run EM on every batch element until its own convergence.
 
     Convergence is |delta loglik| < eps (absolute).  Elements that fail
@@ -567,8 +557,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         if not np.any(active):
             break
         sm = smooth_batch(cur, fr)
-        new, _fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation,
-                                       obs_noise=obs_noise)
+        new, _fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation)
         newly_failed = active & ~ok
         failed |= newly_failed
         active &= ~newly_failed

@@ -62,7 +62,9 @@ def cmd_simulate(args) -> int:
         if kind not in ("lds", "narma"):
             raise ValueError(f"unknown generator type {kind!r}")
         seed = _seed_override(int(cfg.get("seed", 0)))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     cfg["seed"] = seed
@@ -83,7 +85,7 @@ def cmd_simulate(args) -> int:
                 input_range=tuple(cfg.get("input_range", (0.0, 0.5))), seed=seed))
             if cfg.get("preprocess", False):
                 data = preprocess_center_trim(data)
-    except (LdsError, KeyError, ValueError, TypeError) as exc:
+    except (LdsError, KeyError, ValueError, TypeError, OverflowError) as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     try:

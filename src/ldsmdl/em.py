@@ -6,12 +6,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _engine
+from ._engine import OBSERVABLE_MODE_NOISE
 from .errors import DegeneracyError, DimensionError, RankDeficiencyError
 from .inference import SmoothedPosterior
 from .model import LdsParams, SequenceData, enforce_stability, spectral_radius
-
-#: fixed observation noise scale in observable-state mode
-OBSERVABLE_MODE_NOISE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,7 @@ def m_step(posterior: SmoothedPosterior, data: SequenceData, d: int,
         "cross": posterior.cross_covs[None],
         "ok": np.ones(1, dtype=bool),
     }
-    pb, _fired, ok = _engine.m_step_batch(
-        sm, data.Y, fix_observation=fix_observation, obs_noise=OBSERVABLE_MODE_NOISE)
+    pb, _fired, ok = _engine.m_step_batch(sm, data.Y, fix_observation=fix_observation)
     if not ok[0]:
         raise RankDeficiencyError(
             "M-step accumulators are rank deficient (redundant latent dimensions)")
@@ -100,6 +97,27 @@ def default_init(data: SequenceData, d: int, seed,
     return LdsParams(A=A, C=C, R1=np.eye(d), R2=R2, mu0=mu0, R0=np.eye(d))
 
 
+def _best_fit(data: SequenceData, inits: list, config: EmConfig,
+              fix_observation: bool, failure: str) -> FitResult:
+    """Run the batched EM loop from ``inits`` and keep the element with the
+    highest final loglik; raises DegeneracyError(failure) when every element
+    failed."""
+    res = _engine.em_loop(_engine.stack_params(inits), data.Y,
+                          eps=config.eps, max_iters=config.max_iters,
+                          fix_observation=fix_observation)
+    if np.all(res["failed"]):
+        raise DegeneracyError(failure)
+    best = int(np.argmax(np.where(res["failed"], -np.inf, res["loglik"])))
+    return FitResult(
+        params=_params_from_batch(res["params"], best),
+        loglik=float(res["loglik"][best]),
+        loglik_trace=res["traces"][best],
+        converged=bool(res["converged"][best]),
+        iterations=int(res["iterations"][best]),
+        rescale_iters=res["rescale_iters"][best],
+    )
+
+
 def em_fit(data: SequenceData, d: int, init: LdsParams, config: EmConfig,
            fix_observation: bool = False) -> FitResult:
     """Alternate smoothing and M-steps until |delta loglik| < eps.
@@ -113,20 +131,8 @@ def em_fit(data: SequenceData, d: int, init: LdsParams, config: EmConfig,
         raise DimensionError(f"init has latent dimension {init.d}, expected {d}")
     if spectral_radius(init.A) >= 1.0:
         init = init.replace(A=enforce_stability(init.A))
-    res = _engine.em_loop(_engine.stack_params([init]), data.Y,
-                          eps=config.eps, max_iters=config.max_iters,
-                          fix_observation=fix_observation,
-                          obs_noise=OBSERVABLE_MODE_NOISE)
-    if res["failed"][0]:
-        raise DegeneracyError("EM run degenerated (singular covariance encountered)")
-    return FitResult(
-        params=_params_from_batch(res["params"], 0),
-        loglik=float(res["loglik"][0]),
-        loglik_trace=res["traces"][0],
-        converged=bool(res["converged"][0]),
-        iterations=int(res["iterations"][0]),
-        rescale_iters=res["rescale_iters"][0],
-    )
+    return _best_fit(data, [init], config, fix_observation,
+                     "EM run degenerated (singular covariance encountered)")
 
 
 def restart_seed(master_seed: int, restart: int):
@@ -146,18 +152,5 @@ def multi_restart_fit(data: SequenceData, d: int, config: EmConfig,
     inits = [default_init(data, d, restart_seed(config.seed, r),
                           fix_observation=fix_observation)
              for r in range(config.n_restarts)]
-    res = _engine.em_loop(_engine.stack_params(inits), data.Y,
-                          eps=config.eps, max_iters=config.max_iters,
-                          fix_observation=fix_observation,
-                          obs_noise=OBSERVABLE_MODE_NOISE)
-    if np.all(res["failed"]):
-        raise DegeneracyError("every EM restart degenerated")
-    best = int(np.argmax(np.where(res["failed"], -np.inf, res["loglik"])))
-    return FitResult(
-        params=_params_from_batch(res["params"], best),
-        loglik=float(res["loglik"][best]),
-        loglik_trace=res["traces"][best],
-        converged=bool(res["converged"][best]),
-        iterations=int(res["iterations"][best]),
-        rescale_iters=res["rescale_iters"][best],
-    )
+    return _best_fit(data, inits, config, fix_observation,
+                     "every EM restart degenerated")

@@ -12,13 +12,19 @@ from .model import LdsParams, SequenceData, sym
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Forward-pass quantities: predicted/filtered moments and the innovation loglik."""
+    """Forward-pass quantities: predicted/filtered moments and the innovation loglik.
+
+    ``switch`` is the first step whose covariances are the frozen
+    steady-state ones (every later step stores the same), or T when the
+    covariance recursion never settled; the smoother reads it.
+    """
 
     pred_means: np.ndarray  # (T, d)
     pred_covs: np.ndarray   # (T, d, d)
     filt_means: np.ndarray  # (T, d)
     filt_covs: np.ndarray   # (T, d, d)
     loglik: float
+    switch: int
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,7 @@ def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
         filt_means=fr["filt_means"][0],
         filt_covs=fr["filt_covs"][0],
         loglik=float(fr["loglik"][0]),
+        switch=fr["switch"],
     )
 
 
@@ -65,6 +72,7 @@ def rts_smooth(params: LdsParams, filter_result: FilterResult) -> SmoothedPoster
         "filt_means": filter_result.filt_means[None],
         "filt_covs": filter_result.filt_covs[None],
         "ok": np.ones(1, dtype=bool),
+        "switch": filter_result.switch,
     }
     sm = _engine.smooth_batch(_engine.stack_params([params]), fr)
     if not sm["ok"][0]:

@@ -71,7 +71,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("seed", ["x1", None])
+    @pytest.mark.parametrize("seed", ["x1", None, -5, float("inf")])
     def test_bad_config_seed_exit(self, tmp_path, seed):
         cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,
                                       "length": 5, "seed": seed})
@@ -86,13 +86,25 @@ class TestSimulate:
                      str(tmp_path / "x.csv")]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    def test_negative_env_seed_exit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LDSMDL_SEED", "-5")
+        cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,
+                                      "length": 5, "seed": 0})
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_generation_error_exit(self, tmp_path):
         # NARMA length below order + 1 cannot be generated
         cfg = write_config(tmp_path, {"type": "narma", "order": 10, "length": 5})
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == EXIT_GENERATION
 
-    @pytest.mark.parametrize("bad", [{"d": None}, {"d": 2, "length": [3]}])
+    @pytest.mark.parametrize("bad", [{"d": None}, {"d": 2, "length": [3]},
+                                     {"d": 2, "length": float("inf")},
+                                     {"d": float("inf")},
+                                     {"d": 2, "burn_in": float("inf")},
+                                     {"type": "narma", "order": float("inf")}])
     def test_wrongly_typed_generator_value_exit(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path, {"type": "lds", "length": 10, **bad})
         assert main(["simulate", "--config", cfg, "--out",

@@ -133,13 +133,17 @@ class TestSteadyState:
     """The filter freezes S, K and the covariances once the predicted
     covariance settles; the smoother then reuses J and copies V."""
 
-    def test_long_sequence_matches_textbook_recursion(self):
-        # batches of B = 3 models on one sequence, p = 1..3, through the
-        # public B = 1 wrappers and through the batched engine
+    @staticmethod
+    def long_batches():
+        """Batches of B = 3 models on one sequence of T = 1000, p = 1..3."""
         for d, d_out in ((3, 1), (3, 2), (4, 3)):
             models = [random_model(d, d_out, seed=40 + 3 * d + b) for b in range(3)]
             Y = simulate(models[0], T=1000, seed=d_out).Y
-            batch = _engine.stack_params(models)
+            yield models, _engine.stack_params(models), Y
+
+    def test_long_sequence_matches_textbook_recursion(self):
+        # through the public B = 1 wrappers and through the batched engine
+        for models, batch, Y in self.long_batches():
             fr = _engine.filter_batch(batch, Y)
             assert switch_step(fr["pred_covs"]) < len(Y) // 2
             sm = _engine.smooth_batch(batch, fr)
@@ -154,9 +158,30 @@ class TestSteadyState:
                 for got, want in zip((means, covs, cross), ref[1:]):
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
+    def test_switch_marks_the_frozen_steps(self):
+        for _, batch, Y in self.long_batches():
+            fr = _engine.filter_batch(batch, Y)
+            s = fr["switch"]
+            assert 0 < s < len(Y) // 2
+            assert switch_step(fr["pred_covs"]) <= s
+            for key in ("pred_covs", "filt_covs"):
+                frozen = fr[key][:, s:]
+                np.testing.assert_array_equal(frozen, np.broadcast_to(frozen[:, :1],
+                                                                      frozen.shape))
+
+    def test_smoother_without_switch_matches_handed_over_switch(self):
+        # switch = T: every step gets its own J, solved and stepped one at a time
+        for _, batch, Y in self.long_batches():
+            fr = _engine.filter_batch(batch, Y)
+            handed = _engine.smooth_batch(batch, fr)
+            stepped = _engine.smooth_batch(batch, dict(fr, switch=len(Y)))
+            for key in ("means", "covs", "cross"):
+                np.testing.assert_allclose(stepped[key], handed[key],
+                                           rtol=1e-12, atol=1e-12)
+
     def test_failed_element_does_not_block_the_switch(self):
         # S is singular from the first step, and the unobserved, unstable
-        # second state makes this element's covariance grow without bound
+        # second state would make this element's covariance grow without bound
         degenerate = LdsParams(A=1.5 * np.eye(2), C=[[1.0, 0.0], [0.0, 0.0]],
                                R1=np.eye(2), R2=np.diag([1.0, 0.0]),
                                mu0=np.zeros(2), R0=np.eye(2))
@@ -166,7 +191,9 @@ class TestSteadyState:
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
-        assert switch_step(fr["pred_covs"]) < 200
+        assert switch_step(fr["pred_covs"]) <= fr["switch"] < 200
+        # the failed element carries the identity instead of a growing covariance
+        assert np.isfinite(fr["pred_covs"][1]).all() and np.isfinite(fr["filt_covs"][1]).all()
         sm = _engine.smooth_batch(batch, fr)
         for b in (0, 2, 3):
             pb = _engine.stack_params([models[b]])
@@ -199,6 +226,8 @@ class TestSteadyState:
             return out
 
         fast = run_all()
+        for (fr, _), (_, data) in zip(fast, cases):
+            assert fr.switch == data.T
         monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
         full = run_all()
         for (fr, sm), (fr_full, sm_full) in zip(fast, full):
