@@ -302,6 +302,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         diags.append(diag)
         quads.append(np.einsum("bp,bp->b", innov, sol[..., d]))
         x = x + np.einsum("bpd,bp->bd", KT, innov)
+        if not ok.all():
+            x[~ok] = 0.0               # a failed element's mean is held at zero
         Pf = _joseph(pb, P, _T(KT), eye)
         if store:
             out["filt_means"][:, t] = x
@@ -330,13 +332,16 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
         # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
         # the batch, so y_s G^T of every element is one product with the
-        # (p, B d) matrix G_all.
+        # (p, B d) matrix G_all.  A failed element gets K = 0 and F = 0, so
+        # its means stay at zero.
+        KT[~ok] = 0.0
         G_all = np.ascontiguousarray(np.swapaxes(KT @ AT, 0, 1))
         G_all = G_all.reshape(p, B * d)
         GT = np.swapaxes(G_all.reshape(p, B, d), 0, 1)
+        FT = np.ascontiguousarray(_T(pb.A - _T(GT) @ pb.C))
+        FT[~ok] = 0.0
         n = _chunk_len(B, max(d, p))
-        powers = _scan_powers(np.ascontiguousarray(_T(pb.A - _T(GT) @ pb.C)),
-                              min(n, T - t))
+        powers = _scan_powers(FT, min(n, T - t))
         const = (p * LOG_2PI + _log_det(diag))[:, None]
         for lo in range(t, T, n):
             hi = min(lo + n, T)
@@ -426,6 +431,7 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     # J_t = P^f_t A^T (P^pred_{t+1})^{-1} for t = 0..s, t < T - 1, in one (B, H, d, d) solve
     H = min(s + 1, T - 1)
     JT, ok = _solve_guarded(pP[:, 1:H + 1], pb.A[:, None] @ fP[:, :H], ok)
+    JT[~ok] = 0.0                  # a failed element's smoothed means are its filtered ones
     if s < T - 1:
         JTs = np.ascontiguousarray(JT[:, s])
         # the means, scanned backward chunk by chunk
@@ -516,19 +522,22 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
             fix_observation: bool = False) -> dict:
     """Run EM on every batch element until its own convergence.
 
-    Convergence is |delta loglik| < eps (absolute).  Elements that fail
-    numerically are frozen and reported via the ``failed`` mask; the
-    remaining elements keep iterating.
+    Each pass filters the whole batch; while some element is active it then
+    smooths and takes an M-step.  An element converges when one M-step moves
+    its loglik by less than ``eps`` (absolute), and stops after ``max_iters``
+    M-steps, whose result is filtered once more.  Elements that fail
+    numerically are frozen with neutral parameters and flagged in ``failed``.
+    Returns the last filtered ``params``, their ``loglik`` (-inf where
+    failed), the M-steps of each element (``iterations``), the (passes, B)
+    logliks of every pass (``traces``; element b's own are its first
+    iterations[b] + 1 rows) and the (M-steps, B) mask of stability rescales.
     """
     B = init.B
     cur = init.copy()
-    traces = [[] for _ in range(B)]
-    rescale_iters = [[] for _ in range(B)]
-    prev_ll = np.full(B, np.nan)
     converged = np.zeros(B, dtype=bool)
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
-    final = init.copy()
+    traces, rescales = [], []
     # benign placeholder for failed elements, so later batched linear
     # algebra stays finite
     d, p = init.d, init.p
@@ -537,43 +546,34 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
                           R2=np.broadcast_to(np.eye(p), init.R2.shape),
                           mu0=np.zeros_like(init.mu0),
                           R0=np.broadcast_to(np.eye(d), init.R0.shape))
-    for it in range(1, max_iters + 1):
-        active = ~(converged | failed)
-        if not np.any(active):
-            break
-        fr = filter_batch(cur, Y, store=True)
-        newly_failed = active & ~fr["ok"]
-        failed |= newly_failed
-        active &= ~newly_failed
+    active = np.ones(B, dtype=bool)
+    while True:
+        last = len(traces) == max_iters
+        fr = filter_batch(cur, Y, store=not last)
+        failed |= active & ~fr["ok"]
+        active &= fr["ok"]
         ll = fr["loglik"]
-        for b in np.flatnonzero(active):
-            traces[b].append(float(ll[b]))
-        iterations[active] = it
-        just_conv = active & (np.abs(ll - prev_ll) < eps)
-        final = cur.where(just_conv, final)
-        converged |= just_conv
-        active &= ~just_conv
-        prev_ll = np.where(active, ll, prev_ll)
-        if not np.any(active):
+        if traces:
+            converged |= active & (np.abs(ll - traces[-1]) < eps)
+            active &= ~converged
+        traces.append(ll)
+        if last or not np.any(active):
             break
         sm = smooth_batch(cur, fr)
         new, _fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation)
-        newly_failed = active & ~ok
-        failed |= newly_failed
-        active &= ~newly_failed
-        A_stable, resc = enforce_stability_batch(new.A)
-        new.A = A_stable
-        for b in np.flatnonzero(active & resc):
-            rescale_iters[b].append(it)
-        cur = new.where(active, cur)
-        final = cur.where(active, final)
-        cur = neutral.where(failed, cur)
+        failed |= active & ~ok
+        active &= ok
+        new.A, resc = enforce_stability_batch(new.A)
+        rescales.append(active & resc)
+        iterations[active] += 1
+        cur = neutral.where(failed, new.where(active, cur))
+    traces = np.stack(traces)
     return {
-        "params": final,
-        "loglik": np.array([t[-1] if t else -np.inf for t in traces]),
+        "params": cur,
+        "loglik": np.where(failed, -np.inf, traces[iterations, np.arange(B)]),
         "traces": traces,
         "converged": converged,
         "failed": failed,
         "iterations": iterations,
-        "rescale_iters": rescale_iters,
+        "rescales": np.array(rescales, dtype=bool).reshape(-1, B),
     }

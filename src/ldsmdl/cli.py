@@ -111,32 +111,34 @@ def _selection_snapshot(args, seed: int) -> dict:
 
 
 def _run_selection(args, mode: str, criterion: str):
-    seed = _seed_override(args.seed)
-    data = read_sequence_csv(args.input)
-    bounds = ModelOrderBounds(d_min=args.dmin, d_max=args.dmax)
-    config = EmConfig(eps=args.eps, max_iters=args.max_iters,
-                      n_restarts=args.restarts, seed=seed)
-    if mode == "annihilate":
-        trace = annihilation_search(data, bounds, config,
-                                    observable_mode=args.observable)
-    else:
-        trace = grid_search(data, bounds, config, criterion=criterion,
-                            observable_mode=args.observable)
-    return trace, seed
+    """Read the input and run the selection; returns (exit code, trace, seed),
+    the last two None unless the code is EXIT_OK."""
+    try:
+        seed = _seed_override(args.seed)
+        bounds = ModelOrderBounds(d_min=args.dmin, d_max=args.dmax)
+        config = EmConfig(eps=args.eps, max_iters=args.max_iters,
+                          n_restarts=args.restarts, seed=seed)
+        data = read_sequence_csv(args.input)
+        if mode == "annihilate":
+            trace = annihilation_search(data, bounds, config,
+                                        observable_mode=args.observable)
+        else:
+            trace = grid_search(data, bounds, config, criterion=criterion,
+                                observable_mode=args.observable)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG, None, None
+    except LdsError as exc:
+        print(f"fitting failure: {exc}", file=sys.stderr)
+        return EXIT_FITTING, None, None
+    return EXIT_OK, trace, seed
 
 
 def cmd_select(args) -> int:
     started = _now()
-    try:
-        if not 1 <= args.dmin <= args.dmax:
-            raise ValueError(f"need 1 <= dmin <= dmax, got {args.dmin}, {args.dmax}")
-        trace, seed = _run_selection(args, args.mode, args.criterion)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except LdsError as exc:
-        print(f"fitting failure: {exc}", file=sys.stderr)
-        return EXIT_FITTING
+    code, trace, seed = _run_selection(args, args.mode, args.criterion)
+    if code != EXIT_OK:
+        return code
     try:
         outputs = [args.out]
         with open(args.out, "w") as fh:
@@ -156,16 +158,9 @@ def cmd_select(args) -> int:
 
 def cmd_compare(args) -> int:
     started = _now()
-    try:
-        if not 1 <= args.dmin <= args.dmax:
-            raise ValueError(f"need 1 <= dmin <= dmax, got {args.dmin}, {args.dmax}")
-        trace, seed = _run_selection(args, "grid", "mdl")
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except LdsError as exc:
-        print(f"fitting failure: {exc}", file=sys.stderr)
-        return EXIT_FITTING
+    code, trace, seed = _run_selection(args, "grid", "mdl")
+    if code != EXIT_OK:
+        return code
     rows, table = criterion_table(trace)
     try:
         with open(args.out, "w", newline="") as fh:

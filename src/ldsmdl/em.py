@@ -32,15 +32,21 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one EM run (or the best restart of several)."""
+    """Outcome of one EM run (or the best restart of several).
+
+    ``loglik`` is the loglik of ``params`` and the last entry of
+    ``loglik_trace``, which holds the loglik before the first and after every
+    M-step; ``iterations`` counts M-steps (at most ``max_iters``), and
+    ``converged`` says whether the last one moved the loglik by less than eps.
+    """
 
     params: LdsParams
     loglik: float
     loglik_trace: list
     converged: bool
     iterations: int
-    #: iterations at which the stability rescale fired (monotonicity may
-    #: legitimately break there)
+    #: 1-based M-steps after which the stability rescale fired (monotonicity
+    #: may legitimately break there)
     rescale_iters: list = field(default_factory=list)
 
 
@@ -107,14 +113,15 @@ def _best_fit(data: SequenceData, inits: list, config: EmConfig,
                           fix_observation=fix_observation)
     if np.all(res["failed"]):
         raise DegeneracyError(failure)
-    best = int(np.argmax(np.where(res["failed"], -np.inf, res["loglik"])))
+    best = int(np.argmax(res["loglik"]))
+    n = int(res["iterations"][best])
     return FitResult(
         params=_params_from_batch(res["params"], best),
         loglik=float(res["loglik"][best]),
-        loglik_trace=res["traces"][best],
+        loglik_trace=res["traces"][:n + 1, best].tolist(),
         converged=bool(res["converged"][best]),
-        iterations=int(res["iterations"][best]),
-        rescale_iters=res["rescale_iters"][best],
+        iterations=n,
+        rescale_iters=(np.flatnonzero(res["rescales"][:, best]) + 1).tolist(),
     )
 
 

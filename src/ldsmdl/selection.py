@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -69,13 +69,6 @@ class SelectionTrace:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _order_config(config: EmConfig, order: int) -> EmConfig:
-    seed = int(np.random.SeedSequence([config.seed & 0x7FFFFFFF, order]
-                                      ).generate_state(1)[0])
-    return EmConfig(eps=config.eps, max_iters=config.max_iters,
-                    n_restarts=config.n_restarts, seed=seed)
-
-
 def _evaluate_order(data_d: SequenceData, fit: FitResult, order: int,
                     observable_mode: bool, all_criteria: bool) -> tuple[float, list]:
     """Compute the description length (always) and, optionally, the full
@@ -98,12 +91,27 @@ def _evaluate_order(data_d: SequenceData, fit: FitResult, order: int,
     return dl_value.value, values
 
 
-def _fit_order(data: SequenceData, order: int, config: EmConfig,
-               observable_mode: bool) -> tuple[SequenceData, OrderResult]:
-    data_d = delay_embed(data, order) if observable_mode else data
-    cfg = _order_config(config, order)
-    fit = multi_restart_fit(data_d, order, cfg, fix_observation=observable_mode)
-    return data_d, fit
+def _check_data(data: SequenceData, observable_mode: bool) -> None:
+    """Raise DimensionError for a sequence that no order can be fitted to."""
+    if data.T < 2:
+        raise DimensionError(f"fitting requires T >= 2, got T={data.T}")
+    if observable_mode and data.d_out != 1:
+        raise DimensionError(f"observable mode needs a scalar sequence, got {data.d_out} columns")
+
+
+def _order_result(data: SequenceData, order: int, config: EmConfig,
+                  observable_mode: bool, all_criteria: bool) -> OrderResult:
+    """Fit and score one order; a fitting failure becomes an error row."""
+    try:
+        data_d = delay_embed(data, order) if observable_mode else data
+        # each order draws its restarts from its own seed
+        seed = np.random.SeedSequence([config.seed & 0x7FFFFFFF, order]).generate_state(1)[0]
+        fit = multi_restart_fit(data_d, order, replace(config, seed=int(seed)),
+                                fix_observation=observable_mode)
+        dl, values = _evaluate_order(data_d, fit, order, observable_mode, all_criteria)
+    except LdsError as exc:
+        return OrderResult(order=order, fit=None, dl=math.inf, error=str(exc))
+    return OrderResult(order=order, fit=fit, dl=dl, criteria=values)
 
 
 def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
@@ -112,16 +120,9 @@ def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
     the minimizer of the requested one."""
     if criterion not in CRITERION_NAMES:
         raise DimensionError(f"unknown criterion {criterion!r}")
-    per_order = []
-    for order in range(bounds.d_min, bounds.d_max + 1):
-        try:
-            data_d, fit = _fit_order(data, order, config, observable_mode)
-            dl, values = _evaluate_order(data_d, fit, order, observable_mode,
-                                         all_criteria=True)
-            per_order.append(OrderResult(order=order, fit=fit, dl=dl, criteria=values))
-        except LdsError as exc:
-            per_order.append(OrderResult(order=order, fit=None, dl=math.inf,
-                                         error=str(exc)))
+    _check_data(data, observable_mode)
+    per_order = [_order_result(data, order, config, observable_mode, all_criteria=True)
+                 for order in range(bounds.d_min, bounds.d_max + 1)]
     return _finish(per_order, criterion, stopped_early=False)
 
 
@@ -134,23 +135,19 @@ def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
     With ``early_stop`` the walk stops once the description length rises
     relative to the previously evaluated (next-higher) order.
     """
+    _check_data(data, observable_mode)
     per_order = []
     prev_dl = math.inf
     stopped = False
     for order in range(bounds.d_max, bounds.d_min - 1, -1):
-        try:
-            data_d, fit = _fit_order(data, order, config, observable_mode)
-            dl, values = _evaluate_order(data_d, fit, order, observable_mode,
-                                         all_criteria=False)
-            per_order.append(OrderResult(order=order, fit=fit, dl=dl, criteria=values))
-        except LdsError as exc:
-            per_order.append(OrderResult(order=order, fit=None, dl=math.inf,
-                                         error=str(exc)))
+        r = _order_result(data, order, config, observable_mode, all_criteria=False)
+        per_order.append(r)
+        if r.fit is None:
             continue
-        if early_stop and dl > prev_dl:
+        if early_stop and r.dl > prev_dl:
             stopped = True
             break
-        prev_dl = dl
+        prev_dl = r.dl
     return _finish(per_order, "mdl", stopped_early=stopped)
 
 

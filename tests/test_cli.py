@@ -180,6 +180,20 @@ class TestSelect:
         assert main(["select", seq, "--dmin", "2", "--dmax", "2",
                      "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
 
+    @pytest.mark.parametrize("rows, extra, reason", [
+        pytest.param("", (), "T >= 2", id="empty",
+                     marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+        pytest.param("1.5\n", (), "T >= 2", id="one-row"),
+        pytest.param("1,2\n3,4\n5,6\n", ("--observable",), "scalar", id="observable-two-columns"),
+    ])
+    def test_unfittable_input_exit(self, tmp_path, capsys, rows, extra, reason):
+        seq = tmp_path / "seq.csv"
+        seq.write_text(rows)
+        assert main(["select", str(seq), "--dmin", "1", "--dmax", "2", *extra,
+                     "--out", str(tmp_path / "t.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert reason in err and "failed to fit" not in err
+
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         seq = simulate_lds(tmp_path, seed=4, length=60, d=2)
         monkeypatch.setenv("LDSMDL_SEED", "123")
@@ -231,3 +245,20 @@ class TestCompare:
             for cell in row[2:]:
                 norm = float(cell.split(" ")[0])
                 assert 0.0 <= norm <= 1.0
+
+    def test_invalid_bounds_exit(self, tmp_path):
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+        for dmin, dmax in (("3", "2"), ("0", "2")):
+            assert main(["compare", seq, "--dmin", dmin, "--dmax", dmax,
+                         "--out", str(tmp_path / "cmp.csv")]) == EXIT_CONFIG
+
+    def test_fitting_failure_exit(self, tmp_path, monkeypatch):
+        import ldsmdl.cli as cli
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+
+        def boom(*a, **k):
+            raise DegeneracyError("every candidate order failed to fit")
+
+        monkeypatch.setattr(cli, "grid_search", boom)
+        assert main(["compare", seq, "--dmin", "2", "--dmax", "2",
+                     "--out", str(tmp_path / "cmp.csv")]) == EXIT_FITTING

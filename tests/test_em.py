@@ -3,7 +3,8 @@ import pytest
 
 from ldsmdl import (DimensionError, EmConfig, LdsParams, SequenceData,
                     default_init, em_fit, enforce_stability, kalman_filter,
-                    m_step, multi_restart_fit, rts_smooth, simulate)
+                    m_step, multi_restart_fit, rts_smooth, simulate,
+                    spectral_radius)
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.em import restart_seed
 from ldsmdl.inference import SmoothedPosterior
@@ -194,6 +195,67 @@ class TestMultiRestart:
         fit = multi_restart_fit(data, 4, EmConfig(eps=1e-5, max_iters=200,
                                                   n_restarts=10, seed=0))
         assert fit.loglik >= ref - 5.0
+
+
+def assert_one_record(fit, data, config):
+    """The invariants that tie a FitResult to the one model it describes."""
+    assert fit.loglik == fit.loglik_trace[-1]
+    assert kalman_filter(fit.params, data).loglik == pytest.approx(fit.loglik, rel=1e-9)
+    assert 1 <= fit.iterations <= config.max_iters
+    assert len(fit.loglik_trace) == fit.iterations + 1
+    assert all(1 <= k <= fit.iterations for k in fit.rescale_iters)
+    if fit.converged:
+        assert abs(fit.loglik_trace[-1] - fit.loglik_trace[-2]) < config.eps
+    else:
+        assert fit.iterations == config.max_iters
+
+
+class TestFitRecord:
+    """A FitResult describes one filtered model, whether EM converged or ran
+    out of M-steps."""
+
+    STOPS = {"max_iters": dict(eps=1e-12, max_iters=5),
+             "converged": dict(eps=1e-2, max_iters=200)}
+
+    @staticmethod
+    def data():
+        gen = random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=21))
+        return simulate(gen, T=80, seed=21)
+
+    @pytest.mark.parametrize("stop", sorted(STOPS))
+    def test_em_fit(self, stop):
+        data = self.data()
+        cfg = EmConfig(**self.STOPS[stop])
+        fit = em_fit(data, 2, default_init(data, 2, seed=3), cfg)
+        assert fit.converged == (stop == "converged")
+        assert_one_record(fit, data, cfg)
+
+    @pytest.mark.parametrize("stop", sorted(STOPS))
+    def test_multi_restart_fit(self, stop):
+        data = self.data()
+        cfg = EmConfig(n_restarts=4, seed=1, **self.STOPS[stop])
+        fit = multi_restart_fit(data, 2, cfg)
+        assert fit.converged == (stop == "converged")
+        assert_one_record(fit, data, cfg)
+        # the kept restart has the highest loglik of the restarts' own records
+        for r in range(cfg.n_restarts):
+            one = em_fit(data, 2, default_init(data, 2, restart_seed(cfg.seed, r)),
+                         EmConfig(eps=cfg.eps, max_iters=cfg.max_iters))
+            assert one.loglik <= fit.loglik + 1e-9
+
+    @pytest.mark.parametrize("seed, first_rescaled", [(0, False), (1, True)])
+    def test_rescale_iters_count_m_steps_from_one(self, seed, first_rescaled):
+        # a doubly integrated walk pushes the M-step's A past the unit circle
+        y = np.cumsum(np.cumsum(np.random.default_rng(4).standard_normal(60)))
+        data = SequenceData(Y=y)
+        init = default_init(data, 2, seed=seed)
+        A1 = m_step(rts_smooth(init, kalman_filter(init, data)), data, 2).A
+        assert (spectral_radius(A1) > 1.0) == first_rescaled
+        full = em_fit(data, 2, init, EmConfig(eps=1e-8, max_iters=6)).rescale_iters
+        assert full and (full[0] == 1) == first_rescaled
+        for k in range(1, 7):
+            fit = em_fit(data, 2, init, EmConfig(eps=1e-8, max_iters=k))
+            assert fit.rescale_iters == [i for i in full if i <= k]
 
 
 class TestDefaultInit:

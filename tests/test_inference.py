@@ -179,22 +179,30 @@ class TestSteadyState:
                 np.testing.assert_allclose(stepped[key], handed[key],
                                            rtol=1e-12, atol=1e-12)
 
-    def test_failed_element_does_not_block_the_switch(self):
+    @pytest.mark.parametrize("mu0, T", [pytest.param([0.0, 0.0], 400, id="zero-mean-T400"),
+                                        pytest.param([0.0, 1.0], 1200, id="unit-mean-T1200")])
+    def test_failed_element_does_not_block_the_switch(self, mu0, T):
         # S is singular from the first step, and the unobserved, unstable
-        # second state would make this element's covariance grow without bound
+        # second state would make this element's covariance grow without
+        # bound, and from mu0 = [0, 1] its mean overflow by T = 1200
         degenerate = LdsParams(A=1.5 * np.eye(2), C=[[1.0, 0.0], [0.0, 0.0]],
                                R1=np.eye(2), R2=np.diag([1.0, 0.0]),
-                               mu0=np.zeros(2), R0=np.eye(2))
+                               mu0=mu0, R0=np.eye(2))
         models = [random_model(2, 2, seed=s) for s in (50, 51, 52)]
         models.insert(1, degenerate)
-        Y = simulate(models[0], T=400, seed=1).Y
+        Y = simulate(models[0], T=T, seed=1).Y
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
         assert switch_step(fr["pred_covs"]) <= fr["switch"] < 200
-        # the failed element carries the identity instead of a growing covariance
+        # the failed element carries the identity instead of a growing
+        # covariance, and its means are held at zero from the failing step on
         assert np.isfinite(fr["pred_covs"][1]).all() and np.isfinite(fr["filt_covs"][1]).all()
+        assert not fr["filt_means"][1].any() and not fr["pred_means"][1, 1:].any()
         sm = _engine.smooth_batch(batch, fr)
+        # with J = 0 its smoothed moments are its filtered ones
+        assert not sm["means"][1].any() and not sm["cross"][1].any()
+        np.testing.assert_array_equal(sm["covs"][1], fr["filt_covs"][1])
         for b in (0, 2, 3):
             pb = _engine.stack_params([models[b]])
             one = _engine.filter_batch(pb, Y)

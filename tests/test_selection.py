@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ldsmdl import (DimensionError, EmConfig, ModelOrderBounds,
-                    RandomLdsConfig, annihilation_search, count_params,
-                    grid_search, random_stable_lds, simulate)
+                    RandomLdsConfig, SequenceData, annihilation_search,
+                    count_params, grid_search, kalman_filter,
+                    random_stable_lds, simulate)
 from ldsmdl.criteria import mdl_order_penalty
 
 CFG = EmConfig(eps=1e-3, max_iters=40, n_restarts=3, seed=0)
@@ -48,6 +49,26 @@ class TestGridSearch:
             assert r.criterion("mdl").components["order_penalty"] == pytest.approx(
                 mdl_order_penalty(r.order, n), abs=1e-12)
             assert r.dl == pytest.approx(r.criterion("mdl").value, abs=1e-12)
+
+    def test_fit_loglik_is_the_loglik_of_its_params(self):
+        # the d=4 protocol's EM budget, which most fits use up
+        gen = random_stable_lds(RandomLdsConfig(d=4, d_out=1, seed=0))
+        data = simulate(gen, T=100, burn_in=20, seed=0)
+        trace = grid_search(data, ModelOrderBounds(2, 6),
+                            EmConfig(eps=1e-2, max_iters=35, n_restarts=10, seed=0))
+        assert any(not r.fit.converged for r in trace.per_order)
+        for r in trace.per_order:
+            assert kalman_filter(r.fit.params, data).loglik == pytest.approx(
+                r.fit.loglik, rel=1e-9)
+
+    @pytest.mark.parametrize("search", [grid_search, annihilation_search])
+    @pytest.mark.parametrize("Y, observable", [(np.zeros((0, 1)), False),
+                                               (np.ones((1, 1)), False),
+                                               (np.ones((50, 2)), True)])
+    def test_unfittable_data_rejected_before_the_orders(self, search, Y, observable):
+        with pytest.raises(DimensionError):
+            search(SequenceData(Y=Y), ModelOrderBounds(1, 3), CFG,
+                   observable_mode=observable)
 
     def test_trace_serialization_deterministic(self):
         a = grid_search(d2_data(1), ModelOrderBounds(1, 3), CFG)

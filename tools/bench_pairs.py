@@ -12,7 +12,8 @@ sides, the parent first in even pairs and the change first in odd pairs,
 with the workloads interleaved within each pair.  After the pairs, each
 side makes one traced run per workload at ``--seed 0``.  The behaviour
 fingerprints of every pair are compared with the change's
-``perfbench/compare_fingerprints.py``.  Everything is written to
+``perfbench/compare_fingerprints.py``, whose per-seed differences are kept
+and whose count of differing selections is printed.  Everything is written to
 ``BENCH_<pr>.json``: medians, quartiles and every run of the
 end-to-end metrics, pair wins, the traced per-layer figures, fingerprint
 results and the ``src/`` line count of both sides.
@@ -24,6 +25,7 @@ import glob
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -48,10 +50,16 @@ def run(checkout, bench, workload, seed, trace):
 
 
 def compare(change, old, new):
+    """The fingerprint comparison: its exit code, its summary line, the
+    per-seed "chosen order" and "DL" lines before it, and the number of
+    common selections and of those that differ, read from the summary."""
     proc = subprocess.run([sys.executable, "perfbench/compare_fingerprints.py", old, new],
                           cwd=change, capture_output=True, text=True)
-    report = (proc.stdout.strip().splitlines() or [proc.stderr.strip()])[-1]
-    return {"exit": proc.returncode, "report": report}
+    lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
+    counts = re.search(r"(\d+) common selections, (\d+) differ", lines[-1])
+    common, differ = map(int, counts.groups()) if counts else (0, 0)
+    return {"exit": proc.returncode, "report": lines[-1], "differences": lines[:-1],
+            "common": common, "differ": differ}
 
 
 def spread(values):
@@ -201,6 +209,10 @@ def main(argv=None):
     doc["traced_seed0"] = traced
     doc["fingerprints"] = {w: {"untraced_pairs": f, "all_exit_0": all(x["exit"] == 0 for x in f)}
                            for w, f in fingerprints.items()}
+    print("fingerprints: " + ", ".join(
+        f"{w} {sum(x['differ'] for x in f)} of {sum(x['common'] for x in f)} selections differ"
+        f" (traced {traced[w]['fingerprint']['differ']})"
+        for w, f in fingerprints.items()), file=sys.stderr)
     doc["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
     out = f"BENCH_{args.pr}.json"
     with open(out, "w") as fh:
