@@ -4,9 +4,10 @@ All routines here carry an explicit leading batch axis so that EM restarts
 and finite-difference parameter perturbations advance through the Kalman
 recursions as single vectorized numpy operations.  Elements that hit a
 numerical failure (singular innovation covariance, rank-deficient M-step
-accumulators) are flagged in an ``ok`` mask and frozen with placeholder
-values instead of aborting the whole batch; the filter carries the
-identity as the predicted covariance of such an element.
+accumulators) are flagged in an ``ok`` mask instead of aborting the whole
+batch; the filter carries the identity as the predicted covariance of
+such an element and holds its means at zero, and the smoother zeroes its
+gains, so later passes over the batch stay finite.
 
 For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
@@ -31,17 +32,19 @@ through a blocked scan of the congruence map V -> P^f + J (V - P^pred) J^T
 (``_congruence_scan``): block starts are carried with J^L, each block is
 filled from its start in one product, and the carry stops at the first
 block start that has settled by the same test, after which V and the
-cross-covariance are one copy.  The transient steps are then stepped with
-plain products, and their cross-covariances are one product.
+cross-covariance are one copy.  V settles at the rate P did, so its
+blocks are sized by the switch: L = ceil(sqrt(min(s, n))) for the switch
+s and n frozen steps.  The transient steps are then stepped with plain
+products, and their cross-covariances are one product.
 
-The scans go chunk by chunk so that memory stays bounded: a chunk has
-n = SCAN_CHUNK // (B w) steps, w = max(d, p) in the filter, d for the
-smoothed means and d^2 for V, so its (B, n, w) arrays hold at most
-``SCAN_CHUNK`` doubles (a scan pads its block array by fewer than
-sqrt(n) + 1 steps).  A small batch on a long sequence (an EM fit) scans
-its whole frozen stretch at once; a large batch (the Fisher perturbations,
-B d in the thousands) gets chunks of a few steps, where the scan saves
-little over stepping.
+Only the filter's scan goes chunk by chunk, so that memory stays bounded:
+a chunk has n = SCAN_CHUNK // (B w) steps, w = max(d, p), so its (B, n, w)
+arrays hold at most ``SCAN_CHUNK`` doubles (a scan pads its block array
+by fewer than sqrt(n) + 1 steps).  An EM batch scans its whole frozen
+stretch at once; the Fisher perturbations (B d in the thousands, no stored
+trajectories) get chunks of a few steps, where the scan saves little over
+stepping.  The smoother returns (B, T, d, d) covariances, so chunking its
+scans would bound no memory.
 
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
@@ -60,7 +63,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
-#: doubles in each (B, n, width) array of one chunk of a scan
+#: doubles in each (B, n, width) array of one chunk of the filter's scan
 SCAN_CHUNK = 2 ** 15
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
@@ -381,9 +384,8 @@ def _congruence_powers(J, F, G, n: int):
 
 
 def _congruence_scan(powers, sums, G, W0, n: int, ok):
-    """W_1 .. W_m of W_{i+1} = sym(F + J (W_i - G) J^T) from W_0 = W0
-    (m <= n), as a blocked scan; returns the (B, m, d, d) states and whether
-    they settled.
+    """The (B, m, d, d) states W_1 .. W_m of W_{i+1} = sym(F + J (W_i - G) J^T)
+    from W_0 = W0, m <= n, as a blocked scan.
 
     ``powers`` and ``sums`` come from ``_congruence_powers``.  The block
     starts W_0, W_L, W_2L, .. are carried with J^L one at a time, and every
@@ -403,7 +405,7 @@ def _congruence_scan(powers, sums, G, W0, n: int, ok):
         settled = _settled(starts[-1], starts[-2], ok)
     X = np.stack(starts[:len(starts) - settled], axis=1)[:, :, None]    # (B, k, 1, d, d)
     W = powers[:, None] @ (X - G[:, None, None]) @ _T(powers)[:, None]   # (B, k, L, d, d)
-    return sym(W + sums[:, None]).reshape(B, -1, d, d)[:, :n], settled
+    return sym(W + sums[:, None]).reshape(B, -1, d, d)[:, :n]
 
 
 def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
@@ -414,9 +416,10 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     ``switch`` and mirrors it in two phases, cut at s = min(switch, T - 1):
     J_0 .. J_{s-1} of the transient steps and J_s, which every later step
     shares, are solved in one batched call.  On the steps s .. T-2 the means
-    are a backward affine scan and V a backward congruence scan that stops
-    once V settles; the transient steps s-1 .. 0 are then stepped with plain
-    products.
+    are one backward affine scan and V one backward congruence scan, with
+    blocks sized by s, that stops once V settles; the transient steps
+    s-1 .. 0 are then stepped with plain products.  Elements that are not
+    ``ok`` keep their filtered means and covariances.
     """
     fm, fP = fr["filt_means"], fr["filt_covs"]
     pm, pP = fr["pred_means"], fr["pred_covs"]
@@ -433,29 +436,20 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     JT, ok = _solve_guarded(pP[:, 1:H + 1], pb.A[:, None] @ fP[:, :H], ok)
     JT[~ok] = 0.0                  # a failed element's smoothed means are its filtered ones
     if s < T - 1:
+        n = T - 1 - s                  # the frozen steps s .. T-2
         JTs = np.ascontiguousarray(JT[:, s])
-        # the means, scanned backward chunk by chunk
-        nm, nv = _chunk_len(B, d), _chunk_len(B, d * d)
-        powers = _scan_powers(JTs, min(nm, T - 1 - s))
-        for hi in range(T - 1, s, -nm):
-            lo = max(s, hi - nm)
-            u = fm[:, lo:hi] - pm[:, lo + 1:hi + 1] @ JTs
-            means[:, lo:hi] = _affine_scan(powers, u[:, ::-1], means[:, hi])[:, :0:-1]
-        # V_t = P^f + J (V_{t+1} - P^pred) J^T, scanned backward until V settles
+        u = fm[:, s:-1] - pm[:, s + 1:] @ JTs
+        means[:, s:-1] = _affine_scan(_scan_powers(JTs, n), u[:, ::-1], means[:, -1])[:, :0:-1]
+        # V_t = P^f + J (V_{t+1} - P^pred) J^T, scanned backward until V settles;
+        # V settles at the rate P did, so its blocks are sized by the switch
         powers, sums = _congruence_powers(np.ascontiguousarray(_T(JTs)), fP[:, s],
-                                          pP[:, -1], min(nv, T - 1 - s))
-        hi = T - 1
-        while hi > s:
-            W, settled = _congruence_scan(powers, sums, pP[:, -1], covs[:, hi],
-                                          min(nv, hi - s), ok)
-            lo = hi - W.shape[1]
-            covs[:, lo:hi] = W[:, ::-1]
-            np.matmul(covs[:, lo + 1:hi + 1], JTs[:, None], out=cross[:, lo:hi])
-            hi = lo
-            if settled:
-                covs[:, s:hi] = covs[:, hi, None]
-                cross[:, s:hi] = (covs[:, hi] @ JTs)[:, None]
-                break
+                                          pP[:, -1], min(s, n))
+        W = _congruence_scan(powers, sums, pP[:, -1], covs[:, -1], n, ok)
+        lo = T - 1 - W.shape[1]
+        covs[:, lo:-1] = W[:, ::-1]
+        np.matmul(covs[:, lo + 1:], JTs[:, None], out=cross[:, lo:])
+        covs[:, s:lo] = covs[:, lo, None]
+        cross[:, s:lo] = (covs[:, lo] @ JTs)[:, None]
     # the transient, stepped backward: m_t = J m_{t+1} + (fm_t - J pm_{t+1}),
     # with every bracket in one product
     u = fm[:, :s] - (pm[:, 1:s + 1, None] @ JT[:, :s])[:, :, 0]
@@ -526,7 +520,8 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     smooths and takes an M-step.  An element converges when one M-step moves
     its loglik by less than ``eps`` (absolute), and stops after ``max_iters``
     M-steps, whose result is filtered once more.  Elements that fail
-    numerically are frozen with neutral parameters and flagged in ``failed``.
+    numerically keep their last parameters, which the filter and smoother
+    mask, and are flagged in ``failed``.
     Returns the last filtered ``params``, their ``loglik`` (-inf where
     failed), the M-steps of each element (``iterations``), the (passes, B)
     logliks of every pass (``traces``; element b's own are its first
@@ -538,14 +533,6 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
     traces, rescales = [], []
-    # benign placeholder for failed elements, so later batched linear
-    # algebra stays finite
-    d, p = init.d, init.p
-    neutral = ParamsBatch(A=np.zeros_like(init.A), C=np.zeros_like(init.C),
-                          R1=np.broadcast_to(np.eye(d), init.R1.shape),
-                          R2=np.broadcast_to(np.eye(p), init.R2.shape),
-                          mu0=np.zeros_like(init.mu0),
-                          R0=np.broadcast_to(np.eye(d), init.R0.shape))
     active = np.ones(B, dtype=bool)
     while True:
         last = len(traces) == max_iters
@@ -566,7 +553,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         new.A, resc = enforce_stability_batch(new.A)
         rescales.append(active & resc)
         iterations[active] += 1
-        cur = neutral.where(failed, new.where(active, cur))
+        cur = new.where(active, cur)
     traces = np.stack(traces)
     return {
         "params": cur,

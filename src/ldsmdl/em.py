@@ -1,6 +1,7 @@
 """M-step updates and the EM outer loop with stability enforcement and restarts."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,8 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise DimensionError(f"eps must be > 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise DimensionError(f"eps must be finite and > 0, got {self.eps}")
         if self.max_iters < 1:
             raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_restarts < 1:

@@ -11,6 +11,7 @@ with latent dimension ``d`` and observation dimension ``d_out``.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -292,5 +293,8 @@ def write_sequence_csv(data: SequenceData, path) -> None:
 
 def read_sequence_csv(path) -> SequenceData:
     """Read a headerless CSV sequence (one row per time step)."""
-    Y = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file is reported by the T >= 2 check of every fit
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        Y = np.loadtxt(path, delimiter=",", ndmin=2)
     return SequenceData(Y=Y)

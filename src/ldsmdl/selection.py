@@ -50,7 +50,7 @@ class SelectionTrace:
         for r in self.per_order:
             rows.append({
                 "order": r.order,
-                "dl": r.dl,
+                "dl": r.dl if r.fit is not None else None,   # JSON has no Infinity
                 "loglik": r.fit.loglik if r.fit is not None else None,
                 "converged": r.fit.converged if r.fit is not None else None,
                 "iterations": r.fit.iterations if r.fit is not None else None,

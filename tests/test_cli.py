@@ -180,9 +180,9 @@ class TestSelect:
         assert main(["select", seq, "--dmin", "2", "--dmax", "2",
                      "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows, extra, reason", [
-        pytest.param("", (), "T >= 2", id="empty",
-                     marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+        pytest.param("", (), "T >= 2", id="empty"),
         pytest.param("1.5\n", (), "T >= 2", id="one-row"),
         pytest.param("1,2\n3,4\n5,6\n", ("--observable",), "scalar", id="observable-two-columns"),
     ])
@@ -192,7 +192,31 @@ class TestSelect:
         assert main(["select", str(seq), "--dmin", "1", "--dmax", "2", *extra,
                      "--out", str(tmp_path / "t.json")]) == EXIT_CONFIG
         err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert reason in err and "failed to fit" not in err
+
+    def test_non_finite_eps_exit(self, tmp_path):
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+        assert main(["select", seq, "--dmin", "2", "--dmax", "2", "--eps", "nan",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_CONFIG
+
+    def test_error_rows_write_valid_json(self, tmp_path):
+        # orders 4 and 3 cannot be fitted to three rows
+        seq = tmp_path / "seq.csv"
+        seq.write_text("1\n2\n3\n")
+        out = tmp_path / "t.json"
+        assert main(["select", str(seq), "--observable", "--mode", "annihilate",
+                     "--dmin", "1", "--dmax", "4", "--restarts", "2",
+                     "--out", str(out)]) == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        rows = {r["order"]: r for r in doc["per_order"]}
+        assert rows[4]["error"] and rows[3]["error"]
+        assert rows[4]["dl"] is None and rows[3]["dl"] is None
+        assert all(math.isfinite(r["dl"]) for r in rows.values() if r["error"] is None)
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         seq = simulate_lds(tmp_path, seed=4, length=60, d=2)
@@ -262,3 +286,8 @@ class TestCompare:
         monkeypatch.setattr(cli, "grid_search", boom)
         assert main(["compare", seq, "--dmin", "2", "--dmax", "2",
                      "--out", str(tmp_path / "cmp.csv")]) == EXIT_FITTING
+
+    def test_non_finite_eps_exit(self, tmp_path):
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+        assert main(["compare", seq, "--dmin", "2", "--dmax", "2", "--eps", "inf",
+                     "--out", str(tmp_path / "cmp.csv")]) == EXIT_CONFIG

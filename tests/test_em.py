@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ldsmdl import _engine
 from ldsmdl import (DimensionError, EmConfig, LdsParams, SequenceData,
                     default_init, em_fit, enforce_stability, kalman_filter,
                     m_step, multi_restart_fit, rts_smooth, simulate,
@@ -54,6 +55,12 @@ class TestEmConfig:
             EmConfig(max_iters=0)
         with pytest.raises(DimensionError):
             EmConfig(n_restarts=0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        # a NaN eps never converges and an infinite one stops after one M-step
+        with pytest.raises(DimensionError, match="eps"):
+            EmConfig(eps=eps)
 
 
 class TestMStep:
@@ -256,6 +263,44 @@ class TestFitRecord:
         for k in range(1, 7):
             fit = em_fit(data, 2, init, EmConfig(eps=1e-8, max_iters=k))
             assert fit.rescale_iters == [i for i in full if i <= k]
+
+
+class TestFailedElements:
+    """An element that fails keeps its last parameters; the filter and the
+    smoother mask it, so it disturbs neither the batch nor the numerics."""
+
+    @staticmethod
+    def failing(C, R2):
+        return LdsParams(A=0.5 * np.eye(2), C=C, R1=np.eye(2), R2=R2,
+                         mu0=np.zeros(2), R0=np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_elements_leave_the_others_alone(self):
+        gen = random_stable_lds(RandomLdsConfig(d=2, d_out=2, seed=31))
+        data = simulate(gen, T=120, seed=31)
+        good = [default_init(data, 2, seed=s) for s in range(3)]
+        # S = C P C^T + R2 is singular from the first step: C = 0 with R2 = 0,
+        # and an unobserved state seen through a noiseless channel
+        mixed = [good[0], self.failing(np.zeros((2, 2)), np.zeros((2, 2))), good[1],
+                 self.failing(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), good[2]]
+        run = {name: _engine.em_loop(_engine.stack_params(inits), data.Y,
+                                     eps=1e-6, max_iters=20)
+               for name, inits in (("mixed", mixed), ("good", good))}
+        keep = [0, 2, 4]
+        np.testing.assert_array_equal(run["mixed"]["failed"], [False, True, False, True, False])
+        assert not run["good"]["failed"].any()
+        params = run["mixed"]["params"]
+        for f in _engine.PARAM_FIELDS:
+            # failed on the first pass, so their last parameters are the initial ones
+            for b in (1, 3):
+                np.testing.assert_array_equal(getattr(params, f)[b], getattr(mixed[b], f))
+            np.testing.assert_allclose(getattr(params, f)[keep],
+                                       getattr(run["good"]["params"], f), rtol=1e-12)
+        np.testing.assert_array_equal(run["mixed"]["loglik"][[1, 3]], -np.inf)
+        for key in ("loglik", "iterations", "converged"):
+            np.testing.assert_allclose(run["mixed"][key][keep], run["good"][key], rtol=1e-12)
+        np.testing.assert_allclose(run["mixed"]["traces"][:, keep], run["good"]["traces"],
+                                   rtol=1e-12)
 
 
 class TestDefaultInit:

@@ -305,12 +305,12 @@ class TestBlockedScan:
         F, G, W0 = (_engine.psd_floor_batch(rng.standard_normal((B, d, d)))[0]
                     for _ in range(3))
         powers, sums = _engine._congruence_powers(J, F, G, n)
-        got, settled = _engine._congruence_scan(powers, sums, G, W0, n, np.ones(B, bool))
+        got = _engine._congruence_scan(powers, sums, G, W0, n, np.ones(B, bool))
         want = np.empty((B, n + 1, d, d))
         want[:, 0] = W0
         for i in range(n):
             want[:, i + 1] = F + J @ (want[:, i] - G) @ np.swapaxes(J, 1, 2)
-        assert not settled
+        assert got.shape == (B, n, d, d)
         np.testing.assert_allclose(got, want[:, 1:], rtol=0,
                                    atol=1e-13 * np.abs(want).max())
 
@@ -330,28 +330,28 @@ class TestBlockedScan:
             np.testing.assert_allclose(sm["cross"][b], cross, rtol=0,
                                        atol=1e-8 * np.abs(cross).max())
 
-    def test_covariance_scan_chunks_match_one_chunk(self, monkeypatch):
+    def test_smoother_sizes_its_scans_by_the_switch(self, monkeypatch):
         models = [random_model(3, 2, seed=s) for s in (60, 61, 62)]
         Y = simulate(models[0], T=300, seed=2).Y
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         whole = _engine.smooth_batch(batch, fr)
-        assert _engine._chunk_len(3, 9) >= len(Y)
-        real = _engine._congruence_scan
-        calls = []
+        real = _engine._congruence_powers
+        sizes = []
 
-        def counting(*args):
-            calls.append(args[4])
+        def spying(*args):
+            sizes.append(args[3])
             return real(*args)
 
-        # 7-step V chunks: V settles only after several of them
+        # the smoother does not read SCAN_CHUNK: 7-step chunks of V leave it as it is
         monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * 3 * 9)
-        monkeypatch.setattr(_engine, "_congruence_scan", counting)
-        assert _engine._chunk_len(3, 9) == 7
-        chunked = _engine.smooth_batch(batch, fr)
-        assert len(calls) >= 3 and set(calls) == {7}
-        for key in ("means", "covs", "cross"):
-            np.testing.assert_allclose(chunked[key], whole[key], rtol=1e-12, atol=1e-12)
+        monkeypatch.setattr(_engine, "_congruence_powers", spying)
+        small = _engine.smooth_batch(batch, fr)
+        s = fr["switch"]
+        assert 1 <= s < len(Y) // 2
+        assert sizes == [min(s, len(Y) - 1 - s)]
+        for key in ("means", "covs", "cross", "ok"):
+            np.testing.assert_array_equal(small[key], whole[key])
 
     def test_store_false_gives_the_same_step_logliks(self):
         models = [random_model(4, 2, seed=s) for s in (70, 71)]

@@ -214,6 +214,8 @@ def main(argv=None):
         f" (traced {traced[w]['fingerprint']['differ']})"
         for w, f in fingerprints.items()), file=sys.stderr)
     doc["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
+    print("src/ lines: " + ", ".join(f"{side} {n}" for side, n in doc["src_lines"].items()),
+          file=sys.stderr)
     out = f"BENCH_{args.pr}.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
