@@ -11,14 +11,14 @@ gains, so later passes over the batch stay finite.
 
 For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
-filter runs the full Joseph-form step until the predicted covariance of
-every element still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its
-own size in one time update.  A transient step factors S once (Cholesky,
-for the ``ok`` test and log|S|) and solves it once, for the gain and the
-innovation together; the log-dets and quadratic forms of the transient
-enter the step logliks in one expression after it.  From the switch on,
-S, K and log|S| are frozen and the predicted mean follows the linear
-time-invariant recursion x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
+filter runs the full step until the predicted covariance of every element
+still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its own size in
+one time update.  A transient step factors S once (Cholesky, for the ``ok``
+test and log|S|), solves S^{-1} [C P | r] once for K^T and S^{-1} r, and
+takes the filtered covariance in standard form, P - K S K^T = P - (C P)^T K^T.
+From the switch on, S, K^T and S^{-1} (one solve S^{-1} [C P | I]) are
+frozen and the predicted mean follows the linear time-invariant recursion
+x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
 That recursion runs as a blocked prefix scan (``_affine_scan``): about
 3 sqrt(N) batched products for N frozen steps, sqrt(N) of them for the
 powers of F, instead of N interpreted steps; the innovations, their
@@ -253,19 +253,16 @@ def _log_det(diag):
     return 2.0 * np.sum(np.log(np.maximum(diag, 1e-300)), axis=-1)
 
 
-def _joseph(pb: ParamsBatch, P, K, eye):
-    """Joseph-form filtered covariance (I - K C) P (I - K C)^T + K R2 K^T."""
-    ImKC = eye - K @ pb.C
-    return sym(ImKC @ P @ _T(ImKC) + K @ pb.R2 @ _T(K))
-
-
-def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
-    """Batched Kalman filter with Joseph-form covariance updates.
+def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
+                 ok: np.ndarray | None = None) -> dict:
+    """Batched Kalman filter; the filtered covariance is P - (C P)^T K^T.
 
     Returns a dict with per-element logliks, per-step loglik contributions,
     an ``ok`` mask (False where an innovation covariance degenerated), the
     ``switch`` step (the first frozen step, T when the filter never froze)
     and, when ``store`` is set, the full predicted/filtered trajectories.
+    Elements that are False in the caller's ``ok`` (all True by default)
+    are treated as failed from step 0.
 
     A transient step solves S once for the gain and the innovation together;
     the log-dets and quadratic forms of the transient enter the step logliks
@@ -277,13 +274,12 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     """
     B, d, p = pb.B, pb.d, pb.p
     T = Y.shape[0]
-    ok = np.ones(B, dtype=bool)
+    ok = np.ones(B, dtype=bool) if ok is None else ok.copy()
     x = pb.mu0.copy()              # predicted mean at t
     P = sym(pb.R0)                 # predicted covariance at t
     # transposed views slow every batched product they enter: made contiguous once
     AT = np.ascontiguousarray(_T(pb.A))
     CT = np.ascontiguousarray(_T(pb.C))
-    eye = np.eye(d)
     step_ll = np.zeros((B, T))
     diags, quads = [], []          # per transient step: (B, p) and (B,)
     out = {}
@@ -307,7 +303,7 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
         x = x + np.einsum("bpd,bp->bd", KT, innov)
         if not ok.all():
             x[~ok] = 0.0               # a failed element's mean is held at zero
-        Pf = _joseph(pb, P, _T(KT), eye)
+        Pf = sym(P - _T(CP) @ KT)                      # P - K S K^T
         if store:
             out["filt_means"][:, t] = x
             out["filt_covs"][:, t] = Pf
@@ -327,11 +323,13 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True) -> dict:
     if t < T:
         # steady state from step t on: P is the fixed point of the recursion
         CP, S, diag, ok = _innovation_cov(pb, P, CT, ok)
-        Sinv, ok = _solve_guarded(S, np.broadcast_to(np.eye(p), S.shape), ok)
-        KT = Sinv @ CP                                 # (B, p, d)
+        # S^{-1} [C P | I]: the transposed gain and S^{-1} in one solve
+        sol, ok = _solve_guarded(S, np.concatenate(
+            (CP, np.broadcast_to(np.eye(p), S.shape)), axis=-1), ok)
+        KT, Sinv = sol[..., :d], sol[..., d:]          # (B, p, d) and (B, p, p)
         if store:
             out["pred_covs"][:, t:] = P[:, None]
-            out["filt_covs"][:, t:] = _joseph(pb, P, _T(KT), eye)[:, None]
+            out["filt_covs"][:, t:] = sym(P - _T(CP) @ KT)[:, None]
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
         # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
         # the batch, so y_s G^T of every element is one product with the
@@ -521,7 +519,8 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     its loglik by less than ``eps`` (absolute), and stops after ``max_iters``
     M-steps, whose result is filtered once more.  Elements that fail
     numerically keep their last parameters, which the filter and smoother
-    mask, and are flagged in ``failed``.
+    mask, and are flagged in ``failed``; later passes hand ``~failed`` to
+    the filter as its starting ``ok`` mask, so it never factors them again.
     Returns the last filtered ``params``, their ``loglik`` (-inf where
     failed), the M-steps of each element (``iterations``), the (passes, B)
     logliks of every pass (``traces``; element b's own are its first
@@ -536,7 +535,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     active = np.ones(B, dtype=bool)
     while True:
         last = len(traces) == max_iters
-        fr = filter_batch(cur, Y, store=not last)
+        fr = filter_batch(cur, Y, store=not last, ok=~failed)
         failed |= active & ~fr["ok"]
         active &= fr["ok"]
         ll = fr["loglik"]

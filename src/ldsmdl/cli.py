@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 config error, 3 generation error, 4 fitting
 failure, 5 I/O error.  The environment variable LDSMDL_SEED overrides
---seed when set.
+--seed when set; a negative seed is a config error.
 """
 from __future__ import annotations
 
@@ -48,9 +48,13 @@ def _write_manifest(path, command: str, config_snapshot: dict, master_seed,
         fh.write("\n")
 
 
-def _seed_override(seed: int) -> int:
+def _master_seed(seed: int) -> int:
+    """LDSMDL_SEED when set, else ``seed``; a negative seed is a ValueError."""
     env = os.environ.get("LDSMDL_SEED")
-    return int(env) if env is not None else seed
+    seed = int(env) if env is not None else seed
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def cmd_simulate(args) -> int:
@@ -61,9 +65,7 @@ def cmd_simulate(args) -> int:
         kind = cfg["type"]
         if kind not in ("lds", "narma"):
             raise ValueError(f"unknown generator type {kind!r}")
-        seed = _seed_override(int(cfg.get("seed", 0)))
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        seed = _master_seed(int(cfg.get("seed", 0)))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -114,7 +116,7 @@ def _run_selection(args, mode: str, criterion: str):
     """Read the input and run the selection; returns (exit code, trace, seed),
     the last two None unless the code is EXIT_OK."""
     try:
-        seed = _seed_override(args.seed)
+        seed = _master_seed(args.seed)
         bounds = ModelOrderBounds(d_min=args.dmin, d_max=args.dmax)
         config = EmConfig(eps=args.eps, max_iters=args.max_iters,
                           n_restarts=args.restarts, seed=seed)

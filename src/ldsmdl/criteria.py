@@ -20,6 +20,8 @@ CRITERION_NAMES = ("aic", "bic", "fia", "mme", "mdl")
 KAPPA_ASYMPTOTIC = 1.0 / (2.0 * math.pi * math.e)
 #: uniform-quantizer reference value 1/12 used by message-length criteria
 KAPPA_UNIFORM = 1.0 / 12.0
+#: relative central-difference step of the empirical Fisher's scores
+FISHER_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -203,13 +205,13 @@ def _unpack_batch(vecs: np.ndarray, template: LdsParams,
 
 
 def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
-                             fix_observation: bool = False,
-                             step: float = 1e-5) -> float:
+                             fix_observation: bool = False) -> float:
     """Half log-determinant of the empirical Fisher information at ``params``.
 
     Per-timestep score vectors of the innovation-form loglik are estimated
-    by central finite differences (relative step) and accumulated as an
-    outer product F.  Two rules make the value well defined:
+    by central finite differences (relative step ``FISHER_STEP``) and
+    accumulated as an outer product F.  Two rules make the value well
+    defined:
 
     - the score row of a parameter whose + or - perturbed filter is not
       ``ok`` (a degenerate innovation covariance) is set to zero, so it
@@ -221,7 +223,7 @@ def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
     """
     theta = _pack(params, fix_observation)
     n = theta.size
-    h = step * np.maximum(1.0, np.abs(theta))
+    h = FISHER_STEP * np.maximum(1.0, np.abs(theta))
     vecs = np.repeat(theta[None], 2 * n, axis=0)
     idx = np.arange(n)
     vecs[2 * idx, idx] += h

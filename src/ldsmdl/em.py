@@ -29,6 +29,8 @@ class EmConfig:
             raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_restarts < 1:
             raise DimensionError(f"n_restarts must be >= 1, got {self.n_restarts}")
+        if self.seed < 0:
+            raise DimensionError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def em_fit(data: SequenceData, d: int, init: LdsParams, config: EmConfig,
 
 def restart_seed(master_seed: int, restart: int):
     """Deterministic per-restart seed material."""
-    return [int(master_seed) & 0x7FFFFFFF, int(restart)]
+    return [int(master_seed), int(restart)]
 
 
 def multi_restart_fit(data: SequenceData, d: int, config: EmConfig,

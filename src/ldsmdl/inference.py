@@ -9,6 +9,9 @@ from . import _engine
 from .errors import DegeneracyError, DimensionError
 from .model import LdsParams, SequenceData, sym
 
+#: the trajectories of a stored filter pass, named as in the engine's dicts
+_TRAJECTORIES = ("pred_means", "pred_covs", "filt_means", "filt_covs")
+
 
 @dataclass(frozen=True)
 class FilterResult:
@@ -43,7 +46,7 @@ class SmoothedPosterior:
 
 
 def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
-    """Standard forward recursion with Joseph-form covariance updates.
+    """Standard forward recursion; the filtered covariance is P - K S K^T.
 
     Raises DegeneracyError when an innovation covariance falls below 1e-12
     conditioning, signaling collapse to the parameter-space boundary.
@@ -54,32 +57,18 @@ def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
     fr = _engine.filter_batch(_engine.stack_params([params]), data.Y, store=True)
     if not fr["ok"][0]:
         raise DegeneracyError("innovation covariance is numerically singular")
-    return FilterResult(
-        pred_means=fr["pred_means"][0],
-        pred_covs=fr["pred_covs"][0],
-        filt_means=fr["filt_means"][0],
-        filt_covs=fr["filt_covs"][0],
-        loglik=float(fr["loglik"][0]),
-        switch=fr["switch"],
-    )
+    return FilterResult(**{k: fr[k][0] for k in _TRAJECTORIES},
+                        loglik=float(fr["loglik"][0]), switch=fr["switch"])
 
 
 def rts_smooth(params: LdsParams, filter_result: FilterResult) -> SmoothedPosterior:
     """Backward Rauch-Tung-Striebel pass over a stored filter result."""
-    fr = {
-        "pred_means": filter_result.pred_means[None],
-        "pred_covs": filter_result.pred_covs[None],
-        "filt_means": filter_result.filt_means[None],
-        "filt_covs": filter_result.filt_covs[None],
-        "ok": np.ones(1, dtype=bool),
-        "switch": filter_result.switch,
-    }
+    fr = {k: getattr(filter_result, k)[None] for k in _TRAJECTORIES}
+    fr.update(ok=np.ones(1, dtype=bool), switch=filter_result.switch)
     sm = _engine.smooth_batch(_engine.stack_params([params]), fr)
     if not sm["ok"][0]:
         raise DegeneracyError("predicted covariance is numerically singular")
-    means = sm["means"][0]
-    covs = sm["covs"][0]
-    cross = sm["cross"][0]
+    means, covs, cross = (sm[k][0] for k in ("means", "covs", "cross"))
     Z = covs + np.einsum("td,te->tde", means, means)
     Z_cross = cross + np.einsum("td,te->tde", means[1:], means[:-1])
     return SmoothedPosterior(means=means, covs=covs, cross_covs=cross,

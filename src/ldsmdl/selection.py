@@ -104,8 +104,9 @@ def _order_result(data: SequenceData, order: int, config: EmConfig,
     """Fit and score one order; a fitting failure becomes an error row."""
     try:
         data_d = delay_embed(data, order) if observable_mode else data
-        # each order draws its restarts from its own seed
-        seed = np.random.SeedSequence([config.seed & 0x7FFFFFFF, order]).generate_state(1)[0]
+        # each order draws its restarts from its own seed: the low 31 bits
+        # of one draw keyed by (seed, order)
+        seed = np.random.SeedSequence([config.seed, order]).generate_state(1)[0] % 2 ** 31
         fit = multi_restart_fit(data_d, order, replace(config, seed=int(seed)),
                                 fix_observation=observable_mode)
         dl, values = _evaluate_order(data_d, fit, order, observable_mode, all_criteria)

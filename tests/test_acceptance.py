@@ -22,6 +22,8 @@ from .oracles import joint_loglik, lyapunov_series, smoothed_moments
 #: point found by sweeping eps and max_iters on the d=4 protocol
 REPRO_CFG = dict(eps=1e-2, max_iters=35, n_restarts=10)
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(num, name, ok, elapsed, detail=""):
     line = f"[acceptance {num}] {name}: {'PASS' if ok else 'FAIL'} " \

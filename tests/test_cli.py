@@ -291,3 +291,17 @@ class TestCompare:
         seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
         assert main(["compare", seq, "--dmin", "2", "--dmax", "2", "--eps", "inf",
                      "--out", str(tmp_path / "cmp.csv")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["select", "compare"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_negative_seed_exit(tmp_path, monkeypatch, capsys, command, via):
+    seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+    capsys.readouterr()
+    if via == "env":
+        monkeypatch.setenv("LDSMDL_SEED", "-3")
+    extra = ("--seed", "-3") if via == "flag" else ()
+    assert main([command, seq, "--dmin", "2", "--dmax", "2", *extra,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "seed" in err

@@ -62,6 +62,17 @@ class TestEmConfig:
         with pytest.raises(DimensionError, match="eps"):
             EmConfig(eps=eps)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(DimensionError, match="seed"):
+            EmConfig(seed=-1)
+
+    def test_seeds_do_not_alias_modulo_2_31(self):
+        data = simulate(random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=3)), T=60, seed=3)
+        fits = [multi_restart_fit(data, 2, EmConfig(eps=1e-2, max_iters=5, n_restarts=2,
+                                                    seed=seed))
+                for seed in (0, 2 ** 31)]
+        assert not np.array_equal(fits[0].params.A, fits[1].params.A)
+
 
 class TestMStep:
     def test_perfect_scalar_observation(self):
@@ -301,6 +312,29 @@ class TestFailedElements:
             np.testing.assert_allclose(run["mixed"][key][keep], run["good"][key], rtol=1e-12)
         np.testing.assert_allclose(run["mixed"]["traces"][:, keep], run["good"]["traces"],
                                    rtol=1e-12)
+
+    def test_failed_element_is_factored_on_the_first_pass_only(self, monkeypatch):
+        # later passes start the failed element as failed, so the batched
+        # Cholesky factors the identity in its place from step 0 and the
+        # per-element fallback runs on the first pass only
+        gen = random_stable_lds(RandomLdsConfig(d=2, d_out=2, seed=31))
+        data = simulate(gen, T=120, seed=31)
+        inits = [default_init(data, 2, seed=s) for s in range(3)]
+        inits.insert(2, self.failing(np.zeros((2, 2)), np.zeros((2, 2))))
+        real = np.linalg.cholesky
+        single = 0
+
+        def counting(a, *args, **kwargs):
+            nonlocal single
+            single += a.ndim == 2
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        # eps = 0 never converges: 20 M-steps and 21 filter passes
+        res = _engine.em_loop(_engine.stack_params(inits), data.Y, eps=0.0, max_iters=20)
+        np.testing.assert_array_equal(res["failed"], [False, False, True, False])
+        np.testing.assert_array_equal(res["iterations"], [20, 20, 0, 20])
+        assert single == len(inits)
 
 
 class TestDefaultInit:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,102 @@ class TestGuardedFactorizations:
         monkeypatch.setattr(np.linalg, "solve", counting)
         _engine.smooth_batch(batch, fr)
         assert calls == [(3, switch_step(fr["pred_covs"]) + 1, 3, 3)]
+
+
+def joseph_filter(params, Y):
+    """Textbook filter with the Joseph-form update (Bucy & Joseph 1968),
+    (I - K C) P (I - K C)^T + K R2 K^T, stepped at every step.  Returns the
+    loglik, the (T, d, d) filtered covariances, whether every S was factored
+    within the engine's conditioning limit, and the first step whose
+    predicted covariance had settled by the engine's rule (T if none)."""
+    A, C, R1, R2 = params.A, params.C, params.R1, params.R2
+    x, P = params.mu0.copy(), params.R0.copy()
+    T, p = Y.shape
+    I = np.eye(P.shape[0])
+    loglik, ok, switch, Pf = 0.0, True, T, []
+    for t in range(T):
+        S = C @ P @ C.T + R2
+        L = np.linalg.cholesky(S)
+        diag = np.diag(L)
+        ok &= (diag.min() / diag.max()) ** 2 >= _engine.DEGENERACY_RCOND
+        K = P @ C.T @ np.linalg.inv(S)
+        r = Y[t] - C @ x
+        loglik -= 0.5 * (p * _engine.LOG_2PI + 2 * np.sum(np.log(diag))
+                         + r @ np.linalg.solve(S, r))
+        x = A @ (x + K @ r)
+        ImKC = I - K @ C
+        Pf.append(ImKC @ P @ ImKC.T + K @ R2 @ K.T)
+        P_next = A @ Pf[-1] @ A.T + R1
+        if switch == T and _engine._settled(P_next[None], P[None], np.ones(1, bool)):
+            switch = t + 1
+        P = P_next
+    return loglik, np.array(Pf), ok, switch
+
+
+class TestStandardUpdate:
+    """The filtered covariance is P - (C P)^T K^T, from the C P and K^T of
+    the step's own solve."""
+
+    @staticmethod
+    def calls_per_step(pb, monkeypatch):
+        """Calls made from ``_engine.py`` per transient step: the difference
+        between runs of T = 12 and T = 6 that never switch, over 6."""
+        monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
+        Y = np.random.default_rng(0).standard_normal((12, pb.p))
+        engine_file = _engine.__file__
+
+        def count(Y):
+            n = 0
+
+            def profile(frame, event, arg):
+                nonlocal n
+                if event == "c_call":
+                    n += frame.f_code.co_filename == engine_file
+                elif event == "call" and frame.f_back is not None:
+                    n += frame.f_back.f_code.co_filename == engine_file
+
+            sys.setprofile(profile)
+            try:
+                _engine.filter_batch(pb, Y)
+            finally:
+                sys.setprofile(None)
+            return n
+
+        return (count(Y) - count(Y[:6])) / 6
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_transient_step_call_budget(self, p, monkeypatch):
+        pb = _engine.stack_params([random_model(4, p, seed=70 + b) for b in range(10)])
+        assert self.calls_per_step(pb, monkeypatch) <= 66
+
+    @staticmethod
+    def cancelling(case):
+        rng = np.random.default_rng(7)
+        if case == "observable":
+            gen = random_model(6, 6, seed=71)
+            return gen.replace(C=np.eye(6), R2=1e-6 * np.eye(6))
+        gen = random_model(4, 1, seed=72)
+        if case == "precise-R0-1e4":
+            return gen.replace(R2=np.array([[1e-10]]), R0=1e4 * np.eye(4))
+        M = rng.standard_normal((4, 4))
+        return gen.replace(R2=np.array([[1e-10]]), R0=1e8 * np.eye(4),
+                           R1=1e4 * (M @ M.T / 4 + np.eye(4)))
+
+    @pytest.mark.parametrize("case", ["observable", "precise-R0-1e4", "precise-R0-1e8"])
+    def test_cancellation_matches_joseph_form(self, case):
+        # S is dominated by C P C^T, so the update removes almost all of P:
+        # both forms cancel, and they must cancel to the same covariances
+        params = self.cancelling(case)
+        Y = simulate(params, T=300, seed=3).Y
+        fr = _engine.filter_batch(_engine.stack_params([params]), Y)
+        loglik, Pf, ok, switch = joseph_filter(params, Y)
+        assert fr["ok"][0] == ok and fr["switch"] == switch
+        assert fr["loglik"][0] == pytest.approx(loglik, rel=1e-12)
+        # the standard form's roundoff scales with P, the Joseph form's with
+        # P_f: in observable mode P_f ~ R2 = 1e-6 I while P_0 = R0 is of order 1
+        got = fr["filt_covs"][0]
+        tol = 1e-10 * np.abs(got).max() + 1e-14 * np.abs(fr["pred_covs"][0]).max()
+        np.testing.assert_allclose(got, Pf, rtol=0, atol=tol)
 
 
 class TestCompleteDataLoglik:

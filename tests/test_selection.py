@@ -70,6 +70,13 @@ class TestGridSearch:
             search(SequenceData(Y=Y), ModelOrderBounds(1, 3), CFG,
                    observable_mode=observable)
 
+    def test_seeds_do_not_alias_modulo_2_31(self):
+        dls = [[r.dl for r in grid_search(d2_data(), ModelOrderBounds(1, 2),
+                                          EmConfig(eps=1e-2, max_iters=5, n_restarts=2,
+                                                   seed=seed)).per_order]
+               for seed in (0, 2 ** 31)]
+        assert dls[0] != dls[1]
+
     def test_trace_serialization_deterministic(self):
         a = grid_search(d2_data(1), ModelOrderBounds(1, 3), CFG)
         b = grid_search(d2_data(1), ModelOrderBounds(1, 3), CFG)
