@@ -173,11 +173,20 @@ def _solve_guarded(M, rhs, ok):
         return out, ok
 
 
-def psd_floor_batch(M, floor=COV_FLOOR):
-    """Batched symmetrize + eigenvalue floor; returns (floored, fired-mask)."""
+def _finite_or_identity(M, ok):
+    """M with the elements that hold a non-finite entry cleared in ``ok``
+    (in place) and, like the elements already failed, swapped for the
+    identity, so that an eigen-routine can take the whole batch."""
+    ok &= np.isfinite(M).all(axis=(-2, -1))
+    return _identity_where_failed(M, ok)
+
+
+def psd_floor_batch(M):
+    """Batched symmetrize + eigenvalue floor at COV_FLOOR; returns
+    (floored, fired-mask)."""
     w, V = np.linalg.eigh(sym(M))
-    fired = np.any(w < floor, axis=-1)
-    w = np.maximum(w, floor)
+    fired = np.any(w < COV_FLOOR, axis=-1)
+    w = np.maximum(w, COV_FLOOR)
     return np.einsum("...ij,...j,...kj->...ik", V, w, V), fired
 
 
@@ -465,20 +474,23 @@ def m_step_batch(sm: dict, Y: np.ndarray,
     With ``fix_observation`` the observation model is pinned to C = I and
     R2 = OBSERVABLE_MODE_NOISE * I (observable-state mode); only the state
     blocks are updated.
+
+    An element whose moments, accumulators or estimates overflow fails like
+    a degenerate one: every matrix that reaches an eigen-routine, and the
+    returned A, hold the identity for a failed element.
     """
     m, V, cross = sm["means"], sm["covs"], sm["cross"]
     B, T, d = m.shape
     ok = sm["ok"].copy()
     Z = V + np.einsum("btd,bte->btde", m, m)            # (B, T, d, d)
-    Zsum = Z.sum(axis=1)
-    S00 = Zsum - Z[:, -1]
+    Zsum = _finite_or_identity(Z.sum(axis=1), ok)
+    S00 = _finite_or_identity(Zsum - Z[:, -1], ok)
     S11 = Zsum - Z[:, 0]
     S10 = cross.sum(axis=1) + np.einsum("btd,bte->bde", m[:, 1:], m[:, :-1])
     ok &= _well_conditioned(S00)
     AT, ok = _solve_guarded(S00, _T(S10), ok)
-    A = _T(AT)
-    R1 = (S11 - A @ _T(S10)) / (T - 1)
-    R1, fired1 = psd_floor_batch(R1)
+    A = _T(_finite_or_identity(AT, ok))
+    R1, fired1 = psd_floor_batch(_finite_or_identity((S11 - A @ _T(S10)) / (T - 1), ok))
     if fix_observation:
         C = np.broadcast_to(np.eye(d), (B, d, d)).copy()
         R2 = np.broadcast_to(OBSERVABLE_MODE_NOISE * np.eye(d), (B, d, d)).copy()
@@ -489,17 +501,16 @@ def m_step_batch(sm: dict, Y: np.ndarray,
         CT, ok = _solve_guarded(Zsum, _T(Syx), ok)
         C = _T(CT)
         Syy = Y.T @ Y
-        R2 = (Syy[None] - C @ _T(Syx)) / T
-        R2, fired2 = psd_floor_batch(R2)
+        R2, fired2 = psd_floor_batch(_finite_or_identity((Syy[None] - C @ _T(Syx)) / T, ok))
     mu0 = m[:, 0].copy()
-    R0, fired0 = psd_floor_batch(V[:, 0])
+    R0, fired0 = psd_floor_batch(_finite_or_identity(V[:, 0], ok))
     fired = fired1 | fired2 | fired0
     return ParamsBatch(A=A, C=C, R1=R1, R2=R2, mu0=mu0, R0=R0), fired, ok
 
 
-def _well_conditioned(M, rcond=MSTEP_RCOND):
+def _well_conditioned(M):
     w = np.abs(np.linalg.eigvalsh(sym(M)))
-    return (np.min(w, axis=-1) / np.maximum(np.max(w, axis=-1), 1e-300)) >= rcond
+    return (np.min(w, axis=-1) / np.maximum(np.max(w, axis=-1), 1e-300)) >= MSTEP_RCOND
 
 
 def enforce_stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

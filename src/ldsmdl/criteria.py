@@ -55,6 +55,32 @@ class ParamCount:
     breakdown: dict
 
 
+def _free_layout(d: int, d_out: int, fix_observation: bool) -> dict:
+    """The free-parameter layout: for each field of ``_engine.PARAM_FIELDS``,
+    in order, the index arrays of its free entries and of their mirrors.
+
+    A dense block (A, C, mu0) frees every entry, each its own mirror; a
+    symmetric block (R1, R2, R0) frees its lower triangle, mirrored into the
+    upper one; a block that observable-state mode pins (C, R2) frees
+    nothing.  The free-parameter vector is the free entries in this order.
+    """
+    def dense(*shape):
+        free = np.unravel_index(np.arange(math.prod(shape)), shape)
+        return free, free
+
+    def symmetric(n):
+        rows, cols = np.tril_indices(n)
+        return (rows, cols), (cols, rows)
+
+    pinned = ((np.empty(0, dtype=int),) * 2,) * 2
+    return {"A": dense(d, d),
+            "C": pinned if fix_observation else dense(d_out, d),
+            "R1": symmetric(d),
+            "R2": pinned if fix_observation else symmetric(d_out),
+            "mu0": dense(d),
+            "R0": symmetric(d)}
+
+
 def count_params(d: int, d_out: int, fix_observation: bool = False) -> ParamCount:
     """Raw free-parameter count over all blocks (symmetric matrices count
     their lower triangle; the similarity-transform redundancy is not
@@ -64,15 +90,8 @@ def count_params(d: int, d_out: int, fix_observation: bool = False) -> ParamCoun
     """
     if d < 1 or d_out < 1:
         raise DimensionError("d and d_out must be >= 1")
-    tri = d * (d + 1) // 2
-    breakdown = {
-        "A": d * d,
-        "C": 0 if fix_observation else d * d_out,
-        "R1": tri,
-        "R2": 0 if fix_observation else d_out * (d_out + 1) // 2,
-        "mu0": d,
-        "R0": tri,
-    }
+    breakdown = {name: free[0].size
+                 for name, (free, _mirror) in _free_layout(d, d_out, fix_observation).items()}
     return ParamCount(n_theta=sum(breakdown.values()), breakdown=breakdown)
 
 
@@ -157,53 +176,6 @@ def normalize_values(values) -> list:
 
 # --- empirical Fisher information (geometric-complexity surrogate for FIA) ---
 
-def _free_param_blocks(d: int, d_out: int, fix_observation: bool):
-    """The blocks of the free-parameter vector in order, as
-    (name, size, pack, unpack): pack(params) gives the block's entries and
-    unpack(chunk) turns a (B, size) chunk into a batch of the parameter.
-
-    Symmetric blocks expose their lower triangle; perturbing an off-diagonal
-    entry moves both mirrored matrix entries.  In observable-state mode C
-    and R2 are pinned and have no block.
-    """
-    def dense(name, shape):
-        return (name, math.prod(shape), lambda params: getattr(params, name).ravel(),
-                lambda chunk: chunk.reshape((-1,) + shape))
-
-    def symmetric(name, n):
-        rows, cols = np.tril_indices(n)
-
-        def unpack(chunk):
-            M = np.zeros((chunk.shape[0], n, n))
-            M[:, rows, cols] = chunk
-            return M + np.swapaxes(M, 1, 2) - M * np.eye(n)  # undo double-counted diagonal
-        return (name, rows.size, lambda params: getattr(params, name)[rows, cols], unpack)
-
-    blocks = [dense("A", (d, d)), dense("C", (d_out, d)), symmetric("R1", d),
-              symmetric("R2", d_out), dense("mu0", (d,)), symmetric("R0", d)]
-    return [b for b in blocks if not (fix_observation and b[0] in ("C", "R2"))]
-
-
-def _pack(params: LdsParams, fix_observation: bool) -> np.ndarray:
-    blocks = _free_param_blocks(params.d, params.d_out, fix_observation)
-    return np.concatenate([pack(params) for _name, _size, pack, _unpack in blocks])
-
-
-def _unpack_batch(vecs: np.ndarray, template: LdsParams,
-                  fix_observation: bool) -> _engine.ParamsBatch:
-    d, p = template.d, template.d_out
-    B = vecs.shape[0]
-    out = {}
-    pos = 0
-    for name, size, _pack, unpack in _free_param_blocks(d, p, fix_observation):
-        out[name] = unpack(vecs[:, pos:pos + size])
-        pos += size
-    if fix_observation:
-        out["C"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
-        out["R2"] = np.broadcast_to(template.R2, (B, p, p)).copy()
-    return _engine.ParamsBatch(**out)
-
-
 def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
                              fix_observation: bool = False) -> float:
     """Half log-determinant of the empirical Fisher information at ``params``.
@@ -220,15 +192,28 @@ def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
       above ``1e-12`` times the largest, so a numerically rank-deficient F
       (more free parameters than timesteps, or non-identifiable
       directions) gives the same kind of value as a full-rank one.
+
+    The blocks that ``fix_observation`` pins are carried from ``params``.
     """
-    theta = _pack(params, fix_observation)
+    layout = _free_layout(params.d, params.d_out, fix_observation)
+    theta = np.concatenate([getattr(params, name)[free]
+                            for name, (free, _mirror) in layout.items()])
     n = theta.size
     h = FISHER_STEP * np.maximum(1.0, np.abs(theta))
-    vecs = np.repeat(theta[None], 2 * n, axis=0)
-    idx = np.arange(n)
-    vecs[2 * idx, idx] += h
-    vecs[2 * idx + 1, idx] -= h
-    pb = _unpack_batch(vecs, params, fix_observation)
+    fields = {}
+    first = 0
+    for name, (free, mirror) in layout.items():
+        M = getattr(params, name).copy()
+        M[mirror] = M[free]            # a symmetric block is rebuilt from its lower triangle
+        batch = np.repeat(M[None], 2 * n, axis=0)
+        i = first + np.arange(free[0].size)
+        # element 2i (2i + 1) moves entry i of theta, and its mirror, by +h_i (-h_i)
+        for k, value in enumerate((theta[i] + h[i], theta[i] - h[i])):
+            batch[(2 * i + k,) + free] = value
+            batch[(2 * i + k,) + mirror] = value
+        fields[name] = batch
+        first += free[0].size
+    pb = _engine.ParamsBatch(**fields)
     fr = _engine.filter_batch(pb, data.Y, store=False)
     ll = fr["step_loglik"]                       # (2n, T)
     scores = (ll[0::2] - ll[1::2]) / (2.0 * h[:, None])   # (n, T)

@@ -23,9 +23,10 @@ from .errors import DimensionError, InstabilityError, SingularityError
 STABILITY_MARGIN = 1e-9
 #: rescaling factor applied to unstable transition matrices
 STABILITY_RESCALE = 1.1
-#: symmetry tolerance for covariance validation
+#: symmetry tolerance for covariance validation, relative above unit scale
 SYMMETRY_TOL = 1e-10
-#: smallest admissible covariance eigenvalue during validation
+#: smallest admissible covariance eigenvalue during validation, relative
+#: above unit scale
 EIGENVALUE_TOL = 1e-10
 
 
@@ -59,13 +60,18 @@ def chol_logdet(M: np.ndarray, name: str = "matrix") -> float:
 
 
 def _check_cov(M: np.ndarray, name: str) -> None:
+    """Reject a non-square, asymmetric or indefinite covariance; both
+    tolerances scale with max(1, max |M|), since a covariance computed at a
+    larger scale is symmetric and PSD only to roundoff at that scale."""
     if M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be square, got {M.shape}")
-    if np.max(np.abs(M - M.T)) > SYMMETRY_TOL:
-        raise DimensionError(f"{name} is not symmetric to {SYMMETRY_TOL}")
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if np.max(np.abs(M - M.T)) > SYMMETRY_TOL * scale:
+        raise DimensionError(f"{name} is not symmetric to {SYMMETRY_TOL * scale:.3g}")
     w = np.linalg.eigvalsh(sym(M))
-    if np.min(w) < -EIGENVALUE_TOL:
-        raise DimensionError(f"{name} has eigenvalue {np.min(w):.3e} below -{EIGENVALUE_TOL}")
+    if np.min(w) < -EIGENVALUE_TOL * scale:
+        raise DimensionError(f"{name} has eigenvalue {np.min(w):.3e} "
+                             f"below -{EIGENVALUE_TOL * scale:.3g}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,7 @@ def solve_discrete_lyapunov(A, W) -> np.ndarray:
             update = Ak @ Q @ Ak.T
             Q = Q + update
             Ak = Ak @ Ak
-            if np.linalg.norm(update, "fro") <= 1e-12 * max(1.0, np.linalg.norm(Q, "fro")):
+            if np.linalg.norm(update, "fro") <= 1e-12 * np.linalg.norm(Q, "fro"):
                 break
     return sym(Q)
 

@@ -195,6 +195,17 @@ class TestSelect:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert reason in err and "failed to fit" not in err
 
+    # a finite sequence whose second moments overflow, by design
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_input_is_a_fitting_failure(self, tmp_path, capsys):
+        seq = tmp_path / "seq.csv"
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], size=50)
+        np.savetxt(seq, 1e200 * signs, fmt="%.17g")
+        code, _out, _sweep = self.run_select(tmp_path, str(seq))
+        assert code == EXIT_FITTING
+        assert capsys.readouterr().err == (
+            "fitting failure: every candidate order failed to fit\n")
+
     def test_non_finite_eps_exit(self, tmp_path):
         seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
         assert main(["select", seq, "--dmin", "2", "--dmax", "2", "--eps", "nan",

@@ -10,6 +10,8 @@ from ldsmdl import (CriterionValue, DimensionError, KAPPA_ASYMPTOTIC,
                     empirical_fisher_log_det, fia, kalman_filter, kappa_d,
                     mdl_description_length, mme, normalize_values, rts_smooth,
                     simulate)
+from ldsmdl import _engine
+from ldsmdl._engine import OBSERVABLE_MODE_NOISE
 from ldsmdl.criteria import mdl_order_penalty
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.em import EmConfig, default_init, em_fit
@@ -214,30 +216,79 @@ class TestEmpiricalFisher:
                       R1=0.5 * np.eye(2), R2=np.diag([1.0, 5e-6]),
                       mu0=np.zeros(2), R0=np.eye(2))
         data = simulate(p, T=40, seed=1)
-        tril = list(zip(*np.tril_indices(2)))
-        entries = ([("A", i, j) for i in range(2) for j in range(2)]
-                   + [("C", i, j) for i in range(2) for j in range(2)]
-                   + [("R1",) + ij for ij in tril] + [("R2",) + ij for ij in tril]
-                   + [("mu0", 0), ("mu0", 1)] + [("R0",) + ij for ij in tril])
-        fields = ("A", "C", "R1", "R2", "mu0", "R0")
-        rows, failed = [], []
-        for name, *ij in entries:
-            h = 1e-5 * max(1.0, abs(getattr(p, name)[tuple(ij)]))
-            lls = []
-            for sign in (1.0, -1.0):
-                q = {f: getattr(p, f).copy() for f in fields}
-                q[name][tuple(ij)] += sign * h
-                if len(ij) == 2 and name in ("R1", "R2", "R0") and ij[0] != ij[1]:
-                    q[name][ij[1], ij[0]] += sign * h
-                lls.append(textbook_step_logliks(SimpleNamespace(**q), data.Y))
-            if any(ll is None for ll in lls):
-                failed.append((name, *ij))
-                continue
-            rows.append((lls[0] - lls[1]) / (2 * h))
+        expected, failed = fisher_oracle(p, data.Y, ("A", "C", "R1", "R2", "mu0", "R0"))
         assert failed == [("R2", 1, 1)]
-        S = np.array(rows)
-        w = np.linalg.eigvalsh(S @ S.T)
-        expected = 0.5 * np.sum(np.log(w[w > w.max() * 1e-12]))
         got = empirical_fisher_log_det(p, data)
         assert np.isfinite(got)
         assert got == pytest.approx(expected, abs=1e-6)
+
+    def test_observable_mode_perturbs_only_the_state_blocks(self):
+        # C = I and R2 = OBSERVABLE_MODE_NOISE * I are pinned: the oracle
+        # perturbs A, R1, mu0 and R0 and carries C and R2 as they are
+        p = LdsParams(A=[[0.8, 0.1], [-0.2, 0.5]], C=np.eye(2),
+                      R1=[[0.5, 0.1], [0.1, 0.3]], R2=OBSERVABLE_MODE_NOISE * np.eye(2),
+                      mu0=[0.3, -0.1], R0=[[1.0, 0.2], [0.2, 0.8]])
+        data = simulate(p, T=40, seed=2)
+        expected, failed = fisher_oracle(p, data.Y, ("A", "R1", "mu0", "R0"))
+        assert failed == []
+        got = empirical_fisher_log_det(p, data, fix_observation=True)
+        assert got == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("d, d_out, fix_observation", [
+        (1, 1, False), (3, 1, False), (4, 3, False), (1, 1, True), (3, 3, True)])
+    def test_batch_perturbs_each_free_parameter_twice(self, monkeypatch, d, d_out,
+                                                      fix_observation):
+        p = random_stable_lds(RandomLdsConfig(d=d, d_out=d_out, seed=d))
+        if fix_observation:
+            p = p.replace(C=np.eye(d), R2=OBSERVABLE_MODE_NOISE * np.eye(d))
+        data = simulate(p, T=10, seed=d)
+        batches = []
+        real = _engine.filter_batch
+
+        def capturing(pb, *args, **kwargs):
+            batches.append(pb)
+            return real(pb, *args, **kwargs)
+
+        monkeypatch.setattr(_engine, "filter_batch", capturing)
+        empirical_fisher_log_det(p, data, fix_observation=fix_observation)
+        [pb] = batches
+        assert pb.B == 2 * count_params(d, d_out, fix_observation).n_theta
+        for name in ("C", "R2") if fix_observation else ():
+            assert (getattr(pb, name) == getattr(p, name)).all()   # carried, not perturbed
+        # the two elements of a pair differ in one entry, or in a mirrored pair
+        moved = sum((getattr(pb, f)[0::2] != getattr(pb, f)[1::2]).reshape(pb.B // 2, -1).sum(1)
+                    for f in _engine.PARAM_FIELDS)
+        assert set(moved) <= {1, 2}
+
+
+def fisher_oracle(p, Y, names):
+    """Pseudo-log-det of the empirical Fisher over every free entry of the
+    named fields, one textbook filter per central-difference perturbation
+    (an off-diagonal entry of a covariance moves together with its mirror);
+    returns the value and the entries whose perturbed filter failed, whose
+    scores are left out."""
+    fields = ("A", "C", "R1", "R2", "mu0", "R0")
+    entries = []
+    for name in names:
+        shape = getattr(p, name).shape
+        if name in ("R1", "R2", "R0"):
+            entries += [(name,) + ij for ij in zip(*np.tril_indices(shape[0]))]
+        else:
+            entries += [(name,) + ij for ij in np.ndindex(shape)]
+    rows, failed = [], []
+    for name, *ij in entries:
+        h = 1e-5 * max(1.0, abs(getattr(p, name)[tuple(ij)]))
+        lls = []
+        for sign in (1.0, -1.0):
+            q = {f: getattr(p, f).copy() for f in fields}
+            q[name][tuple(ij)] += sign * h
+            if len(ij) == 2 and name in ("R1", "R2", "R0") and ij[0] != ij[1]:
+                q[name][ij[1], ij[0]] += sign * h
+            lls.append(textbook_step_logliks(SimpleNamespace(**q), Y))
+        if any(ll is None for ll in lls):
+            failed.append((name, *ij))
+            continue
+        rows.append((lls[0] - lls[1]) / (2 * h))
+    S = np.array(rows)
+    w = np.linalg.eigvalsh(S @ S.T)
+    return 0.5 * np.sum(np.log(w[w > w.max() * 1e-12])), failed

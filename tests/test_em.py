@@ -313,6 +313,25 @@ class TestFailedElements:
         np.testing.assert_allclose(run["mixed"]["traces"][:, keep], run["good"]["traces"],
                                    rtol=1e-12)
 
+    # the start mean of 1e200 overflows the filter's quadratic forms and the
+    # smoothed second moments by design
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_element_fails_alone(self):
+        gen = random_stable_lds(RandomLdsConfig(d=3, d_out=1, seed=5))
+        data = simulate(gen, T=100, seed=5)
+        good = [default_init(data, 3, seed=s) for s in range(3)]
+        mixed = good + [good[0].replace(mu0=np.full(3, 1e200))]
+        run = {name: _engine.em_loop(_engine.stack_params(inits), data.Y,
+                                     eps=1e-6, max_iters=20)
+               for name, inits in (("mixed", mixed), ("good", good))}
+        np.testing.assert_array_equal(run["mixed"]["failed"], [False, False, False, True])
+        assert run["mixed"]["loglik"][3] == -np.inf
+        for f in _engine.PARAM_FIELDS:
+            np.testing.assert_array_equal(getattr(run["mixed"]["params"], f)[:3],
+                                          getattr(run["good"]["params"], f))
+        for key in ("loglik", "iterations", "converged"):
+            np.testing.assert_array_equal(run["mixed"][key][:3], run["good"][key])
+
     def test_failed_element_is_factored_on_the_first_pass_only(self, monkeypatch):
         # later passes start the failed element as failed, so the batched
         # Cholesky factors the identity in its place from step 0 and the

@@ -96,11 +96,14 @@ class TestLyapunov:
             assert np.min(np.linalg.eigvalsh(Q)) >= -1e-10
             np.testing.assert_allclose(Q, Q.T, atol=1e-12)
 
-    def test_large_dimension_branch(self):
+    # the doubling branch (d > 32) must stop on a rule relative to Q,
+    # whatever the scale of W
+    @pytest.mark.parametrize("w_scale", [1.0, 1e-20])
+    def test_large_dimension_branch(self, w_scale):
         rng = np.random.default_rng(3)
         d = 40
         A = enforce_stability(rng.uniform(-1, 1, (d, d)))
-        W = np.eye(d)
+        W = w_scale * np.eye(d)
         Q = solve_discrete_lyapunov(A, W)
         resid = np.linalg.norm(A @ Q @ A.T - Q + W, "fro")
         assert resid <= 1e-8 * np.linalg.norm(Q, "fro")

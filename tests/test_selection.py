@@ -77,6 +77,15 @@ class TestGridSearch:
                for seed in (0, 2 ** 31)]
         assert dls[0] != dls[1]
 
+    def test_large_units_lose_no_order(self):
+        # in units 1e4 times larger the fitted covariances are near 1e8, where
+        # they are symmetric only to roundoff at that scale
+        gen = random_stable_lds(RandomLdsConfig(d=4, d_out=1, seed=1))
+        data = simulate(gen, T=100, burn_in=20, seed=1)
+        trace = grid_search(SequenceData(Y=1e4 * data.Y), ModelOrderBounds(2, 8),
+                            EmConfig(eps=1e-2, max_iters=30, n_restarts=4, seed=0))
+        assert [r.error for r in trace.per_order] == [None] * 7
+
     def test_trace_serialization_deterministic(self):
         a = grid_search(d2_data(1), ModelOrderBounds(1, 3), CFG)
         b = grid_search(d2_data(1), ModelOrderBounds(1, 3), CFG)
