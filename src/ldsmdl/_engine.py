@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import STABILITY_MARGIN, STABILITY_RESCALE, sym
+from .model import PARAM_FIELDS, STABILITY_MARGIN, STABILITY_RESCALE, sym
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 #: innovation covariances with conditioning below this are treated as degenerate
@@ -71,9 +71,6 @@ COV_FLOOR = 1e-10
 MSTEP_RCOND = 1e-12
 #: fixed observation noise scale in observable-state mode
 OBSERVABLE_MODE_NOISE = 1e-6
-
-
-PARAM_FIELDS = ("A", "C", "R1", "R2", "mu0", "R0")
 
 
 @dataclass
@@ -112,14 +109,8 @@ class ParamsBatch:
 
 def stack_params(params_list) -> ParamsBatch:
     """Stack LdsParams-like objects into a ParamsBatch."""
-    return ParamsBatch(
-        A=np.stack([p.A for p in params_list]),
-        C=np.stack([p.C for p in params_list]),
-        R1=np.stack([p.R1 for p in params_list]),
-        R2=np.stack([p.R2 for p in params_list]),
-        mu0=np.stack([p.mu0 for p in params_list]),
-        R0=np.stack([p.R0 for p in params_list]),
-    )
+    return ParamsBatch(*(np.stack([getattr(p, f) for p in params_list])
+                         for f in PARAM_FIELDS))
 
 
 def _T(M):

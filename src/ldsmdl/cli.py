@@ -1,12 +1,14 @@
 """Command-line harness: sequence generation, order selection, criterion tables.
 
-Exit codes: 0 success, 2 config error, 3 generation error, 4 fitting
-failure, 5 I/O error.  The environment variable LDSMDL_SEED overrides
---seed when set; a negative seed is a config error.
+Exit codes, from the ``STAGES`` table: 0 success, 2 config error, 3
+generation error, 4 fitting failure, 5 I/O error.  The environment
+variable LDSMDL_SEED overrides --seed when set; a negative seed is a
+config error.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -28,6 +30,32 @@ EXIT_CONFIG = 2
 EXIT_GENERATION = 3
 EXIT_FITTING = 4
 EXIT_IO = 5
+
+_BAD_VALUE = (ValueError, KeyError, TypeError, OverflowError)
+#: stage -> (exception types, exit code, stderr label)
+STAGES = {
+    "config": ((OSError,) + _BAD_VALUE, EXIT_CONFIG, "config error"),
+    "generation": ((LdsError,) + _BAD_VALUE, EXIT_GENERATION, "generation error"),
+    "fitting": ((LdsError,), EXIT_FITTING, "fitting failure"),
+    "io": ((OSError,), EXIT_IO, "I/O error"),
+}
+
+
+class _StageFailure(Exception):
+    """A failure matched to a ``STAGES`` row: (exit code, stderr line)."""
+
+
+@contextlib.contextmanager
+def _stage(*names):
+    """Raise the first of the ``names`` rows that matches a failure."""
+    try:
+        yield
+    except Exception as exc:
+        for name in names:
+            types, code, label = STAGES[name]
+            if isinstance(exc, types):
+                raise _StageFailure(code, f"{label}: {exc}") from exc
+        raise
 
 
 def _now() -> str:
@@ -57,20 +85,16 @@ def _master_seed(seed: int) -> int:
     return seed
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     started = _now()
-    try:
+    with _stage("config"):
         with open(args.config) as fh:
             cfg = json.load(fh)
         kind = cfg["type"]
         if kind not in ("lds", "narma"):
             raise ValueError(f"unknown generator type {kind!r}")
-        seed = _master_seed(int(cfg.get("seed", 0)))
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg["seed"] = seed
-    try:
+        seed = cfg["seed"] = _master_seed(int(cfg.get("seed", 0)))
+    with _stage("generation"):
         if kind == "lds":
             if "params" in cfg:
                 params = LdsParams.from_dict(cfg["params"])
@@ -87,61 +111,39 @@ def cmd_simulate(args) -> int:
                 input_range=tuple(cfg.get("input_range", (0.0, 0.5))), seed=seed))
             if cfg.get("preprocess", False):
                 data = preprocess_center_trim(data)
-    except (LdsError, KeyError, ValueError, TypeError, OverflowError) as exc:
-        print(f"generation error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    try:
+    with _stage("io"):
         write_sequence_csv(data, args.out)
         _write_manifest(args.out + ".manifest.json", "simulate", cfg, seed,
                         [args.out], started)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
 
 
 def _selection_snapshot(args, seed: int) -> dict:
-    return {
-        "input": args.input,
-        "dmin": args.dmin, "dmax": args.dmax,
-        "mode": getattr(args, "mode", "grid"),
-        "criterion": getattr(args, "criterion", "mdl"),
-        "restarts": args.restarts, "seed": seed,
-        "eps": args.eps, "max_iters": args.max_iters,
-        "observable": args.observable,
-    }
+    keys = ("input", "dmin", "dmax", "mode", "criterion", "restarts", "eps",
+            "max_iters", "observable")
+    return {**{k: getattr(args, k) for k in keys}, "seed": seed}
 
 
-def _run_selection(args, mode: str, criterion: str):
-    """Read the input and run the selection; returns (exit code, trace, seed),
-    the last two None unless the code is EXIT_OK."""
-    try:
+def _run_selection(args):
+    """Read the input and run the selection; returns (trace, master seed)."""
+    with _stage("config", "fitting"):
         seed = _master_seed(args.seed)
         bounds = ModelOrderBounds(d_min=args.dmin, d_max=args.dmax)
         config = EmConfig(eps=args.eps, max_iters=args.max_iters,
                           n_restarts=args.restarts, seed=seed)
         data = read_sequence_csv(args.input)
-        if mode == "annihilate":
+        if args.mode == "annihilate":
             trace = annihilation_search(data, bounds, config,
                                         observable_mode=args.observable)
         else:
-            trace = grid_search(data, bounds, config, criterion=criterion,
+            trace = grid_search(data, bounds, config, criterion=args.criterion,
                                 observable_mode=args.observable)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG, None, None
-    except LdsError as exc:
-        print(f"fitting failure: {exc}", file=sys.stderr)
-        return EXIT_FITTING, None, None
-    return EXIT_OK, trace, seed
+    return trace, seed
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     started = _now()
-    code, trace, seed = _run_selection(args, args.mode, args.criterion)
-    if code != EXIT_OK:
-        return code
-    try:
+    trace, seed = _run_selection(args)
+    with _stage("io"):
         outputs = [args.out]
         with open(args.out, "w") as fh:
             fh.write(trace.to_json())
@@ -151,20 +153,14 @@ def cmd_select(args) -> int:
             outputs.append(args.sweep)
         _write_manifest(args.out + ".manifest.json", "select",
                         _selection_snapshot(args, seed), seed, outputs, started)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(trace.chosen_order)
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     started = _now()
-    code, trace, seed = _run_selection(args, "grid", "mdl")
-    if code != EXIT_OK:
-        return code
+    trace, seed = _run_selection(args)
     rows, table = criterion_table(trace)
-    try:
+    with _stage("io"):
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["criterion", "argmin_order"]
@@ -175,10 +171,6 @@ def cmd_compare(args) -> int:
                 print(f"{name}: {argmin}")
         _write_manifest(args.out + ".manifest.json", "compare",
                         _selection_snapshot(args, seed), seed, [args.out], started)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
 
 
 def _add_fit_options(p) -> None:
@@ -214,13 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input sequence CSV")
     _add_fit_options(p)
     p.add_argument("--out", required=True, help="output comparison CSV")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, mode="grid", criterion="mdl")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _StageFailure as failure:
+        print(failure.args[1], file=sys.stderr)
+        return failure.args[0]
+    return EXIT_OK
 
 
 if __name__ == "__main__":

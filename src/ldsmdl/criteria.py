@@ -56,7 +56,7 @@ class ParamCount:
 
 
 def _free_layout(d: int, d_out: int, fix_observation: bool) -> dict:
-    """The free-parameter layout: for each field of ``_engine.PARAM_FIELDS``,
+    """The free-parameter layout: for each field of ``model.PARAM_FIELDS``,
     in order, the index arrays of its free entries and of their mirrors.
 
     A dense block (A, C, mu0) frees every entry, each its own mirror; a

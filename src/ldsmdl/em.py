@@ -10,7 +10,7 @@ from . import _engine
 from ._engine import OBSERVABLE_MODE_NOISE
 from .errors import DegeneracyError, DimensionError, RankDeficiencyError
 from .inference import SmoothedPosterior
-from .model import LdsParams, SequenceData, enforce_stability, spectral_radius
+from .model import PARAM_FIELDS, LdsParams, SequenceData, enforce_stability
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class FitResult:
 
 
 def _params_from_batch(pb: _engine.ParamsBatch, b: int) -> LdsParams:
-    return LdsParams(A=pb.A[b], C=pb.C[b], R1=pb.R1[b], R2=pb.R2[b],
-                     mu0=pb.mu0[b], R0=pb.R0[b])
+    return LdsParams(*(getattr(pb, f)[b] for f in PARAM_FIELDS))
 
 
 def m_step(posterior: SmoothedPosterior, data: SequenceData, d: int,
@@ -132,15 +131,15 @@ def em_fit(data: SequenceData, d: int, init: LdsParams, config: EmConfig,
            fix_observation: bool = False) -> FitResult:
     """Alternate smoothing and M-steps until |delta loglik| < eps.
 
-    The transition matrix is stability-rescaled after every M-step; such
-    iterations are recorded in ``rescale_iters``.
+    The transition matrix is stability-rescaled (``enforce_stability``) in
+    ``init`` and after every M-step; the rescaled M-steps are recorded in
+    ``rescale_iters``.
     """
     if data.T < 2:
         raise DimensionError("fitting requires T >= 2")
     if init.d != d:
         raise DimensionError(f"init has latent dimension {init.d}, expected {d}")
-    if spectral_radius(init.A) >= 1.0:
-        init = init.replace(A=enforce_stability(init.A))
+    init = init.replace(A=enforce_stability(init.A))
     return _best_fit(data, [init], config, fix_observation,
                      "EM run degenerated (singular covariance encountered)")
 

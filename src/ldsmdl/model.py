@@ -10,9 +10,10 @@ with latent dimension ``d`` and observation dimension ``d_out``.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,6 +75,10 @@ def _check_cov(M: np.ndarray, name: str) -> None:
                              f"below -{EIGENVALUE_TOL * scale:.3g}")
 
 
+#: the fields of an LDS parameter set, in the order LdsParams declares them
+PARAM_FIELDS = ("A", "C", "R1", "R2", "mu0", "R0")
+
+
 @dataclass(frozen=True)
 class LdsParams:
     """Full parameter set of a time-invariant LDS.
@@ -115,8 +120,7 @@ class LdsParams:
         _check_cov(R1, "R1")
         _check_cov(R2, "R2")
         _check_cov(R0, "R0")
-        for name, val in (("A", A), ("C", C), ("R1", R1), ("R2", R2),
-                          ("mu0", mu0), ("R0", R0)):
+        for name, val in zip(PARAM_FIELDS, (A, C, R1, R2, mu0, R0)):
             object.__setattr__(self, name, val)
 
     @property
@@ -127,30 +131,19 @@ class LdsParams:
     def d_out(self) -> int:
         return self.C.shape[0]
 
-    def replace(self, **kwargs) -> "LdsParams":
-        fields = {k: getattr(self, k) for k in ("A", "C", "R1", "R2", "mu0", "R0")}
-        fields.update(kwargs)
-        return LdsParams(**fields)
+    #: a copy with some fields changed, validated like a new instance
+    replace = dataclasses.replace
 
     def to_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "C": self.C.tolist(),
-            "R1": self.R1.tolist(),
-            "R2": self.R2.tolist(),
-            "mu0": self.mu0.tolist(),
-            "R0": self.R0.tolist(),
-            "d": self.d,
-            "d_out": self.d_out,
-        }
+        doc = {f: getattr(self, f).tolist() for f in PARAM_FIELDS}
+        return {**doc, "d": self.d, "d_out": self.d_out}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LdsParams":
-        p = cls(A=doc["A"], C=doc["C"], R1=doc["R1"], R2=doc["R2"],
-                mu0=doc["mu0"], R0=doc["R0"])
+        p = cls(*(doc[f] for f in PARAM_FIELDS))
         if "d" in doc and int(doc["d"]) != p.d:
             raise DimensionError(f"declared d={doc['d']} but A is {p.d}x{p.d}")
         if "d_out" in doc and int(doc["d_out"]) != p.d_out:

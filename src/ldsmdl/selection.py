@@ -25,9 +25,14 @@ class OrderResult:
 
     order: int
     fit: Optional[FitResult]
-    dl: float
     criteria: list = field(default_factory=list)
     error: Optional[str] = None
+
+    @property
+    def dl(self) -> float:
+        """The description length: the ``mdl`` criterion's value, or inf for
+        an order with no fit."""
+        return self.criterion("mdl").value if self.fit is not None else math.inf
 
     def criterion(self, name: str) -> Optional[CriterionValue]:
         for cv in self.criteria:
@@ -70,25 +75,24 @@ class SelectionTrace:
 
 
 def _evaluate_order(data_d: SequenceData, fit: FitResult, order: int,
-                    observable_mode: bool, all_criteria: bool) -> tuple[float, list]:
-    """Compute the description length (always) and, optionally, the full
-    five-criterion set for one fitted order."""
+                    observable_mode: bool, all_criteria: bool) -> list:
+    """The description length (always) and, optionally, the other four
+    criteria of one fitted order."""
     posterior = rts_smooth(fit.params, kalman_filter(fit.params, data_d))
     dl_value = mdl_description_length(fit, posterior, data_d, N=data_d.T, order=order)
     if not all_criteria:
-        return dl_value.value, [dl_value]
+        return [dl_value]
     n = data_d.T
     n_theta = count_params(order, data_d.d_out, fix_observation=observable_mode).n_theta
     fisher = empirical_fisher_log_det(fit.params, data_d,
                                       fix_observation=observable_mode)
-    values = [
+    return [
         aic(fit.loglik, n_theta, order=order),
         bic(fit.loglik, n_theta, n, order=order),
         fia(fit.loglik, n_theta, n, fisher, order=order),
         mme(fit.loglik, n_theta, n, order=order),
         dl_value,
     ]
-    return dl_value.value, values
 
 
 def _check_data(data: SequenceData, observable_mode: bool) -> None:
@@ -109,10 +113,10 @@ def _order_result(data: SequenceData, order: int, config: EmConfig,
         seed = np.random.SeedSequence([config.seed, order]).generate_state(1)[0] % 2 ** 31
         fit = multi_restart_fit(data_d, order, replace(config, seed=int(seed)),
                                 fix_observation=observable_mode)
-        dl, values = _evaluate_order(data_d, fit, order, observable_mode, all_criteria)
+        values = _evaluate_order(data_d, fit, order, observable_mode, all_criteria)
     except LdsError as exc:
-        return OrderResult(order=order, fit=None, dl=math.inf, error=str(exc))
-    return OrderResult(order=order, fit=fit, dl=dl, criteria=values)
+        return OrderResult(order=order, fit=None, error=str(exc))
+    return OrderResult(order=order, fit=fit, criteria=values)
 
 
 def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
@@ -156,10 +160,7 @@ def _finish(per_order: list, criterion: str, stopped_early: bool) -> SelectionTr
     scored = [r for r in per_order if r.fit is not None]
     if not scored:
         raise DegeneracyError("every candidate order failed to fit")
-    if criterion == "mdl":
-        best = min(scored, key=lambda r: r.dl)
-    else:
-        best = min(scored, key=lambda r: r.criterion(criterion).value)
+    best = min(scored, key=lambda r: r.criterion(criterion).value)
     return SelectionTrace(per_order=per_order, chosen_order=best.order,
                           chosen_params=best.fit.params, stopped_early=stopped_early)
 

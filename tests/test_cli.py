@@ -117,6 +117,22 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "no" / "such" / "dir.csv")]) == EXIT_IO
 
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]", "{"])
+    def test_malformed_config_exit(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_missing_length_is_a_generation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"type": "lds", "d": 1, "seed": 0})
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == EXIT_GENERATION
+        err = capsys.readouterr().err
+        assert err.startswith("generation error: ") and err.count("\n") == 1
+
 
 class TestSelect:
     @staticmethod
@@ -316,3 +332,20 @@ def test_negative_seed_exit(tmp_path, monkeypatch, capsys, command, via):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and "seed" in err
+
+
+@pytest.mark.parametrize("command, missing", [("select", "--out"), ("select", "--sweep"),
+                                              ("compare", "--out")])
+def test_output_into_missing_directory_exit(tmp_path, capsys, command, missing):
+    seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+    outputs = {"--out": str(tmp_path / "out")}
+    if command == "select":
+        outputs["--sweep"] = str(tmp_path / "sweep.csv")
+    outputs[missing] = str(tmp_path / "no" / "such" / "file")
+    capsys.readouterr()
+    assert main([command, seq, "--dmin", "2", "--dmax", "2", "--restarts", "2",
+                 "--eps", "1e-2", "--max-iters", "15",
+                 *[a for kv in outputs.items() for a in kv]]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("I/O error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

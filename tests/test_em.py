@@ -175,6 +175,16 @@ class TestEmFit:
         fit = em_fit(data, 1, init, EmConfig(eps=1e-4, max_iters=40))
         assert np.isfinite(fit.loglik)
 
+    def test_near_unit_init_is_rescaled_like_every_m_step(self):
+        # within STABILITY_MARGIN of 1, where em_loop rescales an M-step's A
+        gen = random_stable_lds(RandomLdsConfig(d=1, d_out=1, seed=1))
+        data = simulate(gen, T=40, seed=1)
+        init = default_init(data, 1, seed=0).replace(A=[[1.0 - 1e-10]])
+        rescaled = init.replace(A=enforce_stability(init.A))
+        assert spectral_radius(rescaled.A) < 0.95
+        fit = em_fit(data, 1, init, EmConfig(eps=1e-4, max_iters=5))
+        assert fit.loglik_trace[0] == kalman_filter(rescaled, data).loglik
+
 
 class TestMultiRestart:
     def test_single_restart_matches_em_fit(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ldsmdl import (DimensionError, InstabilityError, LdsParams, SequenceData,
-                    SingularityError, enforce_stability, read_sequence_csv,
+from ldsmdl import _engine
+from ldsmdl import (DimensionError, InstabilityError, LdsParams,
+                    RandomLdsConfig, SequenceData, SingularityError,
+                    enforce_stability, random_stable_lds, read_sequence_csv,
                     simulate, solve_discrete_lyapunov, spectral_radius,
                     stationary_obs_log_det, write_sequence_csv)
-from ldsmdl.model import ModelOrderBounds
+from ldsmdl.em import _params_from_batch
+from ldsmdl.model import PARAM_FIELDS, ModelOrderBounds
 
 from .oracles import lyapunov_series
 
@@ -209,6 +213,32 @@ class TestLdsParams:
         doc["d"] = 3
         with pytest.raises(DimensionError):
             LdsParams.from_dict(doc)
+
+
+class TestParamFields:
+    def test_one_field_list(self):
+        assert tuple(f.name for f in dataclasses.fields(LdsParams)) == PARAM_FIELDS
+        assert tuple(f.name for f in dataclasses.fields(_engine.ParamsBatch)) == PARAM_FIELDS
+        assert _engine.PARAM_FIELDS is PARAM_FIELDS
+
+    def test_stack_and_unstack_round_trip_bitwise(self):
+        params = [random_stable_lds(RandomLdsConfig(d=3, d_out=2, seed=s))
+                  for s in range(3)]
+        pb = _engine.stack_params(params)
+        for b, p in enumerate(params):
+            q = _params_from_batch(pb, b)
+            for f in PARAM_FIELDS:
+                a, c = getattr(p, f), getattr(q, f)
+                assert (a.dtype, a.shape, a.tobytes()) == (c.dtype, c.shape, c.tobytes())
+
+    def test_replace_validates(self):
+        p = random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=0))
+        q = p.replace(A=0.5 * np.eye(2))
+        np.testing.assert_array_equal(q.A, 0.5 * np.eye(2))
+        for f in PARAM_FIELDS[1:]:
+            np.testing.assert_array_equal(getattr(q, f), getattr(p, f))
+        with pytest.raises(DimensionError):
+            p.replace(R1=-np.eye(p.d))
 
 
 class TestSequenceData:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestGridSearch:
                 -r.fit.loglik + 0.5 * nt * math.log(n / 12) + 0.5 * nt, abs=1e-10)
             assert r.criterion("mdl").components["order_penalty"] == pytest.approx(
                 mdl_order_penalty(r.order, n), abs=1e-12)
-            assert r.dl == pytest.approx(r.criterion("mdl").value, abs=1e-12)
+            assert r.dl == r.criterion("mdl").value
 
     def test_fit_loglik_is_the_loglik_of_its_params(self):
         # the d=4 protocol's EM budget, which most fits use up
@@ -123,6 +124,18 @@ class TestAnnihilationSearch:
         grid_dl = {r.order: r.dl for r in grid.per_order}
         for r in full.per_order:
             assert r.dl == pytest.approx(grid_dl[r.order], abs=1e-9)
+
+    def test_error_rows_have_infinite_dl_and_null_json(self):
+        # orders 4 and 3 cannot be fitted to three rows
+        data = SequenceData(Y=[[1.0], [2.0], [3.0]])
+        trace = annihilation_search(data, ModelOrderBounds(1, 4), CFG,
+                                    observable_mode=True)
+        rows = {r.order: r for r in trace.per_order}
+        doc = {r["order"]: r for r in json.loads(trace.to_json())["per_order"]}
+        for order in (4, 3):
+            assert rows[order].error and rows[order].dl == math.inf
+            assert doc[order]["dl"] is None
+        assert doc[trace.chosen_order]["dl"] == rows[trace.chosen_order].dl
 
     def test_strong_scalar_signal_low_order(self):
         gen = random_stable_lds(RandomLdsConfig(d=1, d_out=1, seed=3))
