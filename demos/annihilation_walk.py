@@ -18,7 +18,6 @@ for r in trace.per_order:
 print("stopped early:", trace.stopped_early)
 print("chosen order:", trace.chosen_order)
 
-# the same walk without the stopping rule evaluates every order
-full = m.annihilation_search(data, m.ModelOrderBounds(2, 12), cfg,
-                             early_stop=False)
-print("full walk chooses:", full.chosen_order)
+# a sweep of every order, with the same DL on the orders the walk visited
+full = m.grid_search(data, m.ModelOrderBounds(2, 12), cfg)
+print("full sweep chooses:", full.chosen_order)

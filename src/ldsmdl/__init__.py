@@ -1,9 +1,8 @@
 """Linear dynamical system fitting by EM with description-length-based
 latent-dimension selection."""
 
-from .criteria import (CriterionValue, KAPPA_ASYMPTOTIC, KAPPA_UNIFORM,
-                       ParamCount, aic, bic, count_params,
-                       empirical_fisher_log_det, fia, kappa_d,
+from .criteria import (CriterionValue, KAPPA_UNIFORM, ParamCount, aic, bic,
+                       count_params, empirical_fisher_log_det, fia,
                        mdl_description_length, mme, normalize_values)
 from .datagen import (NarmaSpec, RandomLdsConfig, delay_embed, narma_generate,
                       preprocess_center_trim, random_stable_lds,

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PARAM_FIELDS, STABILITY_MARGIN, STABILITY_RESCALE, sym
+from .model import PARAM_FIELDS, enforce_stability_batch, sym
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 #: innovation covariances with conditioning below this are treated as degenerate
@@ -502,14 +502,6 @@ def m_step_batch(sm: dict, Y: np.ndarray,
 def _well_conditioned(M):
     w = np.abs(np.linalg.eigvalsh(sym(M)))
     return (np.min(w, axis=-1) / np.maximum(np.max(w, axis=-1), 1e-300)) >= MSTEP_RCOND
-
-
-def enforce_stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched stability rescale; returns (A, fired-mask)."""
-    rho = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
-    fired = rho > 1.0 - STABILITY_MARGIN
-    scale = np.where(fired, STABILITY_RESCALE * rho, 1.0)
-    return A / scale[:, None, None], fired
 
 
 def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,

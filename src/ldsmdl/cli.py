@@ -128,6 +128,8 @@ def _run_selection(args):
     with _stage("config", "fitting"):
         seed = _master_seed(args.seed)
         bounds = ModelOrderBounds(d_min=args.dmin, d_max=args.dmax)
+        if args.mode == "annihilate" and args.criterion != "mdl":
+            raise ValueError(f"--mode annihilate picks by mdl, not by {args.criterion}")
         config = EmConfig(eps=args.eps, max_iters=args.max_iters,
                           n_restarts=args.restarts, seed=seed)
         data = read_sequence_csv(args.input)

@@ -1,10 +1,9 @@
 """Model-selection criteria: AIC, BIC, FIA, MME, and the stability-coupled
-description length, plus the free-parameter counter and lattice constant."""
+description length, plus the free-parameter counter."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .model import (LdsParams, SequenceData, solve_discrete_lyapunov,
 
 CRITERION_NAMES = ("aic", "bic", "fia", "mme", "mdl")
 
-#: asymptotic lattice quantization constant 1/(2*pi*e)
-KAPPA_ASYMPTOTIC = 1.0 / (2.0 * math.pi * math.e)
 #: uniform-quantizer reference value 1/12 used by message-length criteria
 KAPPA_UNIFORM = 1.0 / 12.0
 #: relative central-difference step of the empirical Fisher's scores
@@ -32,7 +29,6 @@ class CriterionValue:
     """
 
     name: str
-    order: int
     value: float
     components: dict
 
@@ -41,9 +37,8 @@ class CriterionValue:
             raise DimensionError(f"unknown criterion name {self.name!r}")
 
 
-def _make(name: str, order: int, components: dict) -> CriterionValue:
-    return CriterionValue(name=name, order=order,
-                          value=float(sum(components.values())),
+def _make(name: str, components: dict) -> CriterionValue:
+    return CriterionValue(name=name, value=float(sum(components.values())),
                           components=components)
 
 
@@ -95,37 +90,28 @@ def count_params(d: int, d_out: int, fix_observation: bool = False) -> ParamCoun
     return ParamCount(n_theta=sum(breakdown.values()), breakdown=breakdown)
 
 
-def kappa_d(d: int) -> float:
-    """Lattice quantization constant; the asymptotic value is used at every d."""
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
-    return KAPPA_ASYMPTOTIC
+def aic(loglik: float, n_theta: int) -> CriterionValue:
+    return _make("aic", {"fit": -2.0 * loglik, "penalty": 2.0 * n_theta})
 
 
-def aic(loglik: float, n_theta: int, order: int = 0) -> CriterionValue:
-    return _make("aic", order, {"fit": -2.0 * loglik, "penalty": 2.0 * n_theta})
-
-
-def bic(loglik: float, n_theta: int, n: int, order: int = 0) -> CriterionValue:
+def bic(loglik: float, n_theta: int, n: int) -> CriterionValue:
     if n < 1:
         raise DimensionError(f"sample size must be >= 1, got {n}")
-    return _make("bic", order, {"fit": -2.0 * loglik,
-                                "penalty": n_theta * math.log(n)})
+    return _make("bic", {"fit": -2.0 * loglik, "penalty": n_theta * math.log(n)})
 
 
-def fia(loglik: float, n_theta: int, n: int, fisher_log_det: float,
-        order: int = 0) -> CriterionValue:
-    return _make("fia", order, {
+def fia(loglik: float, n_theta: int, n: int, fisher_log_det: float) -> CriterionValue:
+    return _make("fia", {
         "fit": -loglik,
         "dimension_penalty": 0.5 * n_theta * math.log(n / (2.0 * math.pi)),
         "geometric_complexity": fisher_log_det,
     })
 
 
-def mme(loglik: float, n_theta: int, n: int, order: int = 0) -> CriterionValue:
+def mme(loglik: float, n_theta: int, n: int) -> CriterionValue:
     if n < 1:
         raise DimensionError(f"sample size must be >= 1, got {n}")
-    return _make("mme", order, {
+    return _make("mme", {
         "fit": -loglik,
         "penalty": 0.5 * n_theta * math.log(n * KAPPA_UNIFORM),
         "constant": 0.5 * n_theta,
@@ -138,10 +124,10 @@ def mdl_order_penalty(d: int, N: int) -> float:
 
 
 def mdl_description_length(fit, posterior: SmoothedPosterior, data: SequenceData,
-                           N: int, order: Optional[int] = None) -> CriterionValue:
+                           N: int) -> CriterionValue:
     """Description length of a fitted model: goodness-of-fit at the smoothed
     means, a stability term through the Lyapunov solution for (A, R1), and
-    the order-linear penalty.  ML path: no prior term.
+    the order-linear penalty at d = ``fit.params.d``.  ML path: no prior term.
 
     Raises InstabilityError when the fitted transition matrix is unstable
     at evaluation time.
@@ -149,23 +135,18 @@ def mdl_description_length(fit, posterior: SmoothedPosterior, data: SequenceData
     if N < 1:
         raise DimensionError(f"N must be >= 1, got {N}")
     params = fit.params
-    d = order if order is not None else params.d
     Q = solve_discrete_lyapunov(params.A, params.R1)
-    return _make("mdl", d, {
+    return _make("mdl", {
         "fit": -complete_data_loglik(params, posterior, data),
         "stability": 0.5 * stationary_obs_log_det(params, Q),
-        "order_penalty": mdl_order_penalty(d, N),
+        "order_penalty": mdl_order_penalty(params.d, N),
     })
 
 
 def normalize_values(values) -> list:
-    """Min-max normalize a sweep of criterion values to [0, 1].
-
-    Accepts CriterionValue objects or plain numbers; a constant sweep maps
-    to all zeros by convention.
-    """
-    raw = np.array([v.value if isinstance(v, CriterionValue) else float(v)
-                    for v in values], dtype=float)
+    """Min-max normalize a sweep of numbers to [0, 1]; a constant sweep maps
+    to all zeros by convention."""
+    raw = np.asarray(values, dtype=float)
     if raw.size < 2:
         raise DimensionError("need at least two values to normalize")
     span = raw.max() - raw.min()

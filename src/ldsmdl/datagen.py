@@ -124,7 +124,7 @@ def narma_generate(spec: NarmaSpec) -> SequenceData:
     lo, hi = spec.input_range
     u = rng.uniform(lo, hi, spec.length + spec.order)
     x = narma_trajectory(spec.order, u)
-    return SequenceData(Y=x[spec.order:][:, None], seed=spec.seed)
+    return SequenceData(Y=x[spec.order:][:, None])
 
 
 def preprocess_center_trim(data: SequenceData,
@@ -137,7 +137,7 @@ def preprocess_center_trim(data: SequenceData,
     kept = y[(y >= lo) & (y <= hi)]
     if kept.size == 0:
         raise DegenerateDataError("no samples left after trimming")
-    return SequenceData(Y=kept[:, None], seed=data.seed)
+    return SequenceData(Y=kept[:, None])
 
 
 def delay_embed(data: SequenceData, d: int) -> SequenceData:
@@ -151,4 +151,4 @@ def delay_embed(data: SequenceData, d: int) -> SequenceData:
         raise InsufficientDataError(f"need T > d, got T={data.T}, d={d}")
     y = data.Y[:, 0]
     idx = np.arange(data.T - d + 1)[:, None] + np.arange(d - 1, -1, -1)[None, :]
-    return SequenceData(Y=y[idx], seed=data.seed)
+    return SequenceData(Y=y[idx])

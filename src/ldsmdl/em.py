@@ -57,7 +57,7 @@ def _params_from_batch(pb: _engine.ParamsBatch, b: int) -> LdsParams:
     return LdsParams(*(getattr(pb, f)[b] for f in PARAM_FIELDS))
 
 
-def m_step(posterior: SmoothedPosterior, data: SequenceData, d: int,
+def m_step(posterior: SmoothedPosterior, data: SequenceData,
            fix_observation: bool = False) -> LdsParams:
     """Closed-form parameter update from smoothed sufficient statistics.
 
@@ -65,9 +65,6 @@ def m_step(posterior: SmoothedPosterior, data: SequenceData, d: int,
     1e-10; stability of A is the caller's responsibility (the EM loop
     rescales after every M-step).
     """
-    if posterior.means.shape[1] != d:
-        raise DimensionError(
-            f"posterior has latent dimension {posterior.means.shape[1]}, expected {d}")
     if posterior.means.shape[0] != data.T:
         raise DimensionError("posterior length does not match data length")
     sm = {
@@ -127,7 +124,7 @@ def _best_fit(data: SequenceData, inits: list, config: EmConfig,
     )
 
 
-def em_fit(data: SequenceData, d: int, init: LdsParams, config: EmConfig,
+def em_fit(data: SequenceData, init: LdsParams, config: EmConfig,
            fix_observation: bool = False) -> FitResult:
     """Alternate smoothing and M-steps until |delta loglik| < eps.
 
@@ -137,8 +134,6 @@ def em_fit(data: SequenceData, d: int, init: LdsParams, config: EmConfig,
     """
     if data.T < 2:
         raise DimensionError("fitting requires T >= 2")
-    if init.d != d:
-        raise DimensionError(f"init has latent dimension {init.d}, expected {d}")
     init = init.replace(A=enforce_stability(init.A))
     return _best_fit(data, [init], config, fix_observation,
                      "EM run degenerated (singular covariance encountered)")

@@ -157,10 +157,9 @@ class LdsParams:
 
 @dataclass(frozen=True)
 class SequenceData:
-    """An observation matrix of shape (T, d_out) with optional seed provenance."""
+    """An observation matrix of shape (T, d_out)."""
 
     Y: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self):
         Y = np.asarray(self.Y, dtype=float)
@@ -202,18 +201,23 @@ def spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def enforce_stability(A) -> np.ndarray:
-    """Rescale ``A`` so its spectral radius is strictly below one.
+def enforce_stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale each of the (B, d, d) matrices ``A`` whose spectral radius
+    exceeds 1 - STABILITY_MARGIN by STABILITY_RESCALE times that radius,
+    landing it at 1/1.1; returns (A, fired-mask).  The other matrices are
+    divided by 1.0, which leaves them bitwise unchanged."""
+    rho = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
+    fired = rho > 1.0 - STABILITY_MARGIN
+    return A / np.where(fired, STABILITY_RESCALE * rho, 1.0)[:, None, None], fired
 
-    Matrices with spectral radius <= 1 - STABILITY_MARGIN are returned
-    unchanged; otherwise the matrix is divided by 1.1 times its spectral
-    radius, landing the radius at 1/1.1.
-    """
+
+def enforce_stability(A) -> np.ndarray:
+    """Rescale ``A`` so its spectral radius is strictly below one
+    (``enforce_stability_batch`` with a batch of one)."""
     A = _as_matrix(A, "A")
-    rho = spectral_radius(A)
-    if rho <= 1.0 - STABILITY_MARGIN:
-        return A
-    return A / (STABILITY_RESCALE * rho)
+    if A.shape[0] != A.shape[1]:
+        raise DimensionError(f"A must be square, got {A.shape}")
+    return enforce_stability_batch(A[None])[0][0]
 
 
 def solve_discrete_lyapunov(A, W) -> np.ndarray:
@@ -221,7 +225,8 @@ def solve_discrete_lyapunov(A, W) -> np.ndarray:
 
     Uses dense vectorization for d <= 32 and a doubling fixed-point
     iteration above.  Raises InstabilityError when the spectral radius of
-    ``A`` is >= 1, in which case no PSD solution exists.
+    ``A`` is >= 1, in which case no PSD solution exists, and when the
+    solution overflows.
     """
     A = _as_matrix(A, "A")
     W = _as_matrix(W, "W")
@@ -232,20 +237,24 @@ def solve_discrete_lyapunov(A, W) -> np.ndarray:
     if rho >= 1.0:
         raise InstabilityError(f"spectral radius {rho:.6g} >= 1: no PSD Lyapunov solution")
     W = sym(W)
-    if d <= 32:
-        # vec(A Q A^T) = (A kron A) vec(Q) holds in row-major layout too
-        lhs = np.eye(d * d) - np.kron(A, A)
-        Q = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
-    else:
-        Q = W.copy()
-        Ak = A.copy()
-        for _ in range(200):
-            update = Ak @ Q @ Ak.T
-            Q = Q + update
-            Ak = Ak @ Ak
-            if np.linalg.norm(update, "fro") <= 1e-12 * np.linalg.norm(Q, "fro"):
-                break
-    return sym(Q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d <= 32:
+            # vec(A Q A^T) = (A kron A) vec(Q) holds in row-major layout too
+            lhs = np.eye(d * d) - np.kron(A, A)
+            Q = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
+        else:
+            Q = W.copy()
+            Ak = A.copy()
+            for _ in range(200):
+                update = Ak @ Q @ Ak.T
+                Q = Q + update
+                Ak = Ak @ Ak
+                if np.linalg.norm(update, "fro") <= 1e-12 * np.linalg.norm(Q, "fro"):
+                    break
+        Q = sym(Q)
+    if not np.all(np.isfinite(Q)):
+        raise InstabilityError(f"no finite stationary covariance for spectral radius {rho:.6g}")
+    return Q
 
 
 def stationary_obs_log_det(params: LdsParams, Q) -> float:
@@ -282,7 +291,7 @@ def simulate(params: LdsParams, T: int, burn_in: int = 0,
         Y[t] = params.C @ x + L2 @ rng.standard_normal(params.d_out)
         if t < total - 1:
             x = params.A @ x + L1 @ rng.standard_normal(params.d)
-    return SequenceData(Y=Y[burn_in:], seed=seed)
+    return SequenceData(Y=Y[burn_in:])
 
 
 def write_sequence_csv(data: SequenceData, path) -> None:

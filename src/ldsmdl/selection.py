@@ -79,7 +79,7 @@ def _evaluate_order(data_d: SequenceData, fit: FitResult, order: int,
     """The description length (always) and, optionally, the other four
     criteria of one fitted order."""
     posterior = rts_smooth(fit.params, kalman_filter(fit.params, data_d))
-    dl_value = mdl_description_length(fit, posterior, data_d, N=data_d.T, order=order)
+    dl_value = mdl_description_length(fit, posterior, data_d, N=data_d.T)
     if not all_criteria:
         return [dl_value]
     n = data_d.T
@@ -87,10 +87,10 @@ def _evaluate_order(data_d: SequenceData, fit: FitResult, order: int,
     fisher = empirical_fisher_log_det(fit.params, data_d,
                                       fix_observation=observable_mode)
     return [
-        aic(fit.loglik, n_theta, order=order),
-        bic(fit.loglik, n_theta, n, order=order),
-        fia(fit.loglik, n_theta, n, fisher, order=order),
-        mme(fit.loglik, n_theta, n, order=order),
+        aic(fit.loglik, n_theta),
+        bic(fit.loglik, n_theta, n),
+        fia(fit.loglik, n_theta, n, fisher),
+        mme(fit.loglik, n_theta, n),
         dl_value,
     ]
 
@@ -132,13 +132,13 @@ def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
 
 
 def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
-                        config: EmConfig, observable_mode: bool = False,
-                        early_stop: bool = True) -> SelectionTrace:
+                        config: EmConfig, observable_mode: bool = False) -> SelectionTrace:
     """Top-down order reduction: refit at successively smaller orders and
     keep the description-length minimizer.
 
-    With ``early_stop`` the walk stops once the description length rises
-    relative to the previously evaluated (next-higher) order.
+    The walk stops once the description length rises relative to the
+    previously evaluated (next-higher) order; a walk that never stops is
+    ``grid_search`` scored by the DL alone.
     """
     _check_data(data, observable_mode)
     per_order = []
@@ -149,7 +149,7 @@ def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
         per_order.append(r)
         if r.fit is None:
             continue
-        if early_stop and r.dl > prev_dl:
+        if r.dl > prev_dl:
             stopped = True
             break
         prev_dl = r.dl

@@ -91,7 +91,7 @@ def test_3_em_monotonicity():
         d = int(rng.integers(1, 5))
         gen = m.random_stable_lds(m.RandomLdsConfig(d=d, d_out=1, seed=seed))
         data = m.simulate(gen, T=100, seed=seed)
-        fit = m.em_fit(data, d, m.default_init(data, d, seed=seed),
+        fit = m.em_fit(data, m.default_init(data, d, seed=seed),
                        m.EmConfig(eps=1e-8, max_iters=25))
         trace = np.asarray(fit.loglik_trace)
         for i, dv in enumerate(np.diff(trace)):

@@ -227,6 +227,18 @@ class TestSelect:
         assert main(["select", seq, "--dmin", "2", "--dmax", "2", "--eps", "nan",
                      "--out", str(tmp_path / "t.json")]) == EXIT_CONFIG
 
+    # the walk picks by the DL alone
+    @pytest.mark.parametrize("criterion", ["aic", "bic", "fia", "mme"])
+    def test_annihilate_with_other_criterion_exit(self, tmp_path, capsys, criterion):
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+        before = set(tmp_path.iterdir())
+        code, _out, _sweep = self.run_select(
+            tmp_path, seq, ("--mode", "annihilate", "--criterion", criterion))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert set(tmp_path.iterdir()) == before
+
     def test_error_rows_write_valid_json(self, tmp_path):
         # orders 4 and 3 cannot be fitted to three rows
         seq = tmp_path / "seq.csv"

@@ -78,19 +78,19 @@ class TestMStep:
     def test_perfect_scalar_observation(self):
         y = np.array([0.4, -1.2, 0.7])
         post = scalar_posterior(y, [1e-6] * 3, [0.0] * 2)
-        p = m_step(post, SequenceData(Y=y), d=1)
+        p = m_step(post, SequenceData(Y=y))
         assert p.C[0, 0] == pytest.approx(1.0, abs=1e-5)
 
     def test_constant_state_then_rescale(self):
         post = scalar_posterior([1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 2)
-        p = m_step(post, SequenceData(Y=[1.0, 1.0, 1.0]), d=1)
+        p = m_step(post, SequenceData(Y=[1.0, 1.0, 1.0]))
         assert p.A[0, 0] == pytest.approx(1.0)
         assert enforce_stability(p.A)[0, 0] == pytest.approx(1 / 1.1)
 
     def test_two_step_substitution(self):
         # Z_1 = Z_2 = 1, Z_{2,1} = 0.5 with zero means
         post = scalar_posterior([0.0, 0.0], [1.0, 1.0], [0.5])
-        p = m_step(post, SequenceData(Y=[0.0, 0.0]), d=1)
+        p = m_step(post, SequenceData(Y=[0.0, 0.0]))
         assert p.A[0, 0] == pytest.approx(0.5)
         assert p.R1[0, 0] == pytest.approx(0.75)
 
@@ -104,21 +104,21 @@ class TestMStep:
         Zc = cross + np.einsum("td,te->tde", means[1:], means[:-1])
         post = SmoothedPosterior(means=means, covs=covs, cross_covs=cross,
                                  Z=Z, Z_cross=Zc)
-        p = m_step(post, SequenceData(Y=Y), d=2, fix_observation=True)
+        p = m_step(post, SequenceData(Y=Y), fix_observation=True)
         np.testing.assert_array_equal(p.C, np.eye(2))
         np.testing.assert_allclose(p.R2, 1e-6 * np.eye(2))
 
     def test_length_mismatch_rejected(self):
         post = scalar_posterior([0.0, 0.0], [1.0, 1.0], [0.5])
         with pytest.raises(DimensionError):
-            m_step(post, SequenceData(Y=[0.0, 0.0, 0.0]), d=1)
+            m_step(post, SequenceData(Y=[0.0, 0.0, 0.0]))
 
     def test_optimality_under_block_perturbation(self):
         rng = np.random.default_rng(17)
         gen = random_stable_lds(RandomLdsConfig(d=3, d_out=2, seed=5))
         data = simulate(gen, T=30, seed=5)
         post = rts_smooth(gen, kalman_filter(gen, data))
-        p = m_step(post, data, d=3)
+        p = m_step(post, data)
         base = expected_complete_objective(p, post, data.Y)
         for name in ("A", "C", "mu0"):
             for sign in (1.0, -1.0):
@@ -133,7 +133,7 @@ class TestEmFit:
                         mu0=[1.0], R0=[[0.0]])
         data = simulate(gen, T=6, seed=0)
         init = gen.replace(R1=[[1e-10]], R2=[[1e-10]], R0=[[1e-10]])
-        fit = em_fit(data, 1, init, EmConfig(eps=1e-4, max_iters=50))
+        fit = em_fit(data, init, EmConfig(eps=1e-4, max_iters=50))
         assert fit.converged and fit.iterations <= 2
         for name in ("A", "C", "R1", "R2", "mu0", "R0"):
             np.testing.assert_allclose(getattr(fit.params, name),
@@ -144,7 +144,7 @@ class TestEmFit:
             gen = random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=seed))
             data = simulate(gen, T=80, seed=seed)
             init = default_init(data, 2, seed=seed)
-            fit = em_fit(data, 2, init, EmConfig(eps=1e-6, max_iters=60))
+            fit = em_fit(data, init, EmConfig(eps=1e-6, max_iters=60))
             trace = np.asarray(fit.loglik_trace)
             diffs = np.diff(trace)
             for i, dv in enumerate(diffs):
@@ -166,13 +166,13 @@ class TestEmFit:
         init = LdsParams(A=[[0.5]], C=[[1.0]], R1=[[1.0]], R2=[[1.0]],
                          mu0=[0.0], R0=[[1.0]])
         with pytest.raises(DimensionError):
-            em_fit(data, 1, init, EmConfig())
+            em_fit(data, init, EmConfig())
 
     def test_unstable_init_is_rescaled_not_rejected(self):
         gen = random_stable_lds(RandomLdsConfig(d=1, d_out=1, seed=1))
         data = simulate(gen, T=40, seed=1)
         init = default_init(data, 1, seed=0).replace(A=[[1.5]])
-        fit = em_fit(data, 1, init, EmConfig(eps=1e-4, max_iters=40))
+        fit = em_fit(data, init, EmConfig(eps=1e-4, max_iters=40))
         assert np.isfinite(fit.loglik)
 
     def test_near_unit_init_is_rescaled_like_every_m_step(self):
@@ -182,7 +182,7 @@ class TestEmFit:
         init = default_init(data, 1, seed=0).replace(A=[[1.0 - 1e-10]])
         rescaled = init.replace(A=enforce_stability(init.A))
         assert spectral_radius(rescaled.A) < 0.95
-        fit = em_fit(data, 1, init, EmConfig(eps=1e-4, max_iters=5))
+        fit = em_fit(data, init, EmConfig(eps=1e-4, max_iters=5))
         assert fit.loglik_trace[0] == kalman_filter(rescaled, data).loglik
 
 
@@ -192,7 +192,7 @@ class TestMultiRestart:
         data = simulate(gen, T=60, seed=21)
         cfg = EmConfig(eps=1e-5, max_iters=50, n_restarts=1, seed=77)
         multi = multi_restart_fit(data, 2, cfg)
-        single = em_fit(data, 2, default_init(data, 2, restart_seed(77, 0)), cfg)
+        single = em_fit(data, default_init(data, 2, restart_seed(77, 0)), cfg)
         assert multi.loglik == pytest.approx(single.loglik, abs=1e-12)
         np.testing.assert_allclose(multi.params.A, single.params.A, atol=1e-12)
 
@@ -254,7 +254,7 @@ class TestFitRecord:
     def test_em_fit(self, stop):
         data = self.data()
         cfg = EmConfig(**self.STOPS[stop])
-        fit = em_fit(data, 2, default_init(data, 2, seed=3), cfg)
+        fit = em_fit(data, default_init(data, 2, seed=3), cfg)
         assert fit.converged == (stop == "converged")
         assert_one_record(fit, data, cfg)
 
@@ -267,7 +267,7 @@ class TestFitRecord:
         assert_one_record(fit, data, cfg)
         # the kept restart has the highest loglik of the restarts' own records
         for r in range(cfg.n_restarts):
-            one = em_fit(data, 2, default_init(data, 2, restart_seed(cfg.seed, r)),
+            one = em_fit(data, default_init(data, 2, restart_seed(cfg.seed, r)),
                          EmConfig(eps=cfg.eps, max_iters=cfg.max_iters))
             assert one.loglik <= fit.loglik + 1e-9
 
@@ -277,12 +277,12 @@ class TestFitRecord:
         y = np.cumsum(np.cumsum(np.random.default_rng(4).standard_normal(60)))
         data = SequenceData(Y=y)
         init = default_init(data, 2, seed=seed)
-        A1 = m_step(rts_smooth(init, kalman_filter(init, data)), data, 2).A
+        A1 = m_step(rts_smooth(init, kalman_filter(init, data)), data).A
         assert (spectral_radius(A1) > 1.0) == first_rescaled
-        full = em_fit(data, 2, init, EmConfig(eps=1e-8, max_iters=6)).rescale_iters
+        full = em_fit(data, init, EmConfig(eps=1e-8, max_iters=6)).rescale_iters
         assert full and (full[0] == 1) == first_rescaled
         for k in range(1, 7):
-            fit = em_fit(data, 2, init, EmConfig(eps=1e-8, max_iters=k))
+            fit = em_fit(data, init, EmConfig(eps=1e-8, max_iters=k))
             assert fit.rescale_iters == [i for i in full if i <= k]
 
 

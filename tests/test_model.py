@@ -116,6 +116,15 @@ class TestLyapunov:
         with pytest.raises(InstabilityError):
             solve_discrete_lyapunov([[1.0]], [[1.0]])
 
+    # a stable A whose stationary covariance overflows, in both branches
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [2, 40])
+    def test_overflowing_solution_raises(self, d):
+        A = 0.5 * np.eye(d)
+        A[0, -1] = 1e200
+        with pytest.raises(InstabilityError, match="no finite stationary covariance"):
+            solve_discrete_lyapunov(A, np.eye(d))
+
 
 class TestStationaryObsLogDet:
     def test_scalar(self):

@@ -87,6 +87,14 @@ class TestGridSearch:
                             EmConfig(eps=1e-2, max_iters=30, n_restarts=4, seed=0))
         assert [r.error for r in trace.per_order] == [None] * 7
 
+    def test_strong_scalar_signal_low_order(self):
+        gen = random_stable_lds(RandomLdsConfig(d=1, d_out=1, seed=3))
+        gen = gen.replace(A=[[0.9]])
+        data = simulate(gen, T=150, burn_in=10, seed=3)
+        trace = grid_search(data, ModelOrderBounds(1, 4),
+                            EmConfig(eps=1e-2, max_iters=20, n_restarts=5, seed=0))
+        assert trace.chosen_order in (1, 2)
+
     def test_trace_serialization_deterministic(self):
         a = grid_search(d2_data(1), ModelOrderBounds(1, 3), CFG)
         b = grid_search(d2_data(1), ModelOrderBounds(1, 3), CFG)
@@ -115,15 +123,13 @@ class TestAnnihilationSearch:
             scored = [r for r in trace.per_order if r.fit is not None]
             assert scored[-1].dl > scored[-2].dl
 
-    def test_agrees_with_grid_without_early_stop(self):
+    def test_dl_equals_grid_on_every_visited_order(self):
         data = d2_data(6)
         bounds = ModelOrderBounds(1, 5)
-        full = annihilation_search(data, bounds, CFG, early_stop=False)
-        grid = grid_search(data, bounds, CFG)
-        assert full.chosen_order == grid.chosen_order
-        grid_dl = {r.order: r.dl for r in grid.per_order}
-        for r in full.per_order:
-            assert r.dl == pytest.approx(grid_dl[r.order], abs=1e-9)
+        walk = annihilation_search(data, bounds, CFG)
+        grid_dl = {r.order: r.dl for r in grid_search(data, bounds, CFG).per_order}
+        for r in walk.per_order:
+            assert r.dl == grid_dl[r.order]
 
     def test_error_rows_have_infinite_dl_and_null_json(self):
         # orders 4 and 3 cannot be fitted to three rows
@@ -136,16 +142,6 @@ class TestAnnihilationSearch:
             assert rows[order].error and rows[order].dl == math.inf
             assert doc[order]["dl"] is None
         assert doc[trace.chosen_order]["dl"] == rows[trace.chosen_order].dl
-
-    def test_strong_scalar_signal_low_order(self):
-        gen = random_stable_lds(RandomLdsConfig(d=1, d_out=1, seed=3))
-        gen = gen.replace(A=[[0.9]])
-        data = simulate(gen, T=150, burn_in=10, seed=3)
-        trace = annihilation_search(data, ModelOrderBounds(1, 4),
-                                    EmConfig(eps=1e-2, max_iters=20,
-                                             n_restarts=5, seed=0),
-                                    early_stop=False)
-        assert trace.chosen_order in (1, 2)
 
 
 class TestSweepCsv:

@@ -5,7 +5,10 @@
         --claim narma10-observable/orders_per_s --claim-ratio 1.5
 
 PARENT_DIR and CHANGE_DIR are two source checkouts, each with its own copy
-of ``perfbench/``.  The command, the run length, the workloads and the
+of ``perfbench/``.  Make the parent with ``git worktree add --detach
+PARENT_DIR <commit>`` (or a ``git clone`` checked out at it): the commit is
+recorded only for a directory that is itself the top of a git work tree,
+so a ``git archive`` copy records ``"parent_commit": null``.  The command, the run length, the workloads and the
 end-to-end metrics come from the change's ``BENCHMARK.json``; ``--pairs``
 is at least 10.  Pair i runs the command with ``--seed i`` on both
 sides, the parent first in even pairs and the change first in odd pairs,
@@ -100,9 +103,16 @@ def src_lines(checkout):
 
 
 def git_head(checkout):
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+    """HEAD of ``checkout`` when it is itself a git toplevel, else None, as
+    ``perfbench/worker.py:git_commit`` decides: a copy inside another
+    repository must not report that repository's commit."""
+    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    lines = proc.stdout.split()
+    if (proc.returncode != 0 or len(lines) != 2
+            or os.path.realpath(lines[0]) != os.path.realpath(checkout)):
+        return None
+    return lines[1]
 
 
 def main(argv=None):
