@@ -8,11 +8,12 @@ PARENT_DIR and CHANGE_DIR are two source checkouts, each with its own copy
 of ``perfbench/``.  Make the parent with ``git worktree add --detach
 PARENT_DIR <commit>`` (or a ``git clone`` checked out at it): the commit is
 recorded only for a directory that is itself the top of a git work tree,
-so a ``git archive`` copy records ``"parent_commit": null``.  The command, the run length, the workloads and the
-end-to-end metrics come from the change's ``BENCHMARK.json``; ``--pairs``
-is at least 10.  Pair i runs the command with ``--seed i`` on both
-sides, the parent first in even pairs and the change first in odd pairs,
-with the workloads interleaved within each pair.  After the pairs, each
+so a ``git archive`` copy records ``"parent_commit": null``.  The
+command, the run length, the workloads and the end-to-end metrics come
+from the change's ``BENCHMARK.json``; ``--pairs`` is at least 10.  Pair
+i runs the command with ``--seed i`` on both sides, the parent first in
+even pairs and the change first in odd pairs, with the workloads
+interleaved within each pair.  After the pairs, each
 side makes one traced run per workload at ``--seed 0``.  The behaviour
 fingerprints of every pair are compared with the change's
 ``perfbench/compare_fingerprints.py``, whose per-seed differences are kept
