@@ -1,13 +1,13 @@
 """Batched numerical core shared by inference, EM, and Fisher estimation.
 
 All routines here carry an explicit leading batch axis so that EM restarts
-and finite-difference parameter perturbations advance through the Kalman
-recursions as single vectorized numpy operations.  Elements that hit a
-numerical failure (singular innovation covariance, rank-deficient M-step
-accumulators) are flagged in an ``ok`` mask instead of aborting the whole
-batch; the filter carries the identity as the predicted covariance of
-such an element and holds its means at zero, and the smoother zeroes its
-gains, so later passes over the batch stay finite.
+advance through the Kalman recursions, and the Fisher's parameter
+directions through their tangent, as single vectorized numpy operations.
+Elements that hit a numerical failure (singular innovation covariance,
+rank-deficient M-step accumulators) are flagged in an ``ok`` mask instead
+of aborting the whole batch; the filter carries the identity as the
+predicted covariance of such an element and holds its means at zero, and
+the smoother zeroes its gains, so later passes over the batch stay finite.
 
 For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
@@ -37,14 +37,13 @@ blocks are sized by the switch: L = ceil(sqrt(min(s, n))) for the switch
 s and n frozen steps.  The transient steps are then stepped with plain
 products, and their cross-covariances are one product.
 
-Only the filter's scan goes chunk by chunk, so that memory stays bounded:
-a chunk has n = SCAN_CHUNK // (B w) steps, w = max(d, p), so its (B, n, w)
-arrays hold at most ``SCAN_CHUNK`` doubles (a scan pads its block array
-by fewer than sqrt(n) + 1 steps).  An EM batch scans its whole frozen
-stretch at once; the Fisher perturbations (B d in the thousands, no stored
-trajectories) get chunks of a few steps, where the scan saves little over
-stepping.  The smoother returns (B, T, d, d) covariances, so chunking its
-scans would bound no memory.
+The filter and the smoother scan their frozen stretch in one pass.  The
+tangent pass (``tangent_fisher``) reads a stored B=1 filter pass and its
+switch like the smoother: it steps the derivatives of the transient along
+n parameter directions, freezes them at the switch, and runs the frozen
+stretch in blocks of L steps whose (L, n, max(d, p)) arrays hold at most
+``SCAN_CHUNK`` doubles, since n is in the hundreds and nothing of it is
+returned but the (n, n) information.
 
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
@@ -63,7 +62,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
-#: doubles in each (B, n, width) array of one chunk of the filter's scan
+#: doubles in each (L, n, width) array of one block of the tangent pass
 SCAN_CHUNK = 2 ** 15
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
@@ -186,11 +185,6 @@ def _settled(new, old, ok) -> bool:
     move = abs(new - old).max(axis=(-2, -1))
     size = abs(old).max(axis=(-2, -1))
     return bool(((move <= SETTLE_RTOL * size) | ~ok).all())
-
-
-def _chunk_len(B: int, width: int) -> int:
-    """Steps per chunk so that a (B, n, width) array holds at most SCAN_CHUNK doubles."""
-    return max(1, SCAN_CHUNK // (B * width))
 
 
 def _scan_powers(M, n: int):
@@ -341,22 +335,16 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
         GT = np.swapaxes(G_all.reshape(p, B, d), 0, 1)
         FT = np.ascontiguousarray(_T(pb.A - _T(GT) @ pb.C))
         FT[~ok] = 0.0
-        n = _chunk_len(B, max(d, p))
-        powers = _scan_powers(FT, min(n, T - t))
-        const = (p * LOG_2PI + _log_det(diag))[:, None]
-        for lo in range(t, T, n):
-            hi = min(lo + n, T)
-            u = (Y[lo:hi] @ G_all).reshape(hi - lo, B, d).swapaxes(0, 1)
-            xs = _affine_scan(powers, u, x)
-            x = xs[:, -1]
-            xs = xs[:, :-1]                            # predicted means of lo..hi-1
-            innov = Y[lo:hi] - xs @ CT
-            # r^T S^{-1} r, with S^{-1} applied from the right
-            step_ll[:, lo:hi] = -0.5 * (const + np.einsum("bsp,bsp->bs", innov,
-                                                          innov @ Sinv))
-            if store:
-                out["pred_means"][:, lo:hi] = xs
-                out["filt_means"][:, lo:hi] = xs + innov @ KT
+        powers = _scan_powers(FT, T - t)
+        u = (Y[t:] @ G_all).reshape(T - t, B, d).swapaxes(0, 1)
+        xs = _affine_scan(powers, u, x)[:, :-1]        # predicted means of t..T-1
+        innov = Y[t:] - xs @ CT
+        # r^T S^{-1} r, with S^{-1} applied from the right
+        step_ll[:, t:] = -0.5 * ((p * LOG_2PI + _log_det(diag))[:, None]
+                                 + np.einsum("bsp,bsp->bs", innov, innov @ Sinv))
+        if store:
+            out["pred_means"][:, t:] = xs
+            out["filt_means"][:, t:] = xs + innov @ KT
     out["step_loglik"] = step_ll
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
@@ -456,6 +444,96 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
         covs[:, t] = sym(fP[:, t] + _T(JT[:, t]) @ (covs[:, t + 1] - pP[:, t + 1]) @ JT[:, t])
     cross[:, :s] = covs[:, 1:s + 1] @ JT[:, :s]
     return {"means": means, "covs": covs, "cross": cross, "ok": ok}
+
+
+def _tangent_innovation(pb: ParamsBatch, dirs: ParamsBatch, P, dP):
+    """C P, S^{-1} and K^T of a B=1 pass at predicted covariance P, with
+    S = C P C^T + R2, and d(C P) and dS along every direction given dP."""
+    C = pb.C[0]
+    CP = C @ P
+    sol = np.linalg.solve(sym(CP @ C.T + pb.R2[0]),
+                          np.concatenate((CP, np.eye(C.shape[0])), axis=1))
+    KT, Sinv = sol[:, :P.shape[0]], sol[:, P.shape[0]:]
+    CdP = C @ dP
+    H = dirs.C @ CP.T                                  # dC P C^T
+    dS = sym(H + _T(H) + CdP @ C.T + dirs.R2)
+    return CP, Sinv, KT, dirs.C @ P + CdP, dS
+
+
+def tangent_fisher(pb: ParamsBatch, fr: dict, Y: np.ndarray, dirs: ParamsBatch) -> np.ndarray:
+    """Empirical Fisher information sum_t g_t g_t^T of the exact per-step
+    loglik scores, by a forward sensitivity (tangent-linear) pass over one
+    stored, ``ok`` B=1 filter pass ``fr`` of ``pb``.
+
+    ``dirs`` holds the n directions as a batch: element i is the derivative
+    of every parameter block along direction i.  Each step carries the
+    derivatives dx (n, d) of the predicted mean and dP (n, d, d) of its
+    covariance; the score is
+    g_t = -1/2 [tr(S^{-1} dS) + 2 v^T dr - v^T dS v], v = S^{-1} r,
+    dr = -dC x - C dx.  From the filter's switch on P, S and K are frozen,
+    and so are dP, dS and dK^T: every direction then shares
+    F = A (I - K C), and dx_{t+1} = F dx_t + U_t with
+    U_t = dA x^f_t + A dK r_t - A K dC x_t.  The frozen steps go in blocks
+    whose (L, n, max(d, p)) arrays hold at most SCAN_CHUNK doubles; U, the
+    scores and their outer products are whole-block products.
+    """
+    A, C = pb.A[0], pb.C[0]
+    T, p = Y.shape
+    n, d = dirs.B, pb.d
+    s = fr["switch"]
+    xp, Pp = fr["pred_means"][0], fr["pred_covs"][0]
+    xf, Pf = fr["filt_means"][0], fr["filt_covs"][0]
+    L = max(1, SCAN_CHUNK // (n * max(d, p)))
+    info = np.zeros((n, n))
+    dx, dP = dirs.mu0.copy(), sym(dirs.R0)
+    rows = []                                          # transient scores, flushed every L
+    for t in range(s):
+        CP, Sinv, KT, dCP, dS = _tangent_innovation(pb, dirs, Pp[t], dP)
+        r = Y[t] - C @ xp[t]
+        v = Sinv @ r
+        dr = -(dirs.C @ xp[t]) - dx @ C.T
+        rows.append(-0.5 * (dS.reshape(n, -1) @ (Sinv - np.outer(v, v)).ravel()) - dr @ v)
+        if len(rows) == L or t == s - 1:
+            G = np.array(rows)
+            info += G.T @ G
+            rows = []
+        if t == T - 1:
+            break
+        dKT = Sinv @ (dCP - dS @ KT)
+        dxf = dx + r @ dKT + dr @ KT
+        dPf = dP - _T(dCP) @ KT - CP.T @ dKT
+        H = dirs.A @ (Pf[t] @ A.T)                     # dA P^f A^T
+        dx = dirs.A @ xf[t] + dxf @ A.T
+        dP = sym(H + _T(H) + A @ dPf @ A.T + dirs.R1)
+    if s == T:
+        return info
+    CP, Sinv, KT, dCP, dS = _tangent_innovation(pb, dirs, Pp[s], dP)
+    dKT = Sinv @ (dCP - dS @ KT)
+    AK = A @ KT.T
+    FT = np.ascontiguousarray(_T(A - AK @ C))
+    # U_t of every direction is one (n d, 2 d + p) matrix times [x^f_t; r_t; x_t]
+    W = np.concatenate((dirs.A, A @ _T(dKT), -AK @ dirs.C), axis=2).reshape(n * d, -1)
+    # g_t = c + [v v^T | v x^T] . [dS / 2 | dC] + (C^T v_t) . dx_t
+    c = -0.5 * (dS.reshape(n, -1) @ Sinv.ravel())
+    coef = np.concatenate((0.5 * dS.reshape(n, -1), dirs.C.reshape(n, -1)), axis=1)
+    r = Y[s:] - xp[s:] @ C.T
+    v = r @ Sinv
+    Z = np.concatenate((xf[s:], r, xp[s:]), axis=1)
+    for lo in range(0, T - s, L):
+        hi = min(lo + L, T - s)
+        U = (Z[lo:hi] @ W.T).reshape(hi - lo, n, d)
+        dxs = np.empty_like(U)
+        dxs[0] = dx
+        for j in range(1, hi - lo):
+            np.matmul(dxs[j - 1], FT, out=dxs[j])
+            dxs[j] += U[j - 1]
+        dx = dxs[-1] @ FT + U[-1]
+        vb = v[lo:hi, :, None]
+        VX = np.concatenate(((vb * v[lo:hi, None]).reshape(hi - lo, -1),
+                             (vb * xp[s + lo:s + hi, None]).reshape(hi - lo, -1)), axis=1)
+        G = c + VX @ coef.T + (dxs @ (v[lo:hi] @ C)[:, :, None])[..., 0]
+        info += G.T @ G
+    return info
 
 
 def m_step_batch(sm: dict, Y: np.ndarray,

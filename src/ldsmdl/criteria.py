@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .errors import DimensionError
+from .errors import DegeneracyError, DimensionError
 from .inference import SmoothedPosterior, complete_data_loglik
 from .model import (LdsParams, SequenceData, solve_discrete_lyapunov,
                     stationary_obs_log_det)
@@ -17,8 +17,6 @@ CRITERION_NAMES = ("aic", "bic", "fia", "mme", "mdl")
 
 #: uniform-quantizer reference value 1/12 used by message-length criteria
 KAPPA_UNIFORM = 1.0 / 12.0
-#: relative central-difference step of the empirical Fisher's scores
-FISHER_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -157,49 +155,47 @@ def normalize_values(values) -> list:
 
 # --- empirical Fisher information (geometric-complexity surrogate for FIA) ---
 
+def _directions(params: LdsParams, fix_observation: bool) -> _engine.ParamsBatch:
+    """One unit direction per free parameter of ``_free_layout``, in its
+    order, as a batch: element i is 1 at free entry i and at its mirror."""
+    layout = _free_layout(params.d, params.d_out, fix_observation)
+    n = sum(free[0].size for free, _mirror in layout.values())
+    fields = {}
+    first = 0
+    for name, (free, mirror) in layout.items():
+        unit = np.zeros((n,) + getattr(params, name).shape)
+        i = first + np.arange(free[0].size)
+        unit[(i,) + free] = 1.0
+        unit[(i,) + mirror] = 1.0
+        fields[name] = unit
+        first += free[0].size
+    return _engine.ParamsBatch(**fields)
+
+
 def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
                              fix_observation: bool = False) -> float:
     """Half log-determinant of the empirical Fisher information at ``params``.
 
-    Per-timestep score vectors of the innovation-form loglik are estimated
-    by central finite differences (relative step ``FISHER_STEP``) and
-    accumulated as an outer product F.  Two rules make the value well
-    defined:
+    The per-timestep score vectors of the innovation-form loglik are exact:
+    one tangent-linear pass (``_engine.tangent_fisher``) over a stored
+    filter pass carries the derivatives of the filter along every free
+    parameter of ``_free_layout`` (an off-diagonal covariance entry moves
+    with its mirror), with no difference step.  Their outer products are
+    accumulated as F.  The result is always the pseudo-determinant over the
+    eigenvalues of F above ``1e-12`` times the largest, so a numerically
+    rank-deficient F (more free parameters than timesteps, or
+    non-identifiable directions) gives the same kind of value as a
+    full-rank one.
 
-    - the score row of a parameter whose + or - perturbed filter is not
-      ``ok`` (a degenerate innovation covariance) is set to zero, so it
-      drops out like any other null direction;
-    - the result is always the pseudo-determinant over the eigenvalues of F
-      above ``1e-12`` times the largest, so a numerically rank-deficient F
-      (more free parameters than timesteps, or non-identifiable
-      directions) gives the same kind of value as a full-rank one.
-
-    The blocks that ``fix_observation`` pins are carried from ``params``.
+    The blocks that ``fix_observation`` pins get no direction.  Raises
+    DegeneracyError when an innovation covariance of the filter at
+    ``params`` is numerically singular.
     """
-    layout = _free_layout(params.d, params.d_out, fix_observation)
-    theta = np.concatenate([getattr(params, name)[free]
-                            for name, (free, _mirror) in layout.items()])
-    n = theta.size
-    h = FISHER_STEP * np.maximum(1.0, np.abs(theta))
-    fields = {}
-    first = 0
-    for name, (free, mirror) in layout.items():
-        M = getattr(params, name).copy()
-        M[mirror] = M[free]            # a symmetric block is rebuilt from its lower triangle
-        batch = np.repeat(M[None], 2 * n, axis=0)
-        i = first + np.arange(free[0].size)
-        # element 2i (2i + 1) moves entry i of theta, and its mirror, by +h_i (-h_i)
-        for k, value in enumerate((theta[i] + h[i], theta[i] - h[i])):
-            batch[(2 * i + k,) + free] = value
-            batch[(2 * i + k,) + mirror] = value
-        fields[name] = batch
-        first += free[0].size
-    pb = _engine.ParamsBatch(**fields)
-    fr = _engine.filter_batch(pb, data.Y, store=False)
-    ll = fr["step_loglik"]                       # (2n, T)
-    scores = (ll[0::2] - ll[1::2]) / (2.0 * h[:, None])   # (n, T)
-    scores[~(fr["ok"][0::2] & fr["ok"][1::2])] = 0.0
-    F = scores @ scores.T
+    pb = _engine.stack_params([params])
+    fr = _engine.filter_batch(pb, data.Y)
+    if not fr["ok"][0]:
+        raise DegeneracyError("innovation covariance is numerically singular")
+    F = _engine.tangent_fisher(pb, fr, data.Y, _directions(params, fix_observation))
     w = np.linalg.eigvalsh(0.5 * (F + F.T))
     w = w[w > max(w.max(), 0.0) * 1e-12]
     if w.size == 0:

@@ -67,6 +67,9 @@ def m_step(posterior: SmoothedPosterior, data: SequenceData,
     """
     if posterior.means.shape[0] != data.T:
         raise DimensionError("posterior length does not match data length")
+    if fix_observation and posterior.means.shape[1] != data.d_out:
+        raise DimensionError(
+            f"observable mode needs d_out == d, got {data.d_out} != {posterior.means.shape[1]}")
     sm = {
         "means": posterior.means[None],
         "covs": posterior.covs[None],
@@ -134,6 +137,11 @@ def em_fit(data: SequenceData, init: LdsParams, config: EmConfig,
     """
     if data.T < 2:
         raise DimensionError("fitting requires T >= 2")
+    if init.d_out != data.d_out:
+        raise DimensionError(f"data has d_out={data.d_out} but init expects {init.d_out}")
+    if fix_observation and init.d != data.d_out:
+        raise DimensionError(
+            f"observable mode needs d_out == d, got {data.d_out} != {init.d}")
     init = init.replace(A=enforce_stability(init.A))
     return _best_fit(data, [init], config, fix_observation,
                      "EM run degenerated (singular covariance encountered)")

@@ -4,14 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ldsmdl import (DimensionError, KAPPA_UNIFORM, LdsParams, SequenceData,
-                    aic, bic, complete_data_loglik, count_params,
+from ldsmdl import (DegeneracyError, DimensionError, KAPPA_UNIFORM, LdsParams,
+                    SequenceData, aic, bic, complete_data_loglik, count_params,
                     empirical_fisher_log_det, fia, kalman_filter,
                     mdl_description_length, mme, normalize_values, rts_smooth,
                     simulate)
 from ldsmdl import _engine
 from ldsmdl._engine import OBSERVABLE_MODE_NOISE
-from ldsmdl.criteria import mdl_order_penalty
+from ldsmdl.criteria import _directions, mdl_order_penalty
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.em import EmConfig, default_init, em_fit
 
@@ -198,19 +198,20 @@ class TestEmpiricalFisher:
         val = empirical_fisher_log_det(gen, data)
         assert np.isfinite(val)
 
-    def test_failed_perturbation_drops_its_score_row(self):
-        # y_2 carries no state and has variance 5e-6, below the 1e-5 step:
-        # the minus perturbation of R2[1, 1] makes S indefinite, so exactly
-        # that filter fails and its parameter must drop out of F
+    def test_small_variance_row_enters_like_any_other(self):
+        # y_2 carries no state and has variance 5e-6: a central difference
+        # of 1e-5 made S indefinite there, while the exact score needs no
+        # step; the oracle runs at a step of 1e-8, where no perturbed
+        # filter fails and the step is 1/500 of R2[1, 1]
         p = LdsParams(A=[[0.8, 0.1], [0.0, 0.5]], C=[[1.0, 0.5], [0.0, 0.0]],
                       R1=0.5 * np.eye(2), R2=np.diag([1.0, 5e-6]),
                       mu0=np.zeros(2), R0=np.eye(2))
         data = simulate(p, T=40, seed=1)
-        expected, failed = fisher_oracle(p, data.Y, ("A", "C", "R1", "R2", "mu0", "R0"))
-        assert failed == [("R2", 1, 1)]
+        expected, failed = fisher_oracle(p, data.Y, ("A", "C", "R1", "R2", "mu0", "R0"),
+                                         step=1e-8)
+        assert failed == []
         got = empirical_fisher_log_det(p, data)
-        assert np.isfinite(got)
-        assert got == pytest.approx(expected, abs=1e-6)
+        assert got == pytest.approx(expected, abs=1e-5)
 
     def test_observable_mode_perturbs_only_the_state_blocks(self):
         # C = I and R2 = OBSERVABLE_MODE_NOISE * I are pinned: the oracle
@@ -224,39 +225,102 @@ class TestEmpiricalFisher:
         got = empirical_fisher_log_det(p, data, fix_observation=True)
         assert got == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("fix_observation", [False, True])
+    def test_exact_scores_match_central_differences(self, monkeypatch, fix_observation):
+        # the central-difference error falls with the step, towards the
+        # exact F of the tangent pass
+        p = LdsParams(A=[[0.8, 0.1], [-0.2, 0.5]], C=[[1.0, 0.5], [0.3, -1.0]],
+                      R1=[[0.5, 0.1], [0.1, 0.3]], R2=[[0.4, 0.05], [0.05, 0.6]],
+                      mu0=[0.3, -0.1], R0=[[1.0, 0.2], [0.2, 0.8]])
+        names = ("A", "C", "R1", "R2", "mu0", "R0")
+        if fix_observation:
+            p = p.replace(C=np.eye(2), R2=OBSERVABLE_MODE_NOISE * np.eye(2))
+            names = ("A", "R1", "mu0", "R0")
+        data = simulate(p, T=40, seed=2)
+        infos = capture(monkeypatch, "tangent_fisher", result=True)
+        empirical_fisher_log_det(p, data, fix_observation=fix_observation)
+        [F] = infos
+        errors = []
+        for step in (1e-4, 1e-5, 1e-6):
+            S, failed = fisher_oracle_scores(p, data.Y, names, step)
+            assert failed == []
+            errors.append(np.abs(S @ S.T - F).max() / np.abs(F).max())
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 1e-9
+
+    def test_frozen_derivatives_match_a_pass_that_never_freezes(self):
+        for d, d_out, seed in ((3, 2, 60), (3, 1, 61), (2, 2, 5)):
+            p = random_stable_lds(RandomLdsConfig(d=d, d_out=d_out, seed=seed))
+            Y = simulate(p, T=300, seed=2).Y
+            pb = _engine.stack_params([p])
+            fr = _engine.filter_batch(pb, Y)
+            assert fr["switch"] < len(Y) // 2
+            dirs = _directions(p, fix_observation=False)
+            frozen = _engine.tangent_fisher(pb, fr, Y, dirs)
+            stepped = _engine.tangent_fisher(pb, dict(fr, switch=len(Y)), Y, dirs)
+            np.testing.assert_allclose(frozen, stepped, rtol=0,
+                                       atol=1e-8 * np.abs(stepped).max())
+
     @pytest.mark.parametrize("d, d_out, fix_observation", [
         (1, 1, False), (3, 1, False), (4, 3, False), (1, 1, True), (3, 3, True)])
-    def test_batch_perturbs_each_free_parameter_twice(self, monkeypatch, d, d_out,
-                                                      fix_observation):
+    def test_one_direction_per_free_parameter(self, monkeypatch, d, d_out, fix_observation):
         p = random_stable_lds(RandomLdsConfig(d=d, d_out=d_out, seed=d))
         if fix_observation:
             p = p.replace(C=np.eye(d), R2=OBSERVABLE_MODE_NOISE * np.eye(d))
         data = simulate(p, T=10, seed=d)
-        batches = []
-        real = _engine.filter_batch
-
-        def capturing(pb, *args, **kwargs):
-            batches.append(pb)
-            return real(pb, *args, **kwargs)
-
-        monkeypatch.setattr(_engine, "filter_batch", capturing)
+        calls = capture(monkeypatch, "tangent_fisher")
         empirical_fisher_log_det(p, data, fix_observation=fix_observation)
-        [pb] = batches
-        assert pb.B == 2 * count_params(d, d_out, fix_observation).n_theta
-        for name in ("C", "R2") if fix_observation else ():
-            assert (getattr(pb, name) == getattr(p, name)).all()   # carried, not perturbed
-        # the two elements of a pair differ in one entry, or in a mirrored pair
-        moved = sum((getattr(pb, f)[0::2] != getattr(pb, f)[1::2]).reshape(pb.B // 2, -1).sum(1)
-                    for f in _engine.PARAM_FIELDS)
-        assert set(moved) <= {1, 2}
+        [(pb, _fr, _Y, dirs)] = calls
+        assert pb.B == 1
+        assert dirs.B == count_params(d, d_out, fix_observation).n_theta
+        pinned = ("C", "R2") if fix_observation else ()
+        units = np.concatenate([getattr(dirs, f).reshape(dirs.B, -1)
+                                for f in _engine.PARAM_FIELDS], axis=1)
+        assert set(np.unique(units)) <= {0.0, 1.0}
+        # one entry per direction, or a covariance entry and its mirror
+        assert set(units.sum(axis=1)) <= {1.0, 2.0}
+        # every entry of an unpinned block is moved by exactly one direction
+        for f in _engine.PARAM_FIELDS:
+            total = getattr(dirs, f).sum(axis=0)
+            assert (total == (0.0 if f in pinned else 1.0)).all()
+
+    def test_degenerate_filter_raises(self):
+        p = LdsParams(A=[[0.5]], C=[[0.0]], R1=[[1.0]], R2=[[0.0]],
+                      mu0=[0.0], R0=[[1.0]])
+        data = SequenceData(Y=np.ones((5, 1)))
+        with pytest.raises(DegeneracyError):
+            empirical_fisher_log_det(p, data)
 
 
-def fisher_oracle(p, Y, names):
-    """Pseudo-log-det of the empirical Fisher over every free entry of the
-    named fields, one textbook filter per central-difference perturbation
-    (an off-diagonal entry of a covariance moves together with its mirror);
+def capture(monkeypatch, name, result=False):
+    """Record the arguments (or, with ``result``, the return value) of every
+    call of the engine function ``name`` made through the engine module."""
+    calls = []
+    real = getattr(_engine, name)
+
+    def recording(*args):
+        out = real(*args)
+        calls.append(out if result else args)
+        return out
+
+    monkeypatch.setattr(_engine, name, recording)
+    return calls
+
+
+def fisher_oracle(p, Y, names, step=1e-5):
+    """Pseudo-log-det of the empirical Fisher of ``fisher_oracle_scores``;
     returns the value and the entries whose perturbed filter failed, whose
     scores are left out."""
+    S, failed = fisher_oracle_scores(p, Y, names, step)
+    w = np.linalg.eigvalsh(S @ S.T)
+    return 0.5 * np.sum(np.log(w[w > w.max() * 1e-12])), failed
+
+
+def fisher_oracle_scores(p, Y, names, step):
+    """Score rows of every free entry of the named fields, one textbook
+    filter per central-difference perturbation of relative size ``step``
+    (an off-diagonal entry of a covariance moves together with its mirror),
+    and the entries whose perturbed filter failed, which get no row."""
     fields = ("A", "C", "R1", "R2", "mu0", "R0")
     entries = []
     for name in names:
@@ -267,7 +331,7 @@ def fisher_oracle(p, Y, names):
             entries += [(name,) + ij for ij in np.ndindex(shape)]
     rows, failed = [], []
     for name, *ij in entries:
-        h = 1e-5 * max(1.0, abs(getattr(p, name)[tuple(ij)]))
+        h = step * max(1.0, abs(getattr(p, name)[tuple(ij)]))
         lls = []
         for sign in (1.0, -1.0):
             q = {f: getattr(p, f).copy() for f in fields}
@@ -279,6 +343,4 @@ def fisher_oracle(p, Y, names):
             failed.append((name, *ij))
             continue
         rows.append((lls[0] - lls[1]) / (2 * h))
-    S = np.array(rows)
-    w = np.linalg.eigvalsh(S @ S.T)
-    return 0.5 * np.sum(np.log(w[w > w.max() * 1e-12])), failed
+    return np.array(rows), failed

@@ -108,6 +108,15 @@ class TestMStep:
         np.testing.assert_array_equal(p.C, np.eye(2))
         np.testing.assert_allclose(p.R2, 1e-6 * np.eye(2))
 
+    def test_observable_width_mismatch_rejected(self):
+        # a width-2 posterior pins C = I_2, which a 1-column sequence cannot take
+        means = np.zeros((3, 2))
+        post = SmoothedPosterior(means=means, covs=np.tile(np.eye(2), (3, 1, 1)),
+                                 cross_covs=np.zeros((2, 2, 2)),
+                                 Z=np.tile(np.eye(2), (3, 1, 1)), Z_cross=np.zeros((2, 2, 2)))
+        with pytest.raises(DimensionError):
+            m_step(post, SequenceData(Y=np.ones((3, 1))), fix_observation=True)
+
     def test_length_mismatch_rejected(self):
         post = scalar_posterior([0.0, 0.0], [1.0, 1.0], [0.5])
         with pytest.raises(DimensionError):
@@ -167,6 +176,16 @@ class TestEmFit:
                          mu0=[0.0], R0=[[1.0]])
         with pytest.raises(DimensionError):
             em_fit(data, init, EmConfig())
+
+    def test_init_output_width_must_match_the_data(self):
+        one = simulate(random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=0)), T=20, seed=0)
+        two = simulate(random_stable_lds(RandomLdsConfig(d=2, d_out=2, seed=0)), T=20, seed=0)
+        with pytest.raises(DimensionError):
+            em_fit(two, default_init(one, 2, seed=0), EmConfig(max_iters=3))
+        # observable mode pins C = I_d: the init's order must be the data's width
+        with pytest.raises(DimensionError):
+            em_fit(two, default_init(two, 3, seed=0), EmConfig(max_iters=3),
+                   fix_observation=True)
 
     def test_unstable_init_is_rescaled_not_rejected(self):
         gen = random_stable_lds(RandomLdsConfig(d=1, d_out=1, seed=1))

@@ -7,6 +7,7 @@ from ldsmdl import (DegeneracyError, LdsParams, SequenceData,
                     complete_data_loglik, enforce_stability, kalman_filter,
                     rts_smooth, simulate)
 from ldsmdl import _engine
+from ldsmdl.criteria import _directions
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 
 from .oracles import joint_loglik, smoothed_moments, textbook_smoother
@@ -251,8 +252,8 @@ class TestSteadyState:
 
 
 class TestBlockedScan:
-    """The steady-state mean recursions run as a blocked prefix scan over
-    chunks of bounded size."""
+    """The steady-state mean recursions run as blocked prefix scans; the
+    tangent pass goes in blocks of bounded size."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
     @pytest.mark.parametrize("B", [1, 7])
@@ -271,29 +272,28 @@ class TestBlockedScan:
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
-    def test_many_chunks_match_one_chunk(self, monkeypatch):
-        models = [random_model(3, 2, seed=s) for s in (60, 61, 62)]
-        Y = simulate(models[0], T=300, seed=2).Y
-        batch = _engine.stack_params(models)
+    def test_tangent_block_length_leaves_the_fisher_unchanged(self, monkeypatch):
+        p = random_model(3, 2, seed=60)
+        Y = simulate(p, T=300, seed=2).Y
+        pb = _engine.stack_params([p])
+        dirs = _directions(p, fix_observation=False)
 
         def run():
-            fr = _engine.filter_batch(batch, Y)
-            return fr, _engine.smooth_batch(batch, fr)
+            fr = _engine.filter_batch(pb, Y)
+            return fr, _engine.tangent_fisher(pb, fr, Y, dirs)
 
-        whole = run()
-        assert _engine._chunk_len(3, 3) >= len(Y)
-        # 7-step chunks: the frozen stretch spans dozens of them, the last one short
-        monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * 3 * 3)
-        assert _engine._chunk_len(3, 3) == 7
-        chunked = run()
-        assert switch_step(whole[0]["pred_covs"]) < 100
-        for key in ("loglik", "step_loglik", "pred_means", "filt_means",
-                    "pred_covs", "filt_covs"):
-            np.testing.assert_allclose(chunked[0][key], whole[0][key],
-                                       rtol=1e-12, atol=1e-12)
-        for key in ("means", "covs", "cross"):
-            np.testing.assert_allclose(chunked[1][key], whole[1][key],
-                                       rtol=1e-12, atol=1e-12)
+        fr, whole = run()
+        assert _engine.SCAN_CHUNK // (dirs.B * 3) >= len(Y)     # one block
+        # 7-step blocks: the transient and the frozen stretch span several,
+        # the last one of each short
+        monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * dirs.B * 3)
+        fr_small, blocked = run()
+        s = fr["switch"]
+        assert s > 7 and s % 7 and len(Y) - s > 7 and (len(Y) - s) % 7
+        # the filter does not read SCAN_CHUNK: its frozen stretch is one scan
+        for key in ("step_loglik", "pred_means", "filt_means", "pred_covs", "filt_covs"):
+            np.testing.assert_array_equal(fr_small[key], fr[key])
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
 
     @pytest.mark.parametrize("n", [1, 17, 1000])
     @pytest.mark.parametrize("B", [1, 7])
