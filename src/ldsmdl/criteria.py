@@ -188,9 +188,12 @@ def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
     full-rank one.
 
     The blocks that ``fix_observation`` pins get no direction.  Raises
+    DimensionError when the data's width is not ``params.d_out``, and
     DegeneracyError when an innovation covariance of the filter at
     ``params`` is numerically singular.
     """
+    if data.d_out != params.d_out:
+        raise DimensionError(f"data has d_out={data.d_out} but params expect {params.d_out}")
     pb = _engine.stack_params([params])
     fr = _engine.filter_batch(pb, data.Y)
     if not fr["ok"][0]:

@@ -291,6 +291,11 @@ class TestEmpiricalFisher:
         with pytest.raises(DegeneracyError):
             empirical_fisher_log_det(p, data)
 
+    def test_data_width_must_match_the_model(self):
+        p = random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=0))
+        with pytest.raises(DimensionError):
+            empirical_fisher_log_det(p, SequenceData(Y=np.ones((20, 2))))
+
 
 def capture(monkeypatch, name, result=False):
     """Record the arguments (or, with ``result``, the return value) of every
