@@ -107,9 +107,24 @@ class ParamsBatch:
 
 
 def stack_params(params_list) -> ParamsBatch:
-    """Stack LdsParams-like objects into a ParamsBatch."""
-    return ParamsBatch(*(np.stack([getattr(p, f) for p in params_list])
-                         for f in PARAM_FIELDS))
+    """Stack LdsParams-like objects into a ParamsBatch.
+
+    An object of order d below the highest order D is padded with D - d
+    states that are unobserved and uncoupled: A = 0, C = 0, R1 = R0 = I and
+    mu0 = 0 in the new block and off it.  Its loglik is unchanged, and the
+    filter, the smoother and the M-step carry the padding block unchanged.
+    """
+    B, p = len(params_list), params_list[0].C.shape[0]
+    D = max(q.A.shape[0] for q in params_list)
+    eye = np.broadcast_to(np.eye(D), (B, D, D))
+    pb = ParamsBatch(A=np.zeros((B, D, D)), C=np.zeros((B, p, D)), R1=eye.copy(),
+                     R2=np.stack([q.R2 for q in params_list]), mu0=np.zeros((B, D)),
+                     R0=eye.copy())
+    for b, q in enumerate(params_list):
+        d = q.A.shape[0]
+        pb.A[b, :d, :d], pb.R1[b, :d, :d], pb.R0[b, :d, :d] = q.A, q.R1, q.R0
+        pb.C[b, :, :d], pb.mu0[b, :d] = q.C, q.mu0
+    return pb
 
 
 def _T(M):
@@ -247,8 +262,14 @@ def _log_det(diag):
     return 2.0 * np.sum(np.log(np.maximum(diag, 1e-300)), axis=-1)
 
 
+def _arrays(reuse: dict | None, shapes: dict) -> dict:
+    """Arrays of the given shapes: those of ``reuse``, an earlier result with
+    the same shapes whose values are overwritten, or new ones."""
+    return {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
+
+
 def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
-                 ok: np.ndarray | None = None) -> dict:
+                 ok: np.ndarray | None = None, reuse: dict | None = None) -> dict:
     """Batched Kalman filter; the filtered covariance is P - (C P)^T K^T.
 
     Returns a dict with per-element logliks, per-step loglik contributions,
@@ -256,7 +277,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
     ``switch`` step (the first frozen step, T when the filter never froze)
     and, when ``store`` is set, the full predicted/filtered trajectories.
     Elements that are False in the caller's ``ok`` (all True by default)
-    are treated as failed from step 0.
+    are treated as failed from step 0.  A stored pass of the same shapes
+    handed over as ``reuse`` has its trajectories overwritten by this one's.
 
     A transient step solves S once for the gain and the innovation together;
     the log-dets and quadratic forms of the transient enter the step logliks
@@ -276,12 +298,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
     CT = np.ascontiguousarray(_T(pb.C))
     step_ll = np.zeros((B, T))
     diags, quads = [], []          # per transient step: (B, p) and (B,)
-    out = {}
-    if store:
-        out["pred_means"] = np.empty((B, T, d))
-        out["pred_covs"] = np.empty((B, T, d, d))
-        out["filt_means"] = np.empty((B, T, d))
-        out["filt_covs"] = np.empty((B, T, d, d))
+    out = _arrays(reuse, {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
+                          "filt_means": (B, T, d), "filt_covs": (B, T, d, d)}) if store else {}
     t = 0
     while t < T:
         if store:
@@ -394,7 +412,7 @@ def _congruence_scan(powers, sums, G, W0, n: int, ok):
     return sym(W + sums[:, None]).reshape(B, -1, d, d)[:, :n]
 
 
-def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
+def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
     """Batched RTS smoother over a stored filter pass.
 
     The lag-one cross-covariance uses the smoother-gain identity
@@ -405,15 +423,16 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
     are one backward affine scan and V one backward congruence scan, with
     blocks sized by s, that stops once V settles; the transient steps
     s-1 .. 0 are then stepped with plain products.  Elements that are not
-    ``ok`` keep their filtered means and covariances.
+    ``ok`` keep their filtered means and covariances.  An earlier result of
+    the same shapes handed over as ``reuse`` is overwritten by this one.
     """
     fm, fP = fr["filt_means"], fr["filt_covs"]
     pm, pP = fr["pred_means"], fr["pred_covs"]
     B, T, d = fm.shape
     ok = fr["ok"].copy()
-    means = np.empty_like(fm)
-    covs = np.empty_like(fP)
-    cross = np.empty((B, max(T - 1, 0), d, d))
+    out = _arrays(reuse, {"means": (B, T, d), "covs": (B, T, d, d),
+                          "cross": (B, max(T - 1, 0), d, d)})
+    means, covs, cross = out["means"], out["covs"], out["cross"]
     means[:, -1] = fm[:, -1]
     covs[:, -1] = fP[:, -1]
     s = min(fr["switch"], T - 1)
@@ -443,7 +462,7 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
         means[:, t] = (means[:, t + 1, None] @ JT[:, t])[:, 0] + u[:, t]
         covs[:, t] = sym(fP[:, t] + _T(JT[:, t]) @ (covs[:, t + 1] - pP[:, t + 1]) @ JT[:, t])
     cross[:, :s] = covs[:, 1:s + 1] @ JT[:, :s]
-    return {"means": means, "covs": covs, "cross": cross, "ok": ok}
+    return {**out, "ok": ok}
 
 
 def _tangent_innovation(pb: ParamsBatch, dirs: ParamsBatch, P, dP):
@@ -593,6 +612,8 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     numerically keep their last parameters, which the filter and smoother
     mask, and are flagged in ``failed``; later passes hand ``~failed`` to
     the filter as its starting ``ok`` mask, so it never factors them again.
+    Each filter and smoother pass overwrites the arrays of the pass before
+    (``reuse``), so one stored pass and one posterior are alive at a time.
     Returns the last filtered ``params``, their ``loglik`` (-inf where
     failed), the M-steps of each element (``iterations``), the (passes, B)
     logliks of every pass (``traces``; element b's own are its first
@@ -605,9 +626,10 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     iterations = np.zeros(B, dtype=int)
     traces, rescales = [], []
     active = np.ones(B, dtype=bool)
+    fr = sm = None
     while True:
         last = len(traces) == max_iters
-        fr = filter_batch(cur, Y, store=not last, ok=~failed)
+        fr = filter_batch(cur, Y, store=not last, ok=~failed, reuse=fr)
         failed |= active & ~fr["ok"]
         active &= fr["ok"]
         ll = fr["loglik"]
@@ -617,7 +639,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         traces.append(ll)
         if last or not np.any(active):
             break
-        sm = smooth_batch(cur, fr)
+        sm = smooth_batch(cur, fr, reuse=sm)
         new, _fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation)
         failed |= active & ~ok
         active &= ok

@@ -1,4 +1,6 @@
-"""M-step updates and the EM outer loop with stability enforcement and restarts."""
+"""M-step updates and the EM outer loop with stability enforcement and
+restarts; the restarts of several orders can share one loop, padded to the
+top order (``multi_order_fit``)."""
 from __future__ import annotations
 
 import math
@@ -10,7 +12,8 @@ from . import _engine
 from ._engine import OBSERVABLE_MODE_NOISE
 from .errors import DegeneracyError, DimensionError, RankDeficiencyError
 from .inference import SmoothedPosterior
-from .model import PARAM_FIELDS, LdsParams, SequenceData, enforce_stability
+from .model import (PARAM_FIELDS, LdsParams, SequenceData, check_integer,
+                    enforce_stability)
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,8 @@ class EmConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise DimensionError(f"eps must be finite and > 0, got {self.eps}")
+        for name in ("max_iters", "n_restarts", "seed"):
+            check_integer(name, getattr(self, name))
         if self.max_iters < 1:
             raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_restarts < 1:
@@ -53,8 +58,11 @@ class FitResult:
     rescale_iters: list = field(default_factory=list)
 
 
-def _params_from_batch(pb: _engine.ParamsBatch, b: int) -> LdsParams:
-    return LdsParams(*(getattr(pb, f)[b] for f in PARAM_FIELDS))
+def _params_from_batch(pb: _engine.ParamsBatch, b: int, d: int | None = None) -> LdsParams:
+    """Element b of ``pb``, cut to its first d states (all of them by default)."""
+    A, C, R1, R2, mu0, R0 = (getattr(pb, f)[b] for f in PARAM_FIELDS)
+    return LdsParams(A=A[:d, :d], C=C[:, :d], R1=R1[:d, :d], R2=R2, mu0=mu0[:d],
+                     R0=R0[:d, :d])
 
 
 def m_step(posterior: SmoothedPosterior, data: SequenceData,
@@ -105,25 +113,17 @@ def default_init(data: SequenceData, d: int, seed,
     return LdsParams(A=A, C=C, R1=np.eye(d), R2=R2, mu0=mu0, R0=np.eye(d))
 
 
-def _best_fit(data: SequenceData, inits: list, config: EmConfig,
-              fix_observation: bool, failure: str) -> FitResult:
-    """Run the batched EM loop from ``inits`` and keep the element with the
-    highest final loglik; raises DegeneracyError(failure) when every element
-    failed."""
-    res = _engine.em_loop(_engine.stack_params(inits), data.Y,
-                          eps=config.eps, max_iters=config.max_iters,
-                          fix_observation=fix_observation)
-    if np.all(res["failed"]):
-        raise DegeneracyError(failure)
-    best = int(np.argmax(res["loglik"]))
-    n = int(res["iterations"][best])
+def _fit_result(res: dict, b: int, d: int) -> FitResult:
+    """The FitResult of element b of an ``em_loop`` result, cut to its first
+    d states."""
+    n = int(res["iterations"][b])
     return FitResult(
-        params=_params_from_batch(res["params"], best),
-        loglik=float(res["loglik"][best]),
-        loglik_trace=res["traces"][:n + 1, best].tolist(),
-        converged=bool(res["converged"][best]),
+        params=_params_from_batch(res["params"], b, d),
+        loglik=float(res["loglik"][b]),
+        loglik_trace=res["traces"][:n + 1, b].tolist(),
+        converged=bool(res["converged"][b]),
         iterations=n,
-        rescale_iters=(np.flatnonzero(res["rescales"][:, best]) + 1).tolist(),
+        rescale_iters=(np.flatnonzero(res["rescales"][:, b]) + 1).tolist(),
     )
 
 
@@ -143,8 +143,11 @@ def em_fit(data: SequenceData, init: LdsParams, config: EmConfig,
         raise DimensionError(
             f"observable mode needs d_out == d, got {data.d_out} != {init.d}")
     init = init.replace(A=enforce_stability(init.A))
-    return _best_fit(data, [init], config, fix_observation,
-                     "EM run degenerated (singular covariance encountered)")
+    res = _engine.em_loop(_engine.stack_params([init]), data.Y, eps=config.eps,
+                          max_iters=config.max_iters, fix_observation=fix_observation)
+    if res["failed"][0]:
+        raise DegeneracyError("EM run degenerated (singular covariance encountered)")
+    return _fit_result(res, 0, init.d)
 
 
 def restart_seed(master_seed: int, restart: int):
@@ -152,17 +155,53 @@ def restart_seed(master_seed: int, restart: int):
     return [int(master_seed), int(restart)]
 
 
-def multi_restart_fit(data: SequenceData, d: int, config: EmConfig,
-                      fix_observation: bool = False) -> FitResult:
-    """Run EM from ``config.n_restarts`` seeded initializations; keep the
-    restart with the highest final loglik.
+def multi_order_fit(data: SequenceData, seeds: dict, config: EmConfig,
+                    fix_observation: bool = False) -> dict:
+    """Fit several orders through one batched EM loop; ``seeds`` maps each
+    order to the master seed of its restarts (``config.seed`` is not read).
 
-    All restarts advance together through one batched EM loop.
+    Every order d draws ``config.n_restarts`` seeded initializations, which
+    are padded to the highest order D with D - d unobserved, uncoupled
+    states (see ``_engine.stack_params``): an order-d LDS is nested in the
+    order-D class with the same loglik.  All restarts of all orders advance
+    together; each order keeps its restart with the highest final loglik,
+    cut back to d states.  Returns {order: FitResult}, with a
+    DegeneracyError in place of the fit of an order whose every restart
+    failed; the other orders are fitted all the same.
+
+    A one-order fit is bitwise the fit of that order alone.  Orders that
+    share the loop share the filter's switch step and the settle and
+    conditioning tests, where the padding block enters at unit scale, so
+    they agree with their one-order fits only to roundoff.
     """
     if data.T < 2:
         raise DimensionError("fitting requires T >= 2")
-    inits = [default_init(data, d, restart_seed(config.seed, r),
-                          fix_observation=fix_observation)
-             for r in range(config.n_restarts)]
-    return _best_fit(data, inits, config, fix_observation,
-                     "every EM restart degenerated")
+    orders = sorted(seeds)
+    if fix_observation and len(orders) > 1:
+        raise DimensionError("observable mode fits one order at a time")
+    n = config.n_restarts
+    inits = [default_init(data, d, restart_seed(seeds[d], r), fix_observation=fix_observation)
+             for d in orders for r in range(n)]
+    res = _engine.em_loop(_engine.stack_params(inits), data.Y, eps=config.eps,
+                          max_iters=config.max_iters, fix_observation=fix_observation)
+    fits = {}
+    for i, d in enumerate(orders):
+        cols = slice(i * n, (i + 1) * n)
+        if np.all(res["failed"][cols]):
+            fits[d] = DegeneracyError("every EM restart degenerated")
+        else:
+            fits[d] = _fit_result(res, i * n + int(np.argmax(res["loglik"][cols])), d)
+    return fits
+
+
+def multi_restart_fit(data: SequenceData, d: int, config: EmConfig,
+                      fix_observation: bool = False) -> FitResult:
+    """Run EM from ``config.n_restarts`` seeded initializations; keep the
+    restart with the highest final loglik (``multi_order_fit`` of one order).
+
+    All restarts advance together through one batched EM loop.
+    """
+    fit = multi_order_fit(data, {d: config.seed}, config, fix_observation)[d]
+    if isinstance(fit, DegeneracyError):
+        raise fit
+    return fit

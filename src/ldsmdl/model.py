@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -38,6 +39,12 @@ def _as_matrix(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DimensionError(f"{name} contains non-finite entries")
     return a
+
+
+def check_integer(name: str, value) -> None:
+    """Raise DimensionError unless ``value`` is an integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -188,6 +195,8 @@ class ModelOrderBounds:
     d_max: int
 
     def __post_init__(self):
+        check_integer("d_min", self.d_min)
+        check_integer("d_max", self.d_max)
         if not (1 <= self.d_min <= self.d_max):
             raise DimensionError(
                 f"need 1 <= d_min <= d_max, got d_min={self.d_min}, d_max={self.d_max}")

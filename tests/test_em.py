@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from ldsmdl import (DimensionError, EmConfig, LdsParams, SequenceData,
                     m_step, multi_restart_fit, rts_smooth, simulate,
                     spectral_radius)
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
-from ldsmdl.em import restart_seed
+from ldsmdl.em import multi_order_fit, restart_seed
 from ldsmdl.inference import SmoothedPosterior
 
 
@@ -65,6 +68,18 @@ class TestEmConfig:
     def test_seed_must_be_non_negative(self):
         with pytest.raises(DimensionError, match="seed"):
             EmConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    @pytest.mark.parametrize("name", ["max_iters", "n_restarts", "seed"])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        # a max_iters of 2.5 never meets em_loop's budget test, so EM runs
+        # until every restart converges; a float n_restarts fails in range()
+        with pytest.raises(DimensionError, match=name):
+            EmConfig(**{name: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = EmConfig(max_iters=np.int64(3), n_restarts=np.int32(2), seed=np.uint8(4))
+        assert (cfg.max_iters, cfg.n_restarts, cfg.seed) == (3, 2, 4)
 
     def test_seeds_do_not_alias_modulo_2_31(self):
         data = simulate(random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=3)), T=60, seed=3)
@@ -383,6 +398,74 @@ class TestFailedElements:
         np.testing.assert_array_equal(res["failed"], [False, False, True, False])
         np.testing.assert_array_equal(res["iterations"], [20, 20, 0, 20])
         assert single == len(inits)
+
+
+class TestMultiOrderFit:
+    """Several orders fitted through one EM loop, padded to the top order."""
+
+    CFG = EmConfig(eps=1e-3, max_iters=15, n_restarts=4)
+
+    @staticmethod
+    def data(d_out=1):
+        gen = random_stable_lds(RandomLdsConfig(d=3, d_out=d_out, seed=12))
+        return simulate(gen, T=100, burn_in=20, seed=12)
+
+    @pytest.mark.parametrize("d_out", [1, 2])
+    def test_padding_block_is_carried_exactly(self, d_out):
+        data = self.data(d_out)
+        orders, D = (1, 2, 3, 5), 5
+        inits = [default_init(data, d, restart_seed(d, r)) for d in orders for r in range(4)]
+        pb = _engine.stack_params(inits)
+        loglik = _engine.filter_batch(pb, data.Y, store=False)["loglik"]
+        for b, init in enumerate(inits):
+            # an order-d model nested in the order-D class keeps its loglik
+            assert loglik[b] == pytest.approx(kalman_filter(init, data).loglik, rel=1e-12)
+        res = _engine.em_loop(pb, data.Y, eps=0.0, max_iters=15)
+        assert not res["failed"].any()
+        out = res["params"]
+        for b, init in enumerate(inits):
+            d = init.d
+            for M in (out.A[b], out.R1[b], out.R0[b]):
+                assert not M[:d, d:].any() and not M[d:, :d].any()
+            assert not out.C[b][:, d:].any()
+            assert not out.A[b][d:, d:].any() and not out.mu0[b][d:].any()
+            np.testing.assert_array_equal(out.R1[b][d:, d:], np.eye(D - d))
+            np.testing.assert_array_equal(out.R0[b][d:, d:], np.eye(D - d))
+
+    def test_each_order_matches_its_one_order_fit(self):
+        data = self.data()
+        seeds = {2: 7, 3: 8, 4: 9}
+        fits = multi_order_fit(data, seeds, self.CFG)
+        assert sorted(fits) == [2, 3, 4]
+        for d, seed in seeds.items():
+            alone = multi_restart_fit(data, d, replace(self.CFG, seed=seed))
+            fit = fits[d]
+            assert fit.params.d == d
+            # the loglik of the start tells the restarts apart: the same one is kept
+            assert fit.loglik_trace[0] == pytest.approx(alone.loglik_trace[0], rel=1e-12)
+            assert fit.iterations == alone.iterations
+            assert fit.loglik == pytest.approx(alone.loglik, rel=1e-10)
+            assert_one_record(fit, data, self.CFG)
+
+    def test_observable_mode_fits_one_order(self):
+        data = SequenceData(Y=np.random.default_rng(0).standard_normal((40, 2)))
+        with pytest.raises(DimensionError):
+            multi_order_fit(data, {1: 0, 2: 0}, self.CFG, fix_observation=True)
+
+
+class TestEmLoopMemory:
+    def test_one_filter_pass_and_one_posterior_are_alive(self):
+        # every pass overwrites the trajectories of the pass before, so about
+        # six (B, T, d, d) trajectories are alive at the peak, not eight
+        data = simulate(random_stable_lds(RandomLdsConfig(d=3, d_out=1, seed=2)), T=100, seed=2)
+        pb = _engine.stack_params([default_init(data, 12, seed=s) for s in range(10)])
+        tracemalloc.start()
+        try:
+            _engine.em_loop(pb, data.Y, eps=1e-2, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * pb.B * data.T * 12 * 12 * 8
 
 
 class TestDefaultInit:

@@ -366,6 +366,28 @@ class TestBlockedScan:
         np.testing.assert_array_equal(bare["ok"], stored["ok"])
         assert "pred_means" not in bare
 
+    def test_reused_arrays_are_overwritten_with_the_same_values(self):
+        # em_loop hands each pass the trajectories of the pass before
+        models = [random_model(4, 2, seed=s) for s in (70, 71)]
+        Y = simulate(models[0], T=300, seed=3).Y
+        batch = _engine.stack_params(models)
+        earlier = _engine.stack_params([random_model(4, 2, seed=s) for s in (72, 73)])
+        old_f = _engine.filter_batch(earlier, Y)
+        old_s = _engine.smooth_batch(earlier, old_f)
+        fresh_f = _engine.filter_batch(batch, Y)
+        fresh_s = _engine.smooth_batch(batch, fresh_f)
+        assert old_f["switch"] != fresh_f["switch"]
+        f = _engine.filter_batch(batch, Y, reuse=old_f)
+        s = _engine.smooth_batch(batch, f, reuse=old_s)
+        for new, fresh, old, reused in (
+                (f, fresh_f, old_f, ("pred_means", "pred_covs", "filt_means", "filt_covs")),
+                (s, fresh_s, old_s, ("means", "covs", "cross"))):
+            assert new.keys() == fresh.keys()
+            for key in reused:
+                assert new[key] is old[key]
+            for key in fresh:
+                np.testing.assert_array_equal(new[key], fresh[key])
+
 
 class TestGuardedFactorizations:
     def test_failed_element_costs_one_per_element_pass(self, monkeypatch):

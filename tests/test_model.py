@@ -279,3 +279,9 @@ class TestModelOrderBounds:
             ModelOrderBounds(5, 3)
         with pytest.raises(DimensionError):
             ModelOrderBounds(0, 3)
+
+    @pytest.mark.parametrize("d_min, d_max", [(1.5, 3), (1, 3.0), (True, 3), (1, "3")])
+    def test_orders_must_be_integers(self, d_min, d_max):
+        # a float order reached range() and failed there with a TypeError
+        with pytest.raises(DimensionError, match="integer"):
+            ModelOrderBounds(d_min, d_max)

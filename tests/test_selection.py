@@ -7,9 +7,10 @@ import pytest
 
 from ldsmdl import (DimensionError, EmConfig, ModelOrderBounds,
                     RandomLdsConfig, SequenceData, annihilation_search,
-                    count_params, grid_search, kalman_filter,
+                    count_params, em, grid_search, kalman_filter,
                     random_stable_lds, simulate)
 from ldsmdl.criteria import mdl_order_penalty
+from ldsmdl.selection import BUCKET_CELL_RATIO, BUCKET_DOUBLES, _buckets
 
 CFG = EmConfig(eps=1e-3, max_iters=40, n_restarts=3, seed=0)
 
@@ -142,6 +143,82 @@ class TestAnnihilationSearch:
             assert rows[order].error and rows[order].dl == math.inf
             assert doc[order]["dl"] is None
         assert doc[trace.chosen_order]["dl"] == rows[trace.chosen_order].dl
+
+
+def d4_protocol_data(seed=0):
+    gen = random_stable_lds(RandomLdsConfig(d=4, d_out=1, seed=seed))
+    return simulate(gen, T=100, burn_in=20, seed=seed)
+
+
+#: the d=4 protocol's restarts and length with a short EM budget: at 10
+#: restarts and T = 100 the memory cap cuts the cell 7-10 into 7-8 | 9 | 10
+SHORT_PROTOCOL = EmConfig(eps=1e-2, max_iters=4, n_restarts=10, seed=0)
+
+
+class TestBuckets:
+    def test_d4_protocol_partition(self):
+        assert _buckets(ModelOrderBounds(2, 12), 10, 100, False) == [
+            [2, 3], [4, 5, 6], [7, 8], [9], [10], [11], [12]]
+
+    def test_cells_grow_by_half(self):
+        # with room for every cell, the buckets are the cells themselves
+        assert _buckets(ModelOrderBounds(1, 25), 1, 2, False) == [
+            [1], [2, 3], list(range(4, 7)), list(range(7, 11)), list(range(11, 17)),
+            list(range(17, 26))]
+
+    def test_observable_mode_fits_one_order_per_bucket(self):
+        assert _buckets(ModelOrderBounds(2, 10), 2, 1000, True) == [[d] for d in range(2, 11)]
+
+    @pytest.mark.parametrize("n_restarts, T", [(10, 100), (3, 80), (2, 1000), (1, 2)])
+    def test_bucket_of_an_order_does_not_depend_on_the_range(self, n_restarts, T):
+        full = _buckets(ModelOrderBounds(1, 30), n_restarts, T, False)
+        for lo in range(1, 31):
+            for hi in range(lo, 31):
+                cut = [[d for d in b if lo <= d <= hi] for b in full]
+                assert _buckets(ModelOrderBounds(lo, hi), n_restarts, T, False) == [
+                    b for b in cut if b]
+
+    @pytest.mark.parametrize("n_restarts, T", [(10, 100), (3, 80), (2, 1000)])
+    def test_buckets_respect_the_cap_and_the_cells(self, n_restarts, T):
+        for b in _buckets(ModelOrderBounds(1, 30), n_restarts, T, False):
+            assert b == list(range(b[0], b[-1] + 1))
+            assert b[-1] <= BUCKET_CELL_RATIO * b[0]
+            if len(b) > 1:
+                assert len(b) * n_restarts * T * b[-1] ** 2 <= BUCKET_DOUBLES
+
+    def test_grid_range_reproduces_a_wider_grid(self):
+        data = d4_protocol_data()
+        narrow = grid_search(data, ModelOrderBounds(7, 8), SHORT_PROTOCOL)
+        wide = grid_search(data, ModelOrderBounds(7, 10), SHORT_PROTOCOL)
+        assert [(r.order, r.dl, r.fit.loglik) for r in narrow.per_order] == [
+            (r.order, r.dl, r.fit.loglik) for r in wide.per_order[:2]]
+
+    @pytest.mark.parametrize("d_max", [8, 10])
+    def test_walk_range_reproduces_the_top_of_a_full_walk(self, d_max):
+        data = d4_protocol_data()
+        top = annihilation_search(data, ModelOrderBounds(d_max - 1, d_max), SHORT_PROTOCOL)
+        full = annihilation_search(data, ModelOrderBounds(2, d_max), SHORT_PROTOCOL)
+        assert [(r.order, r.dl) for r in top.per_order] == [
+            (r.order, r.dl) for r in full.per_order[:2]]
+
+    def test_order_whose_restarts_all_fail_is_an_error_row(self, monkeypatch):
+        real = em.default_init
+
+        def degenerate_at_3(data, d, seed, fix_observation=False):
+            init = real(data, d, seed, fix_observation)
+            # S = C P C^T + R2 = 0 at the first step: every restart of order 3 fails
+            return init.replace(C=0 * init.C, R2=0 * init.R2) if d == 3 else init
+
+        monkeypatch.setattr(em, "default_init", degenerate_at_3)
+        data = d2_data()
+        assert _buckets(ModelOrderBounds(2, 3), CFG.n_restarts, data.T, False) == [[2, 3]]
+        trace = grid_search(data, ModelOrderBounds(2, 3), CFG)
+        rows = {r.order: r for r in trace.per_order}
+        assert rows[3].fit is None and rows[3].error == "every EM restart degenerated"
+        alone = grid_search(data, ModelOrderBounds(2, 2), CFG).per_order[0]
+        assert rows[2].fit.iterations == alone.fit.iterations
+        assert rows[2].fit.loglik == pytest.approx(alone.fit.loglik, rel=1e-10)
+        assert trace.chosen_order == 2
 
 
 class TestSweepCsv:
