@@ -246,15 +246,45 @@ def _affine_scan(powers, u, x0):
     return x[:, :n + 1]
 
 
-def _innovation_cov(pb: ParamsBatch, P, CT, ok):
-    """C P, the innovation covariance S, the diagonal of its Cholesky factor,
-    and ok with degenerate S cleared.  CT is C^T, contiguous."""
-    CP = pb.C @ P                                      # (B, p, d)
-    S = sym(CP @ CT + pb.R2)
-    L, ok = _chol_guarded(S, ok)
-    diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))    # a copy: L is not kept
-    ok &= (diag.min(axis=-1) / diag.max(axis=-1)) ** 2 >= DEGENERACY_RCOND
-    return CP, S, diag, ok
+def _factor_solve(S, rhs, ok=None):
+    """Factor the innovation covariance S and solve against it.
+
+    Returns the diagonal of the Cholesky factor of S, S^{-1} times each of
+    the two (.., p, k) blocks of ``rhs``, and ``ok`` with the elements whose
+    S is degenerate cleared (in place).  Given the ``ok`` mask of a batch
+    this is ``_chol_guarded``, the test on the ratio of the factor's
+    diagonal and ``_solve_guarded`` on the blocks side by side; without it
+    (a pass known to be ``ok``) S is only solved against and the diagonal
+    is None.
+
+    A 1x1 S (p = 1) takes no LAPACK call, with LAPACK's results bit for
+    bit: for s = S[.., 0, 0] the factor is sqrt(s) and dpotrf fails where
+    s <= 0; a NaN or +inf factor fails the ratio test; and the LU solve is
+    b * (1 / s), since OpenBLAS scales by the pivot's reciprocal (b / s can
+    differ in the last bit).  A failed element reads as s = 1, the identity
+    the guarded calls swap in.
+    """
+    a, b = rhs
+    if S.shape[-1] == 1:
+        s = S[..., 0, 0]
+        if ok is None:
+            inv = (1.0 / s)[..., None, None]
+            return None, (a * inv, b * inv), ok
+        c = np.where(ok & ~(s <= 0), s, 1.0)           # the matrix dpotrf factors
+        ok &= (0 < s) & (s < np.inf)
+        diag = np.sqrt(c)[..., None]
+        c[~ok] = 1.0                                   # the matrix the solve takes
+        inv = (1.0 / c)[..., None, None]
+        return diag, (a * inv, b * inv), ok
+    if ok is None:
+        diag, sol = None, np.linalg.solve(S, np.concatenate(rhs, axis=-1))
+    else:
+        L, ok = _chol_guarded(S, ok)
+        diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))    # a copy: L is not kept
+        ok &= (diag.min(axis=-1) / diag.max(axis=-1)) ** 2 >= DEGENERACY_RCOND
+        sol, ok = _solve_guarded(S, np.concatenate(rhs, axis=-1), ok)
+    k = a.shape[-1]
+    return diag, (sol[..., :k], sol[..., k:]), ok
 
 
 def _log_det(diag):
@@ -305,14 +335,18 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
         if store:
             out["pred_means"][:, t] = x
             out["pred_covs"][:, t] = P
-        CP, S, diag, ok = _innovation_cov(pb, P, CT, ok)
+        CP = pb.C @ P                                  # (B, p, d)
         innov = Y[t] - np.einsum("bpd,bd->bp", pb.C, x)
-        # S^{-1} [C P | r]: the transposed gain and S^{-1} r in one solve
-        sol, ok = _solve_guarded(S, np.concatenate((CP, innov[..., None]), axis=-1), ok)
-        KT = sol[..., :d]                              # (B, p, d) = S^{-1} C P
+        # S^{-1} [C P | r]: the transposed gain (B, p, d) and S^{-1} r
+        diag, (KT, v), ok = _factor_solve(sym(CP @ CT + pb.R2), (CP, innov[..., None]), ok)
         diags.append(diag)
-        quads.append(np.einsum("bp,bp->b", innov, sol[..., d]))
-        x = x + np.einsum("bpd,bp->bd", KT, innov)
+        if p == 1:
+            # sums of one term: the products are the einsums' bit for bit
+            quads.append(innov[:, 0] * v[:, 0, 0])
+            x = x + KT[:, 0] * innov
+        else:
+            quads.append(np.einsum("bp,bp->b", innov, v[..., 0]))
+            x = x + np.einsum("bpd,bp->bd", KT, innov)
         if not ok.all():
             x[~ok] = 0.0               # a failed element's mean is held at zero
         Pf = sym(P - _T(CP) @ KT)                      # P - K S K^T
@@ -334,11 +368,10 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
                              + np.stack(quads, axis=1))
     if t < T:
         # steady state from step t on: P is the fixed point of the recursion
-        CP, S, diag, ok = _innovation_cov(pb, P, CT, ok)
-        # S^{-1} [C P | I]: the transposed gain and S^{-1} in one solve
-        sol, ok = _solve_guarded(S, np.concatenate(
-            (CP, np.broadcast_to(np.eye(p), S.shape)), axis=-1), ok)
-        KT, Sinv = sol[..., :d], sol[..., d:]          # (B, p, d) and (B, p, p)
+        CP = pb.C @ P
+        # S^{-1} [C P | I]: the transposed gain (B, p, d) and S^{-1} (B, p, p)
+        diag, (KT, Sinv), ok = _factor_solve(sym(CP @ CT + pb.R2), (
+            CP, np.broadcast_to(np.eye(p), (B, p, p))), ok)
         if store:
             out["pred_covs"][:, t:] = P[:, None]
             out["filt_covs"][:, t:] = sym(P - _T(CP) @ KT)[:, None]
@@ -470,9 +503,7 @@ def _tangent_innovation(pb: ParamsBatch, dirs: ParamsBatch, P, dP):
     S = C P C^T + R2, and d(C P) and dS along every direction given dP."""
     C = pb.C[0]
     CP = C @ P
-    sol = np.linalg.solve(sym(CP @ C.T + pb.R2[0]),
-                          np.concatenate((CP, np.eye(C.shape[0])), axis=1))
-    KT, Sinv = sol[:, :P.shape[0]], sol[:, P.shape[0]:]
+    _, (KT, Sinv), _ = _factor_solve(sym(CP @ C.T + pb.R2[0]), (CP, np.eye(C.shape[0])))
     CdP = C @ dP
     H = dirs.C @ CP.T                                  # dC P C^T
     dS = sym(H + _T(H) + CdP @ C.T + dirs.R2)

@@ -504,8 +504,9 @@ class TestStandardUpdate:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_transient_step_call_budget(self, p, monkeypatch):
+        # a 1x1 innovation covariance is factored and solved without LAPACK
         pb = _engine.stack_params([random_model(4, p, seed=70 + b) for b in range(10)])
-        assert self.calls_per_step(pb, monkeypatch) <= 66
+        assert self.calls_per_step(pb, monkeypatch) <= {1: 40, 3: 66}[p]
 
     @staticmethod
     def cancelling(case):
@@ -535,6 +536,61 @@ class TestStandardUpdate:
         got = fr["filt_covs"][0]
         tol = 1e-10 * np.abs(got).max() + 1e-14 * np.abs(fr["pred_covs"][0]).max()
         np.testing.assert_allclose(got, Pf, rtol=0, atol=tol)
+
+
+class TestFactorSolve:
+    """At p = 1 ``_factor_solve`` calls no LAPACK routine and returns, bit
+    for bit, what the guarded Cholesky, the test on the ratio of its
+    diagonal and the guarded solve return."""
+
+    @staticmethod
+    def guarded(S, rhs, ok):
+        L, ok = _engine._chol_guarded(S, ok)
+        diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))
+        with np.errstate(invalid="ignore"):            # inf / inf of an S = +inf
+            ok &= (diag.min(axis=-1) / diag.max(axis=-1)) ** 2 >= _engine.DEGENERACY_RCOND
+        sol, ok = _engine._solve_guarded(S, np.concatenate(rhs, axis=-1), ok)
+        return diag, sol, ok
+
+    @staticmethod
+    def scalar_batch():
+        rng = np.random.default_rng(11)
+        special = [0.0, -0.0, -1.0, -np.inf, np.nan, np.inf, 5e-324, 1e-310, 1.7e308]
+        good = np.exp(rng.uniform(-700, 700, 400))
+        s = np.concatenate((good, special, good[:len(special)], special))
+        ok = np.ones(s.size, dtype=bool)
+        ok[-2 * len(special):] = False                 # already failed on arrival
+        ok[:len(good):7] = False
+        rhs = (rng.standard_normal((s.size, 1, 5)), rng.standard_normal((s.size, 1, 1)))
+        return s[:, None, None], rhs, ok
+
+    def test_scalar_batch_matches_lapack(self, monkeypatch):
+        S, rhs, ok = self.scalar_batch()
+        want_diag, want, want_ok = self.guarded(S, rhs, ok.copy())
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_lapack)
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        # 1 / s overflows on the subnormal s, silently inside LAPACK
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, (a, b), got_ok = _engine._factor_solve(S, rhs, ok.copy())
+        np.testing.assert_array_equal(got_ok, want_ok)
+        np.testing.assert_array_equal(diag, want_diag)
+        np.testing.assert_array_equal(np.concatenate((a, b), axis=-1), want)
+        # dpotrf fails on s <= 0; NaN and +inf fail the ratio test
+        np.testing.assert_array_equal(got_ok[400:409], [False] * 6 + [True] * 3)
+        assert not got_ok[-18:].any() and got_ok[1:400:7].all()
+
+    def test_unguarded_scalar_matches_lapack(self):
+        rng = np.random.default_rng(12)
+        for s in np.exp(rng.uniform(-50, 50, 200)):
+            S, CP = np.array([[s]]), rng.standard_normal((1, 4))
+            diag, (KT, Sinv), ok = _engine._factor_solve(S, (CP, np.eye(1)))
+            assert diag is None and ok is None
+            np.testing.assert_array_equal(np.concatenate((KT, Sinv), axis=1),
+                                          np.linalg.solve(S, np.concatenate((CP, np.eye(1)), axis=1)))
 
 
 class TestCompleteDataLoglik:
