@@ -19,6 +19,9 @@ takes the filtered covariance in standard form, P - K S K^T = P - (C P)^T K^T.
 From the switch on, S, K^T and S^{-1} (one solve S^{-1} [C P | I]) are
 frozen and the predicted mean follows the linear time-invariant recursion
 x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
+With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
+LAPACK routine: the factor is sqrt(s) and S^{-1} b is b * (1 / s), which
+are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
 That recursion runs as a blocked prefix scan (``_affine_scan``): about
 3 sqrt(N) batched products for N frozen steps, sqrt(N) of them for the
 powers of F, instead of N interpreted steps; the innovations, their
@@ -247,29 +250,25 @@ def _affine_scan(powers, u, x0):
 
 
 def _factor_solve(S, rhs, ok=None):
-    """Factor the innovation covariance S and solve against it.
+    """Factor the innovation covariance S and solve against it: the diagonal
+    of the Cholesky factor of S, S^{-1} times each of the two (.., p, k)
+    blocks of ``rhs``, and ``ok`` with the elements whose S is degenerate
+    cleared (in place), as ``_chol_guarded``, the diagonal-ratio test and
+    ``_solve_guarded`` give them.  Without ``ok`` (a pass known to be ok)
+    S is only solved against and the diagonal is None.
 
-    Returns the diagonal of the Cholesky factor of S, S^{-1} times each of
-    the two (.., p, k) blocks of ``rhs``, and ``ok`` with the elements whose
-    S is degenerate cleared (in place).  Given the ``ok`` mask of a batch
-    this is ``_chol_guarded``, the test on the ratio of the factor's
-    diagonal and ``_solve_guarded`` on the blocks side by side; without it
-    (a pass known to be ``ok``) S is only solved against and the diagonal
-    is None.
-
-    A 1x1 S (p = 1) takes no LAPACK call, with LAPACK's results bit for
-    bit: for s = S[.., 0, 0] the factor is sqrt(s) and dpotrf fails where
-    s <= 0; a NaN or +inf factor fails the ratio test; and the LU solve is
-    b * (1 / s), since OpenBLAS scales by the pivot's reciprocal (b / s can
-    differ in the last bit).  A failed element reads as s = 1, the identity
-    the guarded calls swap in.
+    A 1x1 S takes no LAPACK call and gives LAPACK's results bit for bit:
+    for s = S[.., 0, 0] dpotrf fails where s <= 0 and factors sqrt(s)
+    elsewhere (a NaN or +inf factor fails the ratio test), and OpenBLAS's
+    LU solve is b * (1 / s), not b / s.  A failed element reads as s = 1,
+    the identity the guarded calls swap in.
     """
     a, b = rhs
     if S.shape[-1] == 1:
         s = S[..., 0, 0]
         if ok is None:
             inv = (1.0 / s)[..., None, None]
-            return None, (a * inv, b * inv), ok
+            return None, (a * inv, b * inv), None
         c = np.where(ok & ~(s <= 0), s, 1.0)           # the matrix dpotrf factors
         ok &= (0 < s) & (s < np.inf)
         diag = np.sqrt(c)[..., None]
@@ -341,7 +340,7 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
         diag, (KT, v), ok = _factor_solve(sym(CP @ CT + pb.R2), (CP, innov[..., None]), ok)
         diags.append(diag)
         if p == 1:
-            # sums of one term: the products are the einsums' bit for bit
+            # one-term sums: the plain products are the einsums' values
             quads.append(innov[:, 0] * v[:, 0, 0])
             x = x + KT[:, 0] * innov
         else:
