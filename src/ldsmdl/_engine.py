@@ -29,7 +29,12 @@ quadratic forms and the filtered means are then whole-stretch products.
 
 The filter hands its switch step to the smoother, which mirrors it in two
 phases: J of every transient step and the one J shared by the frozen steps
-are solved in one batched call before the backward walk.  On the frozen
+are solved in one batched call before the backward walk (``_spd_solve``):
+P^pred_{t+1} J_t^T = A P^f_t has a symmetric positive definite matrix, so
+one batched Cholesky factors them all, the factors are inverted by forward
+substitution in n whole-batch steps, and J^T = L^{-T} (L^{-1} A P^f) is two
+batched products; only an element that does not factor is solved by LU.
+On the frozen
 steps the smoothed means run through the same affine scan backward, and V
 through a blocked scan of the congruence map V -> P^f + J (V - P^pred) J^T
 (``_congruence_scan``): block starts are carried with J^L, each block is
@@ -47,6 +52,11 @@ n parameter directions, freezes them at the switch, and runs the frozen
 stretch in blocks of L steps whose (L, n, max(d, p)) arrays hold at most
 ``SCAN_CHUNK`` doubles, since n is in the hundreds and nothing of it is
 returned but the (n, n) information.
+
+The M-step floors the eigenvalues of its covariance estimates at
+COV_FLOOR (``psd_floor_batch``).  A Cholesky of sym(M) - COV_FLOOR I
+decides it: an element that factors is returned as sym(M), and only the
+others are floored through ``eigh``.
 
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
@@ -181,6 +191,47 @@ def _solve_guarded(M, rhs, ok):
         return out, ok
 
 
+def _tri_inverse(L):
+    """The inverses of the (.., n, n) lower triangular matrices L.
+
+    Row i of X = L^{-1} is found from the rows above it by forward
+    substitution, X[i, :i] = -(L[i, :i] X[:i, :i]) / L[i, i], with the N
+    matrices on the last axis, (n, n, N): n whole-batch steps.  A sum over
+    j runs in order of j for each matrix alone, so the inverse of a matrix
+    does not depend on the other matrices of the batch.
+    """
+    n = L.shape[-1]
+    Lt = np.moveaxis(L.reshape(-1, n, n), 0, -1).copy()     # (n, n, N)
+    X = np.zeros(Lt.shape)
+    r = 1.0 / np.diagonal(Lt).T                               # (n, N)
+    for i in range(n):
+        X[i, i] = r[i]
+        if i:
+            X[i, :i] = (Lt[i, :i, None] * X[:i, :i]).sum(axis=0) * -r[i]
+    return np.moveaxis(X, -1, 0).reshape(L.shape)
+
+
+def _spd_solve(M, rhs, ok):
+    """Batched solve M x = rhs for symmetric positive definite M, as
+    ``_solve_guarded`` takes it: M (B, .., n, n), rhs (B, .., n, k).
+
+    The batch is factored by Cholesky, M = L L^T, and solved as
+    x = L^{-T} (L^{-1} rhs), with L^{-1} from ``_tri_inverse`` and the two
+    products taken matrix by matrix (batched matmul).  An element with a
+    matrix that does not factor is solved, alone among the elements, by
+    ``_solve_guarded``'s LU, which clears its ``ok`` only if a matrix is
+    singular; elements already not ``ok`` solve against the identity.
+    """
+    M = _identity_where_failed(M, ok)
+    L, factored = _chol_guarded(M, ok.copy())
+    Linv = _tri_inverse(L)
+    x = _T(Linv) @ (Linv @ rhs)
+    lu = ok & ~factored
+    if lu.any():
+        x[lu], ok[lu] = _solve_guarded(M[lu], rhs[lu], ok[lu])
+    return x, ok
+
+
 def _finite_or_identity(M, ok):
     """M with the elements that hold a non-finite entry cleared in ``ok``
     (in place) and, like the elements already failed, swapped for the
@@ -191,11 +242,22 @@ def _finite_or_identity(M, ok):
 
 def psd_floor_batch(M):
     """Batched symmetrize + eigenvalue floor at COV_FLOOR; returns
-    (floored, fired-mask)."""
-    w, V = np.linalg.eigh(sym(M))
-    fired = np.any(w < COV_FLOOR, axis=-1)
-    w = np.maximum(w, COV_FLOOR)
-    return np.einsum("...ij,...j,...kj->...ik", V, w, V), fired
+    (floored, fired-mask).
+
+    An element whose sym(M) - COV_FLOOR I factors by Cholesky has every
+    eigenvalue above the floor and comes back as sym(M), not fired; only
+    the others are floored through their eigendecomposition.
+    """
+    out = sym(M)
+    _, above = _chol_guarded(out - COV_FLOOR * np.eye(out.shape[-1]),
+                             np.ones(out.shape[0], dtype=bool))
+    fired = np.zeros(out.shape[0], dtype=bool)
+    if not above.all():
+        w, V = np.linalg.eigh(out[~above])
+        fired[~above] = np.any(w < COV_FLOOR, axis=-1)
+        w = np.maximum(w, COV_FLOOR)
+        out[~above] = np.einsum("...ij,...j,...kj->...ik", V, w, V)
+    return out, fired
 
 
 def _settled(new, old, ok) -> bool:
@@ -470,7 +532,7 @@ def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
     s = min(fr["switch"], T - 1)
     # J_t = P^f_t A^T (P^pred_{t+1})^{-1} for t = 0..s, t < T - 1, in one (B, H, d, d) solve
     H = min(s + 1, T - 1)
-    JT, ok = _solve_guarded(pP[:, 1:H + 1], pb.A[:, None] @ fP[:, :H], ok)
+    JT, ok = _spd_solve(pP[:, 1:H + 1], pb.A[:, None] @ fP[:, :H], ok)
     JT[~ok] = 0.0                  # a failed element's smoothed means are its filtered ones
     if s < T - 1:
         n = T - 1 - s                  # the frozen steps s .. T-2
@@ -600,11 +662,13 @@ def m_step_batch(sm: dict, Y: np.ndarray,
     m, V, cross = sm["means"], sm["covs"], sm["cross"]
     B, T, d = m.shape
     ok = sm["ok"].copy()
-    Z = V + np.einsum("btd,bte->btde", m, m)            # (B, T, d, d)
-    Zsum = _finite_or_identity(Z.sum(axis=1), ok)
-    S00 = _finite_or_identity(Zsum - Z[:, -1], ok)
-    S11 = Zsum - Z[:, 0]
-    S10 = cross.sum(axis=1) + np.einsum("btd,bte->bde", m[:, 1:], m[:, :-1])
+    # Z_t = V_t + m_t m_t^T: its sums as (d, T) (T, d) products, Z_0 and
+    # Z_{T-1} on their own
+    mT = _T(m)
+    Zsum = _finite_or_identity(V.sum(axis=1) + mT @ m, ok)
+    S00 = _finite_or_identity(Zsum - (V[:, -1] + m[:, -1, :, None] * m[:, -1, None]), ok)
+    S11 = Zsum - (V[:, 0] + m[:, 0, :, None] * m[:, 0, None])
+    S10 = cross.sum(axis=1) + mT[:, :, 1:] @ m[:, :-1]
     ok &= _well_conditioned(S00)
     AT, ok = _solve_guarded(S00, _T(S10), ok)
     A = _T(_finite_or_identity(AT, ok))
@@ -647,14 +711,15 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     Returns the last filtered ``params``, their ``loglik`` (-inf where
     failed), the M-steps of each element (``iterations``), the (passes, B)
     logliks of every pass (``traces``; element b's own are its first
-    iterations[b] + 1 rows) and the (M-steps, B) mask of stability rescales.
+    iterations[b] + 1 rows) and the (M-steps, B) masks of covariance floors
+    (``floors``) and stability rescales (``rescales``).
     """
     B = init.B
     cur = init.copy()
     converged = np.zeros(B, dtype=bool)
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
-    traces, rescales = [], []
+    traces, floors, rescales = [], [], []
     active = np.ones(B, dtype=bool)
     fr = sm = None
     while True:
@@ -670,9 +735,10 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         if last or not np.any(active):
             break
         sm = smooth_batch(cur, fr, reuse=sm)
-        new, _fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation)
+        new, fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation)
         failed |= active & ~ok
         active &= ok
+        floors.append(active & fired)
         new.A, resc = enforce_stability_batch(new.A)
         rescales.append(active & resc)
         iterations[active] += 1
@@ -685,5 +751,6 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         "converged": converged,
         "failed": failed,
         "iterations": iterations,
+        "floors": np.array(floors, dtype=bool).reshape(-1, B),
         "rescales": np.array(rescales, dtype=bool).reshape(-1, B),
     }

@@ -56,6 +56,9 @@ class FitResult:
     #: 1-based M-steps after which the stability rescale fired (monotonicity
     #: may legitimately break there)
     rescale_iters: list = field(default_factory=list)
+    #: 1-based M-steps at which the eigenvalue floor raised a covariance
+    #: estimate (R1, R2 or R0) to COV_FLOOR
+    floor_iters: list = field(default_factory=list)
 
 
 def _params_from_batch(pb: _engine.ParamsBatch, b: int, d: int | None = None) -> LdsParams:
@@ -124,6 +127,7 @@ def _fit_result(res: dict, b: int, d: int) -> FitResult:
         converged=bool(res["converged"][b]),
         iterations=n,
         rescale_iters=(np.flatnonzero(res["rescales"][:, b]) + 1).tolist(),
+        floor_iters=(np.flatnonzero(res["floors"][:, b]) + 1).tolist(),
     )
 
 

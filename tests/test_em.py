@@ -320,6 +320,37 @@ class TestFitRecord:
             assert fit.rescale_iters == [i for i in full if i <= k]
 
 
+class TestFloorRecord:
+    """The M-steps at which the covariance floor fired are recorded per
+    element, like the stability rescales."""
+
+    @staticmethod
+    def zero_data():
+        # Y = 0 makes the M-step's C exactly 0 and its R2 estimate exactly 0
+        return SequenceData(Y=np.zeros((50, 1)))
+
+    def test_floor_iters_of_a_zero_sequence(self):
+        data = self.zero_data()
+        fit = em_fit(data, default_init(data, 2, seed=0), EmConfig(max_iters=5))
+        assert fit.iterations >= 1
+        assert fit.floor_iters == list(range(1, fit.iterations + 1))
+        assert fit.params.R2[0, 0] == _engine.COV_FLOOR
+
+    def test_ordinary_fit_is_not_floored(self):
+        data = TestFitRecord.data()
+        fit = em_fit(data, default_init(data, 2, seed=3), EmConfig(eps=1e-2, max_iters=200))
+        assert fit.iterations > 1 and fit.floor_iters == []
+
+    def test_floors_mask_is_per_m_step_and_element(self):
+        data = self.zero_data()
+        pb = _engine.stack_params([default_init(data, d, seed=s) for d, s in ((2, 0), (3, 1))])
+        res = _engine.em_loop(pb, data.Y, eps=1e-2, max_iters=4)
+        assert res["floors"].shape == res["rescales"].shape == (len(res["traces"]) - 1, 2)
+        for b in range(2):
+            np.testing.assert_array_equal(np.flatnonzero(res["floors"][:, b]) + 1,
+                                          np.arange(1, res["iterations"][b] + 1))
+
+
 class TestFailedElements:
     """An element that fails keeps its last parameters; the filter and the
     smoother mask it, so it disturbs neither the batch nor the numerics."""

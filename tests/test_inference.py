@@ -9,6 +9,7 @@ from ldsmdl import (DegeneracyError, LdsParams, SequenceData,
 from ldsmdl import _engine
 from ldsmdl.criteria import _directions
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
+from ldsmdl.model import sym
 
 from .oracles import joint_loglik, smoothed_moments, textbook_smoother
 
@@ -415,30 +416,141 @@ class TestGuardedFactorizations:
         np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
         transient = switch_step(fr["pred_covs"])
         assert transient > 1
-        assert calls["batched"] == transient + 1
+        # the filter's transient steps and its switch, and the smoother's J
+        assert calls["batched"] == transient + 2
         assert calls["single"] == len(models)
         # the guarded calls never write into the caller's arrays
         np.testing.assert_array_equal(fr["pred_covs"], pred_covs)
 
 
     def test_one_solve_per_smoother_pass(self, monkeypatch):
-        # J of every stretch (the transient steps and the frozen stretch) in
-        # one batched call
+        # J of every stretch (the transient steps and the frozen stretch)
+        # from one batched Cholesky, and no LU solve
         models = [random_model(3, 2, seed=s) for s in (60, 61, 62)]
         Y = simulate(models[0], T=200, seed=2).Y
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         assert fr["ok"].all() and switch_step(fr["pred_covs"]) > 1
+        calls = {"cholesky": [], "solve": []}
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def call(a, *args, **kwargs):
+                calls[name].append(a.shape)
+                return real(a, *args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        _engine.smooth_batch(batch, fr)
+        assert calls == {"cholesky": [(3, switch_step(fr["pred_covs"]) + 1, 3, 3)],
+                         "solve": []}
+
+
+class TestSpdSolve:
+    """The smoother's solve for its gains: one batched Cholesky, the inverse
+    of the factor and two products, with LU only for an element that does
+    not factor."""
+
+    @staticmethod
+    def spd_batch(B, H, d, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((B, H, d, d))
+        return X @ np.swapaxes(X, -1, -2) + 0.1 * np.eye(d), rng.standard_normal((B, H, d, d))
+
+    @pytest.mark.parametrize("d", [1, 3, 6, 12])
+    def test_matches_lu_solve(self, d):
+        M, R = self.spd_batch(8, 5, d, seed=d)
+        x, ok = _engine._spd_solve(M, R, np.ones(8, dtype=bool))
+        assert ok.all()
+        want = np.linalg.solve(M, R)
+        err = np.abs(x - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert np.all(err <= 1e-12 * np.linalg.cond(M))
+
+    @pytest.mark.parametrize("d", [1, 3, 6, 12])
+    def test_each_element_alone_as_in_the_batch(self, d, monkeypatch):
+        M, R = self.spd_batch(6, 4, d, seed=20 + d)
+        M[2, 1] *= -1.0                # nonsingular but not positive definite
+        M[4, 3] = 0.0                  # singular
         real = np.linalg.solve
-        calls = []
+        lu = []
 
         def counting(a, b):
-            calls.append(a.shape)
+            lu.append(a.shape)
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        _engine.smooth_batch(batch, fr)
-        assert calls == [(3, switch_step(fr["pred_covs"]) + 1, 3, 3)]
+        x, ok = _engine._spd_solve(M, R, np.ones(6, dtype=bool))
+        # only the two elements that do not factor go to LU, and only the
+        # singular one fails
+        assert lu == [(2, 4, d, d)] + [(4, d, d)] * 2
+        np.testing.assert_array_equal(ok, [True, True, True, True, False, True])
+        np.testing.assert_array_equal(x[2], real(M[2], R[2]))
+        np.testing.assert_array_equal(x[4], R[4])
+        for b in range(6):
+            alone, ok_b = _engine._spd_solve(M[b:b + 1], R[b:b + 1], np.ones(1, dtype=bool))
+            assert ok_b[0] == ok[b]
+            np.testing.assert_array_equal(alone[0], x[b])
+
+    def test_failed_element_solves_against_the_identity(self):
+        M, R = self.spd_batch(3, 4, 3, seed=7)
+        M[1] = np.nan                  # not read: the element already failed
+        before = M.copy()
+        x, ok = _engine._spd_solve(M, R, np.array([True, False, True]))
+        np.testing.assert_array_equal(ok, [True, False, True])
+        np.testing.assert_array_equal(x[1], R[1])
+        np.testing.assert_array_equal(M, before)
+
+
+class TestPsdFloor:
+    """An element whose eigenvalues all lie above COV_FLOOR comes back as
+    sym(M); only the others are floored through eigh."""
+
+    @staticmethod
+    def eigh_floor(M):
+        """The eigendecomposition path, which every element took before the
+        Cholesky test."""
+        w, V = np.linalg.eigh(sym(M))
+        fired = np.any(w < _engine.COV_FLOOR, axis=-1)
+        w = np.maximum(w, _engine.COV_FLOOR)
+        return np.einsum("...ij,...j,...kj->...ik", V, w, V), fired
+
+    @staticmethod
+    def batch(d, seed):
+        """Eight (d, d) matrices, not symmetric: even ones well above the
+        floor, odd ones with an eigenvalue below it (negative, or zero)."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((8, d, d))
+        M = X @ np.swapaxes(X, 1, 2) + 0.5 * np.eye(d) + 1e-3 * rng.standard_normal((8, d, d))
+        M[1::2] -= 2.0 * np.linalg.eigvalsh(sym(M[1::2]))[:, -1, None, None] * np.eye(d)
+        M[3, 0] = M[3, :, 0] = 0.0                     # an eigenvalue 0
+        return M
+
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    def test_above_the_floor_is_returned_as_sym(self, d):
+        M = self.batch(d, seed=d)[::2]
+        out, fired = _engine.psd_floor_batch(M)
+        np.testing.assert_array_equal(out, sym(M))
+        assert not fired.any()
+
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    def test_below_the_floor_takes_the_eigh_path(self, d):
+        M = self.batch(d, seed=d)[1::2]
+        out, fired = _engine.psd_floor_batch(M)
+        want, want_fired = self.eigh_floor(M)
+        assert want_fired.all()
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(fired, want_fired)
+
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    def test_mixed_batch_takes_each_element_by_its_own_rule(self, d):
+        M = self.batch(d, seed=d)
+        out, fired = _engine.psd_floor_batch(M)
+        np.testing.assert_array_equal(fired, [False, True] * 4)
+        for b in range(8):
+            want = sym(M[b]) if b % 2 == 0 else self.eigh_floor(M[b:b + 1])[0][0]
+            np.testing.assert_array_equal(out[b], want)
 
 
 def joseph_filter(params, Y):

@@ -1,0 +1,108 @@
+"""Time the EM layers of two source checkouts in one process, alternately.
+
+    python3 tools/layer_pairs.py PARENT_DIR CHANGE_DIR [--runs 40] [--seed 0]
+
+The ``src/ldsmdl`` package of each checkout is copied into a temporary
+directory as ``ldsmdl_parent`` and ``ldsmdl_change`` and both are imported
+here, so that both sides are timed in the same machine phase.  For each
+``grid-d4`` bucket shape in ``BUCKETS`` the change's ``em_loop`` runs
+``EM_ITERS`` EM iterations from the bucket's seeded restarts on the
+benchmark's ``grid-d4`` input of ``--seed`` (the change's ``perfbench``),
+as ``grid_search`` seeds them; both sides then time ``filter_batch``,
+``smooth_batch`` and ``m_step_batch`` on those parameters, the parent and
+the change taking turns (the change first on odd runs), and keep the
+minimum of ``--runs`` calls.  Each line gives the layer, (B, D), the
+filter's switch step, each side's time, and change / parent.
+
+Needs numpy.
+"""
+import argparse
+import importlib
+import os
+import shutil
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+#: the orders of the grid-d4 buckets timed: (B, D) = (20, 3), (30, 6), (20, 8)
+#: and (10, 12) at 10 restarts
+BUCKETS = ([2, 3], [4, 5, 6], [7, 8], [12])
+#: EM iterations run before the layers are timed
+EM_ITERS = 10
+SIDES = ("parent", "change")
+
+
+def import_side(checkout, name, into):
+    shutil.copytree(os.path.join(checkout, "src", "ldsmdl"), os.path.join(into, name))
+    return importlib.import_module(name)
+
+
+def bucket_params(m, wl, Y, orders, seed):
+    """The parameters after EM_ITERS EM iterations of one bucket's restarts,
+    seeded and stacked as ``selection._fit_bucket`` and ``em.multi_order_fit``
+    do, as a tuple of arrays."""
+    data = m.SequenceData(Y=Y)
+    inits = []
+    for d in orders:
+        order_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0] % 2 ** 31)
+        inits += [m.em.default_init(data, d, m.em.restart_seed(order_seed, r))
+                  for r in range(wl.restarts)]
+    res = m._engine.em_loop(m._engine.stack_params(inits), Y, eps=wl.eps, max_iters=EM_ITERS)
+    return tuple(getattr(res["params"], f) for f in m.model.PARAM_FIELDS)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--runs", type=int, default=40, help="timed calls per side and layer")
+    ap.add_argument("--seed", type=int, default=0, help="the grid-d4 input seed")
+    args = ap.parse_args(argv)
+    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    sys.path.insert(0, checkouts["change"])
+    from perfbench.workloads import GridD4
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        mods = {side: import_side(checkouts[side], f"ldsmdl_{side}", tmp) for side in SIDES}
+        wl = GridD4(mods["change"], None)
+        Y = wl.sequence(args.seed)
+        print(f"{'layer':<13} {'(B, D)':>8} {'switch':>6} {'parent ms':>10} "
+              f"{'change ms':>10} {'ratio':>6}")
+        for orders in BUCKETS:
+            arrays = bucket_params(mods["change"], wl, Y, orders, args.seed)
+            calls, switch = {}, {}
+            for side, m in mods.items():
+                eng = m._engine
+                pb = eng.ParamsBatch(*(a.copy() for a in arrays))
+                fr = eng.filter_batch(pb, Y)
+                sm = eng.smooth_batch(pb, fr)
+                switch[side] = fr["switch"]
+                # each pass overwrites the arrays of the pass before, as in em_loop
+                calls[side] = {
+                    "filter_batch": lambda eng=eng, pb=pb, fr=fr: eng.filter_batch(pb, Y, reuse=fr),
+                    "smooth_batch": lambda eng=eng, pb=pb, fr=fr, sm=sm:
+                        eng.smooth_batch(pb, fr, reuse=sm),
+                    "m_step_batch": lambda eng=eng, sm=sm: eng.m_step_batch(sm, Y),
+                }
+            shape = f"({arrays[0].shape[0]}, {arrays[0].shape[1]})"
+            sw = (str(switch["change"]) if switch["parent"] == switch["change"]
+                  else f"{switch['parent']}/{switch['change']}")
+            for layer in calls["change"]:
+                best = dict.fromkeys(SIDES, np.inf)
+                for i in range(args.runs):
+                    for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                        fn = calls[side][layer]
+                        t0 = time.perf_counter()
+                        fn()
+                        best[side] = min(best[side], time.perf_counter() - t0)
+                p, c = best["parent"] * 1e3, best["change"] * 1e3
+                print(f"{layer:<13} {shape:>8} {sw:>6} {p:>10.3f} {c:>10.3f} {c / p:>6.3f}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
