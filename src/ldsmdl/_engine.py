@@ -201,13 +201,13 @@ def _tri_inverse(L):
     does not depend on the other matrices of the batch.
     """
     n = L.shape[-1]
-    Lt = np.moveaxis(L.reshape(-1, n, n), 0, -1).copy()     # (n, n, N)
-    X = np.zeros(Lt.shape)
-    r = 1.0 / np.diagonal(Lt).T                               # (n, N)
+    X = np.moveaxis(L.reshape(-1, n, n), 0, -1).copy()      # (n, n, N), L for now
+    r = 1.0 / np.diagonal(X).T                                # (n, N)
     for i in range(n):
-        X[i, i] = r[i]
+        # row i of L is read here for the last time and then holds row i of X
         if i:
-            X[i, :i] = (Lt[i, :i, None] * X[:i, :i]).sum(axis=0) * -r[i]
+            X[i, :i] = (X[i, :i, None] * X[:i, :i]).sum(axis=0) * -r[i]
+        X[i, i] = r[i]
     return np.moveaxis(X, -1, 0).reshape(L.shape)
 
 
@@ -224,8 +224,8 @@ def _spd_solve(M, rhs, ok):
     """
     M = _identity_where_failed(M, ok)
     L, factored = _chol_guarded(M, ok.copy())
-    Linv = _tri_inverse(L)
-    x = _T(Linv) @ (Linv @ rhs)
+    L = _tri_inverse(L)            # now L^{-1}: the factor is not kept alive (peak memory)
+    x = _T(L) @ (L @ rhs)
     lu = ok & ~factored
     if lu.any():
         x[lu], ok[lu] = _solve_guarded(M[lu], rhs[lu], ok[lu])
