@@ -19,13 +19,13 @@ takes the filtered covariance in standard form, P - K S K^T = P - (C P)^T K^T.
 From the switch on, S, K^T and S^{-1} (one solve S^{-1} [C P | I]) are
 frozen and the predicted mean follows the linear time-invariant recursion
 x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
-With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
-LAPACK routine: the factor is sqrt(s) and S^{-1} b is b * (1 / s), which
-are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
 That recursion runs as a blocked prefix scan (``_affine_scan``): about
 3 sqrt(N) batched products for N frozen steps, sqrt(N) of them for the
 powers of F, instead of N interpreted steps; the innovations, their
 quadratic forms and the filtered means are then whole-stretch products.
+With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
+LAPACK routine: the factor is sqrt(s) and S^{-1} b is b * (1 / s), which
+are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
 
 The filter hands its switch step to the smoother, which mirrors it in two
 phases: J of every transient step and the one J shared by the frozen steps
@@ -34,19 +34,19 @@ P^pred_{t+1} J_t^T = A P^f_t has a symmetric positive definite matrix, so
 one batched Cholesky factors them all, the factors are inverted by forward
 substitution in n whole-batch steps, and J^T = L^{-T} (L^{-1} A P^f) is two
 batched products; only an element that does not factor is solved by LU.
-On the frozen
-steps the smoothed means run through the same affine scan backward, and V
-through a blocked scan of the congruence map V -> P^f + J (V - P^pred) J^T
-(``_congruence_scan``): block starts are carried with J^L, each block is
-filled from its start in one product, and the carry stops at the first
-block start that has settled by the same test, after which V and the
-cross-covariance are one copy.  V settles at the rate P did, so its
-blocks are sized by the switch: L = ceil(sqrt(min(s, n))) for the switch
-s and n frozen steps.  The transient steps are then stepped with plain
-products, and their cross-covariances are one product.
+On the frozen steps the smoothed means run through the same affine scan
+backward, and V through a blocked scan of the congruence map
+V -> P^f + J (V - P^pred) J^T (``_congruence_scan``): block starts are
+carried with J^L, each block is filled from its start in one product, and
+the carry stops at the first block start that has settled by the same
+test, after which V and the cross-covariance are one copy.  V settles at
+the rate P did, so its blocks are sized by the switch:
+L = ceil(sqrt(min(s, n))) for the switch s and n frozen steps.  The
+transient steps are then stepped with plain products, and their
+cross-covariances are one product.
 
 The filter and the smoother scan their frozen stretch in one pass.  The
-tangent pass (``tangent_fisher``) reads a stored B=1 filter pass and its
+tangent pass (``tangent_fisher``) reads a B=1 filter pass and its
 switch like the smoother: it steps the derivatives of the transient along
 n parameter directions, freezes them at the switch, and runs the frozen
 stretch in blocks of L steps whose (L, n, max(d, p)) arrays hold at most
@@ -107,9 +107,6 @@ class ParamsBatch:
     @property
     def p(self) -> int:
         return self.C.shape[1]
-
-    def copy(self) -> "ParamsBatch":
-        return ParamsBatch(*(getattr(self, f).copy() for f in PARAM_FIELDS))
 
     def where(self, mask: np.ndarray, other: "ParamsBatch") -> "ParamsBatch":
         """Element b from self where mask[b], else from other."""
@@ -359,17 +356,17 @@ def _arrays(reuse: dict | None, shapes: dict) -> dict:
     return {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
 
 
-def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
-                 ok: np.ndarray | None = None, reuse: dict | None = None) -> dict:
+def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
+                 reuse: dict | None = None) -> dict:
     """Batched Kalman filter; the filtered covariance is P - (C P)^T K^T.
 
-    Returns a dict with per-element logliks, per-step loglik contributions,
-    an ``ok`` mask (False where an innovation covariance degenerated), the
-    ``switch`` step (the first frozen step, T when the filter never froze)
-    and, when ``store`` is set, the full predicted/filtered trajectories.
-    Elements that are False in the caller's ``ok`` (all True by default)
-    are treated as failed from step 0.  A stored pass of the same shapes
-    handed over as ``reuse`` has its trajectories overwritten by this one's.
+    Returns a dict with the predicted and filtered trajectories, per-element
+    logliks, per-step loglik contributions, an ``ok`` mask (False where an
+    innovation covariance degenerated) and the ``switch`` step (the first
+    frozen step, T when the filter never froze).  Elements that are False in
+    the caller's ``ok`` (all True by default) are treated as failed from
+    step 0.  An earlier pass of the same shapes handed over as ``reuse`` has
+    its trajectories overwritten by this one's.
 
     A transient step solves S once for the gain and the innovation together;
     the log-dets and quadratic forms of the transient enter the step logliks
@@ -390,12 +387,11 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
     step_ll = np.zeros((B, T))
     diags, quads = [], []          # per transient step: (B, p) and (B,)
     out = _arrays(reuse, {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
-                          "filt_means": (B, T, d), "filt_covs": (B, T, d, d)}) if store else {}
+                          "filt_means": (B, T, d), "filt_covs": (B, T, d, d)})
     t = 0
     while t < T:
-        if store:
-            out["pred_means"][:, t] = x
-            out["pred_covs"][:, t] = P
+        out["pred_means"][:, t] = x
+        out["pred_covs"][:, t] = P
         CP = pb.C @ P                                  # (B, p, d)
         innov = Y[t] - np.einsum("bpd,bd->bp", pb.C, x)
         # S^{-1} [C P | r]: the transposed gain (B, p, d) and S^{-1} r
@@ -411,9 +407,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
         if not ok.all():
             x[~ok] = 0.0               # a failed element's mean is held at zero
         Pf = sym(P - _T(CP) @ KT)                      # P - K S K^T
-        if store:
-            out["filt_means"][:, t] = x
-            out["filt_covs"][:, t] = Pf
+        out["filt_means"][:, t] = x
+        out["filt_covs"][:, t] = Pf
         t += 1
         if t == T:
             break
@@ -433,9 +428,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
         # S^{-1} [C P | I]: the transposed gain (B, p, d) and S^{-1} (B, p, p)
         diag, (KT, Sinv), ok = _factor_solve(sym(CP @ CT + pb.R2), (
             CP, np.broadcast_to(np.eye(p), (B, p, p))), ok)
-        if store:
-            out["pred_covs"][:, t:] = P[:, None]
-            out["filt_covs"][:, t:] = sym(P - _T(CP) @ KT)[:, None]
+        out["pred_covs"][:, t:] = P[:, None]
+        out["filt_covs"][:, t:] = sym(P - _T(CP) @ KT)[:, None]
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
         # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
         # the batch, so y_s G^T of every element is one product with the
@@ -454,9 +448,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, store: bool = True,
         # r^T S^{-1} r, with S^{-1} applied from the right
         step_ll[:, t:] = -0.5 * ((p * LOG_2PI + _log_det(diag))[:, None]
                                  + np.einsum("bsp,bsp->bs", innov, innov @ Sinv))
-        if store:
-            out["pred_means"][:, t:] = xs
-            out["filt_means"][:, t:] = xs + innov @ KT
+        out["pred_means"][:, t:] = xs
+        out["filt_means"][:, t:] = xs + innov @ KT
     out["step_loglik"] = step_ll
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
@@ -507,7 +500,7 @@ def _congruence_scan(powers, sums, G, W0, n: int, ok):
 
 
 def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
-    """Batched RTS smoother over a stored filter pass.
+    """Batched RTS smoother over a filter pass.
 
     The lag-one cross-covariance uses the smoother-gain identity
     Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  The smoother reads the filter's
@@ -574,7 +567,7 @@ def _tangent_innovation(pb: ParamsBatch, dirs: ParamsBatch, P, dP):
 def tangent_fisher(pb: ParamsBatch, fr: dict, Y: np.ndarray, dirs: ParamsBatch) -> np.ndarray:
     """Empirical Fisher information sum_t g_t g_t^T of the exact per-step
     loglik scores, by a forward sensitivity (tangent-linear) pass over one
-    stored, ``ok`` B=1 filter pass ``fr`` of ``pb``.
+    ``ok`` B=1 filter pass ``fr`` of ``pb``.
 
     ``dirs`` holds the n directions as a batch: element i is the derivative
     of every parameter block along direction i.  Each step carries the
@@ -706,8 +699,10 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     numerically keep their last parameters, which the filter and smoother
     mask, and are flagged in ``failed``; later passes hand ``~failed`` to
     the filter as its starting ``ok`` mask, so it never factors them again.
-    Each filter and smoother pass overwrites the arrays of the pass before
-    (``reuse``), so one stored pass and one posterior are alive at a time.
+    Each filter and smoother pass, the last filter pass too, overwrites the
+    arrays of the pass before (``reuse``), so one filter pass and one
+    posterior are alive at a time.  ``init`` is never written: every update
+    goes through ``ParamsBatch.where``, which builds new arrays.
     Returns the last filtered ``params``, their ``loglik`` (-inf where
     failed), the M-steps of each element (``iterations``), the (passes, B)
     logliks of every pass (``traces``; element b's own are its first
@@ -715,7 +710,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     (``floors``) and stability rescales (``rescales``).
     """
     B = init.B
-    cur = init.copy()
+    cur = init
     converged = np.zeros(B, dtype=bool)
     failed = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
@@ -723,8 +718,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     active = np.ones(B, dtype=bool)
     fr = sm = None
     while True:
-        last = len(traces) == max_iters
-        fr = filter_batch(cur, Y, store=not last, ok=~failed, reuse=fr)
+        fr = filter_batch(cur, Y, ok=~failed, reuse=fr)
         failed |= active & ~fr["ok"]
         active &= fr["ok"]
         ll = fr["loglik"]
@@ -732,7 +726,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
             converged |= active & (np.abs(ll - traces[-1]) < eps)
             active &= ~converged
         traces.append(ll)
-        if last or not np.any(active):
+        if len(traces) > max_iters or not np.any(active):
             break
         sm = smooth_batch(cur, fr, reuse=sm)
         new, fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation)

@@ -20,8 +20,8 @@ from .datagen import (NarmaSpec, RandomLdsConfig, narma_generate,
                       preprocess_center_trim, random_stable_lds)
 from .em import EmConfig
 from .errors import LdsError
-from .model import (LdsParams, ModelOrderBounds, read_sequence_csv, simulate,
-                    write_sequence_csv)
+from .model import (LdsParams, ModelOrderBounds, check_integer, read_sequence_csv,
+                    simulate, write_sequence_csv)
 from .selection import (annihilation_search, criterion_table, grid_search,
                         write_sweep_csv)
 
@@ -77,9 +77,11 @@ def _write_manifest(path, command: str, config_snapshot: dict, master_seed,
 
 
 def _master_seed(seed: int) -> int:
-    """LDSMDL_SEED when set, else ``seed``; a negative seed is a ValueError."""
+    """LDSMDL_SEED when set, else ``seed``; a seed that is not an integer
+    or is negative is a ValueError."""
     env = os.environ.get("LDSMDL_SEED")
     seed = int(env) if env is not None else seed
+    check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
@@ -93,21 +95,21 @@ def cmd_simulate(args) -> None:
         kind = cfg["type"]
         if kind not in ("lds", "narma"):
             raise ValueError(f"unknown generator type {kind!r}")
-        seed = cfg["seed"] = _master_seed(int(cfg.get("seed", 0)))
+        seed = cfg["seed"] = _master_seed(cfg.get("seed", 0))
     with _stage("generation"):
         if kind == "lds":
             if "params" in cfg:
                 params = LdsParams.from_dict(cfg["params"])
             else:
                 params = random_stable_lds(RandomLdsConfig(
-                    d=int(cfg["d"]), d_out=int(cfg.get("d_out", 1)),
+                    d=cfg["d"], d_out=cfg.get("d_out", 1),
                     entry_range=tuple(cfg.get("entry_range", (-1.0, 1.0))),
                     iw_dof=cfg.get("iw_dof"), seed=seed))
-            data = simulate(params, T=int(cfg["length"]),
-                            burn_in=int(cfg.get("burn_in", 0)), seed=seed)
+            data = simulate(params, T=cfg["length"], burn_in=cfg.get("burn_in", 0),
+                            seed=seed)
         else:
             data = narma_generate(NarmaSpec(
-                order=int(cfg["order"]), length=int(cfg["length"]),
+                order=cfg["order"], length=cfg["length"],
                 input_range=tuple(cfg.get("input_range", (0.0, 0.5))), seed=seed))
             if cfg.get("preprocess", False):
                 data = preprocess_center_trim(data)

@@ -177,8 +177,8 @@ def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
     """Half log-determinant of the empirical Fisher information at ``params``.
 
     The per-timestep score vectors of the innovation-form loglik are exact:
-    one tangent-linear pass (``_engine.tangent_fisher``) over a stored
-    filter pass carries the derivatives of the filter along every free
+    one tangent-linear pass (``_engine.tangent_fisher``) over a filter
+    pass carries the derivatives of the filter along every free
     parameter of ``_free_layout`` (an off-diagonal covariance entry moves
     with its mirror), with no difference step.  Their outer products are
     accumulated as F.  The result is always the pseudo-determinant over the

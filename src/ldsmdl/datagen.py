@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import (DegenerateDataError, DimensionError, DivergenceError,
                      InsufficientDataError)
-from .model import LdsParams, SequenceData, enforce_stability
+from .model import LdsParams, SequenceData, check_integer, enforce_stability
 
 NARMA_ORDERS = (10, 20, 30)
 #: divergence threshold for NARMA recursions
@@ -28,6 +28,8 @@ class RandomLdsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("d", self.d)
+        check_integer("d_out", self.d_out)
         if self.d < 1 or self.d_out < 1:
             raise DimensionError("d and d_out must be >= 1")
         lo, hi = self.entry_range
@@ -48,6 +50,8 @@ class NarmaSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("order", self.order)
+        check_integer("length", self.length)
         if self.order not in NARMA_ORDERS:
             raise DimensionError(f"order must be one of {NARMA_ORDERS}, got {self.order}")
         if self.length < self.order + 1:

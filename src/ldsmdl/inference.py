@@ -9,7 +9,7 @@ from . import _engine
 from .errors import DegeneracyError, DimensionError
 from .model import LdsParams, SequenceData, sym
 
-#: the trajectories of a stored filter pass, named as in the engine's dicts
+#: the trajectories of a filter pass, named as in the engine's dicts
 _TRAJECTORIES = ("pred_means", "pred_covs", "filt_means", "filt_covs")
 
 
@@ -32,17 +32,15 @@ class FilterResult:
 
 @dataclass(frozen=True)
 class SmoothedPosterior:
-    """Smoothed means, covariances, lag-one cross-covariances, and second moments.
+    """Smoothed means, covariances and lag-one cross-covariances.
 
-    ``Z[t] = E[x_t x_t^T | Y]`` and ``Z_cross[t] = E[x_{t+2} x_{t+1}^T | Y]``
-    (the cross lists have T - 1 entries, covering t = 2..T in one-based time).
+    ``cross_covs[t] = Cov(x_{t+1}, x_t | Y)`` for t = 0..T-2.  The second
+    moments follow from these: E[x_t x_t^T | Y] = covs[t] + means[t] means[t]^T.
     """
 
     means: np.ndarray       # (T, d)
     covs: np.ndarray        # (T, d, d)
     cross_covs: np.ndarray  # (T - 1, d, d)
-    Z: np.ndarray           # (T, d, d)
-    Z_cross: np.ndarray     # (T - 1, d, d)
 
 
 def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
@@ -54,7 +52,7 @@ def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
     if data.d_out != params.d_out:
         raise DimensionError(
             f"data has d_out={data.d_out} but params expect {params.d_out}")
-    fr = _engine.filter_batch(_engine.stack_params([params]), data.Y, store=True)
+    fr = _engine.filter_batch(_engine.stack_params([params]), data.Y)
     if not fr["ok"][0]:
         raise DegeneracyError("innovation covariance is numerically singular")
     return FilterResult(**{k: fr[k][0] for k in _TRAJECTORIES},
@@ -69,10 +67,7 @@ def rts_smooth(params: LdsParams, filter_result: FilterResult) -> SmoothedPoster
     if not sm["ok"][0]:
         raise DegeneracyError("predicted covariance is numerically singular")
     means, covs, cross = (sm[k][0] for k in ("means", "covs", "cross"))
-    Z = covs + np.einsum("td,te->tde", means, means)
-    Z_cross = cross + np.einsum("td,te->tde", means[1:], means[:-1])
-    return SmoothedPosterior(means=means, covs=covs, cross_covs=cross,
-                             Z=Z, Z_cross=Z_cross)
+    return SmoothedPosterior(means=means, covs=covs, cross_covs=cross)
 
 
 def complete_data_loglik(params: LdsParams, posterior: SmoothedPosterior,

@@ -283,6 +283,8 @@ def simulate(params: LdsParams, T: int, burn_in: int = 0,
 
     Bit-reproducible for a fixed seed and parameter set.
     """
+    check_integer("T", T)
+    check_integer("burn_in", burn_in)
     if T < 1:
         raise DimensionError(f"T must be >= 1, got {T}")
     if burn_in < 0:

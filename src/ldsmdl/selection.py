@@ -8,7 +8,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -22,9 +21,9 @@ from .errors import DegeneracyError, DimensionError, LdsError
 from .inference import kalman_filter, rts_smooth
 from .model import LdsParams, ModelOrderBounds, SequenceData
 
-#: an order bucket's cell runs from a to floor(BUCKET_CELL_RATIO * a), so no
-#: member pays more than BUCKET_CELL_RATIO**3 of its own flops
-BUCKET_CELL_RATIO = Fraction(3, 2)
+#: an order bucket's cell runs from a to floor(BUCKET_CELL_RATIO * a) = a + a // 2,
+#: so no member pays more than BUCKET_CELL_RATIO**3 of its own flops
+BUCKET_CELL_RATIO = 1.5
 #: doubles in a bucket's (B, T, D, D) covariance trajectory, at most
 BUCKET_DOUBLES = 2 ** 17
 
@@ -128,7 +127,7 @@ def _buckets(bounds: ModelOrderBounds, n_restarts: int, T: int,
     starts, cell_end = [], 0
     for d in range(1, bounds.d_max + 1):
         if d > cell_end:
-            cell_end = math.floor(BUCKET_CELL_RATIO * d)
+            cell_end = d + d // 2
             start = d
         elif observable_mode or (d - start + 1) * n_restarts * T * d * d > BUCKET_DOUBLES:
             start = d

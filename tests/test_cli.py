@@ -71,12 +71,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("seed", ["x1", None, -5, float("inf")])
-    def test_bad_config_seed_exit(self, tmp_path, seed):
+    @pytest.mark.parametrize("seed", ["x1", None, -5, float("inf"), 1.5, True, "3"])
+    def test_bad_config_seed_exit(self, tmp_path, capsys, seed):
         cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,
                                       "length": 5, "seed": seed})
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_bad_env_seed_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LDSMDL_SEED", "abc")
@@ -104,12 +106,20 @@ class TestSimulate:
                                      {"d": 2, "length": float("inf")},
                                      {"d": float("inf")},
                                      {"d": 2, "burn_in": float("inf")},
-                                     {"type": "narma", "order": float("inf")}])
+                                     {"type": "narma", "order": float("inf")},
+                                     {"d": 2, "length": 60.7}, {"d": 2.9},
+                                     {"d": 2, "burn_in": 3.5}, {"d": 2, "length": True},
+                                     {"d": 2, "length": "60"}, {"d": 2, "d_out": 1.0},
+                                     {"type": "narma", "order": 10.0},
+                                     {"type": "narma", "order": 10, "length": 60.7}])
     def test_wrongly_typed_generator_value_exit(self, tmp_path, capsys, bad):
+        # a value that is not an integer where one is needed is not truncated
+        out = tmp_path / "x.csv"
         cfg = write_config(tmp_path, {"type": "lds", "length": 10, **bad})
-        assert main(["simulate", "--config", cfg, "--out",
-                     str(tmp_path / "x.csv")]) == EXIT_GENERATION
-        assert "generation error:" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_GENERATION
+        err = capsys.readouterr().err
+        assert err.startswith("generation error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_io_error_exit(self, tmp_path):
         cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,

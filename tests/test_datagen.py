@@ -78,6 +78,11 @@ class TestRandomStableLds:
             RandomLdsConfig(d=2, d_out=1, entry_range=(1.0, -1.0))
         with pytest.raises(DimensionError):
             RandomLdsConfig(d=3, d_out=1, iw_dof=3)
+        # a dimension that is not an integer is not truncated
+        for bad in (dict(d=2.9, d_out=1), dict(d=2, d_out=1.0), dict(d=True, d_out=1),
+                    dict(d="2", d_out=1)):
+            with pytest.raises(DimensionError):
+                RandomLdsConfig(**bad)
 
 
 class TestNarma:
@@ -127,6 +132,10 @@ class TestNarma:
             NarmaSpec(order=15, length=100)
         with pytest.raises(DimensionError):
             NarmaSpec(order=10, length=10)
+        for bad in (dict(order=10.0, length=100), dict(order=10, length=60.7),
+                    dict(order=10, length=True), dict(order=10, length="60")):
+            with pytest.raises(DimensionError):
+                NarmaSpec(**bad)
 
 
 class TestPreprocess:

@@ -18,10 +18,7 @@ def scalar_posterior(means, covs, cross):
     means = np.asarray(means, float).reshape(-1, 1)
     covs = np.asarray(covs, float).reshape(-1, 1, 1)
     cross = np.asarray(cross, float).reshape(-1, 1, 1)
-    Z = covs + means[:, :, None] * means[:, None, :]
-    Z_cross = cross + means[1:, :, None] * means[:-1, None, :]
-    return SmoothedPosterior(means=means, covs=covs, cross_covs=cross,
-                             Z=Z, Z_cross=Z_cross)
+    return SmoothedPosterior(means=means, covs=covs, cross_covs=cross)
 
 
 def expected_complete_objective(p, post, Y):
@@ -31,17 +28,20 @@ def expected_complete_objective(p, post, Y):
     iR1 = np.linalg.inv(p.R1)
     iR2 = np.linalg.inv(p.R2)
     m = post.means
+    # E[x_t x_t^T] and E[x_t x_{t-1}^T] from the posterior's moments
+    Z = post.covs + m[:, :, None] * m[:, None, :]
+    Z_cross = post.cross_covs + m[1:, :, None] * m[:-1, None, :]
     val = -0.5 * (np.linalg.slogdet(2 * np.pi * p.R0)[1]
-                  + np.trace(iR0 @ (post.Z[0] - np.outer(p.mu0, m[0])
+                  + np.trace(iR0 @ (Z[0] - np.outer(p.mu0, m[0])
                                     - np.outer(m[0], p.mu0)
                                     + np.outer(p.mu0, p.mu0))))
     for t in range(1, T):
-        E = (post.Z[t] - post.Z_cross[t - 1] @ p.A.T
-             - p.A @ post.Z_cross[t - 1].T + p.A @ post.Z[t - 1] @ p.A.T)
+        E = (Z[t] - Z_cross[t - 1] @ p.A.T
+             - p.A @ Z_cross[t - 1].T + p.A @ Z[t - 1] @ p.A.T)
         val += -0.5 * (np.linalg.slogdet(2 * np.pi * p.R1)[1] + np.trace(iR1 @ E))
     for t in range(T):
         E = (np.outer(Y[t], Y[t]) - p.C @ np.outer(m[t], Y[t])
-             - np.outer(Y[t], m[t]) @ p.C.T + p.C @ post.Z[t] @ p.C.T)
+             - np.outer(Y[t], m[t]) @ p.C.T + p.C @ Z[t] @ p.C.T)
         val += -0.5 * (np.linalg.slogdet(2 * np.pi * p.R2)[1] + np.trace(iR2 @ E))
     return val
 
@@ -115,10 +115,7 @@ class TestMStep:
         means = rng.standard_normal((5, 2))
         covs = np.tile(np.eye(2), (5, 1, 1))
         cross = np.tile(0.1 * np.eye(2), (4, 1, 1))
-        Z = covs + np.einsum("td,te->tde", means, means)
-        Zc = cross + np.einsum("td,te->tde", means[1:], means[:-1])
-        post = SmoothedPosterior(means=means, covs=covs, cross_covs=cross,
-                                 Z=Z, Z_cross=Zc)
+        post = SmoothedPosterior(means=means, covs=covs, cross_covs=cross)
         p = m_step(post, SequenceData(Y=Y), fix_observation=True)
         np.testing.assert_array_equal(p.C, np.eye(2))
         np.testing.assert_allclose(p.R2, 1e-6 * np.eye(2))
@@ -127,8 +124,7 @@ class TestMStep:
         # a width-2 posterior pins C = I_2, which a 1-column sequence cannot take
         means = np.zeros((3, 2))
         post = SmoothedPosterior(means=means, covs=np.tile(np.eye(2), (3, 1, 1)),
-                                 cross_covs=np.zeros((2, 2, 2)),
-                                 Z=np.tile(np.eye(2), (3, 1, 1)), Z_cross=np.zeros((2, 2, 2)))
+                                 cross_covs=np.zeros((2, 2, 2)))
         with pytest.raises(DimensionError):
             m_step(post, SequenceData(Y=np.ones((3, 1))), fix_observation=True)
 
@@ -259,10 +255,19 @@ class TestMultiRestart:
         assert fit.loglik >= ref - 5.0
 
 
-def assert_one_record(fit, data, config):
-    """The invariants that tie a FitResult to the one model it describes."""
+def assert_one_record(fit, data, config, alone):
+    """The invariants that tie a FitResult to the one model it describes.
+
+    A fit that ran ``alone`` (a one-element batch) has the loglik that the
+    filter gives its params bit for bit; a restart of a larger batch shared
+    its switch step with the others and agrees to roundoff.
+    """
     assert fit.loglik == fit.loglik_trace[-1]
-    assert kalman_filter(fit.params, data).loglik == pytest.approx(fit.loglik, rel=1e-9)
+    refit = kalman_filter(fit.params, data).loglik
+    if alone:
+        assert refit == fit.loglik
+    else:
+        assert refit == pytest.approx(fit.loglik, rel=1e-9)
     assert 1 <= fit.iterations <= config.max_iters
     assert len(fit.loglik_trace) == fit.iterations + 1
     assert all(1 <= k <= fit.iterations for k in fit.rescale_iters)
@@ -290,7 +295,7 @@ class TestFitRecord:
         cfg = EmConfig(**self.STOPS[stop])
         fit = em_fit(data, default_init(data, 2, seed=3), cfg)
         assert fit.converged == (stop == "converged")
-        assert_one_record(fit, data, cfg)
+        assert_one_record(fit, data, cfg, alone=True)
 
     @pytest.mark.parametrize("stop", sorted(STOPS))
     def test_multi_restart_fit(self, stop):
@@ -298,7 +303,7 @@ class TestFitRecord:
         cfg = EmConfig(n_restarts=4, seed=1, **self.STOPS[stop])
         fit = multi_restart_fit(data, 2, cfg)
         assert fit.converged == (stop == "converged")
-        assert_one_record(fit, data, cfg)
+        assert_one_record(fit, data, cfg, alone=False)
         # the kept restart has the highest loglik of the restarts' own records
         for r in range(cfg.n_restarts):
             one = em_fit(data, default_init(data, 2, restart_seed(cfg.seed, r)),
@@ -447,7 +452,7 @@ class TestMultiOrderFit:
         orders, D = (1, 2, 3, 5), 5
         inits = [default_init(data, d, restart_seed(d, r)) for d in orders for r in range(4)]
         pb = _engine.stack_params(inits)
-        loglik = _engine.filter_batch(pb, data.Y, store=False)["loglik"]
+        loglik = _engine.filter_batch(pb, data.Y)["loglik"]
         for b, init in enumerate(inits):
             # an order-d model nested in the order-D class keeps its loglik
             assert loglik[b] == pytest.approx(kalman_filter(init, data).loglik, rel=1e-12)
@@ -476,7 +481,7 @@ class TestMultiOrderFit:
             assert fit.loglik_trace[0] == pytest.approx(alone.loglik_trace[0], rel=1e-12)
             assert fit.iterations == alone.iterations
             assert fit.loglik == pytest.approx(alone.loglik, rel=1e-10)
-            assert_one_record(fit, data, self.CFG)
+            assert_one_record(fit, data, self.CFG, alone=False)
 
     def test_observable_mode_fits_one_order(self):
         data = SequenceData(Y=np.random.default_rng(0).standard_normal((40, 2)))

@@ -102,16 +102,6 @@ class TestRtsSmooth:
             np.testing.assert_allclose(sm.covs, covs, atol=1e-8)
             np.testing.assert_allclose(sm.cross_covs, cross, atol=1e-8)
 
-    def test_second_moments_assembled(self):
-        p = random_model(2, 1, seed=6)
-        data = simulate(p, T=4, seed=7)
-        sm = rts_smooth(p, kalman_filter(p, data))
-        np.testing.assert_allclose(
-            sm.Z, sm.covs + np.einsum("td,te->tde", sm.means, sm.means))
-        np.testing.assert_allclose(
-            sm.Z_cross,
-            sm.cross_covs + np.einsum("td,te->tde", sm.means[1:], sm.means[:-1]))
-
     def test_smoothing_never_increases_covariance(self):
         p = random_model(3, 1, seed=31)
         data = simulate(p, T=15, seed=4)
@@ -355,17 +345,6 @@ class TestBlockedScan:
         assert sizes == [min(s, len(Y) - 1 - s)]
         for key in ("means", "covs", "cross", "ok"):
             np.testing.assert_array_equal(small[key], whole[key])
-
-    def test_store_false_gives_the_same_step_logliks(self):
-        models = [random_model(4, 2, seed=s) for s in (70, 71)]
-        Y = simulate(models[0], T=500, seed=3).Y
-        batch = _engine.stack_params(models)
-        stored = _engine.filter_batch(batch, Y, store=True)
-        bare = _engine.filter_batch(batch, Y, store=False)
-        np.testing.assert_array_equal(bare["step_loglik"], stored["step_loglik"])
-        np.testing.assert_array_equal(bare["loglik"], stored["loglik"])
-        np.testing.assert_array_equal(bare["ok"], stored["ok"])
-        assert "pred_means" not in bare
 
     def test_reused_arrays_are_overwritten_with_the_same_values(self):
         # em_loop hands each pass the trajectories of the pass before
@@ -712,9 +691,7 @@ class TestCompleteDataLoglik:
         from ldsmdl.inference import SmoothedPosterior
         post = SmoothedPosterior(means=np.array([[0.7]]),
                                  covs=np.ones((1, 1, 1)),
-                                 cross_covs=np.zeros((0, 1, 1)),
-                                 Z=np.ones((1, 1, 1)),
-                                 Z_cross=np.zeros((0, 1, 1)))
+                                 cross_covs=np.zeros((0, 1, 1)))
         val = complete_data_loglik(p, post, SequenceData(Y=[0.7]))
         assert val == pytest.approx(-0.5 * np.log(2 * np.pi))
 
@@ -724,9 +701,7 @@ class TestCompleteDataLoglik:
                       mu0=[0.0], R0=[[1.0]])
         means = np.array([[0.0], [0.0]])
         post = SmoothedPosterior(means=means, covs=np.ones((2, 1, 1)),
-                                 cross_covs=np.zeros((1, 1, 1)),
-                                 Z=np.ones((2, 1, 1)),
-                                 Z_cross=np.zeros((1, 1, 1)))
+                                 cross_covs=np.zeros((1, 1, 1)))
         data = SequenceData(Y=[0.1, -0.2])
         expected = 2 * (-0.5 * np.log(np.pi)) - (0.01 + 0.04) / 1.0
         assert complete_data_loglik(p, post, data) == pytest.approx(expected, abs=1e-4)
@@ -739,9 +714,7 @@ class TestCompleteDataLoglik:
         r = np.array([0.3, -0.1, 0.2])
         post = SmoothedPosterior(means=np.zeros((3, 1)),
                                  covs=np.ones((3, 1, 1)),
-                                 cross_covs=np.zeros((2, 1, 1)),
-                                 Z=np.ones((3, 1, 1)),
-                                 Z_cross=np.zeros((2, 1, 1)))
+                                 cross_covs=np.zeros((2, 1, 1)))
         base = complete_data_loglik(p, post, SequenceData(Y=r))
         doubled = complete_data_loglik(p, post, SequenceData(Y=2 * r))
         assert base - doubled == pytest.approx(np.sum(r ** 2) * 3 / 2)
@@ -751,7 +724,6 @@ class TestCompleteDataLoglik:
         p = LdsParams(A=[[0.5]], C=[[1.0]], R1=[[1.0]], R2=[[0.0]],
                       mu0=[0.0], R0=[[1.0]])
         post = SmoothedPosterior(means=np.zeros((2, 1)), covs=np.ones((2, 1, 1)),
-                                 cross_covs=np.zeros((1, 1, 1)),
-                                 Z=np.ones((2, 1, 1)), Z_cross=np.zeros((1, 1, 1)))
+                                 cross_covs=np.zeros((1, 1, 1)))
         with pytest.raises(DegeneracyError):
             complete_data_loglik(p, post, SequenceData(Y=[0.0, 0.0]))

@@ -194,6 +194,14 @@ class TestSimulate:
         with pytest.raises(InstabilityError):
             simulate(scalar_params(a=1.5), T=10)
 
+    @pytest.mark.parametrize("kwargs", [dict(T=0), dict(T=5, burn_in=-1), dict(T=60.7),
+                                        dict(T=True), dict(T="60"),
+                                        dict(T=5, burn_in=3.5)])
+    def test_bad_lengths_rejected(self, kwargs):
+        # a length that is not an integer is not truncated
+        with pytest.raises(DimensionError):
+            simulate(scalar_params(), **kwargs)
+
 
 class TestLdsParams:
     def test_dimension_mismatch(self):
