@@ -44,6 +44,7 @@ QUANTITIES = ("loglik", "aic", "bic", "fia", "mme", "mdl")
 
 
 def values(checkout, plan):
+    checkout = os.path.abspath(checkout)   # the subprocess runs inside it
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(plan)], cwd=checkout,
                           env=env, capture_output=True, text=True, check=True)
