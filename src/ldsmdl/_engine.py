@@ -46,12 +46,13 @@ transient steps are then stepped with plain products, and their
 cross-covariances are one product.
 
 The filter and the smoother scan their frozen stretch in one pass.  The
-tangent pass (``tangent_fisher``) reads a B=1 filter pass and its
-switch like the smoother: it steps the derivatives of the transient along
-n parameter directions, freezes them at the switch, and runs the frozen
-stretch in blocks of L steps whose (L, n, max(d, p)) arrays hold at most
-``SCAN_CHUNK`` doubles, since n is in the hundreds and nothing of it is
-returned but the (n, n) information.
+tangent pass (``tangent_fisher``) takes one parameter set and its filter
+pass, as ``inference.kalman_filter`` returns them, and reads the switch
+like the smoother: it steps the derivatives of the transient along n
+parameter directions (the batch axis here), freezes them at the switch,
+and runs the frozen stretch in blocks of L steps whose (L, n, max(d, p))
+arrays hold at most ``SCAN_CHUNK`` doubles, since n is in the hundreds
+and nothing of it is returned but the (n, n) information.
 
 The M-step floors the eigenvalues of its covariance estimates at
 COV_FLOOR (``psd_floor_batch``).  A Cholesky of sym(M) - COV_FLOOR I
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PARAM_FIELDS, enforce_stability_batch, sym
+from .model import PARAM_FIELDS, LdsParams, enforce_stability_batch, sym
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 #: innovation covariances with conditioning below this are treated as degenerate
@@ -219,7 +220,6 @@ def _spd_solve(M, rhs, ok):
     ``_solve_guarded``'s LU, which clears its ``ok`` only if a matrix is
     singular; elements already not ``ok`` solve against the identity.
     """
-    M = _identity_where_failed(M, ok)
     L, factored = _chol_guarded(M, ok.copy())
     L = _tri_inverse(L)            # now L^{-1}: the factor is not kept alive (peak memory)
     x = _T(L) @ (L @ rhs)
@@ -361,15 +361,15 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     """Batched Kalman filter; the filtered covariance is P - (C P)^T K^T.
 
     Returns a dict with the predicted and filtered trajectories, per-element
-    logliks, per-step loglik contributions, an ``ok`` mask (False where an
-    innovation covariance degenerated) and the ``switch`` step (the first
-    frozen step, T when the filter never froze).  Elements that are False in
-    the caller's ``ok`` (all True by default) are treated as failed from
-    step 0.  An earlier pass of the same shapes handed over as ``reuse`` has
-    its trajectories overwritten by this one's.
+    logliks, an ``ok`` mask (False where an innovation covariance
+    degenerated) and the ``switch`` step (the first frozen step, T when the
+    filter never froze).  Elements that are False in the caller's ``ok``
+    (all True by default) are treated as failed from step 0.  An earlier
+    pass of the same shapes handed over as ``reuse`` has its trajectories
+    overwritten by this one's.
 
     A transient step solves S once for the gain and the innovation together;
-    the log-dets and quadratic forms of the transient enter the step logliks
+    the log-dets and quadratic forms of the transient enter the logliks
     after it.  Once the predicted covariance of every ``ok`` element has
     settled (see the module docstring), S, K and log|S| are frozen, the means
     of the remaining steps come from a blocked scan and their innovations
@@ -450,7 +450,6 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
                                  + np.einsum("bsp,bsp->bs", innov, innov @ Sinv))
         out["pred_means"][:, t:] = xs
         out["filt_means"][:, t:] = xs + innov @ KT
-    out["step_loglik"] = step_ll
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
     out["switch"] = t
@@ -552,22 +551,23 @@ def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
     return {**out, "ok": ok}
 
 
-def _tangent_innovation(pb: ParamsBatch, dirs: ParamsBatch, P, dP):
-    """C P, S^{-1} and K^T of a B=1 pass at predicted covariance P, with
+def _tangent_innovation(params: LdsParams, dirs: ParamsBatch, P, dP):
+    """C P, S^{-1} and K^T of ``params`` at predicted covariance P, with
     S = C P C^T + R2, and d(C P) and dS along every direction given dP."""
-    C = pb.C[0]
+    C = params.C
     CP = C @ P
-    _, (KT, Sinv), _ = _factor_solve(sym(CP @ C.T + pb.R2[0]), (CP, np.eye(C.shape[0])))
+    _, (KT, Sinv), _ = _factor_solve(sym(CP @ C.T + params.R2), (CP, np.eye(C.shape[0])))
     CdP = C @ dP
     H = dirs.C @ CP.T                                  # dC P C^T
     dS = sym(H + _T(H) + CdP @ C.T + dirs.R2)
     return CP, Sinv, KT, dirs.C @ P + CdP, dS
 
 
-def tangent_fisher(pb: ParamsBatch, fr: dict, Y: np.ndarray, dirs: ParamsBatch) -> np.ndarray:
+def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> np.ndarray:
     """Empirical Fisher information sum_t g_t g_t^T of the exact per-step
-    loglik scores, by a forward sensitivity (tangent-linear) pass over one
-    ``ok`` B=1 filter pass ``fr`` of ``pb``.
+    loglik scores, by a forward sensitivity (tangent-linear) pass over the
+    filter pass ``fr`` of ``params`` (an ``inference.FilterResult``, read by
+    attribute).
 
     ``dirs`` holds the n directions as a batch: element i is the derivative
     of every parameter block along direction i.  Each step carries the
@@ -581,18 +581,17 @@ def tangent_fisher(pb: ParamsBatch, fr: dict, Y: np.ndarray, dirs: ParamsBatch) 
     whose (L, n, max(d, p)) arrays hold at most SCAN_CHUNK doubles; U, the
     scores and their outer products are whole-block products.
     """
-    A, C = pb.A[0], pb.C[0]
+    A, C = params.A, params.C
     T, p = Y.shape
-    n, d = dirs.B, pb.d
-    s = fr["switch"]
-    xp, Pp = fr["pred_means"][0], fr["pred_covs"][0]
-    xf, Pf = fr["filt_means"][0], fr["filt_covs"][0]
+    n, d = dirs.B, params.d
+    s = fr.switch
+    xp, Pp, xf, Pf = fr.pred_means, fr.pred_covs, fr.filt_means, fr.filt_covs
     L = max(1, SCAN_CHUNK // (n * max(d, p)))
     info = np.zeros((n, n))
     dx, dP = dirs.mu0.copy(), sym(dirs.R0)
     rows = []                                          # transient scores, flushed every L
     for t in range(s):
-        CP, Sinv, KT, dCP, dS = _tangent_innovation(pb, dirs, Pp[t], dP)
+        CP, Sinv, KT, dCP, dS = _tangent_innovation(params, dirs, Pp[t], dP)
         r = Y[t] - C @ xp[t]
         v = Sinv @ r
         dr = -(dirs.C @ xp[t]) - dx @ C.T
@@ -611,7 +610,7 @@ def tangent_fisher(pb: ParamsBatch, fr: dict, Y: np.ndarray, dirs: ParamsBatch) 
         dP = sym(H + _T(H) + A @ dPf @ A.T + dirs.R1)
     if s == T:
         return info
-    CP, Sinv, KT, dCP, dS = _tangent_innovation(pb, dirs, Pp[s], dP)
+    CP, Sinv, KT, dCP, dS = _tangent_innovation(params, dirs, Pp[s], dP)
     dKT = Sinv @ (dCP - dS @ KT)
     AK = A @ KT.T
     FT = np.ascontiguousarray(_T(A - AK @ C))

@@ -105,8 +105,12 @@ def cmd_simulate(args) -> None:
                     d=cfg["d"], d_out=cfg.get("d_out", 1),
                     entry_range=tuple(cfg.get("entry_range", (-1.0, 1.0))),
                     iw_dof=cfg.get("iw_dof"), seed=seed))
-            data = simulate(params, T=cfg["length"], burn_in=cfg.get("burn_in", 0),
-                            seed=seed)
+            # checked under its config name: simulate's messages say T
+            length = cfg["length"]
+            check_integer("length", length)
+            if length < 1:
+                raise ValueError(f"length must be >= 1, got {length}")
+            data = simulate(params, T=length, burn_in=cfg.get("burn_in", 0), seed=seed)
         else:
             data = narma_generate(NarmaSpec(
                 order=cfg["order"], length=cfg["length"],

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .errors import DegeneracyError, DimensionError
-from .inference import SmoothedPosterior, complete_data_loglik
+from .errors import DimensionError
+from .inference import SmoothedPosterior, complete_data_loglik, kalman_filter
 from .model import (LdsParams, SequenceData, solve_discrete_lyapunov,
                     stationary_obs_log_det)
 
@@ -177,28 +177,23 @@ def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
     """Half log-determinant of the empirical Fisher information at ``params``.
 
     The per-timestep score vectors of the innovation-form loglik are exact:
-    one tangent-linear pass (``_engine.tangent_fisher``) over a filter
-    pass carries the derivatives of the filter along every free
-    parameter of ``_free_layout`` (an off-diagonal covariance entry moves
-    with its mirror), with no difference step.  Their outer products are
-    accumulated as F.  The result is always the pseudo-determinant over the
-    eigenvalues of F above ``1e-12`` times the largest, so a numerically
-    rank-deficient F (more free parameters than timesteps, or
-    non-identifiable directions) gives the same kind of value as a
-    full-rank one.
+    one tangent-linear pass (``_engine.tangent_fisher``) over the
+    ``kalman_filter`` pass at ``params`` carries the derivatives of the
+    filter along every free parameter of ``_free_layout`` (an off-diagonal
+    covariance entry moves with its mirror), with no difference step.
+    Their outer products are accumulated as F.  The result is always the
+    pseudo-determinant over the eigenvalues of F above ``1e-12`` times the
+    largest, so a numerically rank-deficient F (more free parameters than
+    timesteps, or non-identifiable directions) gives the same kind of value
+    as a full-rank one.
 
-    The blocks that ``fix_observation`` pins get no direction.  Raises
-    DimensionError when the data's width is not ``params.d_out``, and
-    DegeneracyError when an innovation covariance of the filter at
-    ``params`` is numerically singular.
+    The blocks that ``fix_observation`` pins get no direction.  Raises what
+    ``kalman_filter`` raises: DimensionError when the data's width is not
+    ``params.d_out``, and DegeneracyError when an innovation covariance of
+    the filter at ``params`` is numerically singular.
     """
-    if data.d_out != params.d_out:
-        raise DimensionError(f"data has d_out={data.d_out} but params expect {params.d_out}")
-    pb = _engine.stack_params([params])
-    fr = _engine.filter_batch(pb, data.Y)
-    if not fr["ok"][0]:
-        raise DegeneracyError("innovation covariance is numerically singular")
-    F = _engine.tangent_fisher(pb, fr, data.Y, _directions(params, fix_observation))
+    fr = kalman_filter(params, data)
+    F = _engine.tangent_fisher(params, fr, data.Y, _directions(params, fix_observation))
     w = np.linalg.eigvalsh(0.5 * (F + F.T))
     w = w[w > max(w.max(), 0.0) * 1e-12]
     if w.size == 0:

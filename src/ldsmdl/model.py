@@ -58,15 +58,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
-def chol_logdet(M: np.ndarray, name: str = "matrix") -> float:
-    """log-determinant of a positive definite matrix via Cholesky."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise SingularityError(f"{name} is not positive definite")
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
 def _check_cov(M: np.ndarray, name: str) -> None:
     """Reject a non-square, asymmetric or indefinite covariance; both
     tolerances scale with max(1, max |M|), since a covariance computed at a
@@ -267,14 +258,18 @@ def solve_discrete_lyapunov(A, W) -> np.ndarray:
 
 
 def stationary_obs_log_det(params: LdsParams, Q) -> float:
-    """log det(C Q C^T + R2) on the observation space.
+    """log det(C Q C^T + R2) on the observation space, from its Cholesky
+    factor.
 
-    ``Q`` should be the Lyapunov solution for (A, R1); the determinant
-    argument must be positive definite.
+    ``Q`` should be the Lyapunov solution for (A, R1).  Raises
+    SingularityError when C Q C^T + R2 is not positive definite.
     """
     Q = _as_matrix(Q, "Q")
-    M = params.C @ Q @ params.C.T + params.R2
-    return chol_logdet(sym(M), "C Q C^T + R2")
+    try:
+        L = np.linalg.cholesky(sym(params.C @ Q @ params.C.T + params.R2))
+    except np.linalg.LinAlgError:
+        raise SingularityError("C Q C^T + R2 is not positive definite")
+    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def simulate(params: LdsParams, T: int, burn_in: int = 0,

@@ -83,27 +83,6 @@ class SelectionTrace:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _evaluate_order(data_d: SequenceData, fit: FitResult, order: int,
-                    observable_mode: bool, all_criteria: bool) -> list:
-    """The description length (always) and, optionally, the other four
-    criteria of one fitted order."""
-    posterior = rts_smooth(fit.params, kalman_filter(fit.params, data_d))
-    dl_value = mdl_description_length(fit, posterior, data_d, N=data_d.T)
-    if not all_criteria:
-        return [dl_value]
-    n = data_d.T
-    n_theta = count_params(order, data_d.d_out, fix_observation=observable_mode).n_theta
-    fisher = empirical_fisher_log_det(fit.params, data_d,
-                                      fix_observation=observable_mode)
-    return [
-        aic(fit.loglik, n_theta),
-        bic(fit.loglik, n_theta, n),
-        fia(fit.loglik, n_theta, n, fisher),
-        mme(fit.loglik, n_theta, n),
-        dl_value,
-    ]
-
-
 def _check_data(data: SequenceData, observable_mode: bool) -> None:
     """Raise DimensionError for a sequence that no order can be fitted to."""
     if data.T < 2:
@@ -139,9 +118,10 @@ def _buckets(bounds: ModelOrderBounds, n_restarts: int, T: int,
 
 
 def _fit_bucket(data: SequenceData, orders: list, config: EmConfig,
-                observable_mode: bool) -> dict:
-    """Fit the orders of one bucket together; maps each order to (its data,
-    its FitResult), or to the LdsError that stopped its fit."""
+                observable_mode: bool) -> tuple:
+    """Fit the orders of one bucket together.  Returns the data they were
+    fitted to (delay-embedded in observable mode) and a map of each order to
+    its FitResult, or to the LdsError that stopped its fit."""
     # each order draws its restarts from its own seed: the low 31 bits of one
     # draw keyed by (seed, order)
     seeds = {d: int(np.random.SeedSequence([config.seed, d]).generate_state(1)[0] % 2 ** 31)
@@ -157,20 +137,30 @@ def _fit_bucket(data: SequenceData, orders: list, config: EmConfig,
             fits = {d: multi_restart_fit(data_d, d, replace(config, seed=seeds[d]),
                                          fix_observation=observable_mode)}
     except LdsError as exc:
-        return {d: exc for d in orders}
-    return {d: fit if isinstance(fit, LdsError) else (data_d, fit)
-            for d, fit in fits.items()}
+        return data, {d: exc for d in orders}
+    return data_d, fits
 
 
-def _order_result(fitted, order: int, observable_mode: bool,
+def _order_result(data_d: SequenceData, fit, order: int, observable_mode: bool,
                   all_criteria: bool) -> OrderResult:
-    """Score one fitted order (an entry of ``_fit_bucket``); a fitting or
-    scoring failure becomes an error row."""
-    if isinstance(fitted, LdsError):
-        return OrderResult(order=order, fit=None, error=str(fitted))
-    data_d, fit = fitted
+    """Score one order's entry of ``_fit_bucket`` on the data it was fitted
+    to: the description length and, with ``all_criteria``, the other four
+    criteria before it.  A fitting or scoring failure becomes an error row."""
+    if isinstance(fit, LdsError):
+        return OrderResult(order=order, fit=None, error=str(fit))
     try:
-        values = _evaluate_order(data_d, fit, order, observable_mode, all_criteria)
+        posterior = rts_smooth(fit.params, kalman_filter(fit.params, data_d))
+        dl_value = mdl_description_length(fit, posterior, data_d, N=data_d.T)
+        values = [dl_value]
+        if all_criteria:
+            n = data_d.T
+            n_theta = count_params(order, data_d.d_out,
+                                   fix_observation=observable_mode).n_theta
+            fisher = empirical_fisher_log_det(fit.params, data_d,
+                                              fix_observation=observable_mode)
+            values = [aic(fit.loglik, n_theta), bic(fit.loglik, n_theta, n),
+                      fia(fit.loglik, n_theta, n, fisher), mme(fit.loglik, n_theta, n),
+                      dl_value]
     except LdsError as exc:
         return OrderResult(order=order, fit=None, error=str(exc))
     return OrderResult(order=order, fit=fit, criteria=values)
@@ -186,8 +176,8 @@ def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
     _check_data(data, observable_mode)
     per_order = []
     for bucket in _buckets(bounds, config.n_restarts, data.T, observable_mode):
-        fits = _fit_bucket(data, bucket, config, observable_mode)
-        per_order += [_order_result(fits[d], d, observable_mode, all_criteria=True)
+        data_d, fits = _fit_bucket(data, bucket, config, observable_mode)
+        per_order += [_order_result(data_d, fits[d], d, observable_mode, all_criteria=True)
                       for d in bucket]
     return _finish(per_order, criterion, stopped_early=False)
 
@@ -213,8 +203,8 @@ def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
     stopped = False
     for order in range(bounds.d_max, bounds.d_min - 1, -1):
         if order not in fits:
-            fits = _fit_bucket(data, bucket_of[order], config, observable_mode)
-        r = _order_result(fits[order], order, observable_mode, all_criteria=False)
+            data_d, fits = _fit_bucket(data, bucket_of[order], config, observable_mode)
+        r = _order_result(data_d, fits[order], order, observable_mode, all_criteria=False)
         per_order.append(r)
         if r.fit is None:
             continue

@@ -121,6 +121,16 @@ class TestSimulate:
         assert err.startswith("generation error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("length", [60.7, "60", 0, -3])
+    def test_bad_length_is_named_as_in_the_config(self, tmp_path, capsys, length):
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path, {"type": "lds", "d": 2, "length": length})
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_GENERATION
+        err = capsys.readouterr().err
+        assert err.startswith("generation error: length ") and err.count("\n") == 1
+        assert "T" not in err
+        assert not out.exists()
+
     def test_io_error_exit(self, tmp_path):
         cfg = write_config(tmp_path, {"type": "lds", "d": 1, "d_out": 1,
                                       "length": 5, "seed": 0})

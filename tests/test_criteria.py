@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -252,12 +253,11 @@ class TestEmpiricalFisher:
         for d, d_out, seed in ((3, 2, 60), (3, 1, 61), (2, 2, 5)):
             p = random_stable_lds(RandomLdsConfig(d=d, d_out=d_out, seed=seed))
             Y = simulate(p, T=300, seed=2).Y
-            pb = _engine.stack_params([p])
-            fr = _engine.filter_batch(pb, Y)
-            assert fr["switch"] < len(Y) // 2
+            fr = kalman_filter(p, SequenceData(Y=Y))
+            assert fr.switch < len(Y) // 2
             dirs = _directions(p, fix_observation=False)
-            frozen = _engine.tangent_fisher(pb, fr, Y, dirs)
-            stepped = _engine.tangent_fisher(pb, dict(fr, switch=len(Y)), Y, dirs)
+            frozen = _engine.tangent_fisher(p, fr, Y, dirs)
+            stepped = _engine.tangent_fisher(p, dataclasses.replace(fr, switch=len(Y)), Y, dirs)
             np.testing.assert_allclose(frozen, stepped, rtol=0,
                                        atol=1e-8 * np.abs(stepped).max())
 
@@ -270,8 +270,8 @@ class TestEmpiricalFisher:
         data = simulate(p, T=10, seed=d)
         calls = capture(monkeypatch, "tangent_fisher")
         empirical_fisher_log_det(p, data, fix_observation=fix_observation)
-        [(pb, _fr, _Y, dirs)] = calls
-        assert pb.B == 1
+        [(params, _fr, _Y, dirs)] = calls
+        assert params is p
         assert dirs.B == count_params(d, d_out, fix_observation).n_theta
         pinned = ("C", "R2") if fix_observation else ()
         units = np.concatenate([getattr(dirs, f).reshape(dirs.B, -1)

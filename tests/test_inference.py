@@ -266,12 +266,11 @@ class TestBlockedScan:
     def test_tangent_block_length_leaves_the_fisher_unchanged(self, monkeypatch):
         p = random_model(3, 2, seed=60)
         Y = simulate(p, T=300, seed=2).Y
-        pb = _engine.stack_params([p])
         dirs = _directions(p, fix_observation=False)
 
         def run():
-            fr = _engine.filter_batch(pb, Y)
-            return fr, _engine.tangent_fisher(pb, fr, Y, dirs)
+            fr = kalman_filter(p, SequenceData(Y=Y))
+            return fr, _engine.tangent_fisher(p, fr, Y, dirs)
 
         fr, whole = run()
         assert _engine.SCAN_CHUNK // (dirs.B * 3) >= len(Y)     # one block
@@ -279,11 +278,11 @@ class TestBlockedScan:
         # the last one of each short
         monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * dirs.B * 3)
         fr_small, blocked = run()
-        s = fr["switch"]
+        s = fr.switch
         assert s > 7 and s % 7 and len(Y) - s > 7 and (len(Y) - s) % 7
         # the filter does not read SCAN_CHUNK: its frozen stretch is one scan
-        for key in ("step_loglik", "pred_means", "filt_means", "pred_covs", "filt_covs"):
-            np.testing.assert_array_equal(fr_small[key], fr[key])
+        for key in ("loglik", "pred_means", "filt_means", "pred_covs", "filt_covs"):
+            np.testing.assert_array_equal(getattr(fr_small, key), getattr(fr, key))
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
 
     @pytest.mark.parametrize("n", [1, 17, 1000])
