@@ -47,12 +47,18 @@ cross-covariances are one product.
 
 The filter and the smoother scan their frozen stretch in one pass.  The
 tangent pass (``tangent_fisher``) takes one parameter set and its filter
-pass, as ``inference.kalman_filter`` returns them, and reads the switch
-like the smoother: it steps the derivatives of the transient along n
-parameter directions (the batch axis here), freezes them at the switch,
-and runs the frozen stretch in blocks of L steps whose (L, n, max(d, p))
-arrays hold at most ``SCAN_CHUNK`` doubles, since n is in the hundreds
-and nothing of it is returned but the (n, n) information.
+pass, as ``inference.kalman_filter`` returns them (``selection`` hands
+over the pass that scored the order), and reads the switch like the
+smoother: it steps the derivatives of the transient along n parameter
+directions (the batch axis here), freezes them at the switch, and runs
+the frozen stretch in blocks of L steps whose (L, n, max(d, p)) arrays
+hold at most ``SCAN_CHUNK`` doubles, since n is in the hundreds and
+nothing of it is returned but the (n, n) information.  Each product of
+an (n, a, b) direction stack with a shared matrix is one 2-D product on
+the (n a, b) reshape, not n small ones; a parameter block that no
+direction moves (C and R2 in observable mode) gets no columns; and the
+scores are collected in panels of at most ``SCAN_CHUNK`` doubles, each
+added to the information as one G^T G.
 
 The M-step floors the eigenvalues of its covariance estimates at
 COV_FLOOR (``psd_floor_batch``).  A Cholesky of sym(M) - COV_FLOOR I
@@ -551,90 +557,138 @@ def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
     return {**out, "ok": ok}
 
 
-def _tangent_innovation(params: LdsParams, dirs: ParamsBatch, P, dP):
+def _stack_matmul(X, M):
+    """X_i M for every matrix X_i of the (n, a, b) stack X, as one (n a, b)
+    product; M is (b, c) or a vector (b,)."""
+    return (X.reshape(-1, X.shape[-1]) @ M).reshape(X.shape[:-1] + M.shape[1:])
+
+
+def _matmul_stack(M, X):
+    """M X_i for every matrix X_i of the (n, a, b) stack X, as one (m, a)
+    (a, n b) product on a copy of X laid out (a, n, b); an (n, m, b) view."""
+    n, a, b = X.shape
+    return (M @ X.transpose(1, 0, 2).reshape(a, n * b)).reshape(-1, n, b).transpose(1, 0, 2)
+
+
+def _tangent_innovation(params: LdsParams, dirs: ParamsBatch, dC, P, dP):
     """C P, S^{-1} and K^T of ``params`` at predicted covariance P, with
-    S = C P C^T + R2, and d(C P) and dS along every direction given dP."""
+    S = C P C^T + R2, and along every direction d(C P)^T, dS and
+    dK = d(K^T)^T.  ``dC`` is dirs.C as an (n p, d) matrix, or None when no
+    direction moves C.
+
+    Each comes from 2-D products (``_stack_matmul``): dP is symmetric, so
+    d(C P)^T = dP C^T + P dC^T; dS is the symmetric part of
+    d(C P) C^T + dC P C^T + dR2, in which transposing a term changes
+    nothing; and dS is symmetric, so dK = (d(C P)^T - (dS K^T)^T) S^{-T}.
+    """
     C = params.C
+    n, d, p = dP.shape[0], dP.shape[1], C.shape[0]
     CP = C @ P
-    _, (KT, Sinv), _ = _factor_solve(sym(CP @ C.T + params.R2), (CP, np.eye(C.shape[0])))
-    CdP = C @ dP
-    H = dirs.C @ CP.T                                  # dC P C^T
-    dS = sym(H + _T(H) + CdP @ C.T + dirs.R2)
-    return CP, Sinv, KT, dirs.C @ P + CdP, dS
+    _, (KT, Sinv), _ = _factor_solve(sym(CP @ C.T + params.R2), (CP, np.eye(p)))
+    dCPT = _stack_matmul(dP, C.T)
+    H = dirs.R2
+    if dC is not None:
+        dCPT += _T((dC @ P).reshape(n, p, d))
+        H = H + (dC @ CP.T).reshape(n, p, p)           # dC P C^T
+    dS = sym(_stack_matmul(_T(dCPT), C.T) + H)
+    dK = _stack_matmul(dCPT - _T(_stack_matmul(dS, KT)), Sinv.T)
+    return CP, Sinv, KT, dCPT, dS, dK
 
 
 def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> np.ndarray:
     """Empirical Fisher information sum_t g_t g_t^T of the exact per-step
     loglik scores, by a forward sensitivity (tangent-linear) pass over the
     filter pass ``fr`` of ``params`` (an ``inference.FilterResult``, read by
-    attribute).
+    attribute): the caller's own pass, not a second one.
 
     ``dirs`` holds the n directions as a batch: element i is the derivative
     of every parameter block along direction i.  Each step carries the
     derivatives dx (n, d) of the predicted mean and dP (n, d, d) of its
     covariance; the score is
     g_t = -1/2 [tr(S^{-1} dS) + 2 v^T dr - v^T dS v], v = S^{-1} r,
-    dr = -dC x - C dx.  From the filter's switch on P, S and K are frozen,
-    and so are dP, dS and dK^T: every direction then shares
+    dr = -dC x - C dx.  Each product of an (n, a, b) direction stack with a
+    shared matrix is one 2-D product (``_stack_matmul``, ``_matmul_stack``)
+    instead of n small ones.  From the filter's switch on P, S and K are
+    frozen, and so are dP, dS and dK^T: every direction then shares
     F = A (I - K C), and dx_{t+1} = F dx_t + U_t with
     U_t = dA x^f_t + A dK r_t - A K dC x_t.  The frozen steps go in blocks
-    whose (L, n, max(d, p)) arrays hold at most SCAN_CHUNK doubles; U, the
-    scores and their outer products are whole-block products.
+    whose (L, n, max(d, p)) arrays hold at most SCAN_CHUNK doubles; U is
+    one product per block, and 1/2 v^T dS v reads the p (p + 1) / 2 entries
+    of the symmetric dS.  When no direction moves C (observable mode), its
+    terms get no columns.  The scores of both stretches are collected in
+    panels of at most SCAN_CHUNK doubles, one row per step, and each panel
+    enters the information as one G^T G.
     """
     A, C = params.A, params.C
     T, p = Y.shape
     n, d = dirs.B, params.d
     s = fr.switch
     xp, Pp, xf, Pf = fr.pred_means, fr.pred_covs, fr.filt_means, fr.filt_covs
-    L = max(1, SCAN_CHUNK // (n * max(d, p)))
+    dC = dirs.C.reshape(n * p, d) if dirs.C.any() else None
+    L = max(1, SCAN_CHUNK // (n * max(d, p)))          # steps per frozen block
+    rows_per_panel = max(1, SCAN_CHUNK // n)
     info = np.zeros((n, n))
     dx, dP = dirs.mu0.copy(), sym(dirs.R0)
-    rows = []                                          # transient scores, flushed every L
+    rows = []                                          # transient scores, one panel
     for t in range(s):
-        CP, Sinv, KT, dCP, dS = _tangent_innovation(params, dirs, Pp[t], dP)
+        CP, Sinv, KT, dCPT, dS, dK = _tangent_innovation(params, dirs, dC, Pp[t], dP)
         r = Y[t] - C @ xp[t]
         v = Sinv @ r
-        dr = -(dirs.C @ xp[t]) - dx @ C.T
+        dr = -(dx @ C.T)
+        if dC is not None:
+            dr -= (dC @ xp[t]).reshape(n, p)
         rows.append(-0.5 * (dS.reshape(n, -1) @ (Sinv - np.outer(v, v)).ravel()) - dr @ v)
-        if len(rows) == L or t == s - 1:
+        if len(rows) == rows_per_panel or t == s - 1:
             G = np.array(rows)
             info += G.T @ G
             rows = []
         if t == T - 1:
             break
-        dKT = Sinv @ (dCP - dS @ KT)
-        dxf = dx + r @ dKT + dr @ KT
-        dPf = dP - _T(dCP) @ KT - CP.T @ dKT
-        H = dirs.A @ (Pf[t] @ A.T)                     # dA P^f A^T
-        dx = dirs.A @ xf[t] + dxf @ A.T
-        dP = sym(H + _T(H) + A @ dPf @ A.T + dirs.R1)
+        dxf = dx + _stack_matmul(dK, r) + dr @ KT
+        dPf = dP - _stack_matmul(dCPT, KT) - _T(_stack_matmul(dK, CP))
+        H = _stack_matmul(dirs.A, Pf[t] @ A.T)          # dA P^f A^T
+        dx = _stack_matmul(dirs.A, xf[t]) + dxf @ A.T
+        dP = sym(H + _T(H) + _matmul_stack(A, _stack_matmul(dPf, A.T)) + dirs.R1)   # + A dPf A^T
     if s == T:
         return info
-    CP, Sinv, KT, dCP, dS = _tangent_innovation(params, dirs, Pp[s], dP)
-    dKT = Sinv @ (dCP - dS @ KT)
+    CP, Sinv, KT, dCPT, dS, dK = _tangent_innovation(params, dirs, dC, Pp[s], dP)
     AK = A @ KT.T
     FT = np.ascontiguousarray(_T(A - AK @ C))
-    # U_t of every direction is one (n d, 2 d + p) matrix times [x^f_t; r_t; x_t]
-    W = np.concatenate((dirs.A, A @ _T(dKT), -AK @ dirs.C), axis=2).reshape(n * d, -1)
-    # g_t = c + [v v^T | v x^T] . [dS / 2 | dC] + (C^T v_t) . dx_t
-    c = -0.5 * (dS.reshape(n, -1) @ Sinv.ravel())
-    coef = np.concatenate((0.5 * dS.reshape(n, -1), dirs.C.reshape(n, -1)), axis=1)
     r = Y[s:] - xp[s:] @ C.T
     v = r @ Sinv
-    Z = np.concatenate((xf[s:], r, xp[s:]), axis=1)
-    for lo in range(0, T - s, L):
-        hi = min(lo + L, T - s)
-        U = (Z[lo:hi] @ W.T).reshape(hi - lo, n, d)
-        dxs = np.empty_like(U)
-        dxs[0] = dx
-        for j in range(1, hi - lo):
-            np.matmul(dxs[j - 1], FT, out=dxs[j])
-            dxs[j] += U[j - 1]
-        dx = dxs[-1] @ FT + U[-1]
-        vb = v[lo:hi, :, None]
-        VX = np.concatenate(((vb * v[lo:hi, None]).reshape(hi - lo, -1),
-                             (vb * xp[s + lo:s + hi, None]).reshape(hi - lo, -1)), axis=1)
-        G = c + VX @ coef.T + (dxs @ (v[lo:hi] @ C)[:, :, None])[..., 0]
+    Cv = v @ C
+    # U_t of every direction is one (n d, k) matrix times z_t = [x^f_t; r_t; x_t],
+    # the x_t columns only when some direction moves C
+    W, Z = [dirs.A, _matmul_stack(A, dK)], [xf[s:], r]
+    # g_t = c + [v v^T | v x^T] . [dS / 2 | dC] + (C^T v_t) . dx_t, with the
+    # off-diagonal entries of v v^T . dS / 2 taken once from the upper triangle
+    iu, ju = np.triu_indices(p)
+    c = -0.5 * (dS.reshape(n, -1) @ Sinv.ravel())
+    coef = [dS[:, iu, ju] * np.where(iu == ju, 0.5, 1.0)]
+    if dC is not None:
+        W.append(-_matmul_stack(AK, dirs.C))
+        Z.append(xp[s:])
+        coef.append(dirs.C.reshape(n, -1))
+    WT = np.concatenate(W, axis=2).reshape(n * d, -1).T
+    Z = np.concatenate(Z, axis=1)
+    coefT = np.concatenate(coef, axis=1).T
+    for plo in range(0, T - s, rows_per_panel):
+        phi = min(plo + rows_per_panel, T - s)
+        vp = v[plo:phi]
+        VX = [vp[:, iu] * vp[:, ju]]
+        if dC is not None:
+            VX.append((vp[:, :, None] * xp[s + plo:s + phi, None]).reshape(phi - plo, -1))
+        G = c + np.concatenate(VX, axis=1) @ coefT
+        for lo in range(plo, phi, L):
+            hi = min(lo + L, phi)
+            U = (Z[lo:hi] @ WT).reshape(hi - lo, n, d)
+            dxs = np.empty_like(U)
+            dxs[0] = dx
+            for j in range(1, hi - lo):
+                np.matmul(dxs[j - 1], FT, out=dxs[j])
+                dxs[j] += U[j - 1]
+            dx = dxs[-1] @ FT + U[-1]
+            G[lo - plo:hi - plo] += (dxs @ Cv[lo:hi, :, None])[..., 0]
         info += G.T @ G
     return info
 

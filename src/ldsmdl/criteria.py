@@ -9,7 +9,8 @@ import numpy as np
 
 from . import _engine
 from .errors import DimensionError
-from .inference import SmoothedPosterior, complete_data_loglik, kalman_filter
+from .inference import (FilterResult, SmoothedPosterior, complete_data_loglik,
+                        kalman_filter)
 from .model import (LdsParams, SequenceData, solve_discrete_lyapunov,
                     stationary_obs_log_det)
 
@@ -173,26 +174,34 @@ def _directions(params: LdsParams, fix_observation: bool) -> _engine.ParamsBatch
 
 
 def empirical_fisher_log_det(params: LdsParams, data: SequenceData,
-                             fix_observation: bool = False) -> float:
+                             fix_observation: bool = False,
+                             filter_result: FilterResult | None = None) -> float:
     """Half log-determinant of the empirical Fisher information at ``params``.
 
     The per-timestep score vectors of the innovation-form loglik are exact:
-    one tangent-linear pass (``_engine.tangent_fisher``) over the
-    ``kalman_filter`` pass at ``params`` carries the derivatives of the
-    filter along every free parameter of ``_free_layout`` (an off-diagonal
-    covariance entry moves with its mirror), with no difference step.
-    Their outer products are accumulated as F.  The result is always the
-    pseudo-determinant over the eigenvalues of F above ``1e-12`` times the
-    largest, so a numerically rank-deficient F (more free parameters than
-    timesteps, or non-identifiable directions) gives the same kind of value
-    as a full-rank one.
+    one tangent-linear pass (``_engine.tangent_fisher``) over the filter
+    pass at ``params`` carries the derivatives of the filter along every
+    free parameter of ``_free_layout`` (an off-diagonal covariance entry
+    moves with its mirror), with no difference step.  The pass takes each
+    product of its (n, a, b) direction stacks as one 2-D product, gives a
+    block that no direction moves (C and R2 under ``fix_observation``) no
+    columns, and adds the outer products of its scores to F one panel of
+    steps at a time.  The result is always the pseudo-determinant over the
+    eigenvalues of F above ``1e-12`` times the largest, so a numerically
+    rank-deficient F (more free parameters than timesteps, or
+    non-identifiable directions) gives the same kind of value as a
+    full-rank one.
 
-    The blocks that ``fix_observation`` pins get no direction.  Raises what
-    ``kalman_filter`` raises: DimensionError when the data's width is not
-    ``params.d_out``, and DegeneracyError when an innovation covariance of
-    the filter at ``params`` is numerically singular.
+    ``filter_result`` is the ``kalman_filter`` pass of ``params`` on
+    ``data`` when the caller has made it already (``selection`` scores an
+    order through one pass); without it the function filters itself, with
+    the same result.  The blocks that ``fix_observation`` pins get no
+    direction.  Raises what ``kalman_filter`` raises when it filters:
+    DimensionError when the data's width is not ``params.d_out``, and
+    DegeneracyError when an innovation covariance of the filter at
+    ``params`` is numerically singular.
     """
-    fr = kalman_filter(params, data)
+    fr = kalman_filter(params, data) if filter_result is None else filter_result
     F = _engine.tangent_fisher(params, fr, data.Y, _directions(params, fix_observation))
     w = np.linalg.eigvalsh(0.5 * (F + F.T))
     w = w[w > max(w.max(), 0.0) * 1e-12]

@@ -145,11 +145,14 @@ def _order_result(data_d: SequenceData, fit, order: int, observable_mode: bool,
                   all_criteria: bool) -> OrderResult:
     """Score one order's entry of ``_fit_bucket`` on the data it was fitted
     to: the description length and, with ``all_criteria``, the other four
-    criteria before it.  A fitting or scoring failure becomes an error row."""
+    criteria before it.  One filter pass at the fitted parameters serves the
+    smoother of the DL and the Fisher of FIA.  A fitting or scoring failure
+    becomes an error row."""
     if isinstance(fit, LdsError):
         return OrderResult(order=order, fit=None, error=str(fit))
     try:
-        posterior = rts_smooth(fit.params, kalman_filter(fit.params, data_d))
+        fr = kalman_filter(fit.params, data_d)
+        posterior = rts_smooth(fit.params, fr)
         dl_value = mdl_description_length(fit, posterior, data_d, N=data_d.T)
         values = [dl_value]
         if all_criteria:
@@ -157,7 +160,8 @@ def _order_result(data_d: SequenceData, fit, order: int, observable_mode: bool,
             n_theta = count_params(order, data_d.d_out,
                                    fix_observation=observable_mode).n_theta
             fisher = empirical_fisher_log_det(fit.params, data_d,
-                                              fix_observation=observable_mode)
+                                              fix_observation=observable_mode,
+                                              filter_result=fr)
             values = [aic(fit.loglik, n_theta), bic(fit.loglik, n_theta, n),
                       fia(fit.loglik, n_theta, n, fisher), mme(fit.loglik, n_theta, n),
                       dl_value]

@@ -137,3 +137,87 @@ def textbook_smoother(params, Y):
         covs[t] = Pf[t] + J @ (covs[t + 1] - Pp[t + 1]) @ J.T
         cross[t] = covs[t + 1] @ J.T
     return float(step_ll.sum()), means, covs, cross
+
+
+def _sym(M):
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _reference_tangent_innovation(params, dirs, P, dP):
+    """C P, S^{-1} and K^T of ``params`` at predicted covariance P, with
+    S = C P C^T + R2, and d(C P) and dS along every direction given dP."""
+    C = params.C
+    CP = C @ P
+    sol = np.linalg.solve(_sym(CP @ C.T + params.R2),
+                          np.concatenate((CP, np.eye(C.shape[0])), axis=-1))
+    KT, Sinv = sol[:, :CP.shape[1]], sol[:, CP.shape[1]:]
+    CdP = C @ dP
+    H = dirs.C @ CP.T                                  # dC P C^T
+    dS = _sym(H + np.swapaxes(H, -1, -2) + CdP @ C.T + dirs.R2)
+    return CP, Sinv, KT, dirs.C @ P + CdP, dS
+
+
+def reference_tangent_fisher(params, fr, Y, dirs, chunk=2 ** 15):
+    """The tangent-linear empirical Fisher sum_t g_t g_t^T as the package
+    computed it before its products were flattened: every product of an
+    (n, a, b) direction stack is numpy's stacked matmul, every block of
+    every direction enters, and the information takes one update per block
+    of L steps, L = max(1, chunk // (n max(d, p))).  ``fr`` is the filter
+    pass of ``params`` (read by attribute) and ``dirs`` the n directions
+    as a batch with fields A, C, R1, R2, mu0 and R0.
+    """
+    T_ = lambda M: np.swapaxes(M, -1, -2)
+    A, C = params.A, params.C
+    T, p = Y.shape
+    n, d = dirs.A.shape[0], A.shape[0]
+    s = fr.switch
+    xp, Pp, xf, Pf = fr.pred_means, fr.pred_covs, fr.filt_means, fr.filt_covs
+    L = max(1, chunk // (n * max(d, p)))
+    info = np.zeros((n, n))
+    dx, dP = dirs.mu0.copy(), _sym(dirs.R0)
+    rows = []
+    for t in range(s):
+        CP, Sinv, KT, dCP, dS = _reference_tangent_innovation(params, dirs, Pp[t], dP)
+        r = Y[t] - C @ xp[t]
+        v = Sinv @ r
+        dr = -(dirs.C @ xp[t]) - dx @ C.T
+        rows.append(-0.5 * (dS.reshape(n, -1) @ (Sinv - np.outer(v, v)).ravel()) - dr @ v)
+        if len(rows) == L or t == s - 1:
+            G = np.array(rows)
+            info += G.T @ G
+            rows = []
+        if t == T - 1:
+            break
+        dKT = Sinv @ (dCP - dS @ KT)
+        dxf = dx + r @ dKT + dr @ KT
+        dPf = dP - T_(dCP) @ KT - CP.T @ dKT
+        H = dirs.A @ (Pf[t] @ A.T)                     # dA P^f A^T
+        dx = dirs.A @ xf[t] + dxf @ A.T
+        dP = _sym(H + T_(H) + A @ dPf @ A.T + dirs.R1)
+    if s == T:
+        return info
+    CP, Sinv, KT, dCP, dS = _reference_tangent_innovation(params, dirs, Pp[s], dP)
+    dKT = Sinv @ (dCP - dS @ KT)
+    AK = A @ KT.T
+    FT = np.ascontiguousarray(T_(A - AK @ C))
+    W = np.concatenate((dirs.A, A @ T_(dKT), -AK @ dirs.C), axis=2).reshape(n * d, -1)
+    c = -0.5 * (dS.reshape(n, -1) @ Sinv.ravel())
+    coef = np.concatenate((0.5 * dS.reshape(n, -1), dirs.C.reshape(n, -1)), axis=1)
+    r = Y[s:] - xp[s:] @ C.T
+    v = r @ Sinv
+    Z = np.concatenate((xf[s:], r, xp[s:]), axis=1)
+    for lo in range(0, T - s, L):
+        hi = min(lo + L, T - s)
+        U = (Z[lo:hi] @ W.T).reshape(hi - lo, n, d)
+        dxs = np.empty_like(U)
+        dxs[0] = dx
+        for j in range(1, hi - lo):
+            np.matmul(dxs[j - 1], FT, out=dxs[j])
+            dxs[j] += U[j - 1]
+        dx = dxs[-1] @ FT + U[-1]
+        vb = v[lo:hi, :, None]
+        VX = np.concatenate(((vb * v[lo:hi, None]).reshape(hi - lo, -1),
+                             (vb * xp[s + lo:s + hi, None]).reshape(hi - lo, -1)), axis=1)
+        G = c + VX @ coef.T + (dxs @ (v[lo:hi] @ C)[:, :, None])[..., 0]
+        info += G.T @ G
+    return info

@@ -16,7 +16,7 @@ from ldsmdl.criteria import _directions, mdl_order_penalty
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.em import EmConfig, default_init, em_fit
 
-from .oracles import textbook_step_logliks
+from .oracles import reference_tangent_fisher, textbook_step_logliks
 
 
 class TestCountParams:
@@ -260,6 +260,38 @@ class TestEmpiricalFisher:
             stepped = _engine.tangent_fisher(p, dataclasses.replace(fr, switch=len(Y)), Y, dirs)
             np.testing.assert_allclose(frozen, stepped, rtol=0,
                                        atol=1e-8 * np.abs(stepped).max())
+
+    @pytest.mark.parametrize("freezes", [True, False])
+    @pytest.mark.parametrize("d, d_out, fix_observation", [
+        (1, 1, False), (3, 1, False), (4, 3, False), (3, 3, True), (10, 10, True)])
+    def test_matches_the_reference_pass(self, monkeypatch, d, d_out, fix_observation,
+                                        freezes):
+        # the reference takes every product of a direction stack matrix by
+        # matrix, lets every block enter and updates F once per block of
+        # steps: the same terms, summed in another order
+        p = random_stable_lds(RandomLdsConfig(d=d, d_out=d_out, seed=d))
+        if fix_observation:
+            p = p.replace(C=np.eye(d), R2=OBSERVABLE_MODE_NOISE * np.eye(d))
+        Y = simulate(p, T=60, seed=d).Y
+        fr = kalman_filter(p, SequenceData(Y=Y))
+        dirs = _directions(p, fix_observation)
+        fr = dataclasses.replace(fr, switch=fr.switch if freezes else len(Y))
+        want = reference_tangent_fisher(p, fr, Y, dirs)
+        # two-row panels of scores: both stretches span several
+        monkeypatch.setattr(_engine, "SCAN_CHUNK", 2 * dirs.B)
+        assert 2 < fr.switch and (len(Y) - fr.switch > 2 or not freezes)
+        got = _engine.tangent_fisher(p, fr, Y, dirs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("fix_observation", [False, True])
+    def test_a_handed_filter_pass_gives_the_same_value(self, fix_observation):
+        p = random_stable_lds(RandomLdsConfig(d=3, d_out=3, seed=7))
+        if fix_observation:
+            p = p.replace(C=np.eye(3), R2=OBSERVABLE_MODE_NOISE * np.eye(3))
+        data = simulate(p, T=50, seed=7)
+        handed = empirical_fisher_log_det(p, data, fix_observation=fix_observation,
+                                          filter_result=kalman_filter(p, data))
+        assert handed == empirical_fisher_log_det(p, data, fix_observation=fix_observation)
 
     @pytest.mark.parametrize("d, d_out, fix_observation", [
         (1, 1, False), (3, 1, False), (4, 3, False), (1, 1, True), (3, 3, True)])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ldsmdl import _engine
 from ldsmdl import (DimensionError, EmConfig, ModelOrderBounds,
                     RandomLdsConfig, SequenceData, annihilation_search,
                     count_params, em, grid_search, kalman_filter,
@@ -71,6 +72,23 @@ class TestGridSearch:
         with pytest.raises(DimensionError):
             search(SequenceData(Y=Y), ModelOrderBounds(1, 3), CFG,
                    observable_mode=observable)
+
+    def test_one_filter_pass_per_scored_order(self, monkeypatch):
+        # the Fisher reads the pass that scored the order; with two restarts
+        # every EM pass has B >= 2, so the B=1 passes are the scoring ones
+        sizes = []
+        real = _engine.filter_batch
+
+        def counting(pb, *args, **kwargs):
+            sizes.append(pb.B)
+            return real(pb, *args, **kwargs)
+
+        monkeypatch.setattr(_engine, "filter_batch", counting)
+        trace = grid_search(d2_data(), ModelOrderBounds(1, 2),
+                            EmConfig(eps=1e-3, max_iters=5, n_restarts=2, seed=0))
+        assert [r.order for r in trace.per_order if r.fit is not None] == [1, 2]
+        assert all(r.criterion("fia") is not None for r in trace.per_order)
+        assert sizes.count(1) == 2
 
     def test_seeds_do_not_alias_modulo_2_31(self):
         dls = [[r.dl for r in grid_search(d2_data(), ModelOrderBounds(1, 2),

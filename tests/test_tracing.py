@@ -45,7 +45,7 @@ def test_observable_grid_reaches_every_fitting_layer(tracer):
         "criteria.empirical_fisher_log_det"}
     metrics = layer_metrics(tracer.spans)
     perturbed = metrics["criteria.empirical_fisher_log_det.perturbed_elements"]["value"]
-    assert perturbed == 2      # one B=1 base pass per order
+    assert perturbed == 0      # the Fisher reads the pass that scored the order
     assert metrics["engine.em_loop.restarts"]["value"] == 4
 
 

@@ -1,17 +1,30 @@
-"""Time the EM layers of two source checkouts in one process, alternately.
+"""Time the EM layers and the Fisher of two source checkouts in one
+process, alternately.
 
     python3 tools/layer_pairs.py PARENT_DIR CHANGE_DIR [--runs 40] [--seed 0]
 
 The ``src/ldsmdl`` package of each checkout is copied into a temporary
 directory as ``ldsmdl_parent`` and ``ldsmdl_change`` and both are imported
-here, so that both sides are timed in the same machine phase.  For each
-``grid-d4`` bucket shape in ``BUCKETS`` the change's ``em_loop`` runs
-``EM_ITERS`` EM iterations from the bucket's seeded restarts on the
-benchmark's ``grid-d4`` input of ``--seed`` (the change's ``perfbench``),
-as ``grid_search`` seeds them; both sides then time ``filter_batch``,
-``smooth_batch`` and ``m_step_batch`` on those parameters, the parent and
-the change taking turns (the change first on odd runs), and keep the
-minimum of ``--runs`` calls.  Each line gives the layer, (B, D), the
+here, so that both sides are timed in the same machine phase.  Each side
+runs each call in turn, the parent and the change taking turns at going
+first (the change first on odd runs), and keeps the minimum of ``--runs``
+calls.
+
+EM layers: for each ``grid-d4`` bucket shape in ``BUCKETS`` the change's
+``em_loop`` runs ``EM_ITERS`` EM iterations from the bucket's seeded
+restarts on the benchmark's ``grid-d4`` input of ``--seed`` (the change's
+``perfbench``), as ``grid_search`` seeds them; both sides then time
+``filter_batch``, ``smooth_batch`` and ``m_step_batch`` on those
+parameters.  Each line gives the layer, (B, D), the filter's switch step,
+each side's time, and change / parent.
+
+Fisher: the change's ``grid_search`` fits the ``narma10-observable`` input
+of ``--seed`` (orders 2-10, observable mode, T about 1000) and the
+``grid-d4`` input of ``--seed`` (orders 2-12, of which the orders of
+``BUCKETS`` are kept), as the benchmark calls it; both sides then time
+``criteria.empirical_fisher_log_det`` on each fitted order, called the same
+way on both (the public call, which filters at the parameters itself).
+Each line gives the workload, d, the number n of free parameters, T, the
 filter's switch step, each side's time, and change / parent.
 
 Needs numpy.
@@ -32,6 +45,9 @@ BUCKETS = ([2, 3], [4, 5, 6], [7, 8], [12])
 #: EM iterations run before the layers are timed
 EM_ITERS = 10
 SIDES = ("parent", "change")
+#: the orders whose Fisher is timed, per workload (None: every fitted order)
+FISHER_ORDERS = {"narma10-observable": None,
+                 "grid-d4": [d for bucket in BUCKETS for d in bucket]}
 
 
 def import_side(checkout, name, into):
@@ -53,16 +69,43 @@ def bucket_params(m, wl, Y, orders, seed):
     return tuple(getattr(res["params"], f) for f in m.model.PARAM_FIELDS)
 
 
+def alternate(calls, runs):
+    """The minimum time of each side's call over ``runs`` alternating turns."""
+    best = dict.fromkeys(SIDES, np.inf)
+    for i in range(runs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            calls[side]()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best
+
+
+def fisher_cases(m, workloads, seed):
+    """(workload, order, params arrays, observations, observable) of every
+    order whose Fisher is timed, fitted by ``m``'s ``grid_search``."""
+    cases = []
+    for wl in workloads:
+        Y = wl.sequence(seed)
+        trace = wl.call({"seed": seed, "Y": Y, "data": m.SequenceData(Y=Y)})
+        keep = FISHER_ORDERS[wl.name]
+        for r in trace.per_order:
+            if r.fit is None or (keep is not None and r.order not in keep):
+                continue
+            arrays = {f: getattr(r.fit.params, f) for f in m.model.PARAM_FIELDS}
+            cases.append((wl.name, r.order, arrays, wl.observations(Y, r.order), wl.observable))
+    return cases
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--runs", type=int, default=40, help="timed calls per side and layer")
-    ap.add_argument("--seed", type=int, default=0, help="the grid-d4 input seed")
+    ap.add_argument("--seed", type=int, default=0, help="the input seed of both workloads")
     args = ap.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     sys.path.insert(0, checkouts["change"])
-    from perfbench.workloads import GridD4
+    from perfbench.workloads import GridD4, Narma10Observable
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -91,16 +134,27 @@ def main(argv=None):
             sw = (str(switch["change"]) if switch["parent"] == switch["change"]
                   else f"{switch['parent']}/{switch['change']}")
             for layer in calls["change"]:
-                best = dict.fromkeys(SIDES, np.inf)
-                for i in range(args.runs):
-                    for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                        fn = calls[side][layer]
-                        t0 = time.perf_counter()
-                        fn()
-                        best[side] = min(best[side], time.perf_counter() - t0)
+                best = alternate({side: calls[side][layer] for side in SIDES}, args.runs)
                 p, c = best["parent"] * 1e3, best["change"] * 1e3
                 print(f"{layer:<13} {shape:>8} {sw:>6} {p:>10.3f} {c:>10.3f} {c / p:>6.3f}",
                       flush=True)
+        print(f"\n{'Fisher':<19} {'d':>3} {'n':>4} {'T':>5} {'switch':>6} {'parent ms':>10} "
+              f"{'change ms':>10} {'ratio':>6}")
+        m = mods["change"]
+        for name, d, arrays, Yd, observable in fisher_cases(
+                m, (Narma10Observable(m, None), wl), args.seed):
+            calls = {}
+            for side, ms in mods.items():
+                params, data = ms.LdsParams(**arrays), ms.SequenceData(Y=Yd)
+                calls[side] = lambda ms=ms, params=params, data=data: \
+                    ms.criteria.empirical_fisher_log_det(params, data,
+                                                         fix_observation=observable)
+            n = m.count_params(d, Yd.shape[1], fix_observation=observable).n_theta
+            switch = m.kalman_filter(m.LdsParams(**arrays), m.SequenceData(Y=Yd)).switch
+            best = alternate(calls, args.runs)
+            p, c = best["parent"] * 1e3, best["change"] * 1e3
+            print(f"{name:<19} {d:>3} {n:>4} {len(Yd):>5} {switch:>6} {p:>10.3f} {c:>10.3f} "
+                  f"{c / p:>6.3f}", flush=True)
     return 0
 
 
