@@ -19,10 +19,11 @@ takes the filtered covariance in standard form, P - K S K^T = P - (C P)^T K^T.
 From the switch on, S, K^T and S^{-1} (one solve S^{-1} [C P | I]) are
 frozen and the predicted mean follows the linear time-invariant recursion
 x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
-That recursion runs as a blocked prefix scan (``_affine_scan``): about
-3 sqrt(N) batched products for N frozen steps, sqrt(N) of them for the
-powers of F, instead of N interpreted steps; the innovations, their
-quadratic forms and the filtered means are then whole-stretch products.
+That recursion runs as a doubling scan (``_affine_scan``, Hillis & Steele
+1986): ceil(log2(N + 1)) passes of one batched product each for N frozen
+steps, with F squared between passes, instead of N interpreted steps; the
+innovations, their quadratic forms and the filtered means are then
+whole-stretch products.
 With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
 LAPACK routine: the factor is sqrt(s) and S^{-1} b is b * (1 / s), which
 are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
@@ -50,15 +51,15 @@ tangent pass (``tangent_fisher``) takes one parameter set and its filter
 pass, as ``inference.kalman_filter`` returns them (``selection`` hands
 over the pass that scored the order), and reads the switch like the
 smoother: it steps the derivatives of the transient along n parameter
-directions (the batch axis here), freezes them at the switch, and runs
-the frozen stretch in blocks of L steps whose (L, n, max(d, p)) arrays
-hold at most ``SCAN_CHUNK`` doubles, since n is in the hundreds and
-nothing of it is returned but the (n, n) information.  Each product of
-an (n, a, b) direction stack with a shared matrix is one 2-D product on
-the (n a, b) reshape, not n small ones; a parameter block that no
-direction moves (C and R2 in observable mode) gets no columns; and the
-scores are collected in panels of at most ``SCAN_CHUNK`` doubles, each
-added to the information as one G^T G.
+directions (the batch axis here) and freezes them at the switch.  Each
+product of a direction stack with a shared matrix, on either side, is one
+2-D product; a parameter block that no direction moves (C and R2 in
+observable mode) gets no columns.  The scores are collected in panels of
+at most ``SCAN_CHUNK`` doubles, since n is in the hundreds and only the
+(n, n) information is returned.  The N frozen steps of a panel are cut
+into blocks of about sqrt(N) steps, stepped all at once from zero and
+joined by carrying the block starts, so no Python loop runs per frozen
+step and no array holds more than one step per block.
 
 The M-step floors the eigenvalues of its covariance estimates at
 COV_FLOOR (``psd_floor_batch``).  A Cholesky of sym(M) - COV_FLOOR I
@@ -82,7 +83,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
-#: doubles in each (L, n, width) array of one block of the tangent pass
+#: doubles in one panel of tangent-pass scores and in its (K, n, d) block states
 SCAN_CHUNK = 2 ** 15
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
@@ -270,48 +271,28 @@ def _settled(new, old, ok) -> bool:
     return bool(((move <= SETTLE_RTOL * size) | ~ok).all())
 
 
-def _scan_powers(M, n: int):
-    """M, M^2, .., M^L side by side as one (B, d, L d) array, for a scan of
-    n steps: L = ceil(sqrt(n)).  M is (B, d, d) and C-contiguous."""
-    B, d, _ = M.shape
-    L = math.isqrt(max(n, 1) - 1) + 1
-    powers = np.empty((B, d, L * d))
-    powers[:, :, :d] = M
-    for i in range(1, L):
-        powers[:, :, i * d:(i + 1) * d] = powers[:, :, (i - 1) * d:i * d] @ M
-    return powers
-
-
-def _affine_scan(powers, u, x0):
-    """All states of x_{i+1} = x_i M + u_i from x_0 = x0, as a blocked scan.
+def _affine_scan(M, u, x0):
+    """All states of x_{i+1} = x_i M + u_i from x_0 = x0, as a doubling scan.
 
     States are rows, so M is the transpose of the usual transition matrix.
-    ``powers`` holds M .. M^L (see ``_scan_powers``), u is (B, n, d) with
-    n >= 1 and x0 is (B, d); returns the (B, n + 1, d) states x_0 .. x_n.
-    The n steps are cut into K = ceil(n / L) blocks of L: L - 1 batched
-    products scan inside every block at once from a zero start, the block
-    start states are carried with M^L in K - 1 steps, and each block's
-    start times M^(i+1) is added back in one product.  With
-    L = ceil(sqrt(n)) that is about 2 sqrt(n) products instead of n steps.
+    M is (B, d, d), u is (B, n, d) and x0 is (B, d); returns the
+    (B, n + 1, d) states x_0 .. x_n.  Pass j adds x_{i-k} M^k to every
+    x_i with i >= k = 2^j, all from the states of the pass before, and
+    squares M (Hillis & Steele 1986): after it x_i sums the terms of the
+    last 2k steps.  That is ceil(log2(n + 1)) passes of one batched
+    product each instead of n steps.
     """
     B, n, d = u.shape
-    L = powers.shape[-1] // d
-    K = -(-n // L)
-    x = np.empty((B, K * L + 1, d))
+    x = np.empty((B, n + 1, d))
     x[:, 0] = x0
-    x[:, 1:n + 1] = u
-    x[:, n + 1:] = 0.0
-    w = x[:, 1:].reshape(B, K, L, d)                   # a view: block k, step i
-    M = powers[:, :, :d]
-    for i in range(1, L):
-        w[:, :, i] += w[:, :, i - 1] @ M
-    starts = np.empty((B, K, d))
-    starts[:, 0] = x0
-    ML = powers[:, :, -d:]
-    for k in range(1, K):
-        starts[:, k] = (starts[:, k - 1, None] @ ML)[:, 0] + w[:, k - 1, -1]
-    w += (starts @ powers).reshape(B, K, L, d)
-    return x[:, :n + 1]
+    x[:, 1:] = u
+    k = 1
+    while k <= n:
+        x[:, k:] += x[:, :-k] @ M          # the product is taken before the add
+        k *= 2
+        if k <= n:
+            M = M @ M
+    return x
 
 
 def _factor_solve(S, rhs, ok=None):
@@ -378,7 +359,7 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     the log-dets and quadratic forms of the transient enter the logliks
     after it.  Once the predicted covariance of every ``ok`` element has
     settled (see the module docstring), S, K and log|S| are frozen, the means
-    of the remaining steps come from a blocked scan and their innovations
+    of the remaining steps come from a doubling scan and their innovations
     and quadratic forms from whole-stretch products; the stored covariances
     of those steps are the frozen ones.
     """
@@ -447,9 +428,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         GT = np.swapaxes(G_all.reshape(p, B, d), 0, 1)
         FT = np.ascontiguousarray(_T(pb.A - _T(GT) @ pb.C))
         FT[~ok] = 0.0
-        powers = _scan_powers(FT, T - t)
         u = (Y[t:] @ G_all).reshape(T - t, B, d).swapaxes(0, 1)
-        xs = _affine_scan(powers, u, x)[:, :-1]        # predicted means of t..T-1
+        xs = _affine_scan(FT, u, x)[:, :-1]            # predicted means of t..T-1
         innov = Y[t:] - xs @ CT
         # r^T S^{-1} r, with S^{-1} applied from the right
         step_ll[:, t:] = -0.5 * ((p * LOG_2PI + _log_det(diag))[:, None]
@@ -536,7 +516,7 @@ def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
         n = T - 1 - s                  # the frozen steps s .. T-2
         JTs = np.ascontiguousarray(JT[:, s])
         u = fm[:, s:-1] - pm[:, s + 1:] @ JTs
-        means[:, s:-1] = _affine_scan(_scan_powers(JTs, n), u[:, ::-1], means[:, -1])[:, :0:-1]
+        means[:, s:-1] = _affine_scan(JTs, u[:, ::-1], means[:, -1])[:, :0:-1]
         # V_t = P^f + J (V_{t+1} - P^pred) J^T, scanned backward until V settles;
         # V settles at the rate P did, so its blocks are sized by the switch
         powers, sums = _congruence_powers(np.ascontiguousarray(_T(JTs)), fP[:, s],
@@ -557,41 +537,51 @@ def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
     return {**out, "ok": ok}
 
 
-def _stack_matmul(X, M):
-    """X_i M for every matrix X_i of the (n, a, b) stack X, as one (n a, b)
-    product; M is (b, c) or a vector (b,)."""
-    return (X.reshape(-1, X.shape[-1]) @ M).reshape(X.shape[:-1] + M.shape[1:])
+def _by_rows(X):
+    """The (n, a, b) stack X laid out (a, n, b); X_i^T is X.transpose(2, 1, 0)."""
+    return np.ascontiguousarray(X.transpose(1, 0, 2))
 
 
-def _matmul_stack(M, X):
-    """M X_i for every matrix X_i of the (n, a, b) stack X, as one (m, a)
-    (a, n b) product on a copy of X laid out (a, n, b); an (n, m, b) view."""
-    n, a, b = X.shape
-    return (M @ X.transpose(1, 0, 2).reshape(a, n * b)).reshape(-1, n, b).transpose(1, 0, 2)
+def _right(X, M, out):
+    """X_i M of every matrix of the (a, n, b) stack X into ``out``: one 2-D product."""
+    a, n, b = X.shape
+    np.matmul(X.reshape(a * n, b), M, out=out.reshape(a * n, -1))
+    return out
 
 
-def _tangent_innovation(params: LdsParams, dirs: ParamsBatch, dC, P, dP):
+def _left(M, X, out):
+    """M X_i of every matrix of the (a, n, b) stack X into ``out``: one 2-D product."""
+    a, n, b = X.shape
+    np.matmul(M, X.reshape(a, n * b), out=out.reshape(-1, n * b))
+    return out
+
+
+def _tangent_innovation(params: LdsParams, dR2, dCT, P, dP, work):
     """C P, S^{-1} and K^T of ``params`` at predicted covariance P, with
     S = C P C^T + R2, and along every direction d(C P)^T, dS and
-    dK = d(K^T)^T.  ``dC`` is dirs.C as an (n p, d) matrix, or None when no
-    direction moves C.
-
-    Each comes from 2-D products (``_stack_matmul``): dP is symmetric, so
-    d(C P)^T = dP C^T + P dC^T; dS is the symmetric part of
-    d(C P) C^T + dC P C^T + dR2, in which transposing a term changes
-    nothing; and dS is symmetric, so dK = (d(C P)^T - (dS K^T)^T) S^{-T}.
+    dK = d(K^T)^T, into the first three of the five (d, n, p), (p, n, p) and
+    (d, n, p) stacks of ``work`` (the last two are scratch).  Stacks are
+    indexed (a, n, b) like dP, dR2 and ``dCT`` = dC^T (None when no
+    direction moves C).  dP is symmetric, so d(C P)^T = dP C^T + P dC^T; dS
+    is the symmetric part of C d(C P)^T + C P dC^T + dR2; and dS is
+    symmetric, so dK = (d(C P)^T - K dS) S^{-T}.
     """
     C = params.C
-    n, d, p = dP.shape[0], dP.shape[1], C.shape[0]
+    p = C.shape[0]
     CP = C @ P
     _, (KT, Sinv), _ = _factor_solve(sym(CP @ C.T + params.R2), (CP, np.eye(p)))
-    dCPT = _stack_matmul(dP, C.T)
-    H = dirs.R2
-    if dC is not None:
-        dCPT += _T((dC @ P).reshape(n, p, d))
-        H = H + (dC @ CP.T).reshape(n, p, p)           # dC P C^T
-    dS = sym(_stack_matmul(_T(dCPT), C.T) + H)
-    dK = _stack_matmul(dCPT - _T(_stack_matmul(dS, KT)), Sinv.T)
+    dCPT, dS, dK, tS, tK = work
+    _right(dP, C.T, dCPT)
+    if dCT is not None:
+        dCPT += _left(P, dCT, tK)
+    _left(C, dCPT, tS)
+    if dCT is not None:
+        tS += _left(CP, dCT, dS)
+    tS += dR2
+    np.add(tS, tS.transpose(2, 1, 0), out=dS)         # sym: 0.5 (X + X^T) for each X
+    dS *= 0.5
+    np.subtract(dCPT, _left(KT.T, dS, tK), out=tK)
+    _right(tK, Sinv.T, dK)
     return CP, Sinv, KT, dCPT, dS, dK
 
 
@@ -602,22 +592,24 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
     attribute): the caller's own pass, not a second one.
 
     ``dirs`` holds the n directions as a batch: element i is the derivative
-    of every parameter block along direction i.  Each step carries the
-    derivatives dx (n, d) of the predicted mean and dP (n, d, d) of its
+    of every parameter block along direction i.  A transient step carries
+    the derivatives dx (n, d) of the predicted mean and dP of its
     covariance; the score is
     g_t = -1/2 [tr(S^{-1} dS) + 2 v^T dr - v^T dS v], v = S^{-1} r,
-    dr = -dC x - C dx.  Each product of an (n, a, b) direction stack with a
-    shared matrix is one 2-D product (``_stack_matmul``, ``_matmul_stack``)
-    instead of n small ones.  From the filter's switch on P, S and K are
-    frozen, and so are dP, dS and dK^T: every direction then shares
-    F = A (I - K C), and dx_{t+1} = F dx_t + U_t with
-    U_t = dA x^f_t + A dK r_t - A K dC x_t.  The frozen steps go in blocks
-    whose (L, n, max(d, p)) arrays hold at most SCAN_CHUNK doubles; U is
-    one product per block, and 1/2 v^T dS v reads the p (p + 1) / 2 entries
-    of the symmetric dS.  When no direction moves C (observable mode), its
-    terms get no columns.  The scores of both stretches are collected in
-    panels of at most SCAN_CHUNK doubles, one row per step, and each panel
-    enters the information as one G^T G.
+    dr = -dC x - C dx.  Direction stacks are laid out by ``_by_rows``, so a
+    product with a shared matrix on either side is one 2-D product into a
+    work array made once per call; when no direction moves C (observable
+    mode), its terms get no columns.  From the filter's switch on dP, dS
+    and dK^T are frozen like P, S and K, and dx_{t+1} = F dx_t + U_t with
+    F = A (I - K C) and U_t = dA x^f_t + A dK r_t - A K dC x_t.
+    The scores go in panels of at most SCAN_CHUNK doubles, each added to
+    the information as one G^T G.  The N frozen steps of a panel form K
+    blocks of L = ceil(sqrt(N)) steps (more where K (n, d) states would
+    exceed SCAN_CHUNK doubles): the part of dx that U drives is stepped in
+    all blocks at once from zero, one (K n, d) (d, d) product a step; the
+    block starts are carried with F^L, and a start's share of the scores,
+    start F^q C^T v at its step q, is one (L, d) (d, n) product per block.
+    1/2 v^T dS v reads the p (p + 1) / 2 entries of the symmetric dS.
     """
     A, C = params.A, params.C
     T, p = Y.shape
@@ -625,70 +617,97 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
     s = fr.switch
     xp, Pp, xf, Pf = fr.pred_means, fr.pred_covs, fr.filt_means, fr.filt_covs
     dC = dirs.C.reshape(n * p, d) if dirs.C.any() else None
-    L = max(1, SCAN_CHUNK // (n * max(d, p)))          # steps per frozen block
+    dCT = None if dC is None else _by_rows(_T(dirs.C))
+    dA, dR2 = _by_rows(dirs.A), dirs.R2.transpose(1, 0, 2)
     rows_per_panel = max(1, SCAN_CHUNK // n)
     info = np.zeros((n, n))
-    dx, dP = dirs.mu0.copy(), sym(dirs.R0)
+    work = [np.empty(shape) for shape in ((d, n, p), (p, n, p), (d, n, p), (p, n, p), (d, n, p))]
+    dPf, X = np.empty((d, n, d)), np.empty((d, n, d))
+    dx, dP = dirs.mu0.copy(), _by_rows(sym(dirs.R0))
     rows = []                                          # transient scores, one panel
     for t in range(s):
-        CP, Sinv, KT, dCPT, dS, dK = _tangent_innovation(params, dirs, dC, Pp[t], dP)
+        CP, Sinv, KT, dCPT, dS, dK = _tangent_innovation(params, dR2, dCT, Pp[t], dP, work)
         r = Y[t] - C @ xp[t]
         v = Sinv @ r
         dr = -(dx @ C.T)
         if dC is not None:
             dr -= (dC @ xp[t]).reshape(n, p)
-        rows.append(-0.5 * (dS.reshape(n, -1) @ (Sinv - np.outer(v, v)).ravel()) - dr @ v)
+        rows.append(-0.5 * np.einsum("anb,ab->n", dS, Sinv - np.outer(v, v)) - dr @ v)
         if len(rows) == rows_per_panel or t == s - 1:
             G = np.array(rows)
             info += G.T @ G
             rows = []
         if t == T - 1:
             break
-        dxf = dx + _stack_matmul(dK, r) + dr @ KT
-        dPf = dP - _stack_matmul(dCPT, KT) - _T(_stack_matmul(dK, CP))
-        H = _stack_matmul(dirs.A, Pf[t] @ A.T)          # dA P^f A^T
-        dx = _stack_matmul(dirs.A, xf[t]) + dxf @ A.T
-        dP = sym(H + _T(H) + _matmul_stack(A, _stack_matmul(dPf, A.T)) + dirs.R1)   # + A dPf A^T
+        dxf = dx + (dK.reshape(-1, p) @ r).reshape(d, n).T + dr @ KT
+        dx = (dA.reshape(-1, d) @ xf[t]).reshape(d, n).T + dxf @ A.T
+        # dPf = dP - d(C P)^T K^T - (dK C P)^T, then dP = sym(H + H^T +
+        # A dPf A^T + dR1) with H = dA P^f A^T, in the two work stacks
+        np.subtract(dP, _right(dCPT, KT, X), out=dPf)
+        dPf -= _right(dK, CP, X).transpose(2, 1, 0)
+        _left(A, _right(dPf, A.T, X), dP)
+        _right(dA, Pf[t] @ A.T, X)
+        np.add(X, X.transpose(2, 1, 0), out=dPf)
+        dPf += dP
+        dPf += dirs.R1.transpose(1, 0, 2)
+        np.add(dPf, dPf.transpose(2, 1, 0), out=dP)
+        dP *= 0.5
     if s == T:
         return info
-    CP, Sinv, KT, dCPT, dS, dK = _tangent_innovation(params, dirs, dC, Pp[s], dP)
+    CP, Sinv, KT, dCPT, dS, dK = _tangent_innovation(params, dR2, dCT, Pp[s], dP, work)
     AK = A @ KT.T
     FT = np.ascontiguousarray(_T(A - AK @ C))
     r = Y[s:] - xp[s:] @ C.T
     v = r @ Sinv
     Cv = v @ C
     # U_t of every direction is one (n d, k) matrix times z_t = [x^f_t; r_t; x_t],
-    # the x_t columns only when some direction moves C
-    W, Z = [dirs.A, _matmul_stack(A, dK)], [xf[s:], r]
+    # the x_t columns only when some direction moves C; W_i is (d, n, k) by rows
+    W, Z = [dA, (A @ dK.reshape(d, -1)).reshape(d, n, p)], [xf[s:], r]
     # g_t = c + [v v^T | v x^T] . [dS / 2 | dC] + (C^T v_t) . dx_t, with the
     # off-diagonal entries of v v^T . dS / 2 taken once from the upper triangle
     iu, ju = np.triu_indices(p)
-    c = -0.5 * (dS.reshape(n, -1) @ Sinv.ravel())
-    coef = [dS[:, iu, ju] * np.where(iu == ju, 0.5, 1.0)]
+    c = -0.5 * np.einsum("anb,ab->n", dS, Sinv)
+    coefT = [dS[iu, :, ju] * np.where(iu == ju, 0.5, 1.0)[:, None]]
     if dC is not None:
-        W.append(-_matmul_stack(AK, dirs.C))
+        W.append(-(AK @ _by_rows(dirs.C).reshape(p, -1)).reshape(d, n, d))
         Z.append(xp[s:])
-        coef.append(dirs.C.reshape(n, -1))
-    WT = np.concatenate(W, axis=2).reshape(n * d, -1).T
+        coefT.append(dirs.C.reshape(n, -1).T)
+    WT = np.concatenate([w.transpose(2, 1, 0).reshape(-1, n * d) for w in W])
     Z = np.concatenate(Z, axis=1)
-    coefT = np.concatenate(coef, axis=1).T
+    coefT = np.concatenate(coefT)
+    blocks = max(1, SCAN_CHUNK // (n * d))             # (n, d) block states at most
+    powers = [np.eye(d)]                               # F^T to the powers 0, 1, ..
     for plo in range(0, T - s, rows_per_panel):
         phi = min(plo + rows_per_panel, T - s)
-        vp = v[plo:phi]
+        N, vp = phi - plo, v[plo:phi]
         VX = [vp[:, iu] * vp[:, ju]]
         if dC is not None:
-            VX.append((vp[:, :, None] * xp[s + plo:s + phi, None]).reshape(phi - plo, -1))
+            VX.append((vp[:, :, None] * xp[s + plo:s + phi, None]).reshape(N, -1))
         G = c + np.concatenate(VX, axis=1) @ coefT
-        for lo in range(plo, phi, L):
-            hi = min(lo + L, phi)
-            U = (Z[lo:hi] @ WT).reshape(hi - lo, n, d)
-            dxs = np.empty_like(U)
-            dxs[0] = dx
-            for j in range(1, hi - lo):
-                np.matmul(dxs[j - 1], FT, out=dxs[j])
-                dxs[j] += U[j - 1]
-            dx = dxs[-1] @ FT + U[-1]
-            G[lo - plo:hi - plo] += (dxs @ Cv[lo:hi, :, None])[..., 0]
+        L = max(math.isqrt(N - 1) + 1, -(-N // blocks))
+        K = -(-N // L)
+        while len(powers) <= L:
+            powers.append(powers[-1] @ FT)
+        Zp, Cvp = Z[plo:phi], Cv[plo:phi]
+        # the part of dx that U drives, stepped in all blocks at once from zero:
+        # e for the blocks that reach step q, ends what each reached at its end
+        e, ends = (Zp[::L] @ WT).reshape(K, n, d), np.empty((K, n, d))
+        for q in range(1, L):
+            k = -(-(N - q) // L)
+            ends[k:len(e)] = e[k:]
+            e = e[:k]
+            G[q::L] += (e @ Cvp[q::L, :, None])[..., 0]
+            U = (Zp[q::L] @ WT).reshape(k, n, d)
+            U += (e.reshape(-1, d) @ FT).reshape(k, n, d)
+            e = U
+        ends[:len(e)] = e
+        # the share of each block's start: start F^q C^T v at its step q
+        Cvb = np.pad(Cvp, ((0, K * L - N), (0, 0))).reshape(K, L, d, 1)
+        w = (np.array(powers[:L]) @ Cvb)[..., 0]
+        for b in range(K):
+            lo, m = b * L, min(L, N - b * L)
+            G[lo:lo + m] += w[b, :m] @ dx.T
+            dx = dx @ powers[m] + ends[b]
         info += G.T @ G
     return info
 

@@ -283,6 +283,32 @@ class TestEmpiricalFisher:
         got = _engine.tangent_fisher(p, fr, Y, dirs)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
+    # frozen steps and rows per score panel (None: SCAN_CHUNK // n)
+    @pytest.mark.parametrize("frozen, panel", [
+        (1, None),     # switch = T - 1: one step
+        (2, None),     # one block of two steps
+        (9, None),     # L = 3: three full blocks
+        (10, None),    # L = 4: blocks of 4, 4 and 2
+        (6, 4),        # panels of 4 and 2 rows (d = 3), each one block of its own
+        (23, 10),      # panels of 10, 10 and 3 rows: blocks of 4, 4 and 2, then 2 and 1
+    ])
+    @pytest.mark.parametrize("d_out, fix_observation", [(1, False), (2, False), (3, True)])
+    def test_blocked_frozen_stretch_matches_the_reference(self, monkeypatch, frozen, panel,
+                                                          d_out, fix_observation):
+        d = 3
+        p = random_stable_lds(RandomLdsConfig(d=d, d_out=d_out, seed=40 + d_out))
+        if fix_observation:
+            p = p.replace(C=np.eye(d), R2=OBSERVABLE_MODE_NOISE * np.eye(d))
+        Y = simulate(p, T=40, seed=d_out).Y
+        dirs = _directions(p, fix_observation)
+        assert dirs.C.any() != fix_observation
+        fr = dataclasses.replace(kalman_filter(p, SequenceData(Y=Y)), switch=len(Y) - frozen)
+        want = reference_tangent_fisher(p, fr, Y, dirs)
+        if panel is not None:
+            monkeypatch.setattr(_engine, "SCAN_CHUNK", panel * dirs.B)
+        got = _engine.tangent_fisher(p, fr, Y, dirs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
     @pytest.mark.parametrize("fix_observation", [False, True])
     def test_a_handed_filter_pass_gives_the_same_value(self, fix_observation):
         p = random_stable_lds(RandomLdsConfig(d=3, d_out=3, seed=7))

@@ -243,25 +243,41 @@ class TestSteadyState:
 
 
 class TestBlockedScan:
-    """The steady-state mean recursions run as blocked prefix scans; the
-    tangent pass goes in blocks of bounded size."""
+    """The steady-state mean recursions run as doubling scans; the tangent
+    pass goes in blocks of bounded size."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000])
-    @pytest.mark.parametrize("B", [1, 7])
-    def test_affine_scan_matches_plain_loop(self, n, B):
-        rng = np.random.default_rng(n + 10 * B)
-        d = 3
-        M = rng.standard_normal((B, d, d))
-        M *= 0.95 / np.max(np.abs(np.linalg.eigvals(M)), axis=-1)[:, None, None]
+    @staticmethod
+    def _check_affine_scan(M, n, rng):
+        B, d, _ = M.shape
         u = rng.standard_normal((B, n, d))
         x0 = rng.standard_normal((B, d))
-        got = _engine._affine_scan(_engine._scan_powers(M, n), u, x0)
+        got = _engine._affine_scan(M, u, x0)
         want = np.empty((B, n + 1, d))
         want[:, 0] = x0
         for i in range(n):
             want[:, i + 1] = np.einsum("bd,bde->be", want[:, i], M) + u[:, i]
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+    # n = 4, 1023 and 1024 sit at the boundaries of the doubling passes
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 1000, 1023, 1024])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_affine_scan_matches_plain_loop(self, n, B):
+        rng = np.random.default_rng(n + 10 * B)
+        d = 3
+        M = rng.standard_normal((B, d, d))
+        M *= 0.95 / np.max(np.abs(np.linalg.eigvals(M)), axis=-1)[:, None, None]
+        self._check_affine_scan(M, n, rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 1000, 1023, 1024])
+    @pytest.mark.parametrize("B", [1, 7])
+    def test_affine_scan_matches_plain_loop_at_radius_0999(self, n, B):
+        # every eigenvalue on the circle of radius 0.999, the slowest decay.
+        # M is normal: a scan that squares M errs by about n eps times the
+        # conditioning of M's eigenvectors, which a random M near the unit
+        # circle can make larger than roundoff
+        rng = np.random.default_rng(n + 10 * B)
+        self._check_affine_scan(0.999 * np.linalg.qr(rng.standard_normal((B, 3, 3)))[0], n, rng)
 
     def test_tangent_block_length_leaves_the_fisher_unchanged(self, monkeypatch):
         p = random_model(3, 2, seed=60)
@@ -273,10 +289,10 @@ class TestBlockedScan:
             return fr, _engine.tangent_fisher(p, fr, Y, dirs)
 
         fr, whole = run()
-        assert _engine.SCAN_CHUNK // (dirs.B * 3) >= len(Y)     # one block
-        # 7-step blocks: the transient and the frozen stretch span several,
-        # the last one of each short
-        monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * dirs.B * 3)
+        assert _engine.SCAN_CHUNK // dirs.B >= len(Y)           # one panel
+        # 7-row score panels: the transient and the frozen stretch span
+        # several, the last one of each short; a frozen panel is two blocks
+        monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * dirs.B)
         fr_small, blocked = run()
         s = fr.switch
         assert s > 7 and s % 7 and len(Y) - s > 7 and (len(Y) - s) % 7

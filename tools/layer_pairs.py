@@ -15,8 +15,13 @@ EM layers: for each ``grid-d4`` bucket shape in ``BUCKETS`` the change's
 restarts on the benchmark's ``grid-d4`` input of ``--seed`` (the change's
 ``perfbench``), as ``grid_search`` seeds them; both sides then time
 ``filter_batch``, ``smooth_batch`` and ``m_step_batch`` on those
-parameters.  Each line gives the layer, (B, D), the filter's switch step,
-each side's time, and change / parent.
+parameters.  For each order of ``narma10-observable`` (2-10, observable
+mode, B = 2 restarts, T about 1000, where most of each pass is the frozen
+stretch) the change's ``em_loop`` runs the workload's own EM budget from
+its seeded restarts on the delay-embedded input of ``--seed``, and both
+sides time ``filter_batch`` and ``smooth_batch``.  Each line gives the
+workload, the layer, (B, D), T, the filter's switch step, each side's
+time, and change / parent.
 
 Fisher: the change's ``grid_search`` fits the ``narma10-observable`` input
 of ``--seed`` (orders 2-10, observable mode, T about 1000) and the
@@ -55,18 +60,32 @@ def import_side(checkout, name, into):
     return importlib.import_module(name)
 
 
-def bucket_params(m, wl, Y, orders, seed):
-    """The parameters after EM_ITERS EM iterations of one bucket's restarts,
+def bucket_params(m, wl, Y, orders, seed, iters):
+    """The parameters after ``iters`` EM iterations of one bucket's restarts,
     seeded and stacked as ``selection._fit_bucket`` and ``em.multi_order_fit``
     do, as a tuple of arrays."""
     data = m.SequenceData(Y=Y)
     inits = []
     for d in orders:
         order_seed = int(np.random.SeedSequence([seed, d]).generate_state(1)[0] % 2 ** 31)
-        inits += [m.em.default_init(data, d, m.em.restart_seed(order_seed, r))
+        inits += [m.em.default_init(data, d, m.em.restart_seed(order_seed, r),
+                                    fix_observation=wl.observable)
                   for r in range(wl.restarts)]
-    res = m._engine.em_loop(m._engine.stack_params(inits), Y, eps=wl.eps, max_iters=EM_ITERS)
+    res = m._engine.em_loop(m._engine.stack_params(inits), Y, eps=wl.eps, max_iters=iters,
+                            fix_observation=wl.observable)
     return tuple(getattr(res["params"], f) for f in m.model.PARAM_FIELDS)
+
+
+def em_shapes(grid, narma, seed):
+    """(workload, observations, orders, EM iterations, layers) of every EM
+    layer shape timed: the grid-d4 buckets, then each NARMA order."""
+    Y = grid.sequence(seed)
+    shapes = [(grid, Y, orders, EM_ITERS, ("filter_batch", "smooth_batch", "m_step_batch"))
+              for orders in BUCKETS]
+    Y = narma.sequence(seed)
+    return shapes + [(narma, narma.observations(Y, d), [d], narma.max_iters,
+                      ("filter_batch", "smooth_batch"))
+                     for d in range(narma.d_min, narma.d_max + 1)]
 
 
 def alternate(calls, runs):
@@ -110,39 +129,39 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         mods = {side: import_side(checkouts[side], f"ldsmdl_{side}", tmp) for side in SIDES}
-        wl = GridD4(mods["change"], None)
-        Y = wl.sequence(args.seed)
-        print(f"{'layer':<13} {'(B, D)':>8} {'switch':>6} {'parent ms':>10} "
-              f"{'change ms':>10} {'ratio':>6}")
-        for orders in BUCKETS:
-            arrays = bucket_params(mods["change"], wl, Y, orders, args.seed)
+        m = mods["change"]
+        wl, narma = GridD4(m, None), Narma10Observable(m, None)
+        print(f"{'EM layers':<19} {'layer':<13} {'(B, D)':>8} {'T':>5} {'switch':>6} "
+              f"{'parent ms':>10} {'change ms':>10} {'ratio':>6}")
+        for shape_wl, Y, orders, iters, layers in em_shapes(wl, narma, args.seed):
+            arrays = bucket_params(m, shape_wl, Y, orders, args.seed, iters)
             calls, switch = {}, {}
-            for side, m in mods.items():
-                eng = m._engine
+            for side, ms in mods.items():
+                eng = ms._engine
                 pb = eng.ParamsBatch(*(a.copy() for a in arrays))
                 fr = eng.filter_batch(pb, Y)
                 sm = eng.smooth_batch(pb, fr)
                 switch[side] = fr["switch"]
                 # each pass overwrites the arrays of the pass before, as in em_loop
                 calls[side] = {
-                    "filter_batch": lambda eng=eng, pb=pb, fr=fr: eng.filter_batch(pb, Y, reuse=fr),
+                    "filter_batch": lambda eng=eng, pb=pb, fr=fr, Y=Y:
+                        eng.filter_batch(pb, Y, reuse=fr),
                     "smooth_batch": lambda eng=eng, pb=pb, fr=fr, sm=sm:
                         eng.smooth_batch(pb, fr, reuse=sm),
-                    "m_step_batch": lambda eng=eng, sm=sm: eng.m_step_batch(sm, Y),
+                    "m_step_batch": lambda eng=eng, sm=sm, Y=Y, obs=shape_wl.observable:
+                        eng.m_step_batch(sm, Y, fix_observation=obs),
                 }
             shape = f"({arrays[0].shape[0]}, {arrays[0].shape[1]})"
             sw = (str(switch["change"]) if switch["parent"] == switch["change"]
                   else f"{switch['parent']}/{switch['change']}")
-            for layer in calls["change"]:
+            for layer in layers:
                 best = alternate({side: calls[side][layer] for side in SIDES}, args.runs)
                 p, c = best["parent"] * 1e3, best["change"] * 1e3
-                print(f"{layer:<13} {shape:>8} {sw:>6} {p:>10.3f} {c:>10.3f} {c / p:>6.3f}",
-                      flush=True)
+                print(f"{shape_wl.name:<19} {layer:<13} {shape:>8} {len(Y):>5} {sw:>6} "
+                      f"{p:>10.3f} {c:>10.3f} {c / p:>6.3f}", flush=True)
         print(f"\n{'Fisher':<19} {'d':>3} {'n':>4} {'T':>5} {'switch':>6} {'parent ms':>10} "
               f"{'change ms':>10} {'ratio':>6}")
-        m = mods["change"]
-        for name, d, arrays, Yd, observable in fisher_cases(
-                m, (Narma10Observable(m, None), wl), args.seed):
+        for name, d, arrays, Yd, observable in fisher_cases(m, (narma, wl), args.seed):
             calls = {}
             for side, ms in mods.items():
                 params, data = ms.LdsParams(**arrays), ms.SequenceData(Y=Yd)
