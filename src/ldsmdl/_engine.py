@@ -423,10 +423,9 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         # (p, B d) matrix G_all.  A failed element gets K = 0 and F = 0, so
         # its means stay at zero.
         KT[~ok] = 0.0
-        G_all = np.ascontiguousarray(np.swapaxes(KT @ AT, 0, 1))
-        G_all = G_all.reshape(p, B * d)
-        GT = np.swapaxes(G_all.reshape(p, B, d), 0, 1)
-        FT = np.ascontiguousarray(_T(pb.A - _T(GT) @ pb.C))
+        GT = KT @ AT                                   # (B, p, d)
+        G_all = np.ascontiguousarray(np.swapaxes(GT, 0, 1)).reshape(p, B * d)
+        FT = AT - CT @ GT                              # F^T = A^T - C^T G^T
         FT[~ok] = 0.0
         u = (Y[t:] @ G_all).reshape(T - t, B, d).swapaxes(0, 1)
         xs = _affine_scan(FT, u, x)[:, :-1]            # predicted means of t..T-1

@@ -46,12 +46,15 @@ class SmoothedPosterior:
 def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
     """Standard forward recursion; the filtered covariance is P - K S K^T.
 
-    Raises DegeneracyError when an innovation covariance falls below 1e-12
-    conditioning, signaling collapse to the parameter-space boundary.
+    Raises DimensionError for an empty sequence, and DegeneracyError when
+    an innovation covariance falls below 1e-12 conditioning, signaling
+    collapse to the parameter-space boundary.
     """
     if data.d_out != params.d_out:
         raise DimensionError(
             f"data has d_out={data.d_out} but params expect {params.d_out}")
+    if data.T < 1:
+        raise DimensionError(f"filtering needs T >= 1, got T={data.T}")
     fr = _engine.filter_batch(_engine.stack_params([params]), data.Y)
     if not fr["ok"][0]:
         raise DegeneracyError("innovation covariance is numerically singular")

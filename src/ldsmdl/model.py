@@ -104,9 +104,13 @@ class LdsParams:
         d = A.shape[0]
         if A.shape != (d, d):
             raise DimensionError(f"A must be square, got {A.shape}")
+        if d < 1:
+            raise DimensionError(f"d must be >= 1, got A of shape {A.shape}")
         if C.ndim != 2 or C.shape[1] != d:
             raise DimensionError(f"C must have {d} columns, got {C.shape}")
         d_out = C.shape[0]
+        if d_out < 1:
+            raise DimensionError(f"d_out must be >= 1, got C of shape {C.shape}")
         if R1.shape != (d, d):
             raise DimensionError(f"R1 must be {d}x{d}, got {R1.shape}")
         if R2.shape != (d_out, d_out):
@@ -165,6 +169,8 @@ class SequenceData:
             Y = Y[:, None]
         if Y.ndim != 2:
             raise DimensionError(f"Y must be a (T, d_out) matrix, got shape {Y.shape}")
+        if Y.shape[1] < 1:
+            raise DimensionError(f"Y must have at least one column, got shape {Y.shape}")
         if not np.all(np.isfinite(Y)):
             raise DimensionError("Y contains non-finite entries")
         object.__setattr__(self, "Y", Y)
@@ -223,10 +229,11 @@ def enforce_stability(A) -> np.ndarray:
 def solve_discrete_lyapunov(A, W) -> np.ndarray:
     """Solve Q = A Q A^T + W for the stationary covariance of a stable system.
 
-    Uses dense vectorization for d <= 32 and a doubling fixed-point
-    iteration above.  Raises InstabilityError when the spectral radius of
-    ``A`` is >= 1, in which case no PSD solution exists, and when the
-    solution overflows.
+    Smith's doubling (SIAM J. Appl. Math. 16(1), 1968): from Q = sym(W),
+    pass k adds A_k Q A_k^T with A_k = A^(2^k), and the first pass that adds
+    nothing above Q's roundoff (max |term| <= eps max |Q|) ends it.  Raises
+    InstabilityError when the spectral radius of ``A`` is >= 1, where no PSD
+    solution exists and the passes would not end, and once Q is not finite.
     """
     A = _as_matrix(A, "A")
     W = _as_matrix(W, "W")
@@ -236,25 +243,18 @@ def solve_discrete_lyapunov(A, W) -> np.ndarray:
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise InstabilityError(f"spectral radius {rho:.6g} >= 1: no PSD Lyapunov solution")
-    W = sym(W)
+    Q = sym(W)
     with np.errstate(over="ignore", invalid="ignore"):
-        if d <= 32:
-            # vec(A Q A^T) = (A kron A) vec(Q) holds in row-major layout too
-            lhs = np.eye(d * d) - np.kron(A, A)
-            Q = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
-        else:
-            Q = W.copy()
-            Ak = A.copy()
-            for _ in range(200):
-                update = Ak @ Q @ Ak.T
-                Q = Q + update
-                Ak = Ak @ Ak
-                if np.linalg.norm(update, "fro") <= 1e-12 * np.linalg.norm(Q, "fro"):
-                    break
-        Q = sym(Q)
-    if not np.all(np.isfinite(Q)):
-        raise InstabilityError(f"no finite stationary covariance for spectral radius {rho:.6g}")
-    return Q
+        while True:
+            term = A @ Q @ A.T
+            Q = Q + term
+            top = np.abs(Q).max()                      # nan when Q holds a nan
+            if not np.isfinite(top):
+                raise InstabilityError(
+                    f"no finite stationary covariance for spectral radius {rho:.6g}")
+            if np.abs(term).max() <= np.finfo(float).eps * top:
+                return sym(Q)
+            A = A @ A
 
 
 def stationary_obs_log_det(params: LdsParams, Q) -> float:

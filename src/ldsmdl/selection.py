@@ -106,7 +106,7 @@ def _buckets(bounds: ModelOrderBounds, n_restarts: int, T: int,
     starts, cell_end = [], 0
     for d in range(1, bounds.d_max + 1):
         if d > cell_end:
-            cell_end = d + d // 2
+            cell_end = math.floor(BUCKET_CELL_RATIO * d)
             start = d
         elif observable_mode or (d - start + 1) * n_restarts * T * d * d > BUCKET_DOUBLES:
             start = d

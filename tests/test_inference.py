@@ -3,11 +3,11 @@ import sys
 import numpy as np
 import pytest
 
-from ldsmdl import (DegeneracyError, LdsParams, SequenceData,
+from ldsmdl import (DegeneracyError, DimensionError, LdsParams, SequenceData,
                     complete_data_loglik, enforce_stability, kalman_filter,
                     rts_smooth, simulate)
 from ldsmdl import _engine
-from ldsmdl.criteria import _directions
+from ldsmdl.criteria import _directions, empirical_fisher_log_det
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.model import sym
 
@@ -54,6 +54,12 @@ class TestKalmanFilter:
                       mu0=np.zeros(2), R0=np.diag([1.0, 0.0]))
         with pytest.raises(DegeneracyError):
             kalman_filter(p, SequenceData(Y=np.ones((3, 2))))
+
+    @pytest.mark.parametrize("score", [kalman_filter, empirical_fisher_log_det])
+    def test_empty_sequence_rejected(self, score):
+        # filter_batch failed on T = 0 with numpy's "need at least one array to stack"
+        with pytest.raises(DimensionError, match="T >= 1, got T=0"):
+            score(random_model(2, 1, seed=0), SequenceData(Y=np.zeros((0, 1))))
 
     def test_orthogonal_similarity_invariance(self):
         p = random_model(3, 2, seed=9)

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -100,8 +102,7 @@ class TestLyapunov:
             assert np.min(np.linalg.eigvalsh(Q)) >= -1e-10
             np.testing.assert_allclose(Q, Q.T, atol=1e-12)
 
-    # the doubling branch (d > 32) must stop on a rule relative to Q,
-    # whatever the scale of W
+    # the doubling must stop on a rule relative to Q, whatever the scale of W
     @pytest.mark.parametrize("w_scale", [1.0, 1e-20])
     def test_large_dimension_branch(self, w_scale):
         rng = np.random.default_rng(3)
@@ -112,11 +113,51 @@ class TestLyapunov:
         resid = np.linalg.norm(A @ Q @ A.T - Q + W, "fro")
         assert resid <= 1e-8 * np.linalg.norm(Q, "fro")
 
+    @pytest.mark.parametrize("d", [*range(1, 13), 33, 40])
+    def test_matches_scipy(self, d):
+        # the equation's condition grows as 1 / (1 - rho^2), 5e3 at 0.9999,
+        # and scipy's bilinear method (d >= 10) adds its own error to that
+        rng = np.random.default_rng(d)
+        for rho in (0.5, 0.9, 0.99, 0.9999):
+            M = rng.standard_normal((d, d))
+            A = rho / spectral_radius(M) * M
+            W = rng.standard_normal((d, d))
+            W = W @ W.T
+            Q = solve_discrete_lyapunov(A, W)
+            scale = np.linalg.norm(Q, "fro")
+            assert np.linalg.norm(A @ Q @ A.T - Q + W, "fro") <= 1e-13 * scale
+            ref = scipy.linalg.solve_discrete_lyapunov(A, W)
+            assert np.linalg.norm(Q - ref, "fro") <= 1e-9 * scale
+
+    def test_zero_noise_gives_exact_zero(self):
+        A = enforce_stability(np.random.default_rng(0).uniform(-1, 1, (5, 5)))
+        Q = solve_discrete_lyapunov(A, np.zeros((5, 5)))
+        assert not Q.any()
+
+    def test_radius_next_to_one_ends(self):
+        # 56 passes: the term falls below eps |Q| once A^(2^k) does
+        U, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        start = time.perf_counter()
+        Q = solve_discrete_lyapunov((1 - 1e-15) * U, np.eye(3))
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.isfinite(Q)) and np.min(np.linalg.eigvalsh(Q)) > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_orthogonal_transition_ends(self, seed):
+        # the computed radius of an orthogonal A lands on either side of 1;
+        # below it, Q doubles every pass until it overflows
+        U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        try:
+            Q = solve_discrete_lyapunov(U, np.eye(4))
+        except InstabilityError:
+            return
+        assert np.all(np.isfinite(Q))
+
     def test_unstable_raises(self):
         with pytest.raises(InstabilityError):
             solve_discrete_lyapunov([[1.0]], [[1.0]])
 
-    # a stable A whose stationary covariance overflows, in both branches
+    # a stable A whose stationary covariance overflows
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("d", [2, 40])
     def test_overflowing_solution_raises(self, d):
@@ -219,6 +260,14 @@ class TestLdsParams:
         with pytest.raises(DimensionError):
             scalar_params(r2=-1.0)
 
+    # zero-size fields reached the covariance checks and failed there with a
+    # bare ValueError from np.max
+    @pytest.mark.parametrize("d, d_out, field", [(0, 1, "d"), (2, 0, "d_out")])
+    def test_zero_size_rejected(self, d, d_out, field):
+        with pytest.raises(DimensionError, match=f"^{field} must be >= 1"):
+            LdsParams(A=np.eye(d), C=np.zeros((d_out, d)), R1=np.eye(d),
+                      R2=np.eye(d_out), mu0=np.zeros(d), R0=np.eye(d))
+
     def test_json_round_trip(self):
         p = scalar_params(a=0.3, c=-0.7, r1=2.0, r2=0.5, mu0=1.5, r0=0.25)
         q = LdsParams.from_json(p.to_json())
@@ -267,6 +316,11 @@ class TestSequenceData:
     def test_non_finite_rejected(self):
         with pytest.raises(DimensionError):
             SequenceData(Y=[[np.inf]])
+
+    @pytest.mark.parametrize("T", [0, 5])
+    def test_no_columns_rejected(self, T):
+        with pytest.raises(DimensionError, match="at least one column"):
+            SequenceData(Y=np.zeros((T, 0)))
 
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)

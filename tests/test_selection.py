@@ -66,6 +66,7 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("search", [grid_search, annihilation_search])
     @pytest.mark.parametrize("Y, observable", [(np.zeros((0, 1)), False),
+                                               (np.zeros((50, 0)), False),
                                                (np.ones((1, 1)), False),
                                                (np.ones((50, 2)), True)])
     def test_unfittable_data_rejected_before_the_orders(self, search, Y, observable):
