@@ -66,9 +66,9 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("search", [grid_search, annihilation_search])
     @pytest.mark.parametrize("Y, observable", [(np.zeros((0, 1)), False),
-                                               (np.zeros((50, 0)), False),
                                                (np.ones((1, 1)), False),
-                                               (np.ones((50, 2)), True)])
+                                               (np.ones((50, 2)), True),
+                                               (np.zeros((50, 0)), False)])
     def test_unfittable_data_rejected_before_the_orders(self, search, Y, observable):
         with pytest.raises(DimensionError):
             search(SequenceData(Y=Y), ModelOrderBounds(1, 3), CFG,
