@@ -81,9 +81,7 @@ def _master_seed(seed: int) -> int:
     or is negative is a ValueError."""
     env = os.environ.get("LDSMDL_SEED")
     seed = int(env) if env is not None else seed
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_integer("seed", seed, 0)
     return seed
 
 
@@ -106,11 +104,9 @@ def cmd_simulate(args) -> None:
                     entry_range=tuple(cfg.get("entry_range", (-1.0, 1.0))),
                     iw_dof=cfg.get("iw_dof"), seed=seed))
             # checked under its config name: simulate's messages say T
-            length = cfg["length"]
-            check_integer("length", length)
-            if length < 1:
-                raise ValueError(f"length must be >= 1, got {length}")
-            data = simulate(params, T=length, burn_in=cfg.get("burn_in", 0), seed=seed)
+            check_integer("length", cfg["length"], 1)
+            data = simulate(params, T=cfg["length"], burn_in=cfg.get("burn_in", 0),
+                            seed=seed)
         else:
             data = narma_generate(NarmaSpec(
                 order=cfg["order"], length=cfg["length"],

@@ -11,8 +11,8 @@ from . import _engine
 from .errors import DimensionError
 from .inference import (FilterResult, SmoothedPosterior, complete_data_loglik,
                         kalman_filter)
-from .model import (LdsParams, SequenceData, solve_discrete_lyapunov,
-                    stationary_obs_log_det)
+from .model import (LdsParams, SequenceData, check_integer,
+                    solve_discrete_lyapunov, stationary_obs_log_det)
 
 CRITERION_NAMES = ("aic", "bic", "fia", "mme", "mdl")
 
@@ -82,8 +82,8 @@ def count_params(d: int, d_out: int, fix_observation: bool = False) -> ParamCoun
 
     In observable-state mode C and R2 are pinned and contribute nothing.
     """
-    if d < 1 or d_out < 1:
-        raise DimensionError("d and d_out must be >= 1")
+    check_integer("d", d, 1)
+    check_integer("d_out", d_out, 1)
     breakdown = {name: free[0].size
                  for name, (free, _mirror) in _free_layout(d, d_out, fix_observation).items()}
     return ParamCount(n_theta=sum(breakdown.values()), breakdown=breakdown)

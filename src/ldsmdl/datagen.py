@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import (DegenerateDataError, DimensionError, DivergenceError,
                      InsufficientDataError)
-from .model import LdsParams, SequenceData, check_integer, enforce_stability
+from .model import (LdsParams, SequenceData, _check_seed, check_integer,
+                    enforce_stability)
 
 NARMA_ORDERS = (10, 20, 30)
 #: divergence threshold for NARMA recursions
@@ -28,10 +29,9 @@ class RandomLdsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("d", self.d)
-        check_integer("d_out", self.d_out)
-        if self.d < 1 or self.d_out < 1:
-            raise DimensionError("d and d_out must be >= 1")
+        check_integer("d", self.d, 1)
+        check_integer("d_out", self.d_out, 1)
+        _check_seed(self.seed)
         lo, hi = self.entry_range
         if not lo < hi:
             raise DimensionError(f"entry_range must be a proper interval, got {self.entry_range}")
@@ -50,23 +50,21 @@ class NarmaSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("order", self.order)
-        check_integer("length", self.length)
+        check_integer("order", self.order, NARMA_ORDERS[0])
         if self.order not in NARMA_ORDERS:
             raise DimensionError(f"order must be one of {NARMA_ORDERS}, got {self.order}")
-        if self.length < self.order + 1:
-            raise DimensionError(
-                f"length must be >= order + 1, got {self.length} for order {self.order}")
+        check_integer("length", self.length, self.order + 1)
+        _check_seed(self.seed)
 
 
 def sample_inverse_wishart(dim: int, dof: int, seed) -> np.ndarray:
     """Draw from the inverse-Wishart with identity scale via Bartlett
     decomposition of the underlying Wishart; always symmetric PD."""
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
+    check_integer("dim", dim, 1)
     if dof <= dim - 1:
         raise DimensionError(f"need dof > dim - 1, got dof={dof}, dim={dim}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    _check_seed(seed)
+    rng = np.random.default_rng(seed)
     L = np.zeros((dim, dim))
     for i in range(dim):
         L[i, i] = np.sqrt(rng.chisquare(dof - i))
@@ -149,8 +147,7 @@ def delay_embed(data: SequenceData, d: int) -> SequenceData:
     so the latent state becomes observable with C fixed to the identity."""
     if data.d_out != 1:
         raise DimensionError("delay embedding applies to scalar sequences only")
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
+    check_integer("d", d, 1)
     if data.T <= d:
         raise InsufficientDataError(f"need T > d, got T={data.T}, d={d}")
     y = data.Y[:, 0]

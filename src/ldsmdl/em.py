@@ -4,6 +4,7 @@ top order (``multi_order_fit``)."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +27,13 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise DimensionError(f"eps must be finite and > 0, got {self.eps}")
-        for name in ("max_iters", "n_restarts", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.max_iters < 1:
-            raise DimensionError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.n_restarts < 1:
-            raise DimensionError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.seed < 0:
-            raise DimensionError(f"seed must be non-negative, got {self.seed}")
+        eps = self.eps
+        if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
+                or not (math.isfinite(eps) and eps > 0)):
+            raise DimensionError(f"eps must be finite and > 0, got {eps!r}")
+        check_integer("max_iters", self.max_iters, 1)
+        check_integer("n_restarts", self.n_restarts, 1)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,7 @@ def default_init(data: SequenceData, d: int, seed,
                  fix_observation: bool = False) -> LdsParams:
     """Random but deterministic starting point: scaled random orthogonal A,
     Gaussian C, identity covariances, mean-matched mu0."""
+    check_integer("d", d, 1)
     rng = np.random.default_rng(seed)
     Q, R = np.linalg.qr(rng.standard_normal((d, d)))
     Q = Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))

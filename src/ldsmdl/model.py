@@ -41,10 +41,28 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return a
 
 
-def check_integer(name: str, value) -> None:
-    """Raise DimensionError unless ``value`` is an integer; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DimensionError(f"{name} must be an integer, got {value!r}")
+def _square_matrix(x, name: str) -> np.ndarray:
+    """``_as_matrix``, and square with at least one row."""
+    a = _as_matrix(x, name)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got {a.shape}")
+    if a.shape[0] < 1:
+        raise DimensionError(f"d must be >= 1, got {name} of shape {a.shape}")
+    return a
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise DimensionError unless ``value`` is an integer (a bool is not)
+    at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DimensionError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """Raise DimensionError unless ``seed`` is None, a Generator or an
+    integer >= 0."""
+    if seed is not None and not isinstance(seed, np.random.Generator):
+        check_integer("seed", seed, 0)
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -59,11 +77,9 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
 
 
 def _check_cov(M: np.ndarray, name: str) -> None:
-    """Reject a non-square, asymmetric or indefinite covariance; both
+    """Reject an asymmetric or indefinite square covariance; both
     tolerances scale with max(1, max |M|), since a covariance computed at a
     larger scale is symmetric and PSD only to roundoff at that scale."""
-    if M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be square, got {M.shape}")
     scale = max(1.0, float(np.max(np.abs(M))))
     if np.max(np.abs(M - M.T)) > SYMMETRY_TOL * scale:
         raise DimensionError(f"{name} is not symmetric to {SYMMETRY_TOL * scale:.3g}")
@@ -93,7 +109,7 @@ class LdsParams:
     R0: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
+        A = _square_matrix(self.A, "A")
         C = _as_matrix(self.C, "C")
         R1 = _as_matrix(self.R1, "R1")
         R2 = _as_matrix(self.R2, "R2")
@@ -102,10 +118,6 @@ class LdsParams:
         if not np.all(np.isfinite(mu0)):
             raise DimensionError("mu0 contains non-finite entries")
         d = A.shape[0]
-        if A.shape != (d, d):
-            raise DimensionError(f"A must be square, got {A.shape}")
-        if d < 1:
-            raise DimensionError(f"d must be >= 1, got A of shape {A.shape}")
         if C.ndim != 2 or C.shape[1] != d:
             raise DimensionError(f"C must have {d} columns, got {C.shape}")
         d_out = C.shape[0]
@@ -192,18 +204,13 @@ class ModelOrderBounds:
     d_max: int
 
     def __post_init__(self):
-        check_integer("d_min", self.d_min)
-        check_integer("d_max", self.d_max)
-        if not (1 <= self.d_min <= self.d_max):
-            raise DimensionError(
-                f"need 1 <= d_min <= d_max, got d_min={self.d_min}, d_max={self.d_max}")
+        check_integer("d_min", self.d_min, 1)
+        check_integer("d_max", self.d_max, self.d_min)
 
 
 def spectral_radius(A) -> float:
     """Maximum eigenvalue magnitude of a square matrix."""
-    A = _as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"A must be square, got {A.shape}")
+    A = _square_matrix(A, "A")
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
@@ -220,9 +227,7 @@ def enforce_stability_batch(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def enforce_stability(A) -> np.ndarray:
     """Rescale ``A`` so its spectral radius is strictly below one
     (``enforce_stability_batch`` with a batch of one)."""
-    A = _as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"A must be square, got {A.shape}")
+    A = _square_matrix(A, "A")
     return enforce_stability_batch(A[None])[0][0]
 
 
@@ -235,11 +240,10 @@ def solve_discrete_lyapunov(A, W) -> np.ndarray:
     InstabilityError when the spectral radius of ``A`` is >= 1, where no PSD
     solution exists and the passes would not end, and once Q is not finite.
     """
-    A = _as_matrix(A, "A")
+    A = _square_matrix(A, "A")
     W = _as_matrix(W, "W")
-    d = A.shape[0]
-    if A.shape != (d, d) or W.shape != (d, d):
-        raise DimensionError(f"A and W must both be {d}x{d}")
+    if W.shape != A.shape:
+        raise DimensionError(f"W must be {A.shape[0]}x{A.shape[0]}, got {W.shape}")
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise InstabilityError(f"spectral radius {rho:.6g} >= 1: no PSD Lyapunov solution")
@@ -265,6 +269,8 @@ def stationary_obs_log_det(params: LdsParams, Q) -> float:
     SingularityError when C Q C^T + R2 is not positive definite.
     """
     Q = _as_matrix(Q, "Q")
+    if Q.shape != (params.d, params.d):
+        raise DimensionError(f"Q must be {params.d}x{params.d}, got {Q.shape}")
     try:
         L = np.linalg.cholesky(sym(params.C @ Q @ params.C.T + params.R2))
     except np.linalg.LinAlgError:
@@ -278,12 +284,9 @@ def simulate(params: LdsParams, T: int, burn_in: int = 0,
 
     Bit-reproducible for a fixed seed and parameter set.
     """
-    check_integer("T", T)
-    check_integer("burn_in", burn_in)
-    if T < 1:
-        raise DimensionError(f"T must be >= 1, got {T}")
-    if burn_in < 0:
-        raise DimensionError(f"burn_in must be >= 0, got {burn_in}")
+    check_integer("T", T, 1)
+    check_integer("burn_in", burn_in, 0)
+    _check_seed(seed)
     if spectral_radius(params.A) >= 1.0:
         raise InstabilityError("cannot simulate an unstable system")
     rng = np.random.default_rng(seed)

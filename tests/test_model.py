@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ldsmdl import _engine
-from ldsmdl import (DimensionError, InstabilityError, LdsParams,
-                    RandomLdsConfig, SequenceData, SingularityError,
-                    enforce_stability, random_stable_lds, read_sequence_csv,
-                    simulate, solve_discrete_lyapunov, spectral_radius,
-                    stationary_obs_log_det, write_sequence_csv)
+from ldsmdl import (DimensionError, EmConfig, InstabilityError, LdsParams,
+                    NarmaSpec, RandomLdsConfig, SequenceData, SingularityError,
+                    count_params, default_init, delay_embed, enforce_stability,
+                    multi_restart_fit, random_stable_lds, read_sequence_csv,
+                    sample_inverse_wishart, simulate, solve_discrete_lyapunov,
+                    spectral_radius, stationary_obs_log_det, write_sequence_csv)
 from ldsmdl.em import _params_from_batch
 from ldsmdl.model import PARAM_FIELDS, ModelOrderBounds
 
@@ -347,3 +348,46 @@ class TestModelOrderBounds:
         # a float order reached range() and failed there with a TypeError
         with pytest.raises(DimensionError, match="integer"):
             ModelOrderBounds(d_min, d_max)
+
+
+# Each public entry point with the bad values it met before the shared
+# integer and square-matrix checks covered it: each failed with numpy's
+# TypeError, IndexError or ValueError, or took True as 1.
+_SCALAR = SequenceData(Y=np.linspace(0.0, 1.0, 20))
+_D2 = LdsParams(A=0.5 * np.eye(2), C=[[1.0, 0.0]], R1=np.eye(2), R2=[[1.0]],
+                mu0=np.zeros(2), R0=np.eye(2))
+_EMPTY = np.zeros((0, 0))
+_BAD_ARGUMENTS = {
+    "delay_embed d=2.5": lambda: delay_embed(_SCALAR, 2.5),
+    "delay_embed d=True": lambda: delay_embed(_SCALAR, True),
+    "default_init d=2.5": lambda: default_init(_SCALAR, 2.5, 0),
+    "multi_restart_fit d=2.0": lambda: multi_restart_fit(_SCALAR, 2.0, EmConfig()),
+    "count_params d=2.5": lambda: count_params(2.5, 1),
+    "sample_inverse_wishart dim=2.5": lambda: sample_inverse_wishart(2.5, 5, 0),
+    **{f"{entry} seed={seed}": call
+       for seed in (-1, 1.5, True)
+       for entry, call in (
+           ("RandomLdsConfig", lambda s=seed: RandomLdsConfig(d=2, d_out=1, seed=s)),
+           ("NarmaSpec", lambda s=seed: NarmaSpec(order=10, length=50, seed=s)),
+           ("simulate", lambda s=seed: simulate(_D2, T=5, seed=s)),
+           ("sample_inverse_wishart", lambda s=seed: sample_inverse_wishart(2, 4, s)))},
+    "EmConfig eps=True": lambda: EmConfig(eps=True),
+    "EmConfig eps='0.1'": lambda: EmConfig(eps="0.1"),
+    "stationary_obs_log_det Q 3x3": lambda: stationary_obs_log_det(_D2, np.eye(3)),
+    "stationary_obs_log_det Q 1x1": lambda: stationary_obs_log_det(_D2, np.eye(1)),
+    "spectral_radius 0x0": lambda: spectral_radius(_EMPTY),
+    "enforce_stability 0x0": lambda: enforce_stability(_EMPTY),
+    "solve_discrete_lyapunov 0x0": lambda: solve_discrete_lyapunov(_EMPTY, _EMPTY),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_ARGUMENTS.values(), ids=_BAD_ARGUMENTS.keys())
+def test_bad_argument_raises_dimension_error(call):
+    with pytest.raises(DimensionError):
+        call()
+
+
+def test_generator_and_none_seeds_still_accepted():
+    assert simulate(_D2, T=5, seed=None).T == 5
+    assert sample_inverse_wishart(2, 4, np.random.default_rng(0)).shape == (2, 2)
+    assert RandomLdsConfig(d=2, d_out=1, seed=np.int64(3)).seed == 3
