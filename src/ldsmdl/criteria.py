@@ -94,12 +94,12 @@ def aic(loglik: float, n_theta: int) -> CriterionValue:
 
 
 def bic(loglik: float, n_theta: int, n: int) -> CriterionValue:
-    if n < 1:
-        raise DimensionError(f"sample size must be >= 1, got {n}")
+    check_integer("n", n, 1)
     return _make("bic", {"fit": -2.0 * loglik, "penalty": n_theta * math.log(n)})
 
 
 def fia(loglik: float, n_theta: int, n: int, fisher_log_det: float) -> CriterionValue:
+    check_integer("n", n, 1)
     return _make("fia", {
         "fit": -loglik,
         "dimension_penalty": 0.5 * n_theta * math.log(n / (2.0 * math.pi)),
@@ -108,8 +108,7 @@ def fia(loglik: float, n_theta: int, n: int, fisher_log_det: float) -> Criterion
 
 
 def mme(loglik: float, n_theta: int, n: int) -> CriterionValue:
-    if n < 1:
-        raise DimensionError(f"sample size must be >= 1, got {n}")
+    check_integer("n", n, 1)
     return _make("mme", {
         "fit": -loglik,
         "penalty": 0.5 * n_theta * math.log(n * KAPPA_UNIFORM),
@@ -119,6 +118,7 @@ def mme(loglik: float, n_theta: int, n: int) -> CriterionValue:
 
 def mdl_order_penalty(d: int, N: int) -> float:
     """The order-linear description-length penalty (d/2) log(2 N^2 / (2 pi)^2)."""
+    check_integer("N", N, 1)
     return 0.5 * d * math.log(2.0 * N * N / (2.0 * math.pi) ** 2)
 
 
@@ -131,14 +131,13 @@ def mdl_description_length(fit, posterior: SmoothedPosterior, data: SequenceData
     Raises InstabilityError when the fitted transition matrix is unstable
     at evaluation time.
     """
-    if N < 1:
-        raise DimensionError(f"N must be >= 1, got {N}")
     params = fit.params
+    order_penalty = mdl_order_penalty(params.d, N)
     Q = solve_discrete_lyapunov(params.A, params.R1)
     return _make("mdl", {
         "fit": -complete_data_loglik(params, posterior, data),
         "stability": 0.5 * stationary_obs_log_det(params, Q),
-        "order_penalty": mdl_order_penalty(params.d, N),
+        "order_penalty": order_penalty,
     })
 
 

@@ -129,14 +129,13 @@ def narma_generate(spec: NarmaSpec) -> SequenceData:
     return SequenceData(Y=x[spec.order:][:, None])
 
 
-def preprocess_center_trim(data: SequenceData,
-                           bounds: tuple = (-0.5, 0.5)) -> SequenceData:
-    """Subtract the sample mean, then drop samples outside ``bounds``."""
+def preprocess_center_trim(data: SequenceData) -> SequenceData:
+    """Subtract the sample mean, then drop samples outside the fixed
+    interval [-0.5, 0.5]."""
     if data.d_out != 1:
         raise DimensionError("centering/trimming applies to scalar sequences only")
-    lo, hi = bounds
     y = data.Y[:, 0] - data.Y[:, 0].mean()
-    kept = y[(y >= lo) & (y <= hi)]
+    kept = y[np.abs(y) <= 0.5]
     if kept.size == 0:
         raise DegenerateDataError("no samples left after trimming")
     return SequenceData(Y=kept[:, None])

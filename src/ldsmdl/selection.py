@@ -1,7 +1,7 @@
 """Order-selection drivers: top-down annihilation and a full grid sweep.
 
-Both fit the candidate orders bucket by bucket (``_buckets``), one EM loop
-per bucket, and score each order on its own."""
+Both fit the candidate orders bucket by bucket (``_buckets``), the walk from
+the highest bucket down, one EM loop per bucket, and score each order alone."""
 from __future__ import annotations
 
 import csv
@@ -188,35 +188,30 @@ def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
 
 def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
                         config: EmConfig, observable_mode: bool = False) -> SelectionTrace:
-    """Top-down order reduction: refit at successively smaller orders and
-    keep the description-length minimizer.
+    """Top-down order reduction: the grid's buckets from the highest down,
+    each fitted as ``grid_search`` fits it and its orders scored by the
+    description length alone, highest first.
 
-    The walk stops once the description length rises relative to the
-    previously evaluated (next-higher) order; a walk that never stops is
-    ``grid_search`` scored by the DL alone.  On reaching an order it has not
-    fitted, the walk fits that order's whole bucket within the range, as the
-    grid does, and so may fit orders below the one at which it stops; it
-    scores only the orders it visits.
+    The walk stops at the first order whose DL rises relative to the
+    previously evaluated (next-higher) order and keeps the DL minimizer; a
+    walk that never stops is ``grid_search`` scored by the DL alone.  A
+    bucket is fitted whole, so the walk may fit orders below the one at
+    which it stops; it scores only the orders it visits.
     """
     _check_data(data, observable_mode)
-    bucket_of = {d: b for b in _buckets(bounds, config.n_restarts, data.T, observable_mode)
-                 for d in b}
-    fits = {}
     per_order = []
     prev_dl = math.inf
-    stopped = False
-    for order in range(bounds.d_max, bounds.d_min - 1, -1):
-        if order not in fits:
-            data_d, fits = _fit_bucket(data, bucket_of[order], config, observable_mode)
-        r = _order_result(data_d, fits[order], order, observable_mode, all_criteria=False)
-        per_order.append(r)
-        if r.fit is None:
-            continue
-        if r.dl > prev_dl:
-            stopped = True
-            break
-        prev_dl = r.dl
-    return _finish(per_order, "mdl", stopped_early=stopped)
+    for bucket in reversed(_buckets(bounds, config.n_restarts, data.T, observable_mode)):
+        data_d, fits = _fit_bucket(data, bucket, config, observable_mode)
+        for order in reversed(bucket):
+            r = _order_result(data_d, fits[order], order, observable_mode, all_criteria=False)
+            per_order.append(r)
+            if r.fit is None:
+                continue
+            if r.dl > prev_dl:
+                return _finish(per_order, "mdl", stopped_early=True)
+            prev_dl = r.dl
+    return _finish(per_order, "mdl", stopped_early=False)
 
 
 def _finish(per_order: list, criterion: str, stopped_early: bool) -> SelectionTrace:

@@ -56,9 +56,9 @@ class TestFormulas:
     def test_bic(self):
         assert bic(-100.0, 10, 100).value == pytest.approx(200 + 10 * math.log(100))
         assert bic(-5.0, 10, 1).value == pytest.approx(10.0)
-        # ln(e^2) = 2 makes BIC equal AIC here
-        assert bic(-100.0, 10, math.e ** 2).value == pytest.approx(
-            aic(-100.0, 10).value)
+        # BIC is AIC with the per-parameter penalty 2 swapped for ln n
+        assert bic(-100.0, 10, 7).value == pytest.approx(
+            aic(-100.0, 10).value + 10 * (math.log(7) - 2))
 
     def test_fia(self):
         v = fia(-100.0, 10, 100, 0.0)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ldsmdl import _engine
-from ldsmdl import (DimensionError, EmConfig, LdsParams, SequenceData,
-                    default_init, em_fit, enforce_stability, kalman_filter,
-                    m_step, multi_restart_fit, rts_smooth, simulate,
-                    spectral_radius)
+from ldsmdl import (DimensionError, EmConfig, LdsParams, RankDeficiencyError,
+                    SequenceData, default_init, em_fit, enforce_stability,
+                    kalman_filter, m_step, multi_restart_fit, rts_smooth,
+                    simulate, spectral_radius)
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.em import multi_order_fit, restart_seed
 from ldsmdl.inference import SmoothedPosterior
@@ -132,6 +132,31 @@ class TestMStep:
         post = scalar_posterior([0.0, 0.0], [1.0, 1.0], [0.5])
         with pytest.raises(DimensionError):
             m_step(post, SequenceData(Y=[0.0, 0.0, 0.0]))
+
+    def test_constant_means_are_rank_deficient(self):
+        # S00 = sum of m_t m_t^T over t < T-1 has rank 1
+        post = SmoothedPosterior(means=np.tile([1.0, 2.0], (4, 1)),
+                                 covs=np.zeros((4, 2, 2)), cross_covs=np.zeros((3, 2, 2)))
+        with pytest.raises(RankDeficiencyError):
+            m_step(post, SequenceData(Y=np.ones(4)))
+
+    def test_rank_deficiency_is_judged_by_eigenvalues(self):
+        # S00 = m_0 m_0^T + m_1 m_1^T with orthogonal m_0, m_1 of norms 1 and
+        # 1e-7: its eigenvalue ratio is 1e-14, below MSTEP_RCOND, while the
+        # diagonal of its Cholesky factor reads a ratio of 1.00
+        e = 1e-7
+        means = np.array([[np.sqrt(e), np.sqrt(1 - e)],
+                          [e * np.sqrt(1 - e), -e * np.sqrt(e)],
+                          [0.3, -0.2]])
+        post = SmoothedPosterior(means=means, covs=np.zeros((3, 2, 2)),
+                                 cross_covs=np.zeros((2, 2, 2)))
+        S00 = means[:2].T @ means[:2]
+        w = np.linalg.eigvalsh(S00)
+        assert w[0] / w[1] < _engine.MSTEP_RCOND
+        L = np.linalg.cholesky(S00)
+        assert np.diag(L).min() / np.diag(L).max() > 0.99
+        with pytest.raises(RankDeficiencyError):
+            m_step(post, SequenceData(Y=[0.5, -1.0, 2.0]))
 
     def test_optimality_under_block_perturbation(self):
         rng = np.random.default_rng(17)

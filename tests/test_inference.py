@@ -493,6 +493,17 @@ class TestSpdSolve:
             assert ok_b[0] == ok[b]
             np.testing.assert_array_equal(alone[0], x[b])
 
+    def test_indefinite_prediction_is_solved_by_lu(self):
+        # LdsParams admits R1's eigenvalue -1e-11 (within -1e-10); with A = 0
+        # every predicted covariance is R1, which does not factor, so only
+        # the LU fallback can solve for the smoother's gains
+        p = LdsParams(A=np.zeros((2, 2)), C=[[1.0, 1.0]], R1=np.diag([1.0, -1e-11]),
+                      R2=[[1.0]], mu0=np.zeros(2), R0=np.eye(2))
+        data = SequenceData(Y=np.random.default_rng(5).standard_normal(20))
+        sm = rts_smooth(p, kalman_filter(p, data))
+        for moment in (sm.means, sm.covs, sm.cross_covs):
+            assert np.isfinite(moment).all()
+
     def test_failed_element_solves_against_the_identity(self):
         M, R = self.spd_batch(3, 4, 3, seed=7)
         M[1] = np.nan                  # not read: the element already failed

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from ldsmdl import _engine
 from ldsmdl import (DimensionError, EmConfig, InstabilityError, LdsParams,
-                    NarmaSpec, RandomLdsConfig, SequenceData, SingularityError,
-                    count_params, default_init, delay_embed, enforce_stability,
-                    multi_restart_fit, random_stable_lds, read_sequence_csv,
+                    NarmaSpec, RandomLdsConfig, SequenceData, SingularityError, bic,
+                    count_params, default_init, delay_embed, enforce_stability, fia,
+                    kalman_filter, mdl_description_length, mme, multi_restart_fit,
+                    random_stable_lds, read_sequence_csv, rts_smooth,
                     sample_inverse_wishart, simulate, solve_discrete_lyapunov,
                     spectral_radius, stationary_obs_log_det, write_sequence_csv)
+from ldsmdl.criteria import mdl_order_penalty
 from ldsmdl.em import _params_from_batch
 from ldsmdl.model import PARAM_FIELDS, ModelOrderBounds
 
@@ -352,7 +355,8 @@ class TestModelOrderBounds:
 
 # Each public entry point with the bad values it met before the shared
 # integer and square-matrix checks covered it: each failed with numpy's
-# TypeError, IndexError or ValueError, or took True as 1.
+# TypeError, IndexError or ValueError, with math's domain error, or was
+# scored (True taken as 1, a fractional sample size as it stands).
 _SCALAR = SequenceData(Y=np.linspace(0.0, 1.0, 20))
 _D2 = LdsParams(A=0.5 * np.eye(2), C=[[1.0, 0.0]], R1=np.eye(2), R2=[[1.0]],
                 mu0=np.zeros(2), R0=np.eye(2))
@@ -378,6 +382,15 @@ _BAD_ARGUMENTS = {
     "spectral_radius 0x0": lambda: spectral_radius(_EMPTY),
     "enforce_stability 0x0": lambda: enforce_stability(_EMPTY),
     "solve_discrete_lyapunov 0x0": lambda: solve_discrete_lyapunov(_EMPTY, _EMPTY),
+    "bic n=True": lambda: bic(0.0, 3, True),
+    "bic n=2.5": lambda: bic(0.0, 3, 2.5),
+    "mme n=2.5": lambda: mme(0.0, 3, 2.5),
+    "fia n=0": lambda: fia(0.0, 3, 0, 1.0),
+    "mdl_order_penalty N=0": lambda: mdl_order_penalty(2, 0),
+    "mdl_order_penalty N=True": lambda: mdl_order_penalty(2, True),
+    "mdl_description_length N=2.5": lambda: mdl_description_length(
+        SimpleNamespace(params=_D2), rts_smooth(_D2, kalman_filter(_D2, _SCALAR)),
+        _SCALAR, N=2.5),
 }
 
 
