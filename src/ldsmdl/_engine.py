@@ -8,16 +8,22 @@ rank-deficient M-step accumulators) are flagged in an ``ok`` mask instead
 of aborting the whole batch; the filter carries the identity as the
 predicted covariance of such an element and holds its means at zero, and
 the smoother zeroes its gains, so later passes over the batch stay finite.
+One kernel, ``_factor_solve``, solves against the filter's innovation
+covariances and the M-step's accumulators, and one rule judges them: M is
+degenerate where it has no Cholesky factor L or where ||M||_F
+||L^{-1}||_F^2 > 1 / DEGENERACY_RCOND.  As ||L^{-1}||_F^2 = trace(M^{-1}),
+that bound lies between kappa_2(M) and n^{3/2} kappa_2(M) for n x n M: it
+never passes a matrix whose eigenvalue ratio is below DEGENERACY_RCOND.
 
 For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
 filter runs the full step until the predicted covariance of every element
 still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its own size in
-one time update.  A transient step factors S once (Cholesky, for the ``ok``
-test and log|S|), solves S^{-1} [C P | r] once for K^T and S^{-1} r, and
-takes the filtered covariance in standard form, P - K S K^T = P - (C P)^T K^T.
-From the switch on, S, K^T and S^{-1} (one solve S^{-1} [C P | I]) are
-frozen and the predicted mean follows the linear time-invariant recursion
+one time update.  A transient step factors S = L L^T once; L and L^{-1}
+give the ``ok`` test, log|S|, K^T = S^{-1} C P and S^{-1} r, and the
+filtered covariance is P - K S K^T = P - (C P)^T K^T.  From the switch on,
+S, K^T and S^{-1} (the same kernel on C P and I) are frozen and the
+predicted mean follows the linear time-invariant recursion
 x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
 That recursion runs as a doubling scan (``_affine_scan``, Hillis & Steele
 1986): ceil(log2(N + 1)) passes of one batched product each for N frozen
@@ -25,8 +31,8 @@ steps, with F squared between passes, instead of N interpreted steps; the
 innovations, their quadratic forms and the filtered means are then
 whole-stretch products.
 With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
-LAPACK routine: the factor is sqrt(s) and S^{-1} b is b * (1 / s), which
-are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
+LAPACK routine: the factor is sqrt(s), the bound is exactly 1, and S^{-1} b
+is b * (1 / s), which are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
 
 The filter hands its switch step to the smoother, which mirrors it in two
 phases: J of every transient step and the one J shared by the frozen steps
@@ -61,10 +67,11 @@ into blocks of about sqrt(N) steps, stepped all at once from zero and
 joined by carrying the block starts, so no Python loop runs per frozen
 step and no array holds more than one step per block.
 
-The M-step floors the eigenvalues of its covariance estimates at
-COV_FLOOR (``psd_floor_batch``).  A Cholesky of sym(M) - COV_FLOOR I
-decides it: an element that factors is returned as sym(M), and only the
-others are floored through ``eigh``.
+The M-step solves against S00 and Zsum with ``_factor_solve``.  It floors
+the eigenvalues of its covariance estimates at COV_FLOOR
+(``psd_floor_batch``).  A Cholesky of sym(M) - COV_FLOOR I decides it: an
+element that factors is returned as sym(M), and only the others are
+floored through ``eigh``.
 
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
@@ -79,7 +86,7 @@ import numpy as np
 from .model import PARAM_FIELDS, LdsParams, enforce_stability_batch, sym
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-#: innovation covariances with conditioning below this are treated as degenerate
+#: a matrix M with ||M||_F trace(M^{-1}) above 1 / DEGENERACY_RCOND is degenerate
 DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
@@ -87,8 +94,6 @@ SETTLE_RTOL = 8.0 * np.finfo(float).eps
 SCAN_CHUNK = 2 ** 15
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
-#: conditioning limit for M-step accumulator inversions
-MSTEP_RCOND = 1e-12
 #: fixed observation noise scale in observable-state mode
 OBSERVABLE_MODE_NOISE = 1e-6
 
@@ -296,40 +301,40 @@ def _affine_scan(M, u, x0):
 
 
 def _factor_solve(S, rhs, ok=None):
-    """Factor the innovation covariance S and solve against it: the diagonal
-    of the Cholesky factor of S, S^{-1} times each of the two (.., p, k)
-    blocks of ``rhs``, and ``ok`` with the elements whose S is degenerate
-    cleared (in place), as ``_chol_guarded``, the diagonal-ratio test and
-    ``_solve_guarded`` give them.  Without ``ok`` (a pass known to be ok)
-    S is only solved against and the diagonal is None.
+    """Factor the symmetric positive definite S once and solve against it:
+    the diagonal of the Cholesky factor L of S, S^{-1} times each (.., n, k)
+    block of ``rhs``, and ``ok`` with the elements whose S is degenerate by
+    the bound of the module docstring cleared (in place).  The solution is
+    L^{-T} (L^{-1} r); a failed element solves against the identity.
 
     A 1x1 S takes no LAPACK call and gives LAPACK's results bit for bit:
     for s = S[.., 0, 0] dpotrf fails where s <= 0 and factors sqrt(s)
-    elsewhere (a NaN or +inf factor fails the ratio test), and OpenBLAS's
-    LU solve is b * (1 / s), not b / s.  A failed element reads as s = 1,
-    the identity the guarded calls swap in.
+    elsewhere (a NaN or +inf factor fails the bound), and OpenBLAS's LU
+    solve is b * (1 / s), not b / s.  Without ``ok`` (a pass known to be
+    ok) a 1x1 S is only solved against and the diagonal is None; a larger
+    S is factored with every element ok.
     """
-    a, b = rhs
     if S.shape[-1] == 1:
         s = S[..., 0, 0]
         if ok is None:
             inv = (1.0 / s)[..., None, None]
-            return None, (a * inv, b * inv), None
+            return None, [r * inv for r in rhs], None
         c = np.where(ok & ~(s <= 0), s, 1.0)           # the matrix dpotrf factors
         ok &= (0 < s) & (s < np.inf)
         diag = np.sqrt(c)[..., None]
         c[~ok] = 1.0                                   # the matrix the solve takes
         inv = (1.0 / c)[..., None, None]
-        return diag, (a * inv, b * inv), ok
-    if ok is None:
-        diag, sol = None, np.linalg.solve(S, np.concatenate(rhs, axis=-1))
-    else:
-        L, ok = _chol_guarded(S, ok)
-        diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))    # a copy: L is not kept
-        ok &= (diag.min(axis=-1) / diag.max(axis=-1)) ** 2 >= DEGENERACY_RCOND
-        sol, ok = _solve_guarded(S, np.concatenate(rhs, axis=-1), ok)
-    k = a.shape[-1]
-    return diag, (sol[..., :k], sol[..., k:]), ok
+        return diag, [r * inv for r in rhs], ok
+    L, ok = _chol_guarded(S, np.ones(len(S), dtype=bool) if ok is None else ok)
+    Li = np.linalg.inv(L)
+    # ||S||_F ||L^{-1}||_F^2 as the norm of S trace(S^{-1}), which no scale of S overflows
+    St = S * (Li * Li).sum(axis=(-2, -1))[..., None, None]
+    ok &= (St * St).sum(axis=(-2, -1)) <= DEGENERACY_RCOND ** -2
+    if not ok.all():
+        Li[~ok] = np.eye(S.shape[-1])
+    LiT = _T(Li)
+    # the diagonal is a copy: L is not kept
+    return np.abs(L.diagonal(0, -2, -1)), [LiT @ (Li @ r) for r in rhs], ok
 
 
 def _log_det(diag):
@@ -568,7 +573,8 @@ def _tangent_innovation(params: LdsParams, dR2, dCT, P, dP, work):
     C = params.C
     p = C.shape[0]
     CP = C @ P
-    _, (KT, Sinv), _ = _factor_solve(sym(CP @ C.T + params.R2), (CP, np.eye(p)))
+    _, sol, _ = _factor_solve(sym(CP @ C.T + params.R2)[None], (CP[None], np.eye(p)[None]))
+    KT, Sinv = sol[0][0], sol[1][0]
     dCPT, dS, dK, tS, tK = work
     _right(dP, C.T, dCPT)
     if dCT is not None:
@@ -733,8 +739,7 @@ def m_step_batch(sm: dict, Y: np.ndarray,
     S00 = _finite_or_identity(Zsum - (V[:, -1] + m[:, -1, :, None] * m[:, -1, None]), ok)
     S11 = Zsum - (V[:, 0] + m[:, 0, :, None] * m[:, 0, None])
     S10 = cross.sum(axis=1) + mT[:, :, 1:] @ m[:, :-1]
-    ok &= _well_conditioned(S00)
-    AT, ok = _solve_guarded(S00, _T(S10), ok)
+    _, (AT,), ok = _factor_solve(S00, (_T(S10),), ok)
     A = _T(_finite_or_identity(AT, ok))
     R1, fired1 = psd_floor_batch(_finite_or_identity((S11 - A @ _T(S10)) / (T - 1), ok))
     if fix_observation:
@@ -743,8 +748,7 @@ def m_step_batch(sm: dict, Y: np.ndarray,
         fired2 = np.zeros(B, dtype=bool)
     else:
         Syx = np.einsum("tp,btd->bpd", Y, m)
-        ok &= _well_conditioned(Zsum)
-        CT, ok = _solve_guarded(Zsum, _T(Syx), ok)
+        _, (CT,), ok = _factor_solve(Zsum, (_T(Syx),), ok)
         C = _T(CT)
         Syy = Y.T @ Y
         R2, fired2 = psd_floor_batch(_finite_or_identity((Syy[None] - C @ _T(Syx)) / T, ok))
@@ -752,11 +756,6 @@ def m_step_batch(sm: dict, Y: np.ndarray,
     R0, fired0 = psd_floor_batch(_finite_or_identity(V[:, 0], ok))
     fired = fired1 | fired2 | fired0
     return ParamsBatch(A=A, C=C, R1=R1, R2=R2, mu0=mu0, R0=R0), fired, ok
-
-
-def _well_conditioned(M):
-    w = np.abs(np.linalg.eigvalsh(sym(M)))
-    return (np.min(w, axis=-1) / np.maximum(np.max(w, axis=-1), 1e-300)) >= MSTEP_RCOND
 
 
 def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,

@@ -1,9 +1,9 @@
 """Command-line harness: sequence generation, order selection, criterion tables.
 
 Exit codes, from the ``STAGES`` table: 0 success, 2 config error, 3
-generation error, 4 fitting failure, 5 I/O error.  The environment
-variable LDSMDL_SEED overrides --seed when set; a negative seed is a
-config error.
+generation error (or out of memory), 4 fitting failure (or out of
+memory), 5 I/O error.  The environment variable LDSMDL_SEED overrides
+--seed when set; a negative seed is a config error.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ _BAD_VALUE = (ValueError, KeyError, TypeError, OverflowError)
 #: stage -> (exception types, exit code, stderr label)
 STAGES = {
     "config": ((OSError,) + _BAD_VALUE, EXIT_CONFIG, "config error"),
-    "generation": ((LdsError,) + _BAD_VALUE, EXIT_GENERATION, "generation error"),
-    "fitting": ((LdsError,), EXIT_FITTING, "fitting failure"),
+    "generation": ((LdsError, MemoryError) + _BAD_VALUE, EXIT_GENERATION, "generation error"),
+    "fitting": ((LdsError, MemoryError), EXIT_FITTING, "fitting failure"),
     "io": ((OSError,), EXIT_IO, "I/O error"),
 }
 

@@ -47,8 +47,9 @@ def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
     """Standard forward recursion; the filtered covariance is P - K S K^T.
 
     Raises DimensionError for an empty sequence, and DegeneracyError when
-    an innovation covariance falls below 1e-12 conditioning, signaling
-    collapse to the parameter-space boundary.
+    an innovation covariance S does not factor or ||S||_F trace(S^{-1}), an
+    upper bound on its condition number, exceeds 1e12, signaling collapse
+    to the parameter-space boundary.
     """
     if data.d_out != params.d_out:
         raise DimensionError(

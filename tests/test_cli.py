@@ -146,6 +146,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("size", [
+        pytest.param({"d": 1000000000}, id="d-6.94EiB"),
+        pytest.param({"d": 2, "length": 200000000000000000}, id="length-1.39EiB")])
+    def test_unallocatable_generator_exit(self, tmp_path, capsys, size):
+        # the first array asked for is over 1 EiB, more than any address space
+        # holds, and under numpy's 2^63-byte limit, above which numpy raises
+        # ValueError instead of MemoryError
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path, {"type": "lds", "length": 10, "seed": 0, **size})
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_GENERATION
+        err = capsys.readouterr().err
+        assert err.startswith("generation error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_length_is_a_generation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"type": "lds", "d": 1, "seed": 0})
         assert main(["simulate", "--config", cfg, "--out",
@@ -215,6 +229,18 @@ class TestSelect:
         monkeypatch.setattr(cli, "grid_search", boom)
         assert main(["select", seq, "--dmin", "2", "--dmax", "2",
                      "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
+
+    def test_out_of_memory_fitting_exit(self, tmp_path, monkeypatch, capsys):
+        import ldsmdl.cli as cli
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+
+        def boom(*a, **k):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(cli, "grid_search", boom)
+        assert main(["select", seq, "--dmin", "2", "--dmax", "2",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
+        assert capsys.readouterr().err == "fitting failure: Unable to allocate 74.5 GiB\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows, extra, reason", [

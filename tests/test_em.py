@@ -142,7 +142,7 @@ class TestMStep:
 
     def test_rank_deficiency_is_judged_by_eigenvalues(self):
         # S00 = m_0 m_0^T + m_1 m_1^T with orthogonal m_0, m_1 of norms 1 and
-        # 1e-7: its eigenvalue ratio is 1e-14, below MSTEP_RCOND, while the
+        # 1e-7: its eigenvalue ratio is 1e-14, below DEGENERACY_RCOND, while the
         # diagonal of its Cholesky factor reads a ratio of 1.00
         e = 1e-7
         means = np.array([[np.sqrt(e), np.sqrt(1 - e)],
@@ -152,7 +152,7 @@ class TestMStep:
                                  cross_covs=np.zeros((2, 2, 2)))
         S00 = means[:2].T @ means[:2]
         w = np.linalg.eigvalsh(S00)
-        assert w[0] / w[1] < _engine.MSTEP_RCOND
+        assert w[0] / w[1] < _engine.DEGENERACY_RCOND
         L = np.linalg.cholesky(S00)
         assert np.diag(L).min() / np.diag(L).max() > 0.99
         with pytest.raises(RankDeficiencyError):

@@ -55,6 +55,19 @@ class TestKalmanFilter:
         with pytest.raises(DegeneracyError):
             kalman_filter(p, SequenceData(Y=np.ones((3, 2))))
 
+    def test_ill_conditioned_innovation_raises(self):
+        # S = R2 = m_0 m_0^T + m_1 m_1^T with orthogonal m_0, m_1 of norms 1
+        # and 1e-7 has eigenvalues 1 and 1e-14, while the diagonal of its
+        # Cholesky factor reads a ratio of 1.00; judged by that ratio, the
+        # filter returned a loglik of -5.4e14 here
+        e = 1e-7
+        m = np.array([[np.sqrt(e), np.sqrt(1 - e)], [e * np.sqrt(1 - e), -e * np.sqrt(e)]])
+        p = LdsParams(A=[[0.5]], C=np.zeros((2, 1)), R1=[[1.0]], R2=m.T @ m,
+                      mu0=[0.0], R0=[[1.0]])
+        Y = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(DegeneracyError):
+            kalman_filter(p, SequenceData(Y=Y))
+
     @pytest.mark.parametrize("score", [kalman_filter, empirical_fisher_log_det])
     def test_empty_sequence_rejected(self, score):
         # filter_batch failed on T = 0 with numpy's "need at least one array to stack"
@@ -579,7 +592,8 @@ def joseph_filter(params, Y):
         S = C @ P @ C.T + R2
         L = np.linalg.cholesky(S)
         diag = np.diag(L)
-        ok &= (diag.min() / diag.max()) ** 2 >= _engine.DEGENERACY_RCOND
+        # trace(S^{-1}) = ||L^{-1}||_F^2, from an inverse taken apart from L
+        ok &= np.linalg.norm(S) * np.trace(np.linalg.inv(S)) <= 1 / _engine.DEGENERACY_RCOND
         K = P @ C.T @ np.linalg.inv(S)
         r = Y[t] - C @ x
         loglik -= 0.5 * (p * _engine.LOG_2PI + 2 * np.sum(np.log(diag))
@@ -714,6 +728,44 @@ class TestFactorSolve:
             assert diag is None and ok is None
             np.testing.assert_array_equal(np.concatenate((KT, Sinv), axis=1),
                                           np.linalg.solve(S, np.concatenate((CP, np.eye(1)), axis=1)))
+
+
+class TestConditioningBound:
+    """``_factor_solve`` clears ``ok`` where ||S||_F trace(S^{-1}) exceeds
+    1 / DEGENERACY_RCOND, a bound between kappa_2(S) and d^{3/2} kappa_2(S):
+    never looser than the eigenvalue ratio test, at most d^{3/2} stricter."""
+
+    @staticmethod
+    def spd_batch(d, n, seed):
+        """n matrices Q diag(w) Q^T with log10 w uniform on (-16, 0) and Q a
+        random rotation."""
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+        w = 10.0 ** rng.uniform(-16, 0, (n, d))
+        return (Q * w[:, None]) @ np.swapaxes(Q, -1, -2), rng.standard_normal((n, d, 2))
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_bound_against_eigenvalue_ratio(self, d):
+        S, R = self.spd_batch(d, 300, seed=d)
+        _, (x,), ok = _engine._factor_solve(S, (R,), np.ones(len(S), dtype=bool))
+        w = np.linalg.eigvalsh(S)
+        ratio = w[:, 0] / w[:, -1]
+        rcond = _engine.DEGENERACY_RCOND
+        assert not (ok & (ratio < rcond)).any()                    # never looser
+        assert ok[ratio >= d ** 1.5 * rcond].all()                 # at most d^{3/2} stricter
+        # both sides of the cut are sampled
+        assert ok.sum() >= 10 and (ratio < rcond).sum() >= 10
+        # a failed element solves against the identity
+        np.testing.assert_array_equal(x[~ok], R[~ok])
+        want = np.linalg.solve(S[ok], R[ok])
+        err = np.abs(x[ok] - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert np.all(err <= 1e-14 / ratio[ok])
+        # the bound does not depend on the scale of S: scaling S by 4^k scales
+        # its factor by 2^k exactly, and no scale overflows the bound
+        for k in (260, -260):
+            _, (xk,), okk = _engine._factor_solve(S * 4.0 ** k, (R,), np.ones(len(S), dtype=bool))
+            np.testing.assert_array_equal(okk, ok)
+            np.testing.assert_array_equal(xk[ok] * 4.0 ** k, x[ok])
 
 
 class TestCompleteDataLoglik:
