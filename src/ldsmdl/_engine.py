@@ -67,11 +67,10 @@ into blocks of about sqrt(N) steps, stepped all at once from zero and
 joined by carrying the block starts, so no Python loop runs per frozen
 step and no array holds more than one step per block.
 
-The M-step solves against S00 and Zsum with ``_factor_solve``.  It floors
+The M-step solves against S00 and Zsum with ``_factor_solve`` and floors
 the eigenvalues of its covariance estimates at COV_FLOOR
-(``psd_floor_batch``).  A Cholesky of sym(M) - COV_FLOOR I decides it: an
-element that factors is returned as sym(M), and only the others are
-floored through ``eigh``.
+(``psd_floor_batch``): an element whose sym(M) - COV_FLOOR I factors by
+Cholesky is returned as sym(M), and only the others go through ``eigh``.
 
 Public modules wrap these routines with batch size one; nothing in this
 module is part of the package API.
@@ -300,6 +299,7 @@ def _affine_scan(M, u, x0):
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an S that fails the bound may overflow it
 def _factor_solve(S, rhs, ok=None):
     """Factor the symmetric positive definite S once and solve against it:
     the diagonal of the Cholesky factor L of S, S^{-1} times each (.., n, k)

@@ -767,6 +767,14 @@ class TestConditioningBound:
             np.testing.assert_array_equal(okk, ok)
             np.testing.assert_array_equal(xk[ok] * 4.0 ** k, x[ok])
 
+    def test_tiny_pivot_fails_without_overflow(self):
+        # L^{-1} of diag(1, 1e-310) holds 1e155, whose square overflows
+        S = np.array([[[1.0, 0.0], [0.0, 1e-310]], [[2.0, 1.0], [1.0, 2.0]]])
+        R = np.ones((2, 2, 1))
+        _, (x,), ok = _engine._factor_solve(S, (R,), np.ones(2, dtype=bool))
+        np.testing.assert_array_equal(ok, [False, True])
+        np.testing.assert_array_equal(x[0], R[0])
+
 
 class TestCompleteDataLoglik:
     def test_zero_residual(self):
