@@ -150,9 +150,9 @@ class TestSimulate:
         pytest.param({"d": 1000000000}, id="d-6.94EiB"),
         pytest.param({"d": 2, "length": 200000000000000000}, id="length-1.39EiB")])
     def test_unallocatable_generator_exit(self, tmp_path, capsys, size):
-        # the first array asked for is over 1 EiB, more than any address space
-        # holds, and under numpy's 2^63-byte limit, above which numpy raises
-        # ValueError instead of MemoryError
+        # the first array asked for is over 1 EiB, beyond the user address space
+        # of a 64-bit machine (at most 2^57 bytes), so it fails at once, and
+        # under numpy's 2^63-byte limit, above which numpy raises ValueError
         out = tmp_path / "x.csv"
         cfg = write_config(tmp_path, {"type": "lds", "length": 10, "seed": 0, **size})
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_GENERATION
