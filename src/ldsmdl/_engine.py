@@ -311,8 +311,8 @@ def _factor_solve(S, rhs, ok=None):
     for s = S[.., 0, 0] dpotrf fails where s <= 0 and factors sqrt(s)
     elsewhere (a NaN or +inf factor fails the bound), and OpenBLAS's LU
     solve is b * (1 / s), not b / s.  Without ``ok`` (a pass known to be
-    ok) a 1x1 S is only solved against and the diagonal is None; a larger
-    S is factored with every element ok.
+    ok) S is only solved against: no bound is taken, no element is swapped
+    for the identity, and the diagonal and ``ok`` are None.
     """
     if S.shape[-1] == 1:
         s = S[..., 0, 0]
@@ -325,7 +325,11 @@ def _factor_solve(S, rhs, ok=None):
         c[~ok] = 1.0                                   # the matrix the solve takes
         inv = (1.0 / c)[..., None, None]
         return diag, [r * inv for r in rhs], ok
-    L, ok = _chol_guarded(S, np.ones(len(S), dtype=bool) if ok is None else ok)
+    if ok is None:
+        Li = np.linalg.inv(np.linalg.cholesky(S))
+        LiT = _T(Li)
+        return None, [LiT @ (Li @ r) for r in rhs], None
+    L, ok = _chol_guarded(S, ok)
     Li = np.linalg.inv(L)
     # ||S||_F ||L^{-1}||_F^2 as the norm of S trace(S^{-1}), which no scale of S overflows
     St = S * (Li * Li).sum(axis=(-2, -1))[..., None, None]

@@ -63,7 +63,9 @@ def _now() -> str:
 
 
 def _write_manifest(path, command: str, config_snapshot: dict, master_seed,
-                    outputs: list, started: str) -> None:
+                    outputs: list, started: str, workers: int | None = None) -> None:
+    """The run's manifest; a selection also records how many processes
+    fitted its buckets (``SelectionTrace.workers``)."""
     manifest = {
         "command": command,
         "config_snapshot": config_snapshot,
@@ -71,6 +73,8 @@ def _write_manifest(path, command: str, config_snapshot: dict, master_seed,
         "outputs": [str(p) for p in outputs],
         "timestamps": {"started": started, "finished": _now()},
     }
+    if workers is not None:
+        manifest["workers"] = workers
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -156,7 +160,8 @@ def cmd_select(args) -> None:
             write_sweep_csv(trace, args.sweep)
             outputs.append(args.sweep)
         _write_manifest(args.out + ".manifest.json", "select",
-                        _selection_snapshot(args, seed), seed, outputs, started)
+                        _selection_snapshot(args, seed), seed, outputs, started,
+                        trace.workers)
     print(trace.chosen_order)
 
 
@@ -174,7 +179,8 @@ def cmd_compare(args) -> None:
                            + [f"{nv:.4f} ({rv:.2f})" for nv, rv in zip(norm, raw)])
                 print(f"{name}: {argmin}")
         _write_manifest(args.out + ".manifest.json", "compare",
-                        _selection_snapshot(args, seed), seed, [args.out], started)
+                        _selection_snapshot(args, seed), seed, [args.out], started,
+                        trace.workers)
 
 
 def _add_fit_options(p) -> None:

@@ -1,12 +1,15 @@
 """Order-selection drivers: top-down annihilation and a full grid sweep.
 
 Both fit the candidate orders bucket by bucket (``_buckets``), the walk from
-the highest bucket down, one EM loop per bucket, and score each order alone."""
+the highest bucket down, one EM loop per bucket, and score each order alone.
+The buckets are shared among the usable CPUs (``_run_jobs``)."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -58,6 +61,8 @@ class SelectionTrace:
     chosen_order: int
     chosen_params: LdsParams
     stopped_early: bool
+    #: processes that fitted the buckets (``_workers``); not part of the JSON
+    workers: int = 1
 
     def to_dict(self) -> dict:
         rows = []
@@ -101,19 +106,26 @@ def _buckets(bounds: ModelOrderBounds, n_restarts: int, T: int,
     | 7-10 | 11-16 | ..), each cut greedily upward so that a bucket's
     (B, T, D, D) covariance trajectory holds at most BUCKET_DOUBLES doubles,
     with B = members * n_restarts.  Observable mode keeps one order per
-    bucket, since each order has its own delay-embedded data.
+    bucket, since each order has its own delay-embedded data.  The walk
+    begins at the start of d_min's cell, or at d_min itself where that
+    order is alone in its bucket anyway.
     """
-    starts, cell_end = [], 0
-    for d in range(1, bounds.d_max + 1):
+    d_min = bounds.d_min
+    a = 1                                       # the start of d_min's cell
+    while math.floor(BUCKET_CELL_RATIO * a) < d_min:
+        a = math.floor(BUCKET_CELL_RATIO * a) + 1
+    cell_end = math.floor(BUCKET_CELL_RATIO * a)
+    # d_min starts its own bucket where two members would pass the cap
+    start = d_min if observable_mode or 2 * n_restarts * T * d_min ** 2 > BUCKET_DOUBLES else a
+    buckets = {}
+    for d in range(start, bounds.d_max + 1):
         if d > cell_end:
             cell_end = math.floor(BUCKET_CELL_RATIO * d)
             start = d
         elif observable_mode or (d - start + 1) * n_restarts * T * d * d > BUCKET_DOUBLES:
             start = d
-        starts.append(start)
-    buckets = {}
-    for d in range(bounds.d_min, bounds.d_max + 1):
-        buckets.setdefault(starts[d - 1], []).append(d)
+        if d >= d_min:
+            buckets.setdefault(start, []).append(d)
     return list(buckets.values())
 
 
@@ -170,20 +182,111 @@ def _order_result(data_d: SequenceData, fit, order: int, observable_mode: bool,
     return OrderResult(order=order, fit=fit, criteria=values)
 
 
+def _scored_bucket(data: SequenceData, orders: list, config: EmConfig,
+                   observable_mode: bool, all_criteria: bool) -> list:
+    """``_fit_bucket`` and then ``_order_result`` on each of the bucket's ``orders``."""
+    data_d, fits = _fit_bucket(data, orders, config, observable_mode)
+    return [_order_result(data_d, fits[d], d, observable_mode, all_criteria) for d in orders]
+
+
+def _workers(n_jobs: int) -> int:
+    """Processes that share ``n_jobs`` jobs: one per usable CPU, at most one
+    per job, and one where the usable CPUs cannot be asked for."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(usable, n_jobs)
+
+
+def _run_jobs(run, jobs: list, workers: int):
+    """Yield ``run(job)`` for each of ``jobs``, in their order.
+
+    With one worker the jobs run here, one after another.  Otherwise this
+    process and ``workers - 1`` forked children each take the next job from
+    one shared counter; a child sends each result back over its own pipe,
+    and this process runs a job whenever the result due next has not come
+    in.  A job that raises raises here when its result is due, and a child
+    that dies raises RuntimeError.  Leaving the generator, by exhausting,
+    raising or closing it, stops and joins the children.
+    """
+    if workers <= 1:
+        for job in jobs:
+            yield run(job)
+        return
+    import multiprocessing
+    from multiprocessing.connection import wait
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+
+    def take() -> int:
+        with counter.get_lock():
+            counter.value += 1
+            return counter.value - 1
+
+    def attempt(i: int) -> tuple:
+        try:
+            return True, run(jobs[i])
+        except Exception as exc:
+            return False, exc
+
+    def child(conn) -> None:
+        while (i := take()) < len(jobs):
+            conn.send((i, *attempt(i)))
+
+    children = {}                                  # receiving end -> child
+    try:
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send,), daemon=True)
+            proc.start()
+            send.close()
+            children[recv] = proc
+        done = {}
+        for due in range(len(jobs)):
+            while due not in done:
+                ready = wait(list(children), timeout=0)
+                if not ready:
+                    if (i := take()) < len(jobs):
+                        done[i] = attempt(i)
+                        continue
+                    if not children:
+                        raise RuntimeError(f"no worker holds job {due}")
+                    ready = wait(list(children))
+                for conn in ready:
+                    try:
+                        i, *result = conn.recv()
+                        done[i] = result
+                    except EOFError:
+                        proc = children.pop(conn)
+                        proc.join()
+                        if proc.exitcode != 0:
+                            raise RuntimeError(f"a bucket worker ended with exit code "
+                                               f"{proc.exitcode}")
+            ok, value = done.pop(due)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for conn, proc in children.items():
+            proc.kill()
+            proc.join()
+            conn.close()
+
+
 def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
                 criterion: str = "mdl", observable_mode: bool = False) -> SelectionTrace:
     """Fit every order in [d_min, d_max], score all five criteria, and pick
     the minimizer of the requested one.  The orders are fitted bucket by
-    bucket (``_buckets``)."""
+    bucket (``_buckets``), the buckets shared among the usable CPUs
+    (``_run_jobs``), the largest D^3 * members first."""
     if criterion not in CRITERION_NAMES:
         raise DimensionError(f"unknown criterion {criterion!r}")
     _check_data(data, observable_mode)
-    per_order = []
-    for bucket in _buckets(bounds, config.n_restarts, data.T, observable_mode):
-        data_d, fits = _fit_bucket(data, bucket, config, observable_mode)
-        per_order += [_order_result(data_d, fits[d], d, observable_mode, all_criteria=True)
-                      for d in bucket]
-    return _finish(per_order, criterion, stopped_early=False)
+    jobs = sorted(_buckets(bounds, config.n_restarts, data.T, observable_mode),
+                  key=lambda b: -b[-1] ** 3 * len(b))
+    workers = _workers(len(jobs))
+    rows = _run_jobs(lambda b: _scored_bucket(data, b, config, observable_mode, True),
+                     jobs, workers)
+    per_order = sorted((r for bucket in rows for r in bucket), key=lambda r: r.order)
+    return _finish(per_order, criterion, stopped_early=False, workers=workers)
 
 
 def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
@@ -195,32 +298,39 @@ def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
     The walk stops at the first order whose DL rises relative to the
     previously evaluated (next-higher) order and keeps the DL minimizer; a
     walk that never stops is ``grid_search`` scored by the DL alone.  A
-    bucket is fitted whole, so the walk may fit orders below the one at
-    which it stops; it scores only the orders it visits.
+    bucket is fitted and scored whole, and with several usable CPUs the
+    buckets below the one being read are fitted ahead of it
+    (``_run_jobs``), so the walk may fit orders below the one at which it
+    stops; it reports only the orders it visits.
     """
     _check_data(data, observable_mode)
+    jobs = _buckets(bounds, config.n_restarts, data.T, observable_mode)[::-1]
+    workers = _workers(len(jobs))
     per_order = []
     prev_dl = math.inf
-    for bucket in reversed(_buckets(bounds, config.n_restarts, data.T, observable_mode)):
-        data_d, fits = _fit_bucket(data, bucket, config, observable_mode)
-        for order in reversed(bucket):
-            r = _order_result(data_d, fits[order], order, observable_mode, all_criteria=False)
-            per_order.append(r)
-            if r.fit is None:
-                continue
-            if r.dl > prev_dl:
-                return _finish(per_order, "mdl", stopped_early=True)
-            prev_dl = r.dl
-    return _finish(per_order, "mdl", stopped_early=False)
+    with contextlib.closing(_run_jobs(
+            lambda b: _scored_bucket(data, b, config, observable_mode, False),
+            jobs, workers)) as rows:
+        for bucket in rows:
+            for r in reversed(bucket):
+                per_order.append(r)
+                if r.fit is None:
+                    continue
+                if r.dl > prev_dl:
+                    return _finish(per_order, "mdl", stopped_early=True, workers=workers)
+                prev_dl = r.dl
+    return _finish(per_order, "mdl", stopped_early=False, workers=workers)
 
 
-def _finish(per_order: list, criterion: str, stopped_early: bool) -> SelectionTrace:
+def _finish(per_order: list, criterion: str, stopped_early: bool,
+            workers: int) -> SelectionTrace:
     scored = [r for r in per_order if r.fit is not None]
     if not scored:
         raise DegeneracyError("every candidate order failed to fit")
     best = min(scored, key=lambda r: r.criterion(criterion).value)
     return SelectionTrace(per_order=per_order, chosen_order=best.order,
-                          chosen_params=best.fit.params, stopped_early=stopped_early)
+                          chosen_params=best.fit.params, stopped_early=stopped_early,
+                          workers=workers)
 
 
 def criterion_table(trace: SelectionTrace) -> tuple[list, dict]:

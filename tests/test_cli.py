@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -242,6 +245,30 @@ class TestSelect:
                      "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
         assert capsys.readouterr().err == "fitting failure: Unable to allocate 74.5 GiB\n"
 
+    def test_out_of_memory_in_a_bucket_worker_exit(self, tmp_path, monkeypatch, capsys):
+        import ldsmdl.selection as selection
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+        parent, marker = os.getpid(), tmp_path / "child-started"
+        real = selection._fit_bucket
+
+        def fails_in_the_child(*args, **kwargs):
+            if os.getpid() != parent:
+                marker.touch()
+                raise MemoryError("Unable to allocate 74.5 GiB")
+            # hold this process's bucket until the child has taken the other one
+            deadline = time.monotonic() + 60
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(selection, "_fit_bucket", fails_in_the_child)
+        assert main(["select", seq, "--dmin", "1", "--dmax", "2",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
+        assert capsys.readouterr().err == "fitting failure: Unable to allocate 74.5 GiB\n"
+        assert marker.exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows, extra, reason", [
         pytest.param("", (), "T >= 2", id="empty"),
@@ -333,6 +360,24 @@ class TestSelect:
                      "--out", out2, "--sweep", sweep2]) == EXIT_OK
         second = open(out2, "rb").read() + open(sweep2, "rb").read()
         assert first == second
+
+
+    @pytest.mark.parametrize("mode", ["grid", "annihilate"])
+    def test_manifest_records_the_workers_and_the_trace_does_not(self, tmp_path,
+                                                                 monkeypatch, mode):
+        seq = simulate_lds(tmp_path, seed=5, length=60, d=2)
+        texts = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = str(tmp_path / f"t{cpus}.json")
+            # orders 1-3 are the two buckets [1] and [2, 3]
+            assert main(["select", seq, "--mode", mode, "--dmin", "1", "--dmax", "3",
+                         "--restarts", "2", "--max-iters", "10", "--out", out]) == EXIT_OK
+            manifest = json.loads(open(out + ".manifest.json").read())
+            assert manifest["workers"] == min(cpus, 2)
+            texts[cpus] = open(out).read()
+        assert texts[1] == texts[2] == texts[8]
+        assert "workers" not in texts[1]
 
 
 class TestCompare:

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from ldsmdl import _engine
+from ldsmdl import _engine, selection
 from ldsmdl import (DimensionError, EmConfig, ModelOrderBounds,
                     RandomLdsConfig, SequenceData, annihilation_search,
                     count_params, em, grid_search, kalman_filter,
@@ -85,6 +89,8 @@ class TestGridSearch:
             return real(pb, *args, **kwargs)
 
         monkeypatch.setattr(_engine, "filter_batch", counting)
+        # on one CPU every bucket runs in this process, where the calls are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         trace = grid_search(d2_data(), ModelOrderBounds(1, 2),
                             EmConfig(eps=1e-3, max_iters=5, n_restarts=2, seed=0))
         assert [r.order for r in trace.per_order if r.fit is not None] == [1, 2]
@@ -164,6 +170,110 @@ class TestAnnihilationSearch:
         assert doc[trace.chosen_order]["dl"] == rows[trace.chosen_order].dl
 
 
+def d2_two_output_data(seed=0):
+    gen = random_stable_lds(RandomLdsConfig(d=2, d_out=2, seed=seed))
+    return simulate(gen, T=80, burn_in=10, seed=seed)
+
+
+def exact(trace) -> tuple:
+    """Everything a trace reports, with every float as ``float.hex``."""
+    rows = [(r.order, r.error, r.fit is None or float.hex(r.fit.loglik),
+             [(cv.name, float.hex(cv.value)) for cv in r.criteria])
+            for r in trace.per_order]
+    return rows, trace.chosen_order, trace.stopped_early
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the number of CPUs the bucket runner sees, as ``usable_cpus(n)``."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return pin
+
+
+def wait_for(path, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class TestBucketPool:
+    """The buckets shared among forked workers (``selection._run_jobs``)."""
+
+    @pytest.mark.parametrize("search, data, bounds, kwargs", [
+        pytest.param(grid_search, d2_data, (1, 4), {}, id="grid-d_out-1"),
+        pytest.param(grid_search, d2_two_output_data, (1, 4), {}, id="grid-d_out-2"),
+        pytest.param(grid_search, d2_data, (1, 4), {"observable_mode": True},
+                     id="grid-observable"),
+        pytest.param(annihilation_search, lambda: d2_data(0), (1, 8), {}, id="walk-stops"),
+        pytest.param(annihilation_search, lambda: d2_data(1), (1, 4), {}, id="walk-runs-out"),
+    ])
+    def test_pool_equals_the_serial_path_bit_for_bit(self, usable_cpus, search, data,
+                                                     bounds, kwargs):
+        data = data()
+        usable_cpus(1)
+        serial = search(data, ModelOrderBounds(*bounds), CFG, **kwargs)
+        usable_cpus(2)
+        pooled = search(data, ModelOrderBounds(*bounds), CFG, **kwargs)
+        assert multiprocessing.active_children() == []
+        assert (serial.workers, pooled.workers) == (1, 2)
+        assert exact(pooled) == exact(serial)
+        assert pooled.to_json() == serial.to_json()
+        if search is annihilation_search:
+            assert serial.stopped_early == (bounds == (1, 8))
+
+    def test_more_workers_than_buckets_start_one_per_bucket(self, usable_cpus):
+        usable_cpus(64)
+        trace = grid_search(d2_data(), ModelOrderBounds(1, 3), CFG)
+        assert trace.workers == len(_buckets(ModelOrderBounds(1, 3), CFG.n_restarts,
+                                             d2_data().T, False)) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_hanging(self, usable_cpus, monkeypatch, tmp_path):
+        usable_cpus(2)
+        parent, marker = os.getpid(), tmp_path / "child-started"
+        real = selection._fit_bucket
+
+        def dies_in_the_child(*args, **kwargs):
+            if os.getpid() != parent:
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            wait_for(marker)
+            return real(*args, **kwargs)
+
+        def hung(signum, frame):
+            raise TimeoutError("the search hung on a dead worker")
+
+        monkeypatch.setattr(selection, "_fit_bucket", dies_in_the_child)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            with pytest.raises(RuntimeError, match="exit code -9"):
+                grid_search(d2_data(), ModelOrderBounds(1, 2), CFG)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert marker.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_error_of_a_child_bucket_is_raised_here(self, usable_cpus, monkeypatch, tmp_path):
+        usable_cpus(2)
+        parent, marker = os.getpid(), tmp_path / "child-started"
+        real = selection._fit_bucket
+
+        def fails_in_the_child(*args, **kwargs):
+            if os.getpid() != parent:
+                marker.touch()
+                raise MemoryError("Unable to allocate 6.94 EiB")
+            wait_for(marker)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "_fit_bucket", fails_in_the_child)
+        with pytest.raises(MemoryError, match="6.94 EiB"):
+            annihilation_search(d2_data(1), ModelOrderBounds(1, 4), CFG)
+        assert multiprocessing.active_children() == []
+
+
 def d4_protocol_data(seed=0):
     gen = random_stable_lds(RandomLdsConfig(d=4, d_out=1, seed=seed))
     return simulate(gen, T=100, burn_in=20, seed=seed)
@@ -196,6 +306,18 @@ class TestBuckets:
                 cut = [[d for d in b if lo <= d <= hi] for b in full]
                 assert _buckets(ModelOrderBounds(lo, hi), n_restarts, T, False) == [
                     b for b in cut if b]
+
+    def test_range_starting_above_the_cap_keeps_the_partition(self):
+        # at one restart and T = 2 the cap cuts buckets from order 182 on
+        full = _buckets(ModelOrderBounds(1, 400), 1, 2, False)
+        for lo in range(1, 401, 3):
+            assert _buckets(ModelOrderBounds(lo, 400), 1, 2, False) == [
+                b for b in ([d for d in b if d >= lo] for b in full) if b]
+
+    def test_huge_order_is_bucketed_without_walking_up_to_it(self):
+        assert _buckets(ModelOrderBounds(10 ** 9, 10 ** 9), 10, 100, False) == [[10 ** 9]]
+        assert _buckets(ModelOrderBounds(10 ** 9, 10 ** 9 + 2), 1, 2, True) == [
+            [10 ** 9], [10 ** 9 + 1], [10 ** 9 + 2]]
 
     @pytest.mark.parametrize("n_restarts, T", [(10, 100), (3, 80), (2, 1000)])
     def test_buckets_respect_the_cap_and_the_cells(self, n_restarts, T):

@@ -1,6 +1,7 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps functions of the
 package by name, where their callers look them up.  Renaming or moving one
 of those names must fail here rather than in a traced benchmark run."""
+import os
 import time
 
 import numpy as np
@@ -32,7 +33,9 @@ def span_names(tracer) -> set:
     return {span[0] for span in tracer.spans}
 
 
-def test_observable_grid_reaches_every_fitting_layer(tracer):
+def test_observable_grid_reaches_every_fitting_layer(tracer, monkeypatch):
+    # on one CPU every bucket runs in this process, where the tracer sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     data = simulate(random_stable_lds(RandomLdsConfig(d=2, d_out=1, seed=0)), T=60, seed=0)
     ldsmdl.selection.grid_search(data, ModelOrderBounds(1, 2),
                                  EmConfig(eps=1e-2, max_iters=5, n_restarts=2),

@@ -14,12 +14,14 @@ from the change's ``BENCHMARK.json``; ``--pairs`` is at least 10.  Pair
 i runs the command with ``--seed i`` on both sides, the parent first in
 even pairs and the change first in odd pairs, with the workloads
 interleaved within each pair.  After the pairs, each
-side makes one traced run per workload at ``--seed 0``.  The behaviour
+side makes one traced run per workload at ``--seed 0``, pinned to one CPU
+so that the tracer sees every bucket.  The behaviour
 fingerprints of every pair are compared with the change's
 ``perfbench/compare_fingerprints.py``, whose per-seed differences are kept
 and whose count of differing selections is printed.  Everything is written to
 ``BENCH_<pr>.json``: medians, quartiles and every run of the
-end-to-end metrics, pair wins, the traced per-layer figures, fingerprint
+end-to-end metrics and of each run's raw (wall-clock) ``orders_per_s`` and
+speed-probe reading, pair wins, the traced per-layer figures, fingerprint
 results and the ``src/`` line count of both sides.
 
 Standard library only; the runs themselves need numpy.
@@ -37,16 +39,24 @@ import sys
 MIN_PAIRS = 10
 
 
+def pin_to_one_cpu():
+    """Run on the lowest usable CPU only, so that ``selection`` fits every
+    bucket in the traced process itself."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def run(checkout, bench, workload, seed, trace):
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          preexec_fn=pin_to_one_cpu if trace else None)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited with "
                          f"{proc.returncode}:\n{proc.stderr.strip()}")
     head, summary = json.loads(lines[-2]), json.loads(lines[-1])
     summary["environment"] = head["environment"]
+    summary["raw"] = head["raw"]
     summary["fingerprint"] = os.path.join(
         checkout, "perfbench", "results",
         f"fingerprint-{workload}-seed{seed}-trace{trace}.json")
@@ -168,6 +178,11 @@ def main(argv=None):
                 "change_over_parent_median": (statistics.median(values["change"])
                                               / statistics.median(values["parent"])),
                 "change_wins": f"{wins(values['parent'], values['change'], better)}/{args.pairs}"}
+        for key, name in (("orders_per_s", "raw_orders_per_s"), ("speed", "probe_speed")):
+            values = {s: [r["raw"][key] for r in rs] for s, rs in runs.items()}
+            entry[name] = {"parent": spread(values["parent"]), "change": spread(values["change"]),
+                           "change_over_parent_median": (statistics.median(values["change"])
+                                                         / statistics.median(values["parent"]))}
         end_to_end[w] = entry
 
     traced = {}
@@ -188,6 +203,13 @@ def main(argv=None):
                         "even pairs, the change first in odd pairs; the workloads are "
                         "interleaved within each pair",
                "machine": "orders_per_s is at the benchmark's reference speed",
+               "raw": "raw_orders_per_s is orders over wall seconds and probe_speed the "
+                      "speed probe's reading, both from the line run.py prints before its "
+                      "summary; orders_per_s is about raw_orders_per_s over probe_speed, "
+                      "exactly so where the machine held one speed through the run",
+               "traced": "the traced runs are pinned to one CPU (os.sched_setaffinity in "
+                         "the child's preexec_fn), so that every bucket is fitted in the "
+                         "process whose tracer records it; their timings are single-CPU",
                "quartiles": "statistics.quantiles(method='inclusive') over the runs per side",
                "tool": "tools/bench_pairs.py"},
            "end_to_end": end_to_end}
