@@ -213,6 +213,8 @@ def _run_jobs(run, jobs: list, workers: int):
         return
     import multiprocessing
     from multiprocessing.connection import wait
+    # fork: a child starts as a copy of this process, so neither the data
+    # nor ``run`` is pickled and nothing is imported again
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
 
@@ -247,7 +249,7 @@ def _run_jobs(run, jobs: list, workers: int):
                     if (i := take()) < len(jobs):
                         done[i] = attempt(i)
                         continue
-                    if not children:
+                    if not children:            # a child left without its result
                         raise RuntimeError(f"no worker holds job {due}")
                     ready = wait(list(children))
                 for conn in ready:

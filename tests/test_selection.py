@@ -222,11 +222,27 @@ class TestBucketPool:
         if search is annihilation_search:
             assert serial.stopped_early == (bounds == (1, 8))
 
-    def test_more_workers_than_buckets_start_one_per_bucket(self, usable_cpus):
-        usable_cpus(64)
-        trace = grid_search(d2_data(), ModelOrderBounds(1, 3), CFG)
-        assert trace.workers == len(_buckets(ModelOrderBounds(1, 3), CFG.n_restarts,
-                                             d2_data().T, False)) == 2
+    def test_more_workers_than_cores_fit_each_bucket_once(self, usable_cpus, monkeypatch,
+                                                          tmp_path):
+        # eight workers on however many cores there are share one counter: a
+        # lost update would fit a bucket twice or never
+        log = tmp_path / "fitted"
+        real = selection._fit_bucket
+
+        def logged(data, orders, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{orders}\n")
+            return real(data, orders, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "_fit_bucket", logged)
+        usable_cpus(1)
+        serial = grid_search(d2_data(), ModelOrderBounds(1, 8), CFG, observable_mode=True)
+        log.unlink()
+        usable_cpus(8)
+        pooled = grid_search(d2_data(), ModelOrderBounds(1, 8), CFG, observable_mode=True)
+        assert pooled.workers == 8
+        assert sorted(log.read_text().split("\n")[:-1]) == sorted(f"[{d}]" for d in range(1, 9))
+        assert exact(pooled) == exact(serial)
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_instead_of_hanging(self, usable_cpus, monkeypatch, tmp_path):
