@@ -19,7 +19,15 @@ For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
 filter runs the full step until the predicted covariance of every element
 still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its own size in
-one time update.  A transient step factors S = L L^T once; L and L^{-1}
+one time update.  Handed an earlier pass (``reuse``, as EM hands over the
+pass of its previous iteration), the filter does not test the steps before
+that pass's switch one at a time: it keeps each one's ``ok`` mask, and
+after its loop one vectorized test over the stored predicted covariances
+(``_first_settled``) finds the first settled step.  Should that step lie
+in the untested stretch, the pass goes back to it: the switch, P, x and
+``ok`` are read from that step and the frozen phase overwrites the steps
+after it.  So the switch is the first settled step whatever the hint.
+A transient step factors S = L L^T once; L and L^{-1}
 give the ``ok`` test, log|S|, K^T = S^{-1} C P and S^{-1} r, and the
 filtered covariance is P - K S K^T = P - (C P)^T K^T.  From the switch on,
 S, K^T and S^{-1} (the same kernel on C P and I) are frozen and the
@@ -33,6 +41,8 @@ whole-stretch products.
 With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
 LAPACK routine: the factor is sqrt(s), the bound is exactly 1, and S^{-1} b
 is b * (1 / s), which are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
+A transient step of the filter takes that path inline while every element
+is ``ok`` and 0 < s < inf, and calls ``_factor_solve`` otherwise.
 
 The filter hands its switch step to the smoother, which mirrors it in two
 phases: J of every transient step and the one J shared by the frozen steps
@@ -150,7 +160,7 @@ def stack_params(params_list) -> ParamsBatch:
 
 
 def _T(M):
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
 
 
 def _identity_where_failed(M, ok):
@@ -275,6 +285,27 @@ def _settled(new, old, ok) -> bool:
     return bool(((move <= SETTLE_RTOL * size) | ~ok).all())
 
 
+def _first_settled(covs, oks):
+    """The first step k >= 1 at which the (B, m + 1, d, d) stack ``covs``
+    has settled by ``_settled``'s test, covs[:, k] against covs[:, k - 1]
+    with the mask oks[k - 1] of the (m, B) ``oks``; None if no step has.
+    The steps are tested in runs of at most SCAN_CHUNK doubles, through one
+    work array."""
+    B, n, d, _ = covs.shape
+    run = max(1, SCAN_CHUNK // (B * d * d))
+    work = np.empty((B, min(run, n - 1), d, d))
+    for lo in range(0, n - 1, run):
+        hi = min(lo + run, n - 1)
+        w = work[:, :hi - lo]
+        move = np.abs(np.subtract(covs[:, lo + 1:hi + 1], covs[:, lo:hi], out=w),
+                      out=w).max(axis=(-2, -1))
+        size = np.abs(covs[:, lo:hi], out=w).max(axis=(-2, -1))
+        settled = ((move <= SETTLE_RTOL * size) | ~oks[lo:hi].T).all(axis=0)
+        if settled.any():
+            return lo + 1 + int(settled.argmax())
+    return None
+
+
 def _affine_scan(M, u, x0):
     """All states of x_{i+1} = x_i M + u_i from x_0 = x0, as a doubling scan.
 
@@ -364,17 +395,22 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     pass of the same shapes handed over as ``reuse`` has its trajectories
     overwritten by this one's.
 
-    A transient step solves S once for the gain and the innovation together;
-    the log-dets and quadratic forms of the transient enter the logliks
-    after it.  Once the predicted covariance of every ``ok`` element has
-    settled (see the module docstring), S, K and log|S| are frozen, the means
-    of the remaining steps come from a doubling scan and their innovations
-    and quadratic forms from whole-stretch products; the stored covariances
-    of those steps are the frozen ones.
+    A transient step solves S once for the gain and the innovation together,
+    inline at p = 1 while every element factors; the log-dets and quadratic
+    forms of the transient enter the logliks after it.  Once the predicted
+    covariance of every ``ok`` element has settled (see the module
+    docstring), S, K and log|S| are frozen, the means of the remaining
+    steps come from a doubling scan and their innovations and quadratic
+    forms from whole-stretch products; the stored covariances of those
+    steps are the frozen ones.  The steps before the switch of ``reuse``
+    are tested for settling after the loop, which goes back to the first
+    settled step should it lie among them: the outputs do not depend on
+    ``reuse``.
     """
     B, d, p = pb.B, pb.d, pb.p
     T = Y.shape[0]
     ok = np.ones(B, dtype=bool) if ok is None else ok.copy()
+    all_ok = bool(ok.all())
     x = pb.mu0.copy()              # predicted mean at t
     P = sym(pb.R0)                 # predicted covariance at t
     # transposed views slow every batched product they enter: made contiguous once
@@ -382,6 +418,9 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     CT = np.ascontiguousarray(_T(pb.C))
     step_ll = np.zeros((B, T))
     diags, quads = [], []          # per transient step: (B, p) and (B,)
+    # the steps before the switch of the pass handed over are tested after the loop
+    untested = 0 if reuse is None else reuse["switch"]
+    oks = []                       # ok at each untested step
     out = _arrays(reuse, {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
                           "filt_means": (B, T, d), "filt_covs": (B, T, d, d)})
     t = 0
@@ -390,17 +429,29 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         out["pred_covs"][:, t] = P
         CP = pb.C @ P                                  # (B, p, d)
         innov = Y[t] - np.einsum("bpd,bd->bp", pb.C, x)
+        S = CP @ CT + pb.R2
         # S^{-1} [C P | r]: the transposed gain (B, p, d) and S^{-1} r
-        diag, (KT, v), ok = _factor_solve(sym(CP @ CT + pb.R2), (CP, innov[..., None]), ok)
-        diags.append(diag)
         if p == 1:
+            s = S[:, 0, 0]
+            s = 0.5 * (s + s)                          # sym(S) of a 1x1 S
+            if all_ok and 0 < s.min() and s.max() < np.inf:
+                # _factor_solve's 1x1 path where every element factors
+                inv = 1.0 / s
+                diag, KT, v = np.sqrt(s)[:, None], CP * inv[:, None, None], innov[:, 0] * inv
+            else:
+                diag, (KT, v), ok = _factor_solve(s[:, None, None], (CP, innov[..., None]), ok)
+                v = v[:, 0, 0]
+                all_ok = bool(ok.all())
             # one-term sums: the plain products are the einsums' values
-            quads.append(innov[:, 0] * v[:, 0, 0])
+            quads.append(innov[:, 0] * v)
             x = x + KT[:, 0] * innov
         else:
+            diag, (KT, v), ok = _factor_solve(sym(S), (CP, innov[..., None]), ok)
+            all_ok = bool(ok.all())
             quads.append(np.einsum("bp,bp->b", innov, v[..., 0]))
             x = x + np.einsum("bpd,bp->bd", KT, innov)
-        if not ok.all():
+        diags.append(diag)
+        if not all_ok:
             x[~ok] = 0.0               # a failed element's mean is held at zero
         Pf = sym(P - _T(CP) @ KT)                      # P - K S K^T
         out["filt_means"][:, t] = x
@@ -410,12 +461,23 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
             break
         x = np.einsum("bde,be->bd", pb.A, x)
         P_next = sym(pb.A @ Pf @ AT + pb.R1)
-        settled = _settled(P_next, P, ok)
+        if t < untested:
+            oks.append(ok.copy())
+            settled = False
+        else:
+            settled = _settled(P_next, P, ok)
         # an element already not ok carries the identity: its placeholder
         # covariance cannot grow without bound
-        P = _identity_where_failed(P_next, ok)
+        P = P_next if all_ok else _identity_where_failed(P_next, ok)
         if settled:
             break
+    k = _first_settled(out["pred_covs"][:, :len(oks) + 1], np.array(oks)) if oks else None
+    if k is not None:
+        # the pass goes back to the first settled step, which the untested
+        # stretch passed over; the frozen phase overwrites the steps after it
+        t, ok = k, oks[k - 1]
+        x, P = out["pred_means"][:, k].copy(), out["pred_covs"][:, k].copy()
+        del diags[k:], quads[k:]
     step_ll[:, :t] = -0.5 * (p * LOG_2PI + _log_det(np.stack(diags, axis=1))
                              + np.stack(quads, axis=1))
     if t < T:
@@ -433,7 +495,7 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         # its means stay at zero.
         KT[~ok] = 0.0
         GT = KT @ AT                                   # (B, p, d)
-        G_all = np.ascontiguousarray(np.swapaxes(GT, 0, 1)).reshape(p, B * d)
+        G_all = np.ascontiguousarray(GT.swapaxes(0, 1)).reshape(p, B * d)
         FT = AT - CT @ GT                              # F^T = A^T - C^T G^T
         FT[~ok] = 0.0
         u = (Y[t:] @ G_all).reshape(T - t, B, d).swapaxes(0, 1)

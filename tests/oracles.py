@@ -6,6 +6,8 @@ out for one sequence at a time, never on the batched code paths under test.
 """
 import numpy as np
 
+from ldsmdl.model import STABILITY_MARGIN, STABILITY_RESCALE
+
 
 def joint_gaussian(params, T):
     """Mean and covariance of the stacked vector (x_{1:T}, y_{1:T}).
@@ -221,3 +223,12 @@ def reference_tangent_fisher(params, fr, Y, dirs, chunk=2 ** 15):
         G = c + VX @ coef.T + (dxs @ (v[lo:hi] @ C)[:, :, None])[..., 0]
         info += G.T @ G
     return info
+
+
+def eigvals_stability(A):
+    """``enforce_stability_batch`` by ``eigvals`` alone: the spectral radius
+    of every (B, d, d) matrix, and each one above 1 - STABILITY_MARGIN
+    divided by STABILITY_RESCALE times it; returns (A, fired-mask)."""
+    rho = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
+    fired = rho > 1.0 - STABILITY_MARGIN
+    return A / np.where(fired, STABILITY_RESCALE * rho, 1.0)[:, None, None], fired

@@ -261,6 +261,64 @@ class TestSteadyState:
                 np.testing.assert_array_equal(a, b)
 
 
+class TestDeferredSettle:
+    """Handed an earlier pass as ``reuse``, ``filter_batch`` skips the settle
+    test before that pass's switch, tests those steps after its loop and
+    goes back to the first settled one: every output equals that of a pass
+    without ``reuse``, bit for bit."""
+
+    KEYS = ("pred_means", "pred_covs", "filt_means", "filt_covs", "loglik", "ok", "switch")
+
+    @staticmethod
+    def late_failure(step):
+        """A model whose S fails the conditioning bound at ``step``, after its
+        predicted covariance has settled by the relative test: the unobserved
+        first state holds 1e30, next to which the second state's variance,
+        about x4 a step, moves too little to count.  S = diag(4e11 + P22, 1)
+        passes 1e12 as P22 passes 6e11."""
+        return LdsParams(A=np.diag([0.0, 2.0]), C=[[0.0, 1.0], [0.0, 0.0]],
+                         R1=np.diag([1e30, 0.0]), R2=np.diag([4e11, 1.0]), mu0=[0.0, 0.0],
+                         R0=np.diag([1e30, 6e11 * 4.0 ** -step]))
+
+    @staticmethod
+    def stale(batch, T, switch):
+        """An earlier pass of the batch's shapes, NaN throughout, with ``switch``."""
+        B, d = batch.B, batch.d
+        shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
+                  "filt_means": (B, T, d), "filt_covs": (B, T, d, d)}
+        return {**{k: np.full(shape, np.nan) for k, shape in shapes.items()}, "switch": switch}
+
+    @pytest.mark.parametrize("case, d_out", [
+        (case, d_out) for case in ("none", "exact", "earlier", "later", "beyond-T", "T-in-stretch")
+        for d_out in (1, 2)] + [("late-failure", 2)])
+    def test_reuse_gives_the_same_pass(self, case, d_out, monkeypatch):
+        models = [random_model(2, d_out, seed=80 + b) for b in range(3)]
+        Y = simulate(models[0], T=200, seed=0).Y
+        s = _engine.filter_batch(_engine.stack_params(models), Y)["switch"]
+        assert 10 < s < 100
+        if case == "late-failure":
+            models.append(self.late_failure(s + 2))
+        if case == "T-in-stretch":
+            Y = Y[:s - 5]
+        batch = _engine.stack_params(models)
+        want = _engine.filter_batch(batch, Y)
+        hint = {"none": None, "exact": s, "earlier": s - 5, "later": s + 5,
+                "beyond-T": len(Y) + 7, "T-in-stretch": s, "late-failure": s + 7}[case]
+        reuse = None if hint is None else self.stale(batch, len(Y), hint)
+        got = _engine.filter_batch(batch, Y, reuse=reuse)
+        for key in self.KEYS:
+            assert np.array_equal(got[key], want[key]), key
+        assert want["switch"] == (len(Y) if case == "T-in-stretch" else s)
+        if case == "late-failure":
+            # the element fails inside the untested stretch, and its ok comes back
+            assert want["ok"].all()
+            monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
+            stepped = _engine.filter_batch(batch, Y)
+            assert not stepped["ok"][-1]
+            held = [np.array_equal(P, np.eye(2)) for P in stepped["pred_covs"][-1, s:s + 7]]
+            assert not held[0] and held[-1]
+
+
 class TestBlockedScan:
     """The steady-state mean recursions run as doubling scans; the tangent
     pass goes in blocks of bounded size."""
@@ -613,14 +671,17 @@ class TestStandardUpdate:
     the step's own solve."""
 
     @staticmethod
-    def calls_per_step(pb, monkeypatch):
+    def calls_per_step(pb, monkeypatch, reuse=False):
         """Calls made from ``_engine.py`` per transient step: the difference
-        between runs of T = 12 and T = 6 that never switch, over 6."""
+        between runs of T = 12 and T = 6 that never switch, over 6.  With
+        ``reuse`` each run is handed an earlier pass of its shapes, whose
+        switch (T) leaves every step to the test after the loop."""
         monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
         Y = np.random.default_rng(0).standard_normal((12, pb.p))
         engine_file = _engine.__file__
 
         def count(Y):
+            earlier = _engine.filter_batch(pb, Y) if reuse else None
             n = 0
 
             def profile(frame, event, arg):
@@ -632,18 +693,19 @@ class TestStandardUpdate:
 
             sys.setprofile(profile)
             try:
-                _engine.filter_batch(pb, Y)
+                _engine.filter_batch(pb, Y, reuse=earlier)
             finally:
                 sys.setprofile(None)
             return n
 
         return (count(Y) - count(Y[:6])) / 6
 
-    @pytest.mark.parametrize("p", [1, 3])
-    def test_transient_step_call_budget(self, p, monkeypatch):
-        # a 1x1 innovation covariance is factored and solved without LAPACK
+    @pytest.mark.parametrize("p, reuse, budget", [(1, False, 31), (1, True, 24), (3, False, 66)])
+    def test_transient_step_call_budget(self, p, reuse, budget, monkeypatch):
+        # a 1x1 innovation covariance is solved inline, without LAPACK; with
+        # an earlier pass handed over, no step makes its own settle test
         pb = _engine.stack_params([random_model(4, p, seed=70 + b) for b in range(10)])
-        assert self.calls_per_step(pb, monkeypatch) <= {1: 40, 3: 66}[p]
+        assert self.calls_per_step(pb, monkeypatch, reuse) <= budget
 
     @staticmethod
     def cancelling(case):
@@ -719,6 +781,37 @@ class TestFactorSolve:
         # dpotrf fails on s <= 0; NaN and +inf fail the ratio test
         np.testing.assert_array_equal(got_ok[400:409], [False] * 6 + [True] * 3)
         assert not got_ok[-18:].any() and got_ok[1:400:7].all()
+
+    @pytest.mark.parametrize("kind", ["nonpositive", "inf", "nan"])
+    def test_inline_filter_solve_matches_factor_solve(self, kind):
+        # the filter solves a 1x1 S inline only while every element factors;
+        # one element's s turns <= 0, +inf or NaN after step 0.  The
+        # reference has one more element, failed from the start, so that
+        # every step of it goes through _factor_solve
+        models = [random_model(3, 1, seed=90 + b) for b in range(5)]
+        Y = simulate(models[0], T=300, seed=1).Y
+        batch, ref_batch = _engine.stack_params(models[:4]), _engine.stack_params(models)
+        for pb in (batch, ref_batch):
+            if kind == "nonpositive":
+                pb.R2[2], pb.R0[2] = -1e3, 1e6 * np.eye(3)
+            elif kind == "inf":                    # P grows x4 a step until s overflows
+                pb.A[2], pb.R2[2], pb.R0[2] = 2.0 * np.eye(3), 1e300, 1e290 * np.eye(3)
+            else:
+                pb.R1[2, 0, 0] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _engine.filter_batch(batch, Y)
+            want = _engine.filter_batch(ref_batch, Y, ok=np.arange(5) < 4)
+        np.testing.assert_array_equal(got["ok"], [True, True, False, True])
+        assert got["switch"] == want["switch"] < len(Y)
+        # failed after step 0, and from then on solved against the identity:
+        # its P is I, C P = C and K^T = C, so P_f = sym(I - C^T C)
+        held = [np.array_equal(P, np.eye(3)) for P in got["pred_covs"][2, :got["switch"]]]
+        fail = held.index(True)
+        assert fail > 1 and all(held[fail:])
+        C = batch.C[2]
+        assert (got["filt_covs"][2, fail:got["switch"]] == sym(np.eye(3) - C.T @ C)).all()
+        for key in ("pred_means", "pred_covs", "filt_means", "filt_covs", "loglik", "ok"):
+            assert np.array_equal(got[key], want[key][:4], equal_nan=True), key
 
     def test_unguarded_scalar_matches_lapack(self):
         rng = np.random.default_rng(12)

@@ -20,9 +20,10 @@ from ldsmdl import (DimensionError, EmConfig, InstabilityError, LdsParams,
                     spectral_radius, stationary_obs_log_det, write_sequence_csv)
 from ldsmdl.criteria import mdl_order_penalty
 from ldsmdl.em import _params_from_batch
-from ldsmdl.model import PARAM_FIELDS, ModelOrderBounds
+from ldsmdl.model import (PARAM_FIELDS, STABILITY_MARGIN, ModelOrderBounds,
+                          enforce_stability_batch)
 
-from .oracles import lyapunov_series
+from .oracles import eigvals_stability, lyapunov_series
 
 
 def scalar_params(a=0.5, c=1.0, r1=1.0, r2=1.0, mu0=1.0, r0=1.0):
@@ -77,6 +78,58 @@ class TestEnforceStability:
     @given(square)
     def test_result_is_stable(self, A):
         assert spectral_radius(enforce_stability(A)) < 1.0
+
+
+class TestStabilityPretest:
+    """``enforce_stability_batch`` takes eigvals only of the matrices that
+    its bound rho(A)^16 <= ||A^16||_inf cannot clear, and returns the bits
+    and the fired mask of the eigvals-only path."""
+
+    @staticmethod
+    def batches():
+        rng = np.random.default_rng(5)
+        edge = 1.0 - STABILITY_MARGIN
+        # spectral radius within a few ulps of 1 - STABILITY_MARGIN, as a
+        # diagonal, a scaled rotation and a non-normal triangle
+        # (at an eighth of a turn A^16 is r^16 I, where the bound is tight)
+        for k in range(-4, 5):
+            r = edge + k * np.spacing(edge)
+            turns = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+                     for a in (0.3, np.pi / 8)]
+            yield f"edge{k:+d}", np.array([np.diag([r, 0.5, -0.25])]
+                                          + [np.pad(r * R, (0, 1)) for R in turns]
+                                          + [np.triu(np.full((3, 3), 0.7))
+                                             - np.diag([0.7 - r] * 3)])
+        # non-normal, with ||A||_inf >> 1 and rho < 1
+        yield "non-normal", np.array([[[0.5, b], [0.0, -0.9]] for b in (3.0, 20.0, 1e3, 1e8)])
+        # nilpotent, from small to large entries
+        yield "nilpotent", np.array([np.triu(10.0 ** e * rng.uniform(0.5, 1.0, (8, 8)), 1)
+                                     for e in (-1, 1, 3, 6, 12)])
+        for d in range(1, 13):
+            A = rng.standard_normal((40, d, d))
+            A *= rng.uniform(0.2, 1.6, 40)[:, None, None] / np.sqrt(d)
+            yield f"random-d{d}", A
+
+    def test_same_bits_as_eigvals_alone(self, monkeypatch):
+        real, taken = np.linalg.eigvals, []
+
+        def eigvals(A):
+            taken.append(len(A))
+            return real(A)
+
+        cleared = total = 0
+        for name, A in self.batches():
+            want, want_fired = eigvals_stability(A)
+            monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+            got, fired = enforce_stability_batch(A)
+            monkeypatch.setattr(np.linalg, "eigvals", real)
+            np.testing.assert_array_equal(fired, want_fired, err_msg=name)
+            assert np.array_equal(got, want), name
+            cleared += len(A) - sum(taken)
+            total += len(A)
+            taken.clear()
+        # both paths are taken
+        assert 0 < cleared < total
 
 
 class TestLyapunov:

@@ -14,14 +14,19 @@ EM layers: for each ``grid-d4`` bucket shape in ``BUCKETS`` the change's
 ``em_loop`` runs ``EM_ITERS`` EM iterations from the bucket's seeded
 restarts on the benchmark's ``grid-d4`` input of ``--seed`` (the change's
 ``perfbench``), as ``grid_search`` seeds them; both sides then time
-``filter_batch``, ``smooth_batch`` and ``m_step_batch`` on those
-parameters.  For each order of ``narma10-observable`` (2-10, observable
-mode, B = 2 restarts, T about 1000, where most of each pass is the frozen
-stretch) the change's ``em_loop`` runs the workload's own EM budget from
-its seeded restarts on the delay-embedded input of ``--seed``, and both
-sides time ``filter_batch`` and ``smooth_batch``.  Each line gives the
-workload, the layer, (B, D), T, the filter's switch step, each side's
-time, and change / parent.
+``filter_batch``, ``smooth_batch``, ``m_step_batch`` and the EM pass on
+those parameters.  The filter is handed the pass of the iteration before
+as ``reuse``, as ``em_loop`` hands it over, so that its settle test meets
+the switch of that pass.  The EM pass is that filter pass, then
+``smooth_batch``, ``m_step_batch`` and ``enforce_stability_batch``: one
+iteration of ``em_loop``.  For each order of ``narma10-observable`` (2-10,
+observable mode, B = 2 restarts, T about 1000, where most of each pass is
+the frozen stretch) the change's ``em_loop`` runs the workload's own EM
+budget from its seeded restarts on the delay-embedded input of
+``--seed``, and both sides time ``filter_batch`` and ``smooth_batch`` the
+same way.  Each line gives the workload, the layer, (B, D), T, the switch
+of the pass before and the filter's switch step, each side's time, and
+change / parent.
 
 Fisher: the change's ``grid_search`` fits the ``narma10-observable`` input
 of ``--seed`` (orders 2-10, observable mode, T about 1000) and the
@@ -80,7 +85,8 @@ def em_shapes(grid, narma, seed):
     """(workload, observations, orders, EM iterations, layers) of every EM
     layer shape timed: the grid-d4 buckets, then each NARMA order."""
     Y = grid.sequence(seed)
-    shapes = [(grid, Y, orders, EM_ITERS, ("filter_batch", "smooth_batch", "m_step_batch"))
+    shapes = [(grid, Y, orders, EM_ITERS,
+               ("filter_batch", "smooth_batch", "m_step_batch", "EM pass"))
               for orders in BUCKETS]
     Y = narma.sequence(seed)
     return shapes + [(narma, narma.observations(Y, d), [d], narma.max_iters,
@@ -131,33 +137,44 @@ def main(argv=None):
         mods = {side: import_side(checkouts[side], f"ldsmdl_{side}", tmp) for side in SIDES}
         m = mods["change"]
         wl, narma = GridD4(m, None), Narma10Observable(m, None)
-        print(f"{'EM layers':<19} {'layer':<13} {'(B, D)':>8} {'T':>5} {'switch':>6} "
+        print(f"{'EM layers':<19} {'layer':<13} {'(B, D)':>8} {'T':>5} {'hint':>5} {'switch':>6} "
               f"{'parent ms':>10} {'change ms':>10} {'ratio':>6}")
         for shape_wl, Y, orders, iters, layers in em_shapes(wl, narma, args.seed):
+            before = bucket_params(m, shape_wl, Y, orders, args.seed, iters - 1)
             arrays = bucket_params(m, shape_wl, Y, orders, args.seed, iters)
             calls, switch = {}, {}
             for side, ms in mods.items():
                 eng = ms._engine
                 pb = eng.ParamsBatch(*(a.copy() for a in arrays))
+                # the pass before: each timed filter call overwrites its arrays,
+                # but reads the switch it was handed
+                prev = eng.filter_batch(eng.ParamsBatch(*(a.copy() for a in before)), Y)
                 fr = eng.filter_batch(pb, Y)
                 sm = eng.smooth_batch(pb, fr)
-                switch[side] = fr["switch"]
-                # each pass overwrites the arrays of the pass before, as in em_loop
+                switch[side] = (prev["switch"], fr["switch"])
+
+                def em_pass(eng=eng, pb=pb, prev=prev, sm=sm, Y=Y, obs=shape_wl.observable):
+                    f = eng.filter_batch(pb, Y, reuse=prev)
+                    new, _, _ = eng.m_step_batch(eng.smooth_batch(pb, f, reuse=sm), Y,
+                                                 fix_observation=obs)
+                    eng.enforce_stability_batch(new.A)
+
                 calls[side] = {
-                    "filter_batch": lambda eng=eng, pb=pb, fr=fr, Y=Y:
-                        eng.filter_batch(pb, Y, reuse=fr),
+                    "filter_batch": lambda eng=eng, pb=pb, prev=prev, Y=Y:
+                        eng.filter_batch(pb, Y, reuse=prev),
                     "smooth_batch": lambda eng=eng, pb=pb, fr=fr, sm=sm:
                         eng.smooth_batch(pb, fr, reuse=sm),
                     "m_step_batch": lambda eng=eng, sm=sm, Y=Y, obs=shape_wl.observable:
                         eng.m_step_batch(sm, Y, fix_observation=obs),
+                    "EM pass": em_pass,
                 }
             shape = f"({arrays[0].shape[0]}, {arrays[0].shape[1]})"
-            sw = (str(switch["change"]) if switch["parent"] == switch["change"]
-                  else f"{switch['parent']}/{switch['change']}")
+            hint, sw = (str(v) if v == switch["change"][i] else f"{v}/{switch['change'][i]}"
+                        for i, v in enumerate(switch["parent"]))
             for layer in layers:
                 best = alternate({side: calls[side][layer] for side in SIDES}, args.runs)
                 p, c = best["parent"] * 1e3, best["change"] * 1e3
-                print(f"{shape_wl.name:<19} {layer:<13} {shape:>8} {len(Y):>5} {sw:>6} "
+                print(f"{shape_wl.name:<19} {layer:<13} {shape:>8} {len(Y):>5} {hint:>5} {sw:>6} "
                       f"{p:>10.3f} {c:>10.3f} {c / p:>6.3f}", flush=True)
         print(f"\n{'Fisher':<19} {'d':>3} {'n':>4} {'T':>5} {'switch':>6} {'parent ms':>10} "
               f"{'change ms':>10} {'ratio':>6}")
