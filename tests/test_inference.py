@@ -700,7 +700,9 @@ class TestStandardUpdate:
 
         return (count(Y) - count(Y[:6])) / 6
 
-    @pytest.mark.parametrize("p, reuse, budget", [(1, False, 31), (1, True, 24), (3, False, 66)])
+    @pytest.mark.parametrize("p, reuse, budget", [pytest.param(1, False, 31, id="1"),
+                                                   pytest.param(1, True, 24, id="1-reuse"),
+                                                   pytest.param(3, False, 66, id="3")])
     def test_transient_step_call_budget(self, p, reuse, budget, monkeypatch):
         # a 1x1 innovation covariance is solved inline, without LAPACK; with
         # an earlier pass handed over, no step makes its own settle test
