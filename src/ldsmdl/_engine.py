@@ -52,18 +52,20 @@ one batched Cholesky factors them all, the factors are inverted by forward
 substitution in n whole-batch steps, and J^T = L^{-T} (L^{-1} A P^f) is two
 batched products; only an element that does not factor is solved by LU.
 On the frozen steps the smoothed means run through the same affine scan
-backward, and V through a blocked scan of the congruence map
-V -> P^f + J (V - P^pred) J^T (``_congruence_scan``): block starts are
-carried with J^L, each block is filled from its start in one product, and
-the carry stops at the first block start that has settled by the same
-test, after which V and the cross-covariance are one copy.  V settles at
-the rate P did, so its blocks are sized by the switch:
-L = ceil(sqrt(min(s, n))) for the switch s and n frozen steps.  The
-transient steps are then stepped with plain products, and their
-cross-covariances are one product.
+backward.  The M-step reads only the sums of V_t and of the cross-
+covariances V_{t+1} J_t^T and the ends V_0 and V_{T-1} (Shumway & Stoffer
+1982), so the smoother returns those, not a (B, T, d, d) trajectory.  On
+the n frozen steps V follows V -> J V J^T + Q backward from P^f, with
+Q = P^f - J P^pred J^T, and its last state and its sums are taken in
+closed form by binary doubling on n (``_frozen_sums``): about log2(n)
+levels of (B, d, d) products, exact and finite for any J, with no settle
+test.  The transient steps are then stepped with plain products, and
+their sums are one sum and one stacked product over their stored states.
+``smoothed_covariances`` expands such a result into every step's
+covariances for the public posterior, the frozen stretch by the affine
+scan of the same map.
 
-The filter and the smoother scan their frozen stretch in one pass.  The
-tangent pass (``tangent_fisher``) takes one parameter set and its filter
+The tangent pass (``tangent_fisher``) takes one parameter set and its filter
 pass, as ``inference.kalman_filter`` returns them (``selection`` hands
 over the pass that scored the order), and reads the switch like the
 smoother: it steps the derivatives of the transient along n parameter
@@ -377,12 +379,6 @@ def _log_det(diag):
     return 2.0 * np.sum(np.log(np.maximum(diag, 1e-300)), axis=-1)
 
 
-def _arrays(reuse: dict | None, shapes: dict) -> dict:
-    """Arrays of the given shapes: those of ``reuse``, an earlier result with
-    the same shapes whose values are overwritten, or new ones."""
-    return {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
-
-
 def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
                  reuse: dict | None = None) -> dict:
     """Batched Kalman filter; the filtered covariance is P - (C P)^T K^T.
@@ -421,8 +417,9 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     # the steps before the switch of the pass handed over are tested after the loop
     untested = 0 if reuse is None else reuse["switch"]
     oks = []                       # ok at each untested step
-    out = _arrays(reuse, {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
-                          "filt_means": (B, T, d), "filt_covs": (B, T, d, d)})
+    shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
+              "filt_means": (B, T, d), "filt_covs": (B, T, d, d)}
+    out = {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
     t = 0
     while t < T:
         out["pred_means"][:, t] = x
@@ -433,7 +430,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         # S^{-1} [C P | r]: the transposed gain (B, p, d) and S^{-1} r
         if p == 1:
             s = S[:, 0, 0]
-            s = 0.5 * (s + s)                          # sym(S) of a 1x1 S
+            h = 0.5 * s
+            s = h + h                                  # sym(S) of a 1x1 S
             if all_ok and 0 < s.min() and s.max() < np.inf:
                 # _factor_solve's 1x1 path where every element factors
                 inv = 1.0 / s
@@ -512,99 +510,143 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     return out
 
 
-def _congruence_powers(J, F, G, n: int):
-    """J^j and S_j = F + sum_{0<i<j} J^i (F - G) (J^T)^i for j = 1..L,
-    L = ceil(sqrt(n)), as two (B, L, d, d) arrays: the block operators of
-    ``_congruence_scan`` for the map W -> F + J (W - G) J^T."""
-    B, d, _ = J.shape
-    L = math.isqrt(max(n, 1) - 1) + 1
-    powers = np.empty((B, L, d, d))
-    powers[:, 0] = J
-    for j in range(1, L):
-        powers[:, j] = powers[:, j - 1] @ J
-    sums = np.empty_like(powers)
-    sums[:, 0] = F
-    sums[:, 1:] = F[:, None] + np.cumsum(powers[:, :-1] @ (F - G)[:, None]
-                                         @ _T(powers[:, :-1]), axis=1)
-    return powers, sums
+def _frozen_sums(J, Q, Pf, n: int):
+    """sigma_n = V^(0) + .. + V^(n-1) and V^(n) of the backward map
+    V^(k) = J V^(k-1) J^T + Q from V^(0) = Pf, as two (B, d, d) arrays.
 
-
-def _congruence_scan(powers, sums, G, W0, n: int, ok):
-    """The (B, m, d, d) states W_1 .. W_m of W_{i+1} = sym(F + J (W_i - G) J^T)
-    from W_0 = W0, m <= n, as a blocked scan.
-
-    ``powers`` and ``sums`` come from ``_congruence_powers``.  The block
-    starts W_0, W_L, W_2L, .. are carried with J^L one at a time, and every
-    block is then filled from its start in one product,
-    W_{kL+j} = J^j (W_{kL} - G) (J^T)^j + S_j; for j = 1 that is the plain
-    step.  The carry stops at the first block start that has settled against
-    the one before it (``_settled``): W has reached its fixed point there,
-    so m is that start's step and the steps after it are copies of W_m.
+    With f(V) = J V J^T + Q, f^m(V) = J^m V (J^m)^T + c_m for c_m = f^m(0),
+    and c_m, sigma_m = sum_{k<m} f^k(Pf) and v_m = f^m(Pf) compose as
+    c_{a+b} = c_a + J^a c_b (J^a)^T,
+    sigma_{a+b} = sigma_a + J^a sigma_b (J^a)^T + b c_a and
+    v_{a+b} = J^a v_b (J^a)^T + c_a.  The bits of n are read from the top:
+    m doubles (a = b = m) and, at a set bit, takes one step (a = 1, b = m),
+    so the sums are exact and finite for any J in about log2(n) levels of
+    (B, d, d) products.
     """
-    B, L, d, _ = powers.shape
-    K = -(-n // L)
-    JL, JLT, SL = powers[:, -1], _T(powers[:, -1]), sums[:, -1]
-    starts = [W0]
-    settled = False
-    while len(starts) < K and not settled:
-        starts.append(sym(JL @ (starts[-1] - G) @ JLT + SL))
-        settled = _settled(starts[-1], starts[-2], ok)
-    X = np.stack(starts[:len(starts) - settled], axis=1)[:, :, None]    # (B, k, 1, d, d)
-    W = powers[:, None] @ (X - G[:, None, None]) @ _T(powers)[:, None]   # (B, k, L, d, d)
-    return sym(W + sums[:, None]).reshape(B, -1, d, d)[:, :n]
+    B, d, _ = J.shape
+    # J^m and its transpose are kept contiguous: a transposed view slows
+    # every batched product it enters
+    JT = np.ascontiguousarray(_T(J))
+    X = np.zeros((B, 3, d, d))          # c_m, sigma_m, v_m at m = 0
+    X[:, 2] = Pf
+    step = np.stack((Q, Pf, Q), axis=1)  # c_1, sigma_1, c_1
+    Jm, JmT, m = J, JT, 0
+    for bit in bin(n)[2:]:
+        if m:
+            mc = m * X[:, 0]
+            X = Jm[:, None] @ X @ JmT[:, None] + X[:, [0, 1, 0]]
+            X[:, 1] += mc
+            Jm, JmT, m = Jm @ Jm, JmT @ JmT, 2 * m
+        if bit == "1":
+            X = J[:, None] @ X @ JT[:, None] + step
+            X[:, 1] += m * Q
+            Jm, JmT, m = (J @ Jm, JmT @ JT, m + 1) if m else (J, JT, 1)
+    return X[:, 1], X[:, 2]
 
 
-def smooth_batch(pb: ParamsBatch, fr: dict, reuse: dict | None = None) -> dict:
-    """Batched RTS smoother over a filter pass.
+def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
+    """Batched RTS smoother over a filter pass, reduced to what the M-step
+    reads: the smoothed ``means`` (B, T, d), ``cov_sum`` = sum_t V_t,
+    ``cross_sum`` = sum_t V_{t+1} J_t^T (the lag-one cross-covariances),
+    ``cov_first`` = V_0, ``cov_last`` = V_{T-1} and ``ok``; the ``gains``
+    J_t^T and the ``transient_covs`` V_0 .. V_s serve ``smoothed_covariances``.
 
-    The lag-one cross-covariance uses the smoother-gain identity
-    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.  The smoother reads the filter's
-    ``switch`` and mirrors it in two phases, cut at s = min(switch, T - 1):
-    J_0 .. J_{s-1} of the transient steps and J_s, which every later step
-    shares, are solved in one batched call.  On the steps s .. T-2 the means
-    are one backward affine scan and V one backward congruence scan, with
-    blocks sized by s, that stops once V settles; the transient steps
-    s-1 .. 0 are then stepped with plain products.  Elements that are not
-    ``ok`` keep their filtered means and covariances.  An earlier result of
-    the same shapes handed over as ``reuse`` is overwritten by this one.
+    Cut at s = min(switch, T - 1): J_0 .. J_s are solved in one batched
+    call; on the frozen steps s .. T-2, which share J_s, the means are one
+    backward affine scan, and V_s and the stretch's sums come from
+    ``_frozen_sums``; the transient steps s-1 .. 0 are stepped with plain
+    products.  Elements that are not ``ok`` get J = 0: their smoothed
+    moments are their filtered ones.
     """
     fm, fP = fr["filt_means"], fr["filt_covs"]
     pm, pP = fr["pred_means"], fr["pred_covs"]
     B, T, d = fm.shape
     ok = fr["ok"].copy()
-    out = _arrays(reuse, {"means": (B, T, d), "covs": (B, T, d, d),
-                          "cross": (B, max(T - 1, 0), d, d)})
-    means, covs, cross = out["means"], out["covs"], out["cross"]
+    means = np.empty((B, T, d))
     means[:, -1] = fm[:, -1]
-    covs[:, -1] = fP[:, -1]
     s = min(fr["switch"], T - 1)
+    n = T - 1 - s                  # the frozen steps s .. T-2
     # J_t = P^f_t A^T (P^pred_{t+1})^{-1} for t = 0..s, t < T - 1, in one (B, H, d, d) solve
     H = min(s + 1, T - 1)
     JT, ok = _spd_solve(pP[:, 1:H + 1], pb.A[:, None] @ fP[:, :H], ok)
     JT[~ok] = 0.0                  # a failed element's smoothed means are its filtered ones
-    if s < T - 1:
-        n = T - 1 - s                  # the frozen steps s .. T-2
+    V = np.empty((B, s + 1, d, d))     # V_0 .. V_s
+    V[:, s] = fP[:, -1]
+    cov_sum, cross_sum = fP[:, -1], np.zeros((B, d, d))
+    if n:
         JTs = np.ascontiguousarray(JT[:, s])
         u = fm[:, s:-1] - pm[:, s + 1:] @ JTs
         means[:, s:-1] = _affine_scan(JTs, u[:, ::-1], means[:, -1])[:, :0:-1]
-        # V_t = P^f + J (V_{t+1} - P^pred) J^T, scanned backward until V settles;
-        # V settles at the rate P did, so its blocks are sized by the switch
-        powers, sums = _congruence_powers(np.ascontiguousarray(_T(JTs)), fP[:, s],
-                                          pP[:, -1], min(s, n))
-        W = _congruence_scan(powers, sums, pP[:, -1], covs[:, -1], n, ok)
-        lo = T - 1 - W.shape[1]
-        covs[:, lo:-1] = W[:, ::-1]
-        np.matmul(covs[:, lo + 1:], JTs[:, None], out=cross[:, lo:])
-        covs[:, s:lo] = covs[:, lo, None]
-        cross[:, s:lo] = (covs[:, lo] @ JTs)[:, None]
+        # V_t = P^f + J (V_{t+1} - P^pred) J^T = J V_{t+1} J^T + Q backward from
+        # V_{T-1} = P^f; sigma sums V_{s+1} .. V_{T-1}
+        J = np.ascontiguousarray(_T(JTs))
+        sigma, V[:, s] = _frozen_sums(J, fP[:, s] - J @ pP[:, -1] @ JTs, fP[:, -1], n)
+        V[:, s] = sym(V[:, s])
+        cov_sum, cross_sum = sigma + V[:, s], sigma @ JTs
     # the transient, stepped backward: m_t = J m_{t+1} + (fm_t - J pm_{t+1}),
     # with every bracket in one product
     u = fm[:, :s] - (pm[:, 1:s + 1, None] @ JT[:, :s])[:, :, 0]
+    J = np.ascontiguousarray(_T(JT[:, :s]))
     for t in range(s - 1, -1, -1):
         means[:, t] = (means[:, t + 1, None] @ JT[:, t])[:, 0] + u[:, t]
-        covs[:, t] = sym(fP[:, t] + _T(JT[:, t]) @ (covs[:, t + 1] - pP[:, t + 1]) @ JT[:, t])
-    cross[:, :s] = covs[:, 1:s + 1] @ JT[:, :s]
-    return {**out, "ok": ok}
+        V[:, t] = sym(fP[:, t] + J[:, t] @ (V[:, t + 1] - pP[:, t + 1]) @ JT[:, t])
+    if s:
+        cov_sum = cov_sum + V[:, :s].sum(axis=1)
+        cross_sum = cross_sum + (V[:, 1:] @ JT[:, :s]).sum(axis=1)
+    return {"means": means, "cov_sum": sym(cov_sum), "cross_sum": cross_sum,
+            "cov_first": V[:, 0], "cov_last": fP[:, -1], "ok": ok,
+            "gains": JT, "transient_covs": V}
+
+
+def _congruence_states(JT, Q, W0, n: int):
+    """The (B, n + 1, d, d) states W_0 .. W_n of W_{i+1} = J W_i J^T + Q
+    from W_0 = W0, for J^T = JT, in blocks of L = isqrt(n) + 1 steps.
+
+    With c_i = sum_{k<i} J^k Q (J^k)^T, W_{jL+i} = J^i W_{jL} (J^i)^T + c_i:
+    the block starts are carried with J^L one block at a time, and every
+    block is filled from its start in one product.  That is O(n d^3) work,
+    and no power beyond J^L is formed, so the powers of a contracting J
+    stay clear of the subnormal range.
+    """
+    B, d, _ = JT.shape
+    L = math.isqrt(n) + 1
+    PT = np.empty((B, L + 1, d, d))        # (J^T)^i for i = 0..L
+    PT[:, 0] = np.eye(d)
+    for i in range(L):
+        PT[:, i + 1] = PT[:, i] @ JT
+    P = np.ascontiguousarray(_T(PT))
+    c = np.zeros((B, L + 1, d, d))
+    np.cumsum(P[:, :L] @ Q[:, None] @ PT[:, :L], axis=1, out=c[:, 1:])
+    starts = [W0]
+    for _ in range(n // L):
+        starts.append(P[:, L] @ starts[-1] @ PT[:, L] + c[:, L])
+    X = np.stack(starts, axis=1)[:, :, None]            # (B, K, 1, d, d)
+    W = P[:, None, :L] @ X @ PT[:, None, :L]
+    W += c[:, None, :L]
+    return W.reshape(B, -1, d, d)[:, :n + 1]
+
+
+def smoothed_covariances(sm: dict, fr: dict):
+    """The (B, T, d, d) smoothed covariances and (B, T - 1, d, d) lag-one
+    cross-covariances of a ``smooth_batch`` result over the filter pass
+    ``fr``: the stored transient states, and the frozen stretch by
+    ``_congruence_states`` backward from V_{T-1} = P^f."""
+    V, JT = sm["transient_covs"], sm["gains"]
+    B, T, d = sm["means"].shape
+    s = V.shape[1] - 1
+    covs, cross = np.empty((B, T, d, d)), np.empty((B, T - 1, d, d))
+    covs[:, :s + 1] = V
+    cross[:, :s] = V[:, 1:] @ JT[:, :s]
+    if s < T - 1:
+        JTs = np.ascontiguousarray(JT[:, s])
+        fP = fr["filt_covs"]
+        Q = fP[:, s] - _T(JTs) @ fr["pred_covs"][:, -1] @ JTs
+        W = _congruence_states(JTs, Q, fP[:, -1], T - s - 2)     # V_{T-1} .. V_{s+1}
+        h = 0.5 * W[:, ::-1]
+        np.add(h, _T(h), out=covs[:, s + 1:])          # sym, written in place
+        # V_{t+1} J^T of every frozen step, stacked by rows: one product per element
+        cross[:, s:] = (covs[:, s + 1:].reshape(B, -1, d) @ JTs).reshape(B, -1, d, d)
+    return covs, cross
 
 
 def _by_rows(X):
@@ -787,6 +829,8 @@ def m_step_batch(sm: dict, Y: np.ndarray,
                  fix_observation: bool = False) -> tuple[ParamsBatch, np.ndarray, np.ndarray]:
     """Batched M-step returning (params, floor-fired mask, ok mask).
 
+    ``sm`` holds the smoothed means and the sums and ends of the smoothed
+    covariances that ``smooth_batch`` returns; only these are read.
     With ``fix_observation`` the observation model is pinned to C = I and
     R2 = OBSERVABLE_MODE_NOISE * I (observable-state mode); only the state
     blocks are updated.
@@ -795,16 +839,16 @@ def m_step_batch(sm: dict, Y: np.ndarray,
     a degenerate one: every matrix that reaches an eigen-routine, and the
     returned A, hold the identity for a failed element.
     """
-    m, V, cross = sm["means"], sm["covs"], sm["cross"]
+    m = sm["means"]
     B, T, d = m.shape
     ok = sm["ok"].copy()
-    # Z_t = V_t + m_t m_t^T: its sums as (d, T) (T, d) products, Z_0 and
-    # Z_{T-1} on their own
+    # Z_t = V_t + m_t m_t^T: the sums of m_t m_t^T as (d, T) (T, d) products,
+    # Z_0 and Z_{T-1} on their own
     mT = _T(m)
-    Zsum = _finite_or_identity(V.sum(axis=1) + mT @ m, ok)
-    S00 = _finite_or_identity(Zsum - (V[:, -1] + m[:, -1, :, None] * m[:, -1, None]), ok)
-    S11 = Zsum - (V[:, 0] + m[:, 0, :, None] * m[:, 0, None])
-    S10 = cross.sum(axis=1) + mT[:, :, 1:] @ m[:, :-1]
+    Zsum = _finite_or_identity(sm["cov_sum"] + mT @ m, ok)
+    S00 = _finite_or_identity(Zsum - (sm["cov_last"] + m[:, -1, :, None] * m[:, -1, None]), ok)
+    S11 = Zsum - (sm["cov_first"] + m[:, 0, :, None] * m[:, 0, None])
+    S10 = sm["cross_sum"] + mT[:, :, 1:] @ m[:, :-1]
     _, (AT,), ok = _factor_solve(S00, (_T(S10),), ok)
     A = _T(_finite_or_identity(AT, ok))
     R1, fired1 = psd_floor_batch(_finite_or_identity((S11 - A @ _T(S10)) / (T - 1), ok))
@@ -819,7 +863,7 @@ def m_step_batch(sm: dict, Y: np.ndarray,
         Syy = Y.T @ Y
         R2, fired2 = psd_floor_batch(_finite_or_identity((Syy[None] - C @ _T(Syx)) / T, ok))
     mu0 = m[:, 0].copy()
-    R0, fired0 = psd_floor_batch(_finite_or_identity(V[:, 0], ok))
+    R0, fired0 = psd_floor_batch(_finite_or_identity(sm["cov_first"], ok))
     fired = fired1 | fired2 | fired0
     return ParamsBatch(A=A, C=C, R1=R1, R2=R2, mu0=mu0, R0=R0), fired, ok
 
@@ -835,10 +879,11 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     numerically keep their last parameters, which the filter and smoother
     mask, and are flagged in ``failed``; later passes hand ``~failed`` to
     the filter as its starting ``ok`` mask, so it never factors them again.
-    Each filter and smoother pass, the last filter pass too, overwrites the
-    arrays of the pass before (``reuse``), so one filter pass and one
-    posterior are alive at a time.  ``init`` is never written: every update
-    goes through ``ParamsBatch.where``, which builds new arrays.
+    Each filter pass, the last one too, overwrites the arrays of the pass
+    before (``reuse``), so one filter pass is alive at a time, and the
+    smoother hands the M-step sums, not a (B, T, d, d) posterior.  ``init``
+    is never written: every update goes through ``ParamsBatch.where``,
+    which builds new arrays.
     Returns the last filtered ``params``, their ``loglik`` (-inf where
     failed), the M-steps of each element (``iterations``), the (passes, B)
     logliks of every pass (``traces``; element b's own are its first
@@ -852,7 +897,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
     iterations = np.zeros(B, dtype=int)
     traces, floors, rescales = [], [], []
     active = np.ones(B, dtype=bool)
-    fr = sm = None
+    fr = None
     while True:
         fr = filter_batch(cur, Y, ok=~failed, reuse=fr)
         failed |= active & ~fr["ok"]
@@ -864,8 +909,7 @@ def em_loop(init: ParamsBatch, Y: np.ndarray, eps: float, max_iters: int,
         traces.append(ll)
         if len(traces) > max_iters or not np.any(active):
             break
-        sm = smooth_batch(cur, fr, reuse=sm)
-        new, fired, ok = m_step_batch(sm, Y, fix_observation=fix_observation)
+        new, fired, ok = m_step_batch(smooth_batch(cur, fr), Y, fix_observation=fix_observation)
         failed |= active & ~ok
         active &= ok
         floors.append(active & fired)

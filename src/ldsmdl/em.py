@@ -79,10 +79,13 @@ def m_step(posterior: SmoothedPosterior, data: SequenceData,
     if fix_observation and posterior.means.shape[1] != data.d_out:
         raise DimensionError(
             f"observable mode needs d_out == d, got {data.d_out} != {posterior.means.shape[1]}")
+    covs = posterior.covs
     sm = {
         "means": posterior.means[None],
-        "covs": posterior.covs[None],
-        "cross": posterior.cross_covs[None],
+        "cov_sum": covs.sum(axis=0)[None],
+        "cross_sum": posterior.cross_covs.sum(axis=0)[None],
+        "cov_first": covs[None, 0],
+        "cov_last": covs[None, -1],
         "ok": np.ones(1, dtype=bool),
     }
     pb, _fired, ok = _engine.m_step_batch(sm, data.Y, fix_observation=fix_observation)

@@ -64,14 +64,15 @@ def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
 
 
 def rts_smooth(params: LdsParams, filter_result: FilterResult) -> SmoothedPosterior:
-    """Backward Rauch-Tung-Striebel pass over a stored filter result."""
+    """Backward Rauch-Tung-Striebel pass over a stored filter result, with
+    every step's covariances expanded from the engine's compact result."""
     fr = {k: getattr(filter_result, k)[None] for k in _TRAJECTORIES}
     fr.update(ok=np.ones(1, dtype=bool), switch=filter_result.switch)
     sm = _engine.smooth_batch(_engine.stack_params([params]), fr)
     if not sm["ok"][0]:
         raise DegeneracyError("predicted covariance is numerically singular")
-    means, covs, cross = (sm[k][0] for k in ("means", "covs", "cross"))
-    return SmoothedPosterior(means=means, covs=covs, cross_covs=cross)
+    covs, cross = _engine.smoothed_covariances(sm, fr)
+    return SmoothedPosterior(means=sm["means"][0], covs=covs[0], cross_covs=cross[0])
 
 
 def complete_data_loglik(params: LdsParams, posterior: SmoothedPosterior,

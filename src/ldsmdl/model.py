@@ -66,8 +66,10 @@ def _check_seed(seed) -> None:
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part of a square matrix."""
-    return 0.5 * (M + M.swapaxes(-1, -2))
+    """Symmetric part of a square matrix, halved before the add so that no
+    finite M overflows it."""
+    h = 0.5 * M
+    return h + h.swapaxes(-1, -2)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from ldsmdl import (DegeneracyError, DimensionError, LdsParams, SequenceData,
                     rts_smooth, simulate)
 from ldsmdl import _engine
 from ldsmdl.criteria import _directions, empirical_fisher_log_det
+from ldsmdl.em import m_step
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.model import sym
 
@@ -142,9 +143,28 @@ def switch_step(pred_covs):
     return t
 
 
+STATS = ("cov_sum", "cross_sum", "cov_first", "cov_last")
+
+
+def stats_of(covs, cross):
+    """The M-step's statistics of per-step smoothed covariances: the sums of
+    V_t and of the cross-covariances, V_0 and V_{T-1}."""
+    return dict(zip(STATS, (covs.sum(axis=0), cross.sum(axis=0), covs[0], covs[-1])))
+
+
+def assert_stats_match(sm, b, covs, cross, **tol):
+    """Element b's statistics of the smoother result ``sm`` against those of
+    the per-step ``covs`` and ``cross``, each to ``tol`` (atol scaled by the
+    largest entry of the statistic when ``scaled``)."""
+    scaled = tol.pop("scaled", False)
+    for key, want in stats_of(covs, cross).items():
+        atol = tol["atol"] * (np.abs(want).max() if scaled else 1.0)
+        np.testing.assert_allclose(sm[key][b], want, rtol=tol["rtol"], atol=atol, err_msg=key)
+
+
 class TestSteadyState:
     """The filter freezes S, K and the covariances once the predicted
-    covariance settles; the smoother then reuses J and copies V."""
+    covariance settles; the smoother then reuses J and sums V in closed form."""
 
     @staticmethod
     def long_batches():
@@ -162,13 +182,16 @@ class TestSteadyState:
             sm = _engine.smooth_batch(batch, fr)
             one = kalman_filter(models[0], SequenceData(Y=Y))
             one_sm = rts_smooth(models[0], one)
-            runs = [(fr["loglik"][b], sm["means"][b], sm["covs"][b], sm["cross"][b])
-                    for b in range(3)]
-            runs.append((one.loglik, one_sm.means, one_sm.covs, one_sm.cross_covs))
-            for b, (loglik, means, covs, cross) in enumerate(runs):
+            for b in range(4):
                 ref = textbook_smoother(models[b % 3], Y)
+                if b < 3:
+                    # the engine: the means and the M-step's statistics
+                    loglik, moments = fr["loglik"][b], (sm["means"][b],)
+                    assert_stats_match(sm, b, *ref[2:], rtol=0, atol=1e-8)
+                else:
+                    loglik, moments = one.loglik, (one_sm.means, one_sm.covs, one_sm.cross_covs)
                 assert loglik == pytest.approx(ref[0], rel=1e-9)
-                for got, want in zip((means, covs, cross), ref[1:]):
+                for got, want in zip(moments, ref[1:]):
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
     def test_switch_marks_the_frozen_steps(self):
@@ -188,9 +211,13 @@ class TestSteadyState:
             fr = _engine.filter_batch(batch, Y)
             handed = _engine.smooth_batch(batch, fr)
             stepped = _engine.smooth_batch(batch, dict(fr, switch=len(Y)))
-            for key in ("means", "covs", "cross"):
+            assert stepped["transient_covs"].shape[1] == len(Y)
+            for key in ("means",) + STATS:
                 np.testing.assert_allclose(stepped[key], handed[key],
-                                           rtol=1e-12, atol=1e-12)
+                                           rtol=1e-12, atol=1e-12, err_msg=key)
+            for got, want in zip(_engine.smoothed_covariances(stepped, fr),
+                                 _engine.smoothed_covariances(handed, fr)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mu0, T", [pytest.param([0.0, 0.0], 400, id="zero-mean-T400"),
                                         pytest.param([0.0, 1.0], 1200, id="unit-mean-T1200")])
@@ -213,9 +240,16 @@ class TestSteadyState:
         assert np.isfinite(fr["pred_covs"][1]).all() and np.isfinite(fr["filt_covs"][1]).all()
         assert not fr["filt_means"][1].any() and not fr["pred_means"][1, 1:].any()
         sm = _engine.smooth_batch(batch, fr)
-        # with J = 0 its smoothed moments are its filtered ones
-        assert not sm["means"][1].any() and not sm["cross"][1].any()
-        np.testing.assert_array_equal(sm["covs"][1], fr["filt_covs"][1])
+        covs, cross = _engine.smoothed_covariances(sm, fr)
+        # with J = 0 its smoothed moments are its filtered ones, and its
+        # statistics the sums of its filtered covariances
+        assert not sm["means"][1].any() and not sm["cross_sum"][1].any()
+        assert not cross[1].any()
+        np.testing.assert_array_equal(covs[1], fr["filt_covs"][1])
+        np.testing.assert_array_equal(sm["cov_first"][1], fr["filt_covs"][1, 0])
+        np.testing.assert_array_equal(sm["cov_last"][1], fr["filt_covs"][1, -1])
+        np.testing.assert_allclose(sm["cov_sum"][1], fr["filt_covs"][1].sum(axis=0),
+                                   rtol=1e-14, atol=0)
         for b in (0, 2, 3):
             pb = _engine.stack_params([models[b]])
             one = _engine.filter_batch(pb, Y)
@@ -224,9 +258,11 @@ class TestSteadyState:
             for key in ("filt_means", "filt_covs", "pred_means", "pred_covs"):
                 np.testing.assert_allclose(fr[key][b], one[key][0],
                                            rtol=1e-12, atol=1e-12)
-            for key in ("means", "covs", "cross"):
+            for key in ("means",) + STATS:
                 np.testing.assert_allclose(sm[key][b], one_sm[key][0],
-                                           rtol=1e-12, atol=1e-12)
+                                           rtol=1e-12, atol=1e-12, err_msg=key)
+            for got, want in zip((covs, cross), _engine.smoothed_covariances(one_sm, one)):
+                np.testing.assert_allclose(got[b], want[0], rtol=1e-12, atol=1e-12)
 
     def test_short_sequences_never_switch(self, monkeypatch):
         # the acceptance-1 setting: T <= 5 ends inside the transient, so the
@@ -380,24 +416,21 @@ class TestBlockedScan:
 
     @pytest.mark.parametrize("n", [1, 17, 1000])
     @pytest.mark.parametrize("B", [1, 7])
-    def test_congruence_scan_matches_plain_loop(self, n, B, monkeypatch):
-        # with the settle test off the scan fills all n steps
-        monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
+    def test_congruence_scan_matches_plain_loop(self, n, B):
+        # the states of V -> J V J^T + Q, which expand the smoother's frozen
+        # stretch for the public posterior
         rng = np.random.default_rng(n + 10 * B)
         d = 3
         J = rng.standard_normal((B, d, d))
         J *= 0.95 / np.max(np.abs(np.linalg.eigvals(J)), axis=-1)[:, None, None]
-        F, G, W0 = (_engine.psd_floor_batch(rng.standard_normal((B, d, d)))[0]
-                    for _ in range(3))
-        powers, sums = _engine._congruence_powers(J, F, G, n)
-        got = _engine._congruence_scan(powers, sums, G, W0, n, np.ones(B, bool))
+        Q, W0 = (_engine.psd_floor_batch(rng.standard_normal((B, d, d)))[0] for _ in range(2))
+        got = _engine._congruence_states(np.swapaxes(J, 1, 2), Q, W0, n)
         want = np.empty((B, n + 1, d, d))
         want[:, 0] = W0
         for i in range(n):
-            want[:, i + 1] = F + J @ (want[:, i] - G) @ np.swapaxes(J, 1, 2)
-        assert got.shape == (B, n, d, d)
-        np.testing.assert_allclose(got, want[:, 1:], rtol=0,
-                                   atol=1e-13 * np.abs(want).max())
+            want[:, i + 1] = J @ want[:, i] @ np.swapaxes(J, 1, 2) + Q
+        assert got.shape == (B, n + 1, d, d)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("d", [2, 7, 12])
     @pytest.mark.parametrize("B", [1, 7])
@@ -408,11 +441,13 @@ class TestBlockedScan:
         fr = _engine.filter_batch(batch, Y)
         assert switch_step(fr["pred_covs"]) < len(Y) // 2
         sm = _engine.smooth_batch(batch, fr)
+        expanded = _engine.smoothed_covariances(sm, fr)
         for b, model in enumerate(models):
             _, _, covs, cross = textbook_smoother(model, Y)
-            np.testing.assert_allclose(sm["covs"][b], covs, rtol=0,
+            assert_stats_match(sm, b, covs, cross, rtol=0, atol=1e-8, scaled=True)
+            np.testing.assert_allclose(expanded[0][b], covs, rtol=0,
                                        atol=1e-8 * np.abs(covs).max())
-            np.testing.assert_allclose(sm["cross"][b], cross, rtol=0,
+            np.testing.assert_allclose(expanded[1][b], cross, rtol=0,
                                        atol=1e-8 * np.abs(cross).max())
 
     def test_smoother_sizes_its_scans_by_the_switch(self, monkeypatch):
@@ -421,44 +456,113 @@ class TestBlockedScan:
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         whole = _engine.smooth_batch(batch, fr)
-        real = _engine._congruence_powers
+        real = _engine._frozen_sums
         sizes = []
 
         def spying(*args):
             sizes.append(args[3])
             return real(*args)
 
-        # the smoother does not read SCAN_CHUNK: 7-step chunks of V leave it as it is
+        # the smoother does not read SCAN_CHUNK: 7-step chunks leave it as it is
         monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * 3 * 9)
-        monkeypatch.setattr(_engine, "_congruence_powers", spying)
+        monkeypatch.setattr(_engine, "_frozen_sums", spying)
         small = _engine.smooth_batch(batch, fr)
         s = fr["switch"]
         assert 1 <= s < len(Y) // 2
-        assert sizes == [min(s, len(Y) - 1 - s)]
-        for key in ("means", "covs", "cross", "ok"):
+        # one closed form over the frozen steps s .. T-2, and the transient's
+        # states V_0 .. V_s
+        assert sizes == [len(Y) - 1 - s]
+        assert small["transient_covs"].shape == (3, s + 1, 3, 3)
+        assert small.keys() == whole.keys()
+        for key in small:
             np.testing.assert_array_equal(small[key], whole[key])
 
     def test_reused_arrays_are_overwritten_with_the_same_values(self):
-        # em_loop hands each pass the trajectories of the pass before
+        # em_loop hands each filter pass the trajectories of the pass before;
+        # the smoother of the reused pass is that of a fresh one
         models = [random_model(4, 2, seed=s) for s in (70, 71)]
         Y = simulate(models[0], T=300, seed=3).Y
         batch = _engine.stack_params(models)
         earlier = _engine.stack_params([random_model(4, 2, seed=s) for s in (72, 73)])
         old_f = _engine.filter_batch(earlier, Y)
-        old_s = _engine.smooth_batch(earlier, old_f)
         fresh_f = _engine.filter_batch(batch, Y)
         fresh_s = _engine.smooth_batch(batch, fresh_f)
         assert old_f["switch"] != fresh_f["switch"]
         f = _engine.filter_batch(batch, Y, reuse=old_f)
-        s = _engine.smooth_batch(batch, f, reuse=old_s)
-        for new, fresh, old, reused in (
-                (f, fresh_f, old_f, ("pred_means", "pred_covs", "filt_means", "filt_covs")),
-                (s, fresh_s, old_s, ("means", "covs", "cross"))):
+        s = _engine.smooth_batch(batch, f)
+        for key in ("pred_means", "pred_covs", "filt_means", "filt_covs"):
+            assert f[key] is old_f[key]
+        for new, fresh in ((f, fresh_f), (s, fresh_s)):
             assert new.keys() == fresh.keys()
-            for key in reused:
-                assert new[key] is old[key]
             for key in fresh:
                 np.testing.assert_array_equal(new[key], fresh[key])
+
+
+class TestFrozenSums:
+    """The smoother's frozen stretch in closed form: the sums and the last
+    state of V -> J V J^T + Q by binary doubling on the number of steps."""
+
+    @staticmethod
+    def plain_loop(J, Q, Pf, n):
+        """sum_{k<n} V^(k) and V^(n) from V^(0) = Pf, one step at a time."""
+        V, total = Pf, np.zeros_like(Pf)
+        for _ in range(n):
+            total = total + V
+            V = J @ V @ np.swapaxes(J, -1, -2) + Q
+        return total, V
+
+    @pytest.mark.parametrize("rho", [0.5, 0.95, 1.05])
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    @pytest.mark.parametrize("n", list(range(10)) + [31, 32, 33, 64, 991])
+    def test_matches_plain_loop(self, n, d, rho):
+        rng = np.random.default_rng(1000 * n + 10 * d + int(100 * rho))
+        B = 3
+        J = rng.standard_normal((B, d, d))
+        J *= rho / np.max(np.abs(np.linalg.eigvals(J)), axis=-1)[:, None, None]
+        Q, Pf = (_engine.psd_floor_batch(rng.standard_normal((B, d, d)))[0] for _ in range(2))
+        got = _engine._frozen_sums(J, Q, Pf, n)
+        for g, want in zip(got, self.plain_loop(J, Q, Pf, n)):
+            scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(g - want) <= 1e-12 * scale)
+
+    def test_failed_element_sums_its_filtered_covariance(self):
+        # J = 0: every V^(k) with k >= 1 is Q
+        rng = np.random.default_rng(4)
+        Q, Pf = (_engine.psd_floor_batch(rng.standard_normal((1, 3, 3)))[0] for _ in range(2))
+        for n in (1, 2, 7, 64):
+            total, last = _engine._frozen_sums(np.zeros((1, 3, 3)), Q, Pf, n)
+            np.testing.assert_array_equal(last, Q)
+            np.testing.assert_allclose(total, Pf + (n - 1) * Q, rtol=1e-15)
+
+    def test_no_array_of_the_smoother_has_one_matrix_per_step(self):
+        models = [random_model(4, 1, seed=s) for s in (90, 91, 92)]
+        Y = simulate(models[0], T=200, seed=9).Y
+        batch = _engine.stack_params(models)
+        fr = _engine.filter_batch(batch, Y)
+        assert fr["switch"] < len(Y) // 2
+        sm = _engine.smooth_batch(batch, fr)
+        B, T, d = sm["means"].shape
+        for key, value in sm.items():
+            assert value.size < B * T * d * d, key
+
+    @pytest.mark.parametrize("fix_observation", [False, True])
+    def test_m_step_on_the_statistics_matches_m_step_on_the_posterior(self, fix_observation):
+        d_out = 3 if fix_observation else 2
+        models = [random_model(3, d_out, seed=s) for s in (93, 94)]
+        Y = simulate(models[0], T=300, seed=5).Y
+        batch = _engine.stack_params(models)
+        fr = _engine.filter_batch(batch, Y)
+        assert 1 < fr["switch"] < len(Y) // 2
+        got, _, ok = _engine.m_step_batch(_engine.smooth_batch(batch, fr), Y,
+                                          fix_observation=fix_observation)
+        assert ok.all()
+        data = SequenceData(Y=Y)
+        for b, model in enumerate(models):
+            want = m_step(rts_smooth(model, kalman_filter(model, data)), data,
+                          fix_observation=fix_observation)
+            for f in _engine.PARAM_FIELDS:
+                np.testing.assert_allclose(getattr(got, f)[b], getattr(want, f),
+                                           rtol=1e-10, atol=1e-12, err_msg=f)
 
 
 class TestGuardedFactorizations:

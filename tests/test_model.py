@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,6 +317,20 @@ class TestLdsParams:
     def test_negative_eigenvalue(self):
         with pytest.raises(DimensionError):
             scalar_params(r2=-1.0)
+
+    def test_huge_finite_covariance_is_accepted_and_filtered(self):
+        # sym(M) halves M before the add: 0.5 (M + M^T) overflowed for an entry
+        # above about 9e307, and the filter judged S = 1e308 + 1 singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = LdsParams(A=[[0.5]], C=[[1.0]], R1=[[1.0]], R2=[[1e308]], mu0=[0.0],
+                          R0=[[1.0]])
+            data = SequenceData(Y=np.random.default_rng(0).standard_normal(50))
+            fr = kalman_filter(p, data)
+            sm = rts_smooth(p, fr)
+        assert np.isfinite(fr.loglik) and fr.switch < data.T
+        for moments in (fr.filt_means, fr.filt_covs, sm.means, sm.covs, sm.cross_covs):
+            assert np.isfinite(moments).all()
 
     # zero-size fields reached the covariance checks and failed there with a
     # bare ValueError from np.max

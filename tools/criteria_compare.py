@@ -17,7 +17,8 @@ checkout's ``src/`` and ``perfbench`` from the checkout:
   workload's settings: orders 2-12, 10 restarts, eps 1e-2, 35 iterations
   and the sequence seed as the seed.  The visited orders, each visited
   order's DL (as ``float.hex``), ``stopped_early`` and the pick are
-  compared; one line per seed gives them for both sides.
+  compared; one line per seed gives them for both sides, with the
+  largest relative change of a DL.
 
 The exit code is 0 when every value agrees and 1 otherwise.
 
@@ -93,12 +94,14 @@ def walk_summary(old, new):
     a, b = dict(old["dl"]), dict(new["dl"])     # visited order -> DL, in visiting order
     common = a.keys() & b.keys()
     dl_differ = sum(a[k] != b[k] for k in common)
+    dl = {k: (float.fromhex(a[k]), float.fromhex(b[k])) for k in common}
+    change = max((abs(y - x) / abs(x) for x, y in dl.values() if x), default=0.0)
     differ = (dl_differ + (list(a) != list(b))
               + (old["stopped_early"] != new["stopped_early"])
               + (old["chosen"] != new["chosen"]))
     return differ, len(common) + 3, (
         f"visited {list(a)} -> {list(b)}, DL: {dl_differ} of {len(common)} differ, "
-        f"stopped_early {old['stopped_early']} -> {new['stopped_early']}, "
+        f"largest relative change {change:.3g}, stopped_early {old['stopped_early']} -> {new['stopped_early']}, "
         f"pick {old['chosen']} -> {new['chosen']}")
 
 

@@ -19,7 +19,10 @@ those parameters.  The filter is handed the pass of the iteration before
 as ``reuse``, as ``em_loop`` hands it over, so that its settle test meets
 the switch of that pass.  The EM pass is that filter pass, then
 ``smooth_batch``, ``m_step_batch`` and ``enforce_stability_batch``: one
-iteration of ``em_loop``.  For each order of ``narma10-observable`` (2-10,
+iteration of ``em_loop``.  Each side calls ``smooth_batch`` as its own
+``em_loop`` does: with the result of the pass before as ``reuse`` where
+``smooth_batch`` takes one, and ``m_step_batch`` reads that side's
+smoother result.  For each order of ``narma10-observable`` (2-10,
 observable mode, B = 2 restarts, T about 1000, where most of each pass is
 the frozen stretch) the change's ``em_loop`` runs the workload's own EM
 budget from its seeded restarts on the delay-embedded input of
@@ -41,6 +44,7 @@ Needs numpy.
 """
 import argparse
 import importlib
+import inspect
 import os
 import shutil
 import sys
@@ -152,18 +156,22 @@ def main(argv=None):
                 fr = eng.filter_batch(pb, Y)
                 sm = eng.smooth_batch(pb, fr)
                 switch[side] = (prev["switch"], fr["switch"])
+                # the smoother's own earlier result, where it takes one
+                smooth_kw = ({"reuse": sm} if "reuse" in inspect.signature(
+                    eng.smooth_batch).parameters else {})
 
-                def em_pass(eng=eng, pb=pb, prev=prev, sm=sm, Y=Y, obs=shape_wl.observable):
+                def em_pass(eng=eng, pb=pb, prev=prev, kw=smooth_kw, Y=Y,
+                            obs=shape_wl.observable):
                     f = eng.filter_batch(pb, Y, reuse=prev)
-                    new, _, _ = eng.m_step_batch(eng.smooth_batch(pb, f, reuse=sm), Y,
+                    new, _, _ = eng.m_step_batch(eng.smooth_batch(pb, f, **kw), Y,
                                                  fix_observation=obs)
                     eng.enforce_stability_batch(new.A)
 
                 calls[side] = {
                     "filter_batch": lambda eng=eng, pb=pb, prev=prev, Y=Y:
                         eng.filter_batch(pb, Y, reuse=prev),
-                    "smooth_batch": lambda eng=eng, pb=pb, fr=fr, sm=sm:
-                        eng.smooth_batch(pb, fr, reuse=sm),
+                    "smooth_batch": lambda eng=eng, pb=pb, fr=fr, kw=smooth_kw:
+                        eng.smooth_batch(pb, fr, **kw),
                     "m_step_batch": lambda eng=eng, sm=sm, Y=Y, obs=shape_wl.observable:
                         eng.m_step_batch(sm, Y, fix_observation=obs),
                     "EM pass": em_pass,
