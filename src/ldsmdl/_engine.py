@@ -62,8 +62,8 @@ levels of (B, d, d) products, exact and finite for any J, with no settle
 test.  The transient steps are then stepped with plain products, and
 their sums are one sum and one stacked product over their stored states.
 ``smoothed_covariances`` expands such a result into every step's
-covariances for the public posterior, the frozen stretch by the affine
-scan of the same map.
+covariances for the public posterior, the frozen stretch in blocks of
+about sqrt(n) steps (``_congruence_states``).
 
 The tangent pass (``tangent_fisher``) takes one parameter set and its filter
 pass, as ``inference.kalman_filter`` returns them (``selection`` hands
@@ -524,8 +524,8 @@ def _frozen_sums(J, Q, Pf, n: int):
     (B, d, d) products.
     """
     B, d, _ = J.shape
-    # J^m and its transpose are kept contiguous: a transposed view slows
-    # every batched product it enters
+    # J^m and its transpose are both kept, contiguous: a transposed view
+    # slows every batched product it enters
     JT = np.ascontiguousarray(_T(J))
     X = np.zeros((B, 3, d, d))          # c_m, sigma_m, v_m at m = 0
     X[:, 2] = Pf
@@ -580,8 +580,8 @@ def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
         # V_t = P^f + J (V_{t+1} - P^pred) J^T = J V_{t+1} J^T + Q backward from
         # V_{T-1} = P^f; sigma sums V_{s+1} .. V_{T-1}
         J = np.ascontiguousarray(_T(JTs))
-        sigma, V[:, s] = _frozen_sums(J, fP[:, s] - J @ pP[:, -1] @ JTs, fP[:, -1], n)
-        V[:, s] = sym(V[:, s])
+        sigma, last = _frozen_sums(J, fP[:, s] - J @ pP[:, -1] @ JTs, fP[:, -1], n)
+        V[:, s] = sym(last)
         cov_sum, cross_sum = sigma + V[:, s], sigma @ JTs
     # the transient, stepped backward: m_t = J m_{t+1} + (fm_t - J pm_{t+1}),
     # with every bracket in one product

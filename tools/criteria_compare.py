@@ -101,7 +101,8 @@ def walk_summary(old, new):
               + (old["chosen"] != new["chosen"]))
     return differ, len(common) + 3, (
         f"visited {list(a)} -> {list(b)}, DL: {dl_differ} of {len(common)} differ, "
-        f"largest relative change {change:.3g}, stopped_early {old['stopped_early']} -> {new['stopped_early']}, "
+        f"largest relative change {change:.3g}, "
+        f"stopped_early {old['stopped_early']} -> {new['stopped_early']}, "
         f"pick {old['chosen']} -> {new['chosen']}")
 
 
