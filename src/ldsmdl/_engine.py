@@ -6,8 +6,9 @@ directions through their tangent, as single vectorized numpy operations.
 Elements that hit a numerical failure (singular innovation covariance,
 rank-deficient M-step accumulators) are flagged in an ``ok`` mask instead
 of aborting the whole batch; the filter carries the identity as the
-predicted covariance of such an element and holds its means at zero, and
-the smoother zeroes its gains, so later passes over the batch stay finite.
+predicted covariance of such an element, holds its means at zero and
+stores F = 0 and S^{-1} C = 0 for it, so later passes over the batch stay
+finite.
 One kernel, ``_factor_solve``, solves against the filter's innovation
 covariances and the M-step's accumulators, and one rule judges them: M is
 degenerate where it has no Cholesky factor L or where ||M||_F
@@ -15,7 +16,7 @@ degenerate where it has no Cholesky factor L or where ||M||_F
 that bound lies between kappa_2(M) and n^{3/2} kappa_2(M) for n x n M: it
 never passes a matrix whose eigenvalue ratio is below DEGENERACY_RCOND.
 
-For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, J_t, V_t)
+For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, F_t, V_t)
 does not depend on Y and reaches a fixed point after a transient.  The
 filter runs the full step until the predicted covariance of every element
 still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its own size in
@@ -28,42 +29,39 @@ in the untested stretch, the pass goes back to it: the switch, P, x and
 ``ok`` are read from that step and the frozen phase overwrites the steps
 after it.  So the switch is the first settled step whatever the hint.
 A transient step factors S = L L^T once; L and L^{-1}
-give the ``ok`` test, log|S|, K^T = S^{-1} C P and S^{-1} r, and the
-filtered covariance is P - K S K^T = P - (C P)^T K^T.  From the switch on,
-S, K^T and S^{-1} (the same kernel on C P and I) are frozen and the
-predicted mean follows the linear time-invariant recursion
-x_{s+1} = F x_s + G y_s, F = A (I - K C), G = A K.
-That recursion runs as a doubling scan (``_affine_scan``, Hillis & Steele
-1986): ceil(log2(N + 1)) passes of one batched product each for N frozen
-steps, with F squared between passes, instead of N interpreted steps; the
-innovations, their quadratic forms and the filtered means are then
-whole-stretch products.
+give the ``ok`` test, log|S|, K^T = S^{-1} C P, S^{-1} r and S^{-1} C, and
+P_{t+1} = sym(A P F^T + R1) with F = A (I - K C).  From the switch on, S,
+K^T and S^{-1} (the same kernel on C P, I and C) are frozen and the
+predicted mean follows x_{s+1} = F x_s + G y_s, G = A K, as a doubling
+scan (``_affine_scan``, Hillis & Steele 1986): ceil(log2(N + 1)) passes of
+one batched product each for N frozen steps, with F squared between
+passes; the innovations and their quadratic forms are then whole-stretch
+products.
 With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
 LAPACK routine: the factor is sqrt(s), the bound is exactly 1, and S^{-1} b
 is b * (1 / s), which are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
 A transient step of the filter takes that path inline while every element
 is ``ok`` and 0 < s < inf, and calls ``_factor_solve`` otherwise.
 
-The filter hands its switch step to the smoother, which mirrors it in two
-phases: J of every transient step and the one J shared by the frozen steps
-are solved in one batched call before the backward walk (``_spd_solve``):
-P^pred_{t+1} J_t^T = A P^f_t has a symmetric positive definite matrix, so
-one batched Cholesky factors them all, the factors are inverted by forward
-substitution in n whole-batch steps, and J^T = L^{-T} (L^{-1} A P^f) is two
-batched products; only an element that does not factor is solved by LU.
-On the frozen steps the smoothed means run through the same affine scan
-backward.  The M-step reads only the sums of V_t and of the cross-
-covariances V_{t+1} J_t^T and the ends V_0 and V_{T-1} (Shumway & Stoffer
-1982), so the smoother returns those, not a (B, T, d, d) trajectory.  On
-the n frozen steps V follows V -> J V J^T + Q backward from P^f, with
-Q = P^f - J P^pred J^T, and its last state and its sums are taken in
-closed form by binary doubling on n (``_frozen_sums``): about log2(n)
-levels of (B, d, d) products, exact and finite for any J, with no settle
-test.  The transient steps are then stepped with plain products, and
-their sums are one sum and one stacked product over their stored states.
-``smoothed_covariances`` expands such a result into every step's
-covariances for the public posterior, the frozen stretch in blocks of
-about sqrt(n) steps (``_congruence_states``).
+The filter stores no filtered trajectory: it hands the smoother F_t,
+S_t^{-1} C and S_t^{-1} r_t, and the smoother runs the adjoint (modified
+Bryson-Frazier) recursion backward (Bierman 1973), lambda_t = C^T S_t^{-1}
+r_t + F_t^T lambda_{t+1} and Lambda_t = C^T S_t^{-1} C + F_t^T Lambda_{t+1}
+F_t, from which, with the predicted x_t and P_t, the smoothed mean
+x_t + P_t lambda_t, V_t = P_t - P_t Lambda_t P_t and V_{t+1} J_t^T =
+(I - P_{t+1} Lambda_{t+1}) F_t P_t follow: the RTS posterior, no gain
+solve.  The M-step reads only the sums of V_t and of V_{t+1} J_t^T and the
+ends V_0 and V_{T-1} (Shumway & Stoffer 1982), so the smoother returns
+those.  On the N frozen steps,
+which share F, P and c, Lambda follows L -> F^T L F + c from 0, and
+Lambda_s and the sum of Lambda over the stretch, which give both sums,
+are taken by binary doubling on N (``_adjoint_sums``): about log2(N)
+levels of (B, d, d) products, exact and finite for any F.  The lambdas of
+that stretch are one backward affine scan, the transient steps are stepped
+with plain products, and their sums are batched products over the stacked
+steps.  ``smoothed_covariances`` expands such a result into every step's
+covariances for the public posterior, the frozen Lambdas in blocks of
+about sqrt(N) steps (``_congruence_states``).
 
 The tangent pass (``tangent_fisher``) takes one parameter set and its filter
 pass, as ``inference.kalman_filter`` returns them (``selection`` hands
@@ -192,64 +190,6 @@ def _chol_guarded(S, ok):
                 L[b] = eye
                 ok[b] = False
         return L, ok
-
-
-def _solve_guarded(M, rhs, ok):
-    """Batched solve M x = rhs; failed and singular elements solve against
-    the identity.  M may hold several matrices per element, (B, H, n, n):
-    an element fails when any of its matrices is singular."""
-    M = _identity_where_failed(M, ok)
-    try:
-        return np.linalg.solve(M, rhs), ok
-    except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
-        for b in range(M.shape[0]):
-            try:
-                out[b] = np.linalg.solve(M[b], rhs[b])
-            except np.linalg.LinAlgError:
-                out[b] = rhs[b]
-                ok[b] = False
-        return out, ok
-
-
-def _tri_inverse(L):
-    """The inverses of the (.., n, n) lower triangular matrices L.
-
-    Row i of X = L^{-1} is found from the rows above it by forward
-    substitution, X[i, :i] = -(L[i, :i] X[:i, :i]) / L[i, i], with the N
-    matrices on the last axis, (n, n, N): n whole-batch steps.  A sum over
-    j runs in order of j for each matrix alone, so the inverse of a matrix
-    does not depend on the other matrices of the batch.
-    """
-    n = L.shape[-1]
-    X = np.moveaxis(L.reshape(-1, n, n), 0, -1).copy()      # (n, n, N), L for now
-    r = 1.0 / np.diagonal(X).T                                # (n, N)
-    for i in range(n):
-        # row i of L is read here for the last time and then holds row i of X
-        if i:
-            X[i, :i] = (X[i, :i, None] * X[:i, :i]).sum(axis=0) * -r[i]
-        X[i, i] = r[i]
-    return np.moveaxis(X, -1, 0).reshape(L.shape)
-
-
-def _spd_solve(M, rhs, ok):
-    """Batched solve M x = rhs for symmetric positive definite M, as
-    ``_solve_guarded`` takes it: M (B, .., n, n), rhs (B, .., n, k).
-
-    The batch is factored by Cholesky, M = L L^T, and solved as
-    x = L^{-T} (L^{-1} rhs), with L^{-1} from ``_tri_inverse`` and the two
-    products taken matrix by matrix (batched matmul).  An element with a
-    matrix that does not factor is solved, alone among the elements, by
-    ``_solve_guarded``'s LU, which clears its ``ok`` only if a matrix is
-    singular; elements already not ``ok`` solve against the identity.
-    """
-    L, factored = _chol_guarded(M, ok.copy())
-    L = _tri_inverse(L)            # now L^{-1}: the factor is not kept alive (peak memory)
-    x = _T(L) @ (L @ rhs)
-    lu = ok & ~factored
-    if lu.any():
-        x[lu], ok[lu] = _solve_guarded(M[lu], rhs[lu], ok[lu])
-    return x, ok
 
 
 def _finite_or_identity(M, ok):
@@ -381,20 +321,25 @@ def _log_det(diag):
 
 def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
                  reuse: dict | None = None) -> dict:
-    """Batched Kalman filter; the filtered covariance is P - (C P)^T K^T.
+    """Batched Kalman filter, storing what the adjoint smoother reads.
 
-    Returns a dict with the predicted and filtered trajectories, per-element
-    logliks, an ``ok`` mask (False where an innovation covariance
-    degenerated) and the ``switch`` step (the first frozen step, T when the
-    filter never froze).  Elements that are False in the caller's ``ok``
-    (all True by default) are treated as failed from step 0.  An earlier
-    pass of the same shapes handed over as ``reuse`` has its trajectories
-    overwritten by this one's.
+    Returns a dict with the predicted ``pred_means`` (B, T, d) and
+    ``pred_covs`` (B, T, d, d), ``FT`` = F_t^T = (A (I - K_t C))^T
+    (B, T, d, d), ``SinvC`` = S_t^{-1} C (B, T, p, d), ``v`` = S_t^{-1} r_t
+    (B, T, p), per-element logliks, an ``ok`` mask (False where an
+    innovation covariance degenerated) and the ``switch`` step (the first
+    frozen step, T when the filter never froze).  FT and SinvC are stored
+    for the steps 0 .. switch only (FT before T - 1): later steps share the
+    switch's.  An element not ``ok`` stores F = 0, S^{-1} C = 0 and v = 0
+    from the step it fails at.  Elements False in the caller's ``ok`` (all
+    True by default) fail from step 0.  An earlier pass of the same shapes
+    handed over as ``reuse`` has its arrays overwritten by this one's.
+    ``filtered_moments`` derives the filtered trajectories.
 
-    A transient step solves S once for the gain and the innovation together,
-    inline at p = 1 while every element factors; the log-dets and quadratic
-    forms of the transient enter the logliks after it.  Once the predicted
-    covariance of every ``ok`` element has settled (see the module
+    A transient step solves S once for the gain, the innovation and C,
+    inline at p = 1 while every element factors; the log-dets and
+    quadratic forms of the transient enter the logliks after it.  Once the
+    predicted covariance of every ``ok`` element has settled (see the module
     docstring), S, K and log|S| are frozen, the means of the remaining
     steps come from a doubling scan and their innovations and quadratic
     forms from whole-stretch products; the stored covariances of those
@@ -417,8 +362,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     # the steps before the switch of the pass handed over are tested after the loop
     untested = 0 if reuse is None else reuse["switch"]
     oks = []                       # ok at each untested step
-    shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
-              "filt_means": (B, T, d), "filt_covs": (B, T, d, d)}
+    shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d), "FT": (B, T, d, d),
+              "SinvC": (B, T, p, d), "v": (B, T, p)}
     out = {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
     t = 0
     while t < T:
@@ -427,7 +372,7 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         CP = pb.C @ P                                  # (B, p, d)
         innov = Y[t] - np.einsum("bpd,bd->bp", pb.C, x)
         S = CP @ CT + pb.R2
-        # S^{-1} [C P | r]: the transposed gain (B, p, d) and S^{-1} r
+        # S^{-1} [C P | r | C]: the transposed gain (B, p, d), S^{-1} r and S^{-1} C
         if p == 1:
             s = S[:, 0, 0]
             h = 0.5 * s
@@ -435,30 +380,39 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
             if all_ok and 0 < s.min() and s.max() < np.inf:
                 # _factor_solve's 1x1 path where every element factors
                 inv = 1.0 / s
-                diag, KT, v = np.sqrt(s)[:, None], CP * inv[:, None, None], innov[:, 0] * inv
+                w = inv[:, None, None]
+                diag, KT, v, SinvC = np.sqrt(s)[:, None], CP * w, innov[:, 0] * inv, pb.C * w
             else:
-                diag, (KT, v), ok = _factor_solve(s[:, None, None], (CP, innov[..., None]), ok)
+                diag, (KT, v, SinvC), ok = _factor_solve(
+                    s[:, None, None], (CP, innov[..., None], pb.C), ok)
                 v = v[:, 0, 0]
                 all_ok = bool(ok.all())
             # one-term sums: the plain products are the einsums' values
             quads.append(innov[:, 0] * v)
             x = x + KT[:, 0] * innov
+            v = v[:, None]
         else:
-            diag, (KT, v), ok = _factor_solve(sym(S), (CP, innov[..., None]), ok)
+            diag, (KT, v, SinvC), ok = _factor_solve(sym(S), (CP, innov[..., None], pb.C), ok)
             all_ok = bool(ok.all())
-            quads.append(np.einsum("bp,bp->b", innov, v[..., 0]))
+            v = v[..., 0]
+            quads.append(np.einsum("bp,bp->b", innov, v))
             x = x + np.einsum("bpd,bp->bd", KT, innov)
         diags.append(diag)
         if not all_ok:
             x[~ok] = 0.0               # a failed element's mean is held at zero
-        Pf = sym(P - _T(CP) @ KT)                      # P - K S K^T
-        out["filt_means"][:, t] = x
-        out["filt_covs"][:, t] = Pf
+            v[~ok], SinvC[~ok] = 0.0, 0.0
+        out["v"][:, t] = v
+        out["SinvC"][:, t] = SinvC
         t += 1
         if t == T:
             break
+        # F^T = A^T - C^T (A K)^T
+        FT = AT - CT @ (KT @ AT)
+        if not all_ok:
+            FT[~ok] = 0.0
+        out["FT"][:, t - 1] = FT
         x = np.einsum("bde,be->bd", pb.A, x)
-        P_next = sym(pb.A @ Pf @ AT + pb.R1)
+        P_next = sym(pb.A @ P @ FT + pb.R1)
         if t < untested:
             oks.append(ok.copy())
             settled = False
@@ -481,11 +435,11 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     if t < T:
         # steady state from step t on: P is the fixed point of the recursion
         CP = pb.C @ P
-        # S^{-1} [C P | I]: the transposed gain (B, p, d) and S^{-1} (B, p, p)
-        diag, (KT, Sinv), ok = _factor_solve(sym(CP @ CT + pb.R2), (
-            CP, np.broadcast_to(np.eye(p), (B, p, p))), ok)
+        # S^{-1} [C P | I | C]: the transposed gain (B, p, d), S^{-1} (B, p, p)
+        # and S^{-1} C (B, p, d)
+        diag, (KT, Sinv, SinvC), ok = _factor_solve(sym(CP @ CT + pb.R2), (
+            CP, np.broadcast_to(np.eye(p), (B, p, p)), pb.C), ok)
         out["pred_covs"][:, t:] = P[:, None]
-        out["filt_covs"][:, t:] = sym(P - _T(CP) @ KT)[:, None]
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
         # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
         # the batch, so y_s G^T of every element is one product with the
@@ -499,103 +453,139 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         u = (Y[t:] @ G_all).reshape(T - t, B, d).swapaxes(0, 1)
         xs = _affine_scan(FT, u, x)[:, :-1]            # predicted means of t..T-1
         innov = Y[t:] - xs @ CT
-        # r^T S^{-1} r, with S^{-1} applied from the right
+        # S^{-1} r, applied from the right, and r^T S^{-1} r
+        v = innov @ Sinv
         step_ll[:, t:] = -0.5 * ((p * LOG_2PI + _log_det(diag))[:, None]
-                                 + np.einsum("bsp,bsp->bs", innov, innov @ Sinv))
+                                 + np.einsum("bsp,bsp->bs", innov, v))
+        v[~ok], SinvC[~ok] = 0.0, 0.0
         out["pred_means"][:, t:] = xs
-        out["filt_means"][:, t:] = xs + innov @ KT
+        out["v"][:, t:] = v
+        out["FT"][:, t] = FT
+        out["SinvC"][:, t] = SinvC
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
     out["switch"] = t
     return out
 
 
-def _frozen_sums(J, Q, Pf, n: int):
-    """sigma_n = V^(0) + .. + V^(n-1) and V^(n) of the backward map
-    V^(k) = J V^(k-1) J^T + Q from V^(0) = Pf, as two (B, d, d) arrays.
+def filtered_moments(pb: ParamsBatch, fr: dict):
+    """The (B, T, d) filtered means x_t + P_t C^T S_t^{-1} r_t and the
+    (B, T, d, d) filtered covariances P_t - (C P_t)^T S_t^{-1} C P_t of the
+    ``filter_batch`` pass ``fr`` of ``pb``, from what the pass stored: the
+    steps after the switch share its covariances."""
+    P, x = fr["pred_covs"], fr["pred_means"]
+    T = x.shape[1]
+    s = min(fr["switch"], T - 1)
+    Cv = fr["v"] @ pb.C
+    means, covs = np.empty_like(x), np.empty_like(P)
+    Pt = P[:, :s + 1]
+    means[:, :s + 1] = x[:, :s + 1] + (Cv[:, :s + 1, None] @ Pt)[:, :, 0]
+    means[:, s + 1:] = x[:, s + 1:] + Cv[:, s + 1:] @ P[:, s]
+    covs[:, :s + 1] = sym(Pt - _T(pb.C[:, None] @ Pt) @ (fr["SinvC"][:, :s + 1] @ Pt))
+    covs[:, s + 1:] = covs[:, s, None]
+    return means, covs
 
-    With f(V) = J V J^T + Q, f^m(V) = J^m V (J^m)^T + c_m for c_m = f^m(0),
-    and c_m, sigma_m = sum_{k<m} f^k(Pf) and v_m = f^m(Pf) compose as
-    c_{a+b} = c_a + J^a c_b (J^a)^T,
-    sigma_{a+b} = sigma_a + J^a sigma_b (J^a)^T + b c_a and
-    v_{a+b} = J^a v_b (J^a)^T + c_a.  The bits of n are read from the top:
-    m doubles (a = b = m) and, at a set bit, takes one step (a = 1, b = m),
-    so the sums are exact and finite for any J in about log2(n) levels of
-    (B, d, d) products.
+
+def _adjoint_sums(FT, F, c, n: int):
+    """sigma_n = Lambda^(1) + .. + Lambda^(n) and Lambda^(n) of the adjoint
+    map Lambda^(k) = F^T Lambda^(k-1) F + c from Lambda^(0) = 0, as two
+    (B, d, d) arrays; FT = F^T and F are both given contiguous.
+
+    With g(L) = F^T L F + c, g^m(L) = (F^m)^T L F^m + c_m for c_m = g^m(0),
+    and c_m and sigma_m = c_1 + .. + c_m compose as
+    c_{a+b} = (F^a)^T c_b F^a + c_a and
+    sigma_{a+b} = sigma_a + (F^a)^T sigma_b F^a + b c_a.  The bits of n are
+    read from the top: m doubles (a = b = m) and, at a set bit, takes one
+    step (a = 1, b = m), so the sums are exact and finite for any F in about
+    log2(n) levels of (B, d, d) products.  F is not read when n <= 1.
     """
-    B, d, _ = J.shape
-    # J^m and its transpose are both kept, contiguous: a transposed view
-    # slows every batched product it enters
-    JT = np.ascontiguousarray(_T(J))
-    X = np.zeros((B, 3, d, d))          # c_m, sigma_m, v_m at m = 0
-    X[:, 2] = Pf
-    step = np.stack((Q, Pf, Q), axis=1)  # c_1, sigma_1, c_1
-    Jm, JmT, m = J, JT, 0
-    for bit in bin(n)[2:]:
-        if m:
-            mc = m * X[:, 0]
-            X = Jm[:, None] @ X @ JmT[:, None] + X[:, [0, 1, 0]]
-            X[:, 1] += mc
-            Jm, JmT, m = Jm @ Jm, JmT @ JmT, 2 * m
+    if not n:
+        return np.zeros_like(c), np.zeros_like(c)
+    X = np.stack((c, c), axis=1)                # c_m, sigma_m at m = 1
+    FTm, Fm, m = FT, F, 1
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits):
+        mc = m * X[:, 0]
+        X = FTm[:, None] @ X @ Fm[:, None] + X
+        X[:, 1] += mc
+        m *= 2
         if bit == "1":
-            X = J[:, None] @ X @ JT[:, None] + step
-            X[:, 1] += m * Q
-            Jm, JmT, m = (J @ Jm, JmT @ JT, m + 1) if m else (J, JT, 1)
-    return X[:, 1], X[:, 2]
+            X = FT[:, None] @ X @ F[:, None]
+            X[:, 0] += c
+            X[:, 1] += (m + 1) * c
+            m += 1
+        if i + 1 < len(bits):
+            # F^m and its transpose are both kept, contiguous: a transposed
+            # view slows every batched product it enters
+            FTm, Fm = FTm @ FTm, Fm @ Fm
+            if bit == "1":
+                FTm, Fm = FTm @ FT, Fm @ F
+    return X[:, 1], X[:, 0]
 
 
 def smooth_batch(pb: ParamsBatch, fr: dict) -> dict:
-    """Batched RTS smoother over a filter pass, reduced to what the M-step
-    reads: the smoothed ``means`` (B, T, d), ``cov_sum`` = sum_t V_t,
-    ``cross_sum`` = sum_t V_{t+1} J_t^T (the lag-one cross-covariances),
-    ``cov_first`` = V_0, ``cov_last`` = V_{T-1} and ``ok``; the ``gains``
-    J_t^T and the ``transient_covs`` V_0 .. V_s serve ``smoothed_covariances``.
+    """Batched fixed-interval smoother over a ``filter_batch`` pass, by the
+    adjoint (modified Bryson-Frazier) recursion of the module docstring,
+    reduced to what the M-step reads: the smoothed ``means`` (B, T, d),
+    ``cov_sum`` = sum_t V_t, ``cross_sum`` = sum_t V_{t+1} J_t^T (the lag-one
+    cross-covariances), ``cov_first`` = V_0, ``cov_last`` = V_{T-1} and the
+    filter's ``ok``; ``transient`` = I - Lambda_t P_t of the steps 0 .. s
+    serves ``smoothed_covariances``.  It is the RTS smoother's posterior by
+    another recursion, with no gain solve, and no element can fail here.
 
-    Cut at s = min(switch, T - 1): J_0 .. J_s are solved in one batched
-    call; on the frozen steps s .. T-2, which share J_s, the means are one
-    backward affine scan, and V_s and the stretch's sums come from
-    ``_frozen_sums``; the transient steps s-1 .. 0 are stepped with plain
-    products.  Elements that are not ``ok`` get J = 0: their smoothed
-    moments are their filtered ones.
+    Cut at s = min(switch, T - 1): the N = T - s frozen steps share F, P and
+    c = C^T S^{-1} C, so their lambdas are one backward affine scan,
+    Lambda_s and sigma = Lambda_s + .. + Lambda_{T-1} come from
+    ``_adjoint_sums``, the sum of V over them is N P - P sigma P, and that
+    of the cross-covariances of the steps s .. T-2 is
+    (N - 1) F P - P (sigma - Lambda_s) F P.  The transient steps s-1 .. 0
+    are stepped with plain products; of their sums, sum_t P_t X_t is one
+    (d, s d) (s d, d) product per element.  An element not ``ok`` has F = 0,
+    S^{-1} C = 0 and S^{-1} r = 0 from the step it failed at: there and
+    after, its smoothed moments are its filtered ones, its predicted ones.
     """
-    fm, fP = fr["filt_means"], fr["filt_covs"]
-    pm, pP = fr["pred_means"], fr["pred_covs"]
-    B, T, d = fm.shape
-    ok = fr["ok"].copy()
-    means = np.empty((B, T, d))
-    means[:, -1] = fm[:, -1]
+    P, FT = fr["pred_covs"], fr["FT"]
+    xp = fr["pred_means"]
+    B, T, d = xp.shape
     s = min(fr["switch"], T - 1)
-    n = T - 1 - s                  # the frozen steps s .. T-2
-    # J_t = P^f_t A^T (P^pred_{t+1})^{-1} for t = 0..s, t < T - 1, in one (B, H, d, d) solve
-    H = min(s + 1, T - 1)
-    JT, ok = _spd_solve(pP[:, 1:H + 1], pb.A[:, None] @ fP[:, :H], ok)
-    JT[~ok] = 0.0                  # a failed element's smoothed means are its filtered ones
-    V = np.empty((B, s + 1, d, d))     # V_0 .. V_s
-    V[:, s] = fP[:, -1]
-    cov_sum, cross_sum = fP[:, -1], np.zeros((B, d, d))
-    if n:
-        JTs = np.ascontiguousarray(JT[:, s])
-        u = fm[:, s:-1] - pm[:, s + 1:] @ JTs
-        means[:, s:-1] = _affine_scan(JTs, u[:, ::-1], means[:, -1])[:, :0:-1]
-        # V_t = P^f + J (V_{t+1} - P^pred) J^T = J V_{t+1} J^T + Q backward from
-        # V_{T-1} = P^f; sigma sums V_{s+1} .. V_{T-1}
-        J = np.ascontiguousarray(_T(JTs))
-        sigma, last = _frozen_sums(J, fP[:, s] - J @ pP[:, -1] @ JTs, fP[:, -1], n)
-        V[:, s] = sym(last)
-        cov_sum, cross_sum = sigma + V[:, s], sigma @ JTs
-    # the transient, stepped backward: m_t = J m_{t+1} + (fm_t - J pm_{t+1}),
-    # with every bracket in one product
-    u = fm[:, :s] - (pm[:, 1:s + 1, None] @ JT[:, :s])[:, :, 0]
-    J = np.ascontiguousarray(_T(JT[:, :s]))
+    N = T - s                      # the frozen steps s .. T-1
+    # C^T S^{-1} r of every step, and E[:, t] = c_t = C^T S_t^{-1} C of the
+    # steps 0 .. s, each overwritten by Lambda_t once the walk has read it
+    Cv = fr["v"] @ pb.C
+    E = np.ascontiguousarray(_T(pb.C))[:, None] @ fr["SinvC"][:, :s + 1]
+    Ps, c = P[:, s], E[:, s]
+    cov_last = sym(Ps - Ps @ c @ Ps)
+    F = np.ascontiguousarray(_T(FT[:, s]))
+    means = np.empty((B, T, d))
+    # lambda_t^T = lambda_{t+1}^T F + (C^T S^{-1} r_t)^T backward from step T - 1
+    lam = _affine_scan(F, Cv[:, s:-1][:, ::-1], Cv[:, -1])[:, ::-1]
+    means[:, s:] = xp[:, s:] + lam @ Ps
+    sigma, Lam = _adjoint_sums(FT[:, s], F, c, N)
+    cov_sum, cross_sum = N * Ps - Ps @ sigma @ Ps, np.zeros((B, d, d))
+    if N > 1:
+        FP = F @ Ps
+        cross_sum = (N - 1) * FP - Ps @ (sigma - Lam) @ FP
+    E[:, s] = Lam
+    # the transient, stepped backward
+    lam, lams = lam[:, 0], np.empty((B, s, d))
     for t in range(s - 1, -1, -1):
-        means[:, t] = (means[:, t + 1, None] @ JT[:, t])[:, 0] + u[:, t]
-        V[:, t] = sym(fP[:, t] + J[:, t] @ (V[:, t + 1] - pP[:, t + 1]) @ JT[:, t])
+        FTt = FT[:, t]
+        lam = (FTt @ lam[:, :, None])[:, :, 0] + Cv[:, t]
+        lams[:, t] = lam
+        Lam = np.add(FTt @ Lam @ _T(FTt), E[:, t], out=E[:, t])
+    # I - Lambda_t P_t; the old E is freed before the (B, s, d, d) F_t P_t is made
+    E = E @ P[:, :s + 1]
+    np.subtract(np.eye(d), E, out=E)
     if s:
-        cov_sum = cov_sum + V[:, :s].sum(axis=1)
-        cross_sum = cross_sum + (V[:, 1:] @ JT[:, :s]).sum(axis=1)
+        means[:, :s] = xp[:, :s] + (lams[:, :, None] @ P[:, :s])[:, :, 0]
+        # sum_t P_t E_t and sum_t E_{t+1}^T (F_t P_t), with P_t = P_t^T
+        Pst = P[:, :s].reshape(B, s * d, d)
+        cov_sum = cov_sum + _T(Pst) @ E[:, :s].reshape(B, s * d, d)
+        FP = (_T(FT[:, :s]) @ P[:, :s]).reshape(B, s * d, d)
+        cross_sum = cross_sum + _T(E[:, 1:].reshape(B, s * d, d)) @ FP
     return {"means": means, "cov_sum": sym(cov_sum), "cross_sum": cross_sum,
-            "cov_first": V[:, 0], "cov_last": fP[:, -1], "ok": ok,
-            "gains": JT, "transient_covs": V}
+            "cov_first": sym(P[:, 0] @ E[:, 0]), "cov_last": cov_last,
+            "ok": fr["ok"].copy(), "transient": E}
 
 
 def _congruence_states(JT, Q, W0, n: int):
@@ -626,26 +616,30 @@ def _congruence_states(JT, Q, W0, n: int):
     return W.reshape(B, -1, d, d)[:, :n + 1]
 
 
-def smoothed_covariances(sm: dict, fr: dict):
+def smoothed_covariances(pb: ParamsBatch, sm: dict, fr: dict):
     """The (B, T, d, d) smoothed covariances and (B, T - 1, d, d) lag-one
     cross-covariances of a ``smooth_batch`` result over the filter pass
-    ``fr``: the stored transient states, and the frozen stretch by
-    ``_congruence_states`` backward from V_{T-1} = P^f."""
-    V, JT = sm["transient_covs"], sm["gains"]
+    ``fr`` of ``pb``: the transient from the stored I - Lambda_t P_t, and
+    the frozen stretch from Lambda_{s+1} .. Lambda_{T-1}, the states of
+    L -> F^T L F + c from L = 0 (``_congruence_states`` with J = F^T)."""
+    E = sm["transient"]
+    P, FT = fr["pred_covs"], fr["FT"]
     B, T, d = sm["means"].shape
-    s = V.shape[1] - 1
+    s = E.shape[1] - 1
     covs, cross = np.empty((B, T, d, d)), np.empty((B, T - 1, d, d))
-    covs[:, :s + 1] = V
-    cross[:, :s] = V[:, 1:] @ JT[:, :s]
+    covs[:, :s + 1] = sym(P[:, :s + 1] @ E)
+    cross[:, :s] = _T(E[:, 1:]) @ (_T(FT[:, :s]) @ P[:, :s])
     if s < T - 1:
-        JTs = np.ascontiguousarray(JT[:, s])
-        fP = fr["filt_covs"]
-        Q = fP[:, s] - _T(JTs) @ fr["pred_covs"][:, -1] @ JTs
-        W = _congruence_states(JTs, Q, fP[:, -1], T - s - 2)     # V_{T-1} .. V_{s+1}
-        h = 0.5 * W[:, ::-1]
-        np.add(h, _T(h), out=covs[:, s + 1:])          # sym, written in place
-        # V_{t+1} J^T of every frozen step, stacked by rows: one product per element
-        cross[:, s:] = (covs[:, s + 1:].reshape(B, -1, d) @ JTs).reshape(B, -1, d, d)
+        n, Ps = T - 1 - s, P[:, s]
+        F = np.ascontiguousarray(_T(FT[:, s]))
+        c = _T(pb.C) @ fr["SinvC"][:, s]
+        Lam = _congruence_states(F, c, np.zeros((B, d, d)), n)[:, :0:-1]
+        # P Lambda_t of every frozen step, stacked by rows: each right
+        # factor shared by the stretch is one product per element
+        PL = (Ps[:, None] @ Lam).reshape(B, n * d, d)
+        covs[:, s + 1:] = sym(Ps[:, None] - (PL @ Ps).reshape(B, n, d, d))
+        FP = F @ Ps
+        cross[:, s:] = FP[:, None] - (PL @ FP).reshape(B, n, d, d)
     return covs, cross
 
 

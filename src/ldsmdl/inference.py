@@ -1,16 +1,13 @@
 """Exact E-step machinery: Kalman filter, RTS smoother, likelihood evaluation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _engine
 from .errors import DegeneracyError, DimensionError
 from .model import LdsParams, SequenceData, sym
-
-#: the trajectories of a filter pass, named as in the engine's dicts
-_TRAJECTORIES = ("pred_means", "pred_covs", "filt_means", "filt_covs")
 
 
 @dataclass(frozen=True)
@@ -20,6 +17,8 @@ class FilterResult:
     ``switch`` is the first step whose covariances are the frozen
     steady-state ones (every later step stores the same), or T when the
     covariance recursion never settled; the smoother reads it.
+    ``engine_pass`` is the engine's batch-of-one pass these were read
+    from, which ``rts_smooth`` reads.
     """
 
     pred_means: np.ndarray  # (T, d)
@@ -28,6 +27,7 @@ class FilterResult:
     filt_covs: np.ndarray   # (T, d, d)
     loglik: float
     switch: int
+    engine_pass: dict = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class SmoothedPosterior:
 
 
 def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
-    """Standard forward recursion; the filtered covariance is P - K S K^T.
+    """Standard forward recursion.  The engine's pass stores the predicted
+    moments, S^{-1} C and S^{-1} r; the filtered mean x + K r and the
+    filtered covariance P - K S K^T are derived from them after the pass.
 
     Raises DimensionError for an empty sequence, and DegeneracyError when
     an innovation covariance S does not factor or ||S||_F trace(S^{-1}), an
@@ -56,22 +58,25 @@ def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
             f"data has d_out={data.d_out} but params expect {params.d_out}")
     if data.T < 1:
         raise DimensionError(f"filtering needs T >= 1, got T={data.T}")
-    fr = _engine.filter_batch(_engine.stack_params([params]), data.Y)
+    pb = _engine.stack_params([params])
+    fr = _engine.filter_batch(pb, data.Y)
     if not fr["ok"][0]:
         raise DegeneracyError("innovation covariance is numerically singular")
-    return FilterResult(**{k: fr[k][0] for k in _TRAJECTORIES},
-                        loglik=float(fr["loglik"][0]), switch=fr["switch"])
+    means, covs = _engine.filtered_moments(pb, fr)
+    return FilterResult(pred_means=fr["pred_means"][0], pred_covs=fr["pred_covs"][0],
+                        filt_means=means[0], filt_covs=covs[0],
+                        loglik=float(fr["loglik"][0]), switch=fr["switch"], engine_pass=fr)
 
 
 def rts_smooth(params: LdsParams, filter_result: FilterResult) -> SmoothedPosterior:
-    """Backward Rauch-Tung-Striebel pass over a stored filter result, with
-    every step's covariances expanded from the engine's compact result."""
-    fr = {k: getattr(filter_result, k)[None] for k in _TRAJECTORIES}
-    fr.update(ok=np.ones(1, dtype=bool), switch=filter_result.switch)
-    sm = _engine.smooth_batch(_engine.stack_params([params]), fr)
-    if not sm["ok"][0]:
-        raise DegeneracyError("predicted covariance is numerically singular")
-    covs, cross = _engine.smoothed_covariances(sm, fr)
+    """The Rauch-Tung-Striebel posterior of a stored filter result, by the
+    engine's adjoint (Bryson-Frazier) recursion over the same pass: the
+    same smoothed moments from another recursion, with no gain solve.  Every
+    step's covariances are expanded from the engine's compact result."""
+    pb = _engine.stack_params([params])
+    fr = filter_result.engine_pass
+    sm = _engine.smooth_batch(pb, fr)
+    covs, cross = _engine.smoothed_covariances(pb, sm, fr)
     return SmoothedPosterior(means=sm["means"][0], covs=covs[0], cross_covs=cross[0])
 
 

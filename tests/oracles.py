@@ -123,8 +123,11 @@ def _textbook_filter(params, Y):
 
 
 def textbook_smoother(params, Y):
-    """Textbook Kalman filter and RTS smoother (Shumway & Stoffer 1982) with
-    the lag-one cross-covariance Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.
+    """Textbook Kalman filter and RTS smoother (Rauch, Tung & Striebel 1965;
+    Shumway & Stoffer 1982), stepped at every step with no freezing, the
+    gain J_t solved per step by ``np.linalg.solve`` from
+    P^pred_{t+1} J_t^T = A P^f_t, and the lag-one cross-covariance
+    Cov(x_{t+1}, x_t | Y) = V_{t+1} J_t^T.
 
     Returns (loglik, means, covs, cross).
     """
@@ -134,11 +137,30 @@ def textbook_smoother(params, Y):
     means, covs = xf.copy(), Pf.copy()
     cross = np.empty((T - 1, d, d))
     for t in range(T - 2, -1, -1):
-        J = Pf[t] @ A.T @ np.linalg.inv(Pp[t + 1])
+        J = np.linalg.solve(Pp[t + 1], A @ Pf[t]).T
         means[t] = xf[t] + J @ (means[t + 1] - xp[t + 1])
         covs[t] = Pf[t] + J @ (covs[t + 1] - Pp[t + 1]) @ J.T
         cross[t] = covs[t + 1] @ J.T
     return float(step_ll.sum()), means, covs, cross
+
+
+def guarded_solve(M, rhs, ok):
+    """Batched solve M x = rhs by LU, with failed and singular elements
+    solved against the identity and cleared in ``ok`` (in place).  M may hold
+    several matrices per element, (B, H, n, n): an element fails when any of
+    its matrices is singular."""
+    M = np.where(ok.reshape((-1,) + (1,) * (M.ndim - 1)), M, np.eye(M.shape[-1]))
+    try:
+        return np.linalg.solve(M, rhs), ok
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for b in range(M.shape[0]):
+            try:
+                out[b] = np.linalg.solve(M[b], rhs[b])
+            except np.linalg.LinAlgError:
+                out[b] = rhs[b]
+                ok[b] = False
+        return out, ok
 
 
 def _sym(M):

@@ -516,9 +516,9 @@ class TestMultiOrderFit:
 
 class TestEmLoopMemory:
     def test_one_filter_pass_and_one_posterior_are_alive(self):
-        # every filter pass overwrites the trajectories of the pass before,
-        # and the smoother returns sums, not (B, T, d, d) covariances: about
-        # 3.4 (B, T, d, d) arrays at the peak (5.8 with a smoothed trajectory
+        # every filter pass overwrites the arrays of the pass before, and
+        # the smoother returns sums, not (B, T, d, d) covariances: about 3.3
+        # (B, T, d, d) arrays at the peak (5.8 with a smoothed trajectory
         # and its cross-covariances, 7.9 with a fresh filter pass as well)
         data = simulate(random_stable_lds(RandomLdsConfig(d=3, d_out=1, seed=2)), T=100, seed=2)
         pb = _engine.stack_params([default_init(data, 12, seed=s) for s in range(10)])

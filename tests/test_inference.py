@@ -12,7 +12,7 @@ from ldsmdl.em import m_step
 from ldsmdl.datagen import RandomLdsConfig, random_stable_lds
 from ldsmdl.model import sym
 
-from .oracles import joint_loglik, smoothed_moments, textbook_smoother
+from .oracles import guarded_solve, joint_loglik, smoothed_moments, textbook_smoother
 
 
 def random_model(d, d_out, seed):
@@ -143,6 +143,17 @@ def switch_step(pred_covs):
     return t
 
 
+def stored(fr):
+    """What a ``filter_batch`` pass defines: every step of its trajectories,
+    F^T and S^{-1} C of the steps 0 .. s = min(switch, T - 1) (F^T before
+    step T - 1), the logliks, ``ok`` and the switch."""
+    T = fr["pred_means"].shape[1]
+    s = min(fr["switch"], T - 1)
+    return {"pred_means": fr["pred_means"], "pred_covs": fr["pred_covs"], "v": fr["v"],
+            "FT": fr["FT"][:, :min(s + 1, T - 1)], "SinvC": fr["SinvC"][:, :s + 1],
+            "loglik": fr["loglik"], "ok": fr["ok"], "switch": fr["switch"]}
+
+
 STATS = ("cov_sum", "cross_sum", "cov_first", "cov_last")
 
 
@@ -200,23 +211,29 @@ class TestSteadyState:
             s = fr["switch"]
             assert 0 < s < len(Y) // 2
             assert switch_step(fr["pred_covs"]) <= s
-            for key in ("pred_covs", "filt_covs"):
-                frozen = fr[key][:, s:]
+            for frozen in (fr["pred_covs"][:, s:],
+                           _engine.filtered_moments(batch, fr)[1][:, s:]):
                 np.testing.assert_array_equal(frozen, np.broadcast_to(frozen[:, :1],
                                                                       frozen.shape))
 
     def test_smoother_without_switch_matches_handed_over_switch(self):
-        # switch = T: every step gets its own J, solved and stepped one at a time
+        # switch = T: the frozen F^T and S^{-1} C copied to every later step,
+        # every step is stepped backward one at a time
         for _, batch, Y in self.long_batches():
             fr = _engine.filter_batch(batch, Y)
+            s = fr["switch"]
             handed = _engine.smooth_batch(batch, fr)
-            stepped = _engine.smooth_batch(batch, dict(fr, switch=len(Y)))
-            assert stepped["transient_covs"].shape[1] == len(Y)
+            every = dict(fr, switch=len(Y))
+            for key in ("FT", "SinvC"):
+                every[key] = fr[key].copy()
+                every[key][:, s + 1:] = fr[key][:, s, None]
+            stepped = _engine.smooth_batch(batch, every)
+            assert stepped["transient"].shape[1] == len(Y)
             for key in ("means",) + STATS:
                 np.testing.assert_allclose(stepped[key], handed[key],
                                            rtol=1e-12, atol=1e-12, err_msg=key)
-            for got, want in zip(_engine.smoothed_covariances(stepped, fr),
-                                 _engine.smoothed_covariances(handed, fr)):
+            for got, want in zip(_engine.smoothed_covariances(batch, stepped, every),
+                                 _engine.smoothed_covariances(batch, handed, fr)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mu0, T", [pytest.param([0.0, 0.0], 400, id="zero-mean-T400"),
@@ -237,31 +254,35 @@ class TestSteadyState:
         assert switch_step(fr["pred_covs"]) <= fr["switch"] < 200
         # the failed element carries the identity instead of a growing
         # covariance, and its means are held at zero from the failing step on
-        assert np.isfinite(fr["pred_covs"][1]).all() and np.isfinite(fr["filt_covs"][1]).all()
-        assert not fr["filt_means"][1].any() and not fr["pred_means"][1, 1:].any()
+        filt_means, filt_covs = _engine.filtered_moments(batch, fr)
+        assert np.isfinite(fr["pred_covs"][1]).all() and np.isfinite(filt_covs[1]).all()
+        assert not filt_means[1, 1:].any() and not fr["pred_means"][1, 1:].any()
         sm = _engine.smooth_batch(batch, fr)
-        covs, cross = _engine.smoothed_covariances(sm, fr)
-        # with J = 0 its smoothed moments are its filtered ones, and its
+        covs, cross = _engine.smoothed_covariances(batch, sm, fr)
+        # with F = 0 its smoothed moments are its filtered ones, and its
         # statistics the sums of its filtered covariances
-        assert not sm["means"][1].any() and not sm["cross_sum"][1].any()
+        np.testing.assert_array_equal(sm["means"][1], filt_means[1])
+        assert not sm["means"][1, 1:].any() and not sm["cross_sum"][1].any()
         assert not cross[1].any()
-        np.testing.assert_array_equal(covs[1], fr["filt_covs"][1])
-        np.testing.assert_array_equal(sm["cov_first"][1], fr["filt_covs"][1, 0])
-        np.testing.assert_array_equal(sm["cov_last"][1], fr["filt_covs"][1, -1])
-        np.testing.assert_allclose(sm["cov_sum"][1], fr["filt_covs"][1].sum(axis=0),
+        np.testing.assert_array_equal(covs[1], filt_covs[1])
+        np.testing.assert_array_equal(sm["cov_first"][1], filt_covs[1, 0])
+        np.testing.assert_array_equal(sm["cov_last"][1], filt_covs[1, -1])
+        np.testing.assert_allclose(sm["cov_sum"][1], filt_covs[1].sum(axis=0),
                                    rtol=1e-14, atol=0)
         for b in (0, 2, 3):
             pb = _engine.stack_params([models[b]])
             one = _engine.filter_batch(pb, Y)
             one_sm = _engine.smooth_batch(pb, one)
             assert fr["loglik"][b] == pytest.approx(one["loglik"][0], rel=1e-12)
-            for key in ("filt_means", "filt_covs", "pred_means", "pred_covs"):
-                np.testing.assert_allclose(fr[key][b], one[key][0],
-                                           rtol=1e-12, atol=1e-12)
+            for got, want in zip((fr["pred_means"], fr["pred_covs"], filt_means, filt_covs),
+                                 (one["pred_means"], one["pred_covs"])
+                                 + _engine.filtered_moments(pb, one)):
+                np.testing.assert_allclose(got[b], want[0], rtol=1e-12, atol=1e-12)
             for key in ("means",) + STATS:
                 np.testing.assert_allclose(sm[key][b], one_sm[key][0],
                                            rtol=1e-12, atol=1e-12, err_msg=key)
-            for got, want in zip((covs, cross), _engine.smoothed_covariances(one_sm, one)):
+            for got, want in zip((covs, cross),
+                                 _engine.smoothed_covariances(pb, one_sm, one)):
                 np.testing.assert_allclose(got[b], want[0], rtol=1e-12, atol=1e-12)
 
     def test_short_sequences_never_switch(self, monkeypatch):
@@ -303,8 +324,6 @@ class TestDeferredSettle:
     goes back to the first settled one: every output equals that of a pass
     without ``reuse``, bit for bit."""
 
-    KEYS = ("pred_means", "pred_covs", "filt_means", "filt_covs", "loglik", "ok", "switch")
-
     @staticmethod
     def late_failure(step):
         """A model whose S fails the conditioning bound at ``step``, after its
@@ -319,9 +338,9 @@ class TestDeferredSettle:
     @staticmethod
     def stale(batch, T, switch):
         """An earlier pass of the batch's shapes, NaN throughout, with ``switch``."""
-        B, d = batch.B, batch.d
-        shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d),
-                  "filt_means": (B, T, d), "filt_covs": (B, T, d, d)}
+        B, d, p = batch.B, batch.d, batch.p
+        shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d), "FT": (B, T, d, d),
+                  "SinvC": (B, T, p, d), "v": (B, T, p)}
         return {**{k: np.full(shape, np.nan) for k, shape in shapes.items()}, "switch": switch}
 
     @pytest.mark.parametrize("case, d_out", [
@@ -342,8 +361,8 @@ class TestDeferredSettle:
                 "beyond-T": len(Y) + 7, "T-in-stretch": s, "late-failure": s + 7}[case]
         reuse = None if hint is None else self.stale(batch, len(Y), hint)
         got = _engine.filter_batch(batch, Y, reuse=reuse)
-        for key in self.KEYS:
-            assert np.array_equal(got[key], want[key]), key
+        for key, value in stored(want).items():
+            assert np.array_equal(stored(got)[key], value), key
         assert want["switch"] == (len(Y) if case == "T-in-stretch" else s)
         if case == "late-failure":
             # the element fails inside the untested stretch, and its ok comes back
@@ -441,7 +460,7 @@ class TestBlockedScan:
         fr = _engine.filter_batch(batch, Y)
         assert switch_step(fr["pred_covs"]) < len(Y) // 2
         sm = _engine.smooth_batch(batch, fr)
-        expanded = _engine.smoothed_covariances(sm, fr)
+        expanded = _engine.smoothed_covariances(batch, sm, fr)
         for b, model in enumerate(models):
             _, _, covs, cross = textbook_smoother(model, Y)
             assert_stats_match(sm, b, covs, cross, rtol=0, atol=1e-8, scaled=True)
@@ -456,7 +475,7 @@ class TestBlockedScan:
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         whole = _engine.smooth_batch(batch, fr)
-        real = _engine._frozen_sums
+        real = _engine._adjoint_sums
         sizes = []
 
         def spying(*args):
@@ -465,21 +484,21 @@ class TestBlockedScan:
 
         # the smoother does not read SCAN_CHUNK: 7-step chunks leave it as it is
         monkeypatch.setattr(_engine, "SCAN_CHUNK", 7 * 3 * 9)
-        monkeypatch.setattr(_engine, "_frozen_sums", spying)
+        monkeypatch.setattr(_engine, "_adjoint_sums", spying)
         small = _engine.smooth_batch(batch, fr)
         s = fr["switch"]
         assert 1 <= s < len(Y) // 2
-        # one closed form over the frozen steps s .. T-2, and the transient's
-        # states V_0 .. V_s
-        assert sizes == [len(Y) - 1 - s]
-        assert small["transient_covs"].shape == (3, s + 1, 3, 3)
+        # one closed form over the frozen steps s .. T-1, and the transient's
+        # I - Lambda_t P_t of the steps 0 .. s
+        assert sizes == [len(Y) - s]
+        assert small["transient"].shape == (3, s + 1, 3, 3)
         assert small.keys() == whole.keys()
         for key in small:
             np.testing.assert_array_equal(small[key], whole[key])
 
     def test_reused_arrays_are_overwritten_with_the_same_values(self):
-        # em_loop hands each filter pass the trajectories of the pass before;
-        # the smoother of the reused pass is that of a fresh one
+        # em_loop hands each filter pass the arrays of the pass before; the
+        # smoother of the reused pass is that of a fresh one
         models = [random_model(4, 2, seed=s) for s in (70, 71)]
         Y = simulate(models[0], T=300, seed=3).Y
         batch = _engine.stack_params(models)
@@ -490,9 +509,10 @@ class TestBlockedScan:
         assert old_f["switch"] != fresh_f["switch"]
         f = _engine.filter_batch(batch, Y, reuse=old_f)
         s = _engine.smooth_batch(batch, f)
-        for key in ("pred_means", "pred_covs", "filt_means", "filt_covs"):
+        for key in ("pred_means", "pred_covs", "FT", "SinvC", "v"):
             assert f[key] is old_f[key]
-        for new, fresh in ((f, fresh_f), (s, fresh_s)):
+        assert f.keys() == fresh_f.keys()
+        for new, fresh in ((stored(f), stored(fresh_f)), (s, fresh_s)):
             assert new.keys() == fresh.keys()
             for key in fresh:
                 np.testing.assert_array_equal(new[key], fresh[key])
@@ -500,16 +520,22 @@ class TestBlockedScan:
 
 class TestFrozenSums:
     """The smoother's frozen stretch in closed form: the sums and the last
-    state of V -> J V J^T + Q by binary doubling on the number of steps."""
+    state of the adjoint map L -> F^T L F + c from 0, by binary doubling on
+    the number of steps."""
 
     @staticmethod
-    def plain_loop(J, Q, Pf, n):
-        """sum_{k<n} V^(k) and V^(n) from V^(0) = Pf, one step at a time."""
-        V, total = Pf, np.zeros_like(Pf)
+    def plain_loop(F, c, n):
+        """sum_{1<=k<=n} Lambda^(k) and Lambda^(n) from Lambda^(0) = 0, one
+        step at a time."""
+        L, total = np.zeros_like(c), np.zeros_like(c)
         for _ in range(n):
-            total = total + V
-            V = J @ V @ np.swapaxes(J, -1, -2) + Q
-        return total, V
+            L = np.swapaxes(F, -1, -2) @ L @ F + c
+            total = total + L
+        return total, L
+
+    @staticmethod
+    def adjoint_sums(F, c, n):
+        return _engine._adjoint_sums(np.ascontiguousarray(np.swapaxes(F, -1, -2)), F, c, n)
 
     @pytest.mark.parametrize("rho", [0.5, 0.95, 1.05])
     @pytest.mark.parametrize("d", [1, 2, 5, 12])
@@ -517,22 +543,23 @@ class TestFrozenSums:
     def test_matches_plain_loop(self, n, d, rho):
         rng = np.random.default_rng(1000 * n + 10 * d + int(100 * rho))
         B = 3
-        J = rng.standard_normal((B, d, d))
-        J *= rho / np.max(np.abs(np.linalg.eigvals(J)), axis=-1)[:, None, None]
-        Q, Pf = (_engine.psd_floor_batch(rng.standard_normal((B, d, d)))[0] for _ in range(2))
-        got = _engine._frozen_sums(J, Q, Pf, n)
-        for g, want in zip(got, self.plain_loop(J, Q, Pf, n)):
+        F = rng.standard_normal((B, d, d))
+        F *= rho / np.max(np.abs(np.linalg.eigvals(F)), axis=-1)[:, None, None]
+        c = _engine.psd_floor_batch(rng.standard_normal((B, d, d)))[0]
+        got = self.adjoint_sums(F, c, n)
+        for g, want in zip(got, self.plain_loop(F, c, n)):
             scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
             assert np.all(np.abs(g - want) <= 1e-12 * scale)
 
     def test_failed_element_sums_its_filtered_covariance(self):
-        # J = 0: every V^(k) with k >= 1 is Q
+        # F = 0: every Lambda^(k) with k >= 1 is c, so every V = P - P c P of
+        # the stretch is the filtered covariance
         rng = np.random.default_rng(4)
-        Q, Pf = (_engine.psd_floor_batch(rng.standard_normal((1, 3, 3)))[0] for _ in range(2))
+        c = _engine.psd_floor_batch(rng.standard_normal((1, 3, 3)))[0]
         for n in (1, 2, 7, 64):
-            total, last = _engine._frozen_sums(np.zeros((1, 3, 3)), Q, Pf, n)
-            np.testing.assert_array_equal(last, Q)
-            np.testing.assert_allclose(total, Pf + (n - 1) * Q, rtol=1e-15)
+            total, last = self.adjoint_sums(np.zeros((1, 3, 3)), c, n)
+            np.testing.assert_array_equal(last, c)
+            np.testing.assert_allclose(total, n * c, rtol=1e-15)
 
     def test_no_array_of_the_smoother_has_one_matrix_per_step(self):
         models = [random_model(4, 1, seed=s) for s in (90, 91, 92)]
@@ -591,87 +618,116 @@ class TestGuardedFactorizations:
         np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
         transient = switch_step(fr["pred_covs"])
         assert transient > 1
-        # the filter's transient steps and its switch, and the smoother's J
-        assert calls["batched"] == transient + 2
+        # the filter's transient steps and its switch; the smoother factors nothing
+        assert calls["batched"] == transient + 1
         assert calls["single"] == len(models)
         # the guarded calls never write into the caller's arrays
         np.testing.assert_array_equal(fr["pred_covs"], pred_covs)
 
 
     def test_one_solve_per_smoother_pass(self, monkeypatch):
-        # J of every stretch (the transient steps and the frozen stretch)
-        # from one batched Cholesky, and no LU solve
+        # the adjoint recursion reads the filter's F and S^{-1} C: the
+        # backward pass calls no np.linalg routine at all
         models = [random_model(3, 2, seed=s) for s in (60, 61, 62)]
         Y = simulate(models[0], T=200, seed=2).Y
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         assert fr["ok"].all() and switch_step(fr["pred_covs"]) > 1
-        calls = {"cholesky": [], "solve": []}
+        calls = []
 
         def counting(name):
             real = getattr(np.linalg, name)
 
-            def call(a, *args, **kwargs):
-                calls[name].append(a.shape)
-                return real(a, *args, **kwargs)
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
             return call
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
-        _engine.smooth_batch(batch, fr)
-        assert calls == {"cholesky": [(3, switch_step(fr["pred_covs"]) + 1, 3, 3)],
-                         "solve": []}
+        for name in dir(np.linalg):
+            if not name.startswith("_") and callable(getattr(np.linalg, name)) \
+                    and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, counting(name))
+        sm = _engine.smooth_batch(batch, fr)
+        _engine.smoothed_covariances(batch, sm, fr)
+        assert calls == []
+        # the counting wrappers see the calls of a filter pass
+        _engine.filter_batch(batch, Y)
+        assert "cholesky" in calls
 
 
 class TestSpdSolve:
-    """The smoother's solve for its gains: one batched Cholesky, the inverse
-    of the factor and two products, with LU only for an element that does
-    not factor."""
+    """What the smoother's gain solve (the Cholesky solve of
+    P^pred_{t+1} J_t^T = A P^f_t, with an LU fallback) guaranteed, asked of
+    the adjoint recursion that replaced it: the textbook RTS posterior,
+    each element alone as in the batch, a failed element's moments left
+    finite, and an indefinite predicted covariance smoothed."""
 
     @staticmethod
-    def spd_batch(B, H, d, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((B, H, d, d))
-        return X @ np.swapaxes(X, -1, -2) + 0.1 * np.eye(d), rng.standard_normal((B, H, d, d))
+    def cases(d):
+        """(models, Y, rel) at order d: one and two outputs at T = 1, 2 and
+        5, which never settle (T = 1 is the cut s = 0), and at T = 200, where
+        the filter freezes; then observable mode (C = I, R2 = 1e-6 I), where
+        V = P - P Lambda P cancels almost all of P.  ``rel`` is the
+        tolerance against the textbook smoother: in observable mode its
+        standard-form P - K S K^T cancels too, and they differ by up to
+        2.5e-8 of V."""
+        for d_out in (1, 2):
+            models = [random_model(d, d_out, seed=100 * d + 10 * d_out + b) for b in range(3)]
+            for T in (1, 2, 5, 200):
+                yield models, simulate(models[0], T=T, seed=d + d_out).Y, 1e-12
+        models = [random_model(d, d, seed=200 + d + b).replace(
+            C=np.eye(d), R2=_engine.OBSERVABLE_MODE_NOISE * np.eye(d)) for b in range(2)]
+        yield models, simulate(models[0], T=200, seed=d).Y, 1e-7
+
+    @staticmethod
+    def assert_close(got, want, rel):
+        """|got - want| <= rel times the largest entry of ``want``, and never
+        above TestSteadyState's 1e-8."""
+        atol = min(1e-8, rel * np.abs(want).max(initial=0.0))
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("d", [1, 3, 6, 12])
     def test_matches_lu_solve(self, d):
-        M, R = self.spd_batch(8, 5, d, seed=d)
-        x, ok = _engine._spd_solve(M, R, np.ones(8, dtype=bool))
-        assert ok.all()
-        want = np.linalg.solve(M, R)
-        err = np.abs(x - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
-        assert np.all(err <= 1e-12 * np.linalg.cond(M))
+        # the engine's means and M-step statistics, and rts_smooth's per-step
+        # covariances, against the textbook RTS smoother with J solved by LU
+        for models, Y, rel in self.cases(d):
+            batch = _engine.stack_params(models)
+            fr = _engine.filter_batch(batch, Y)
+            sm = _engine.smooth_batch(batch, fr)
+            for b, model in enumerate(models):
+                _, means, covs, cross = textbook_smoother(model, Y)
+                self.assert_close(sm["means"][b], means, rel)
+                for key, want in stats_of(covs, cross).items():
+                    self.assert_close(sm[key][b], want, rel)
+                post = rts_smooth(model, kalman_filter(model, SequenceData(Y=Y)))
+                self.assert_close(post.means, means, rel)
+                self.assert_close(post.covs, covs, rel)
+                self.assert_close(post.cross_covs, cross, rel)
 
     @pytest.mark.parametrize("d", [1, 3, 6, 12])
-    def test_each_element_alone_as_in_the_batch(self, d, monkeypatch):
-        M, R = self.spd_batch(6, 4, d, seed=20 + d)
-        M[2, 1] *= -1.0                # nonsingular but not positive definite
-        M[4, 3] = 0.0                  # singular
-        real = np.linalg.solve
-        lu = []
-
-        def counting(a, b):
-            lu.append(a.shape)
-            return real(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting)
-        x, ok = _engine._spd_solve(M, R, np.ones(6, dtype=bool))
-        # only the two elements that do not factor go to LU, and only the
-        # singular one fails
-        assert lu == [(2, 4, d, d)] + [(4, d, d)] * 2
-        np.testing.assert_array_equal(ok, [True, True, True, True, False, True])
-        np.testing.assert_array_equal(x[2], real(M[2], R[2]))
-        np.testing.assert_array_equal(x[4], R[4])
-        for b in range(6):
-            alone, ok_b = _engine._spd_solve(M[b:b + 1], R[b:b + 1], np.ones(1, dtype=bool))
-            assert ok_b[0] == ok[b]
-            np.testing.assert_array_equal(alone[0], x[b])
+    def test_each_element_alone_as_in_the_batch(self, d):
+        # the smoother of one element's slice of a pass is that element's
+        # share of the batch's, bit for bit
+        for models, Y, _ in self.cases(d):
+            batch = _engine.stack_params(models)
+            fr = _engine.filter_batch(batch, Y)
+            sm = _engine.smooth_batch(batch, fr)
+            covs = _engine.smoothed_covariances(batch, sm, fr)
+            for b in range(batch.B):
+                pb = _engine.ParamsBatch(*(getattr(batch, f)[b:b + 1]
+                                           for f in _engine.PARAM_FIELDS))
+                one = {k: v if k == "switch" else v[b:b + 1] for k, v in fr.items()}
+                alone = _engine.smooth_batch(pb, one)
+                assert alone.keys() == sm.keys()
+                for key in sm:
+                    np.testing.assert_array_equal(alone[key][0], sm[key][b], err_msg=key)
+                for got, want in zip(_engine.smoothed_covariances(pb, alone, one), covs):
+                    np.testing.assert_array_equal(got[0], want[b])
 
     def test_indefinite_prediction_is_solved_by_lu(self):
         # LdsParams admits R1's eigenvalue -1e-11 (within -1e-10); with A = 0
-        # every predicted covariance is R1, which does not factor, so only
-        # the LU fallback can solve for the smoother's gains
+        # every predicted covariance is R1, which does not factor: the gain
+        # solve needed LU here, while the adjoint recursion solves nothing
         p = LdsParams(A=np.zeros((2, 2)), C=[[1.0, 1.0]], R1=np.diag([1.0, -1e-11]),
                       R2=[[1.0]], mu0=np.zeros(2), R0=np.eye(2))
         data = SequenceData(Y=np.random.default_rng(5).standard_normal(20))
@@ -680,13 +736,39 @@ class TestSpdSolve:
             assert np.isfinite(moment).all()
 
     def test_failed_element_solves_against_the_identity(self):
-        M, R = self.spd_batch(3, 4, 3, seed=7)
-        M[1] = np.nan                  # not read: the element already failed
-        before = M.copy()
-        x, ok = _engine._spd_solve(M, R, np.array([True, False, True]))
-        np.testing.assert_array_equal(ok, [True, False, True])
-        np.testing.assert_array_equal(x[1], R[1])
-        np.testing.assert_array_equal(M, before)
+        # an element whose S degenerates, at step 0 (C = 0, R2 = 0) or later
+        # (P grows x4 a step until S fails the conditioning bound), carries
+        # the identity as its predicted covariance and zero means after that
+        # step, and its smoothed moments from that step on are its filtered
+        # ones; the other elements match the textbook smoother
+        models = [random_model(3, 2, seed=s) for s in (30, 31, 32)]
+        Y = simulate(models[0], T=200, seed=3).Y
+        for late in (False, True):
+            batch = _engine.stack_params(models + [models[0]])
+            if late:
+                batch.A[3] = 2.0 * np.eye(3)
+            else:
+                batch.C[3], batch.R2[3] = 0.0, 0.0
+            fr = _engine.filter_batch(batch, Y)
+            np.testing.assert_array_equal(fr["ok"], [True, True, True, False])
+            held = [np.array_equal(P, np.eye(3)) for P in fr["pred_covs"][3]]
+            start = held.index(True)
+            fail_at = start - 1
+            assert (fail_at > 1 if late else fail_at == 0) and all(held[start:])
+            sm = _engine.smooth_batch(batch, fr)
+            covs, cross = _engine.smoothed_covariances(batch, sm, fr)
+            means_f, covs_f = _engine.filtered_moments(batch, fr)
+            np.testing.assert_array_equal(sm["means"][3, fail_at:], means_f[3, fail_at:])
+            np.testing.assert_array_equal(covs[3, fail_at:], covs_f[3, fail_at:])
+            np.testing.assert_array_equal(covs_f[3, fail_at:], fr["pred_covs"][3, fail_at:])
+            assert not cross[3, fail_at:].any() and not sm["means"][3, start:].any()
+            for key in ("means", "cov_sum", "cross_sum", "cov_first", "cov_last"):
+                assert np.isfinite(sm[key][3]).all(), key
+            for b, model in enumerate(models):
+                _, means, want_covs, want_cross = textbook_smoother(model, Y)
+                self.assert_close(sm["means"][b], means, 1e-12)
+                for key, want in stats_of(want_covs, want_cross).items():
+                    self.assert_close(sm[key][b], want, 1e-12)
 
 
 class TestPsdFloor:
@@ -832,13 +914,14 @@ class TestStandardUpdate:
         # both forms cancel, and they must cancel to the same covariances
         params = self.cancelling(case)
         Y = simulate(params, T=300, seed=3).Y
-        fr = _engine.filter_batch(_engine.stack_params([params]), Y)
+        pb = _engine.stack_params([params])
+        fr = _engine.filter_batch(pb, Y)
         loglik, Pf, ok, switch = joseph_filter(params, Y)
         assert fr["ok"][0] == ok and fr["switch"] == switch
         assert fr["loglik"][0] == pytest.approx(loglik, rel=1e-12)
         # the standard form's roundoff scales with P, the Joseph form's with
         # P_f: in observable mode P_f ~ R2 = 1e-6 I while P_0 = R0 is of order 1
-        got = fr["filt_covs"][0]
+        got = _engine.filtered_moments(pb, fr)[1][0]
         tol = 1e-10 * np.abs(got).max() + 1e-14 * np.abs(fr["pred_covs"][0]).max()
         np.testing.assert_allclose(got, Pf, rtol=0, atol=tol)
 
@@ -854,7 +937,7 @@ class TestFactorSolve:
         diag = np.abs(np.diagonal(L, axis1=-2, axis2=-1))
         with np.errstate(invalid="ignore"):            # inf / inf of an S = +inf
             ok &= (diag.min(axis=-1) / diag.max(axis=-1)) ** 2 >= _engine.DEGENERACY_RCOND
-        sol, ok = _engine._solve_guarded(S, np.concatenate(rhs, axis=-1), ok)
+        sol, ok = guarded_solve(S, np.concatenate(rhs, axis=-1), ok)
         return diag, sol, ok
 
     @staticmethod
@@ -909,15 +992,16 @@ class TestFactorSolve:
             want = _engine.filter_batch(ref_batch, Y, ok=np.arange(5) < 4)
         np.testing.assert_array_equal(got["ok"], [True, True, False, True])
         assert got["switch"] == want["switch"] < len(Y)
-        # failed after step 0, and from then on solved against the identity:
-        # its P is I, C P = C and K^T = C, so P_f = sym(I - C^T C)
+        # failed after step 0, and from then on its P is I and its F^T,
+        # S^{-1} C and S^{-1} r are zero
         held = [np.array_equal(P, np.eye(3)) for P in got["pred_covs"][2, :got["switch"]]]
         fail = held.index(True)
         assert fail > 1 and all(held[fail:])
-        C = batch.C[2]
-        assert (got["filt_covs"][2, fail:got["switch"]] == sym(np.eye(3) - C.T @ C)).all()
-        for key in ("pred_means", "pred_covs", "filt_means", "filt_covs", "loglik", "ok"):
-            assert np.array_equal(got[key], want[key][:4], equal_nan=True), key
+        for key in ("FT", "SinvC", "v"):
+            assert not got[key][2, fail:got["switch"]].any(), key
+        for key, value in stored(got).items():
+            if key != "switch":
+                assert np.array_equal(value, stored(want)[key][:4], equal_nan=True), key
 
     def test_unguarded_scalar_matches_lapack(self):
         rng = np.random.default_rng(12)

@@ -20,7 +20,12 @@ checkout's ``src/`` and ``perfbench`` from the checkout:
   compared; one line per seed gives them for both sides, with the
   largest relative change of a DL.
 
-The exit code is 0 when every value agrees and 1 otherwise.
+The exit code is 0 when every value agrees bit for bit, 1 when values
+differ but only in their bits (every argmin and argmax, every fitted
+order set, and every walk's visited orders, ``stopped_early`` and pick
+agree), and 2 when any of those outcomes differs or nothing was
+compared, so that a change meant to move values by roundoff only can be
+gated on the exit code being at most 1.
 
 Standard library only; the runs themselves need numpy.
 """
@@ -73,8 +78,9 @@ def values(checkout, plan):
 
 
 def summary(old, new, quantity):
-    """How many of the orders both sides fitted differ in ``quantity``, the
-    largest relative change, and each side's best order."""
+    """How many of the orders both sides fitted differ in ``quantity``, how
+    many were compared, whether the best order differs, and the line that
+    gives the largest relative change and each side's best order."""
     a = {int(k): float.fromhex(v[quantity]) for k, v in old.items()}
     b = {int(k): float.fromhex(v[quantity]) for k, v in new.items()}
     common = sorted(a.keys() & b.keys())
@@ -83,23 +89,24 @@ def summary(old, new, quantity):
     best = max if quantity == "loglik" else min
     pick = {side: best(v, key=v.get, default=None) for side, v in (("old", a), ("new", b))}
     kind = "argmax" if quantity == "loglik" else "argmin"
-    return differ, len(common), (f"{quantity}: {differ} of {len(common)} differ, largest "
-                                 f"relative change {change:.3g}, {kind} {pick['old']} -> "
-                                 f"{pick['new']}")
+    return differ, len(common), pick["old"] != pick["new"], (
+        f"{quantity}: {differ} of {len(common)} differ, largest relative change "
+        f"{change:.3g}, {kind} {pick['old']} -> {pick['new']}")
 
 
 def walk_summary(old, new):
-    """How many of the walk's compared values differ between two runs: the
-    visited orders, each DL both visited, ``stopped_early`` and the pick."""
+    """How many of the walk's compared values differ between two runs (the
+    visited orders, each DL both visited, ``stopped_early`` and the pick),
+    how many were compared, whether the walk's outcome (its visited
+    orders, stop or pick) differs, and the line that reports them."""
     a, b = dict(old["dl"]), dict(new["dl"])     # visited order -> DL, in visiting order
     common = a.keys() & b.keys()
     dl_differ = sum(a[k] != b[k] for k in common)
     dl = {k: (float.fromhex(a[k]), float.fromhex(b[k])) for k in common}
     change = max((abs(y - x) / abs(x) for x, y in dl.values() if x), default=0.0)
-    differ = (dl_differ + (list(a) != list(b))
-              + (old["stopped_early"] != new["stopped_early"])
-              + (old["chosen"] != new["chosen"]))
-    return differ, len(common) + 3, (
+    outcome = ((list(a) != list(b)) + (old["stopped_early"] != new["stopped_early"])
+               + (old["chosen"] != new["chosen"]))
+    return dl_differ + outcome, len(common) + 3, bool(outcome), (
         f"visited {list(a)} -> {list(b)}, DL: {dl_differ} of {len(common)} differ, "
         f"largest relative change {change:.3g}, "
         f"stopped_early {old['stopped_early']} -> {new['stopped_early']}, "
@@ -117,7 +124,7 @@ def main(argv=None):
     plan = {"grid": {"grid-d4": args.grid_seeds, "narma10-observable": args.narma_seeds},
             "walk": args.walk_seeds}
     old, new = values(args.parent, plan), values(args.change, plan)
-    compared = differ = 0
+    compared = differ = outcomes = 0
     for name in plan["grid"]:
         grid_old, grid_new = old["grid"][name], new["grid"][name]
         for seed, orders in grid_old.items():
@@ -125,18 +132,23 @@ def main(argv=None):
                 print(f"{name} seed {seed}: fitted orders {sorted(orders, key=int)} -> "
                       f"{sorted(grid_new[seed], key=int)}")
                 differ += 1
+                outcomes += 1
             for quantity in QUANTITIES:
-                n_differ, n, line = summary(orders, grid_new[seed], quantity)
+                n_differ, n, moved, line = summary(orders, grid_new[seed], quantity)
                 compared += n
                 differ += n_differ
+                outcomes += moved
                 print(f"{name} seed {seed} {line}")
     for seed, walk in old["walk"].items():
-        n_differ, n, line = walk_summary(walk, new["walk"][seed])
+        n_differ, n, moved, line = walk_summary(walk, new["walk"][seed])
         compared += n
         differ += n_differ
+        outcomes += moved
         print(f"walk seed {seed} {line}")
-    print(f"{compared} values compared, {differ} differ")
-    return 1 if differ or not compared else 0
+    print(f"{compared} values compared, {differ} differ, {outcomes} outcomes differ")
+    if outcomes or not compared:
+        return 2
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
