@@ -9,8 +9,7 @@ import numpy as np
 
 from . import _engine
 from .errors import DimensionError
-from .inference import (FilterResult, SmoothedPosterior, complete_data_loglik,
-                        kalman_filter)
+from .inference import FilterResult, complete_data_loglik, kalman_filter
 from .model import (LdsParams, SequenceData, check_integer,
                     solve_discrete_lyapunov, stationary_obs_log_det)
 
@@ -122,20 +121,20 @@ def mdl_order_penalty(d: int, N: int) -> float:
     return 0.5 * d * math.log(2.0 * N * N / (2.0 * math.pi) ** 2)
 
 
-def mdl_description_length(fit, posterior: SmoothedPosterior, data: SequenceData,
+def mdl_description_length(fit, means: np.ndarray, data: SequenceData,
                            N: int) -> CriterionValue:
-    """Description length of a fitted model: goodness-of-fit at the smoothed
-    means, a stability term through the Lyapunov solution for (A, R1), and
-    the order-linear penalty at d = ``fit.params.d``.  ML path: no prior term.
+    """Description length of a fitted model: goodness-of-fit at the (T, d)
+    smoothed ``means``, a stability term through the Lyapunov solution for
+    (A, R1) and the order-linear penalty at d = ``fit.params.d`` (ML: no prior).
 
-    Raises InstabilityError when the fitted transition matrix is unstable
-    at evaluation time.
+    Raises InstabilityError when the fitted transition matrix is unstable,
+    and DimensionError unless ``means`` has shape (data.T, d).
     """
     params = fit.params
     order_penalty = mdl_order_penalty(params.d, N)
     Q = solve_discrete_lyapunov(params.A, params.R1)
     return _make("mdl", {
-        "fit": -complete_data_loglik(params, posterior, data),
+        "fit": -complete_data_loglik(params, means, data),
         "stability": 0.5 * stationary_obs_log_det(params, Q),
         "order_penalty": order_penalty,
     })

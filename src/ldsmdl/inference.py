@@ -80,17 +80,19 @@ def rts_smooth(params: LdsParams, filter_result: FilterResult) -> SmoothedPoster
     return SmoothedPosterior(means=sm["means"][0], covs=covs[0], cross_covs=cross[0])
 
 
-def complete_data_loglik(params: LdsParams, posterior: SmoothedPosterior,
+def complete_data_loglik(params: LdsParams, means: np.ndarray,
                          data: SequenceData) -> float:
-    """Observation likelihood evaluated at the smoothed state means.
+    """Observation likelihood evaluated at the (T, d) smoothed state means.
 
-    Returns sum_t log N(y_t; C xhat_t, R2).
+    Returns sum_t log N(y_t; C xhat_t, R2); DimensionError for other shapes.
     """
+    if np.shape(means) != (data.T, params.d):
+        raise DimensionError(f"means of shape {np.shape(means)}, need {(data.T, params.d)}")
     try:
         L = np.linalg.cholesky(sym(params.R2))
     except np.linalg.LinAlgError:
         raise DegeneracyError("R2 is numerically singular")
-    resid = data.Y - posterior.means @ params.C.T    # (T, p)
+    resid = data.Y - means @ params.C.T             # (T, p)
     z = np.linalg.solve(L, resid.T)                 # whitened residuals
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     T, p = data.Y.shape

@@ -1,8 +1,8 @@
 """Order-selection drivers: top-down annihilation and a full grid sweep.
 
 Both fit the candidate orders bucket by bucket (``_buckets``), the walk from
-the highest bucket down, one EM loop per bucket, and score each order alone.
-The buckets are shared among the usable CPUs (``_run_jobs``)."""
+the highest bucket down, one EM loop per bucket on the usable CPUs
+(``_run_jobs``), and score each order alone, the walk each as it reaches it."""
 from __future__ import annotations
 
 import contextlib
@@ -10,15 +10,18 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import _engine
 from .criteria import (CRITERION_NAMES, CriterionValue, aic, bic,
                        count_params, empirical_fisher_log_det, fia,
                        mdl_description_length, mme, normalize_values)
 from .datagen import delay_embed
+# multi_restart_fit and rts_smooth are not called here; the benchmark's tracer
+# (perfbench/tracing.py) wraps them by these names (ROADMAP item 4b)
 from .em import EmConfig, FitResult, multi_order_fit, multi_restart_fit
 from .errors import DegeneracyError, DimensionError, LdsError
 from .inference import kalman_filter, rts_smooth
@@ -131,23 +134,16 @@ def _buckets(bounds: ModelOrderBounds, n_restarts: int, T: int,
 
 def _fit_bucket(data: SequenceData, orders: list, config: EmConfig,
                 observable_mode: bool) -> tuple:
-    """Fit the orders of one bucket together.  Returns the data they were
-    fitted to (delay-embedded in observable mode) and a map of each order to
-    its FitResult, or to the LdsError that stopped its fit."""
+    """Fit the orders of one bucket through one ``multi_order_fit``.  Returns
+    the data they were fitted to (delay-embedded in observable mode) and a
+    map of each order to its FitResult, or to the LdsError that stopped it."""
     # each order draws its restarts from its own seed: the low 31 bits of one
     # draw keyed by (seed, order)
     seeds = {d: int(np.random.SeedSequence([config.seed, d]).generate_state(1)[0] % 2 ** 31)
              for d in orders}
     try:
         data_d = delay_embed(data, orders[0]) if observable_mode else data
-        if len(orders) > 1:
-            fits = multi_order_fit(data_d, seeds, config)
-        else:
-            # multi_order_fit's one-order case, called by the name that the
-            # benchmark's tracer wraps (tests/test_tracing.py)
-            d = orders[0]
-            fits = {d: multi_restart_fit(data_d, d, replace(config, seed=seeds[d]),
-                                         fix_observation=observable_mode)}
+        fits = multi_order_fit(data_d, seeds, config, fix_observation=observable_mode)
     except LdsError as exc:
         return data, {d: exc for d in orders}
     return data_d, fits
@@ -158,14 +154,14 @@ def _order_result(data_d: SequenceData, fit, order: int, observable_mode: bool,
     """Score one order's entry of ``_fit_bucket`` on the data it was fitted
     to: the description length and, with ``all_criteria``, the other four
     criteria before it.  One filter pass at the fitted parameters serves the
-    smoother of the DL and the Fisher of FIA.  A fitting or scoring failure
-    becomes an error row."""
+    DL, through the compact smoother's means alone, and the Fisher of FIA.
+    A fitting or scoring failure becomes an error row."""
     if isinstance(fit, LdsError):
         return OrderResult(order=order, fit=None, error=str(fit))
     try:
         fr = kalman_filter(fit.params, data_d)
-        posterior = rts_smooth(fit.params, fr)
-        dl_value = mdl_description_length(fit, posterior, data_d, N=data_d.T)
+        sm = _engine.smooth_batch(_engine.stack_params([fit.params]), fr.engine_pass)
+        dl_value = mdl_description_length(fit, sm["means"][0], data_d, N=data_d.T)
         values = [dl_value]
         if all_criteria:
             n = data_d.T
@@ -183,10 +179,10 @@ def _order_result(data_d: SequenceData, fit, order: int, observable_mode: bool,
 
 
 def _scored_bucket(data: SequenceData, orders: list, config: EmConfig,
-                   observable_mode: bool, all_criteria: bool) -> list:
-    """``_fit_bucket`` and then ``_order_result`` on each of the bucket's ``orders``."""
+                   observable_mode: bool) -> list:
+    """The grid's job: ``_fit_bucket``, then all five criteria of each order."""
     data_d, fits = _fit_bucket(data, orders, config, observable_mode)
-    return [_order_result(data_d, fits[d], d, observable_mode, all_criteria) for d in orders]
+    return [_order_result(data_d, fits[d], d, observable_mode, True) for d in orders]
 
 
 def _workers(n_jobs: int) -> int:
@@ -285,7 +281,7 @@ def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
     jobs = sorted(_buckets(bounds, config.n_restarts, data.T, observable_mode),
                   key=lambda b: -b[-1] ** 3 * len(b))
     workers = _workers(len(jobs))
-    rows = _run_jobs(lambda b: _scored_bucket(data, b, config, observable_mode, True),
+    rows = _run_jobs(lambda b: _scored_bucket(data, b, config, observable_mode),
                      jobs, workers)
     per_order = sorted((r for bucket in rows for r in bucket), key=lambda r: r.order)
     return _finish(per_order, criterion, stopped_early=False, workers=workers)
@@ -294,16 +290,15 @@ def grid_search(data: SequenceData, bounds: ModelOrderBounds, config: EmConfig,
 def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
                         config: EmConfig, observable_mode: bool = False) -> SelectionTrace:
     """Top-down order reduction: the grid's buckets from the highest down,
-    each fitted as ``grid_search`` fits it and its orders scored by the
-    description length alone, highest first.
+    each fitted as ``grid_search`` fits it, and their orders scored here by
+    the description length alone, highest first, as the walk reaches them.
 
     The walk stops at the first order whose DL rises relative to the
     previously evaluated (next-higher) order and keeps the DL minimizer; a
-    walk that never stops is ``grid_search`` scored by the DL alone.  A
-    bucket is fitted and scored whole, and with several usable CPUs the
-    buckets below the one being read are fitted ahead of it
-    (``_run_jobs``), so the walk may fit orders below the one at which it
-    stops; it reports only the orders it visits.
+    walk that never stops is ``grid_search`` scored by the DL alone.  It
+    scores and reports only the orders it visits, but it fits buckets
+    whole, and with several usable CPUs it fits the buckets below the one
+    being read ahead of it (``_run_jobs``).
     """
     _check_data(data, observable_mode)
     jobs = _buckets(bounds, config.n_restarts, data.T, observable_mode)[::-1]
@@ -311,10 +306,11 @@ def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
     per_order = []
     prev_dl = math.inf
     with contextlib.closing(_run_jobs(
-            lambda b: _scored_bucket(data, b, config, observable_mode, False),
-            jobs, workers)) as rows:
-        for bucket in rows:
-            for r in reversed(bucket):
+            lambda b: _fit_bucket(data, b, config, observable_mode),
+            jobs, workers)) as fitted:
+        for orders, (data_d, fits) in zip(jobs, fitted):
+            for d in reversed(orders):
+                r = _order_result(data_d, fits[d], d, observable_mode, False)
                 per_order.append(r)
                 if r.fit is None:
                     continue

@@ -102,8 +102,8 @@ class TestMdl:
 
     def test_component_composition(self):
         p, data, post = self._scalar_case()
-        v = mdl_description_length(FitStub(p), post, data, N=100)
-        cdl = complete_data_loglik(p, post, data)
+        v = mdl_description_length(FitStub(p), post.means, data, N=100)
+        cdl = complete_data_loglik(p, post.means, data)
         assert v.components["fit"] == pytest.approx(-cdl, abs=1e-12)
         assert v.components["stability"] == pytest.approx(0.5 * math.log(7 / 3))
         assert v.components["stability"] == pytest.approx(0.4236, abs=1e-4)
@@ -124,14 +124,15 @@ class TestMdl:
                       mu0=[0.0], R0=[[1.0]])
         data = SequenceData(Y=np.zeros(4))
         post = rts_smooth(p, kalman_filter(p, data))
-        v = mdl_description_length(FitStub(p), post, data, N=50)
+        v = mdl_description_length(FitStub(p), post.means, data, N=50)
         assert v.components["stability"] == pytest.approx(0.5 * math.log(2.0))
 
     def test_stability_coupling_increases_with_transition(self):
         p, data, post = self._scalar_case()
         vals = []
         for a in np.linspace(0.0, 0.95, 12):
-            v = mdl_description_length(FitStub(p.replace(A=[[a]])), post, data, N=100)
+            v = mdl_description_length(FitStub(p.replace(A=[[a]])), post.means, data,
+                                       N=100)
             vals.append(v.components["stability"])
         assert np.all(np.diff(vals) > 0)
 

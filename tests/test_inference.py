@@ -1063,42 +1063,29 @@ class TestCompleteDataLoglik:
     def test_zero_residual(self):
         p = LdsParams(A=[[0.5]], C=[[1.0]], R1=[[1.0]], R2=[[1.0]],
                       mu0=[0.0], R0=[[1.0]])
-        from ldsmdl.inference import SmoothedPosterior
-        post = SmoothedPosterior(means=np.array([[0.7]]),
-                                 covs=np.ones((1, 1, 1)),
-                                 cross_covs=np.zeros((0, 1, 1)))
-        val = complete_data_loglik(p, post, SequenceData(Y=[0.7]))
+        val = complete_data_loglik(p, np.array([[0.7]]), SequenceData(Y=[0.7]))
         assert val == pytest.approx(-0.5 * np.log(2 * np.pi))
 
     def test_hand_evaluated_two_step(self):
-        from ldsmdl.inference import SmoothedPosterior
         p = LdsParams(A=[[0.5]], C=[[1.0]], R1=[[1.0]], R2=[[0.5]],
                       mu0=[0.0], R0=[[1.0]])
         means = np.array([[0.0], [0.0]])
-        post = SmoothedPosterior(means=means, covs=np.ones((2, 1, 1)),
-                                 cross_covs=np.zeros((1, 1, 1)))
         data = SequenceData(Y=[0.1, -0.2])
         expected = 2 * (-0.5 * np.log(np.pi)) - (0.01 + 0.04) / 1.0
-        assert complete_data_loglik(p, post, data) == pytest.approx(expected, abs=1e-4)
+        assert complete_data_loglik(p, means, data) == pytest.approx(expected, abs=1e-4)
         assert expected == pytest.approx(-1.1947, abs=1e-4)
 
     def test_residual_doubling_quadratic_scaling(self):
-        from ldsmdl.inference import SmoothedPosterior
         p = LdsParams(A=[[0.5]], C=[[1.0]], R1=[[1.0]], R2=[[1.0]],
                       mu0=[0.0], R0=[[1.0]])
         r = np.array([0.3, -0.1, 0.2])
-        post = SmoothedPosterior(means=np.zeros((3, 1)),
-                                 covs=np.ones((3, 1, 1)),
-                                 cross_covs=np.zeros((2, 1, 1)))
-        base = complete_data_loglik(p, post, SequenceData(Y=r))
-        doubled = complete_data_loglik(p, post, SequenceData(Y=2 * r))
+        means = np.zeros((3, 1))
+        base = complete_data_loglik(p, means, SequenceData(Y=r))
+        doubled = complete_data_loglik(p, means, SequenceData(Y=2 * r))
         assert base - doubled == pytest.approx(np.sum(r ** 2) * 3 / 2)
 
     def test_singular_r2_raises(self):
-        from ldsmdl.inference import SmoothedPosterior
         p = LdsParams(A=[[0.5]], C=[[1.0]], R1=[[1.0]], R2=[[0.0]],
                       mu0=[0.0], R0=[[1.0]])
-        post = SmoothedPosterior(means=np.zeros((2, 1)), covs=np.ones((2, 1, 1)),
-                                 cross_covs=np.zeros((1, 1, 1)))
         with pytest.raises(DegeneracyError):
-            complete_data_loglik(p, post, SequenceData(Y=[0.0, 0.0]))
+            complete_data_loglik(p, np.zeros((2, 1)), SequenceData(Y=[0.0, 0.0]))

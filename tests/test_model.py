@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 from ldsmdl import _engine
 from ldsmdl import (DimensionError, EmConfig, InstabilityError, LdsParams,
                     NarmaSpec, RandomLdsConfig, SequenceData, SingularityError, bic,
-                    count_params, default_init, delay_embed, enforce_stability, fia,
-                    kalman_filter, mdl_description_length, mme, multi_restart_fit,
-                    random_stable_lds, read_sequence_csv, rts_smooth,
+                    complete_data_loglik, count_params, default_init, delay_embed,
+                    enforce_stability, fia, kalman_filter, mdl_description_length, mme,
+                    multi_restart_fit, random_stable_lds, read_sequence_csv, rts_smooth,
                     sample_inverse_wishart, simulate, solve_discrete_lyapunov,
                     spectral_radius, stationary_obs_log_det, write_sequence_csv)
 from ldsmdl.criteria import mdl_order_penalty
@@ -457,8 +457,15 @@ _BAD_ARGUMENTS = {
     "mdl_order_penalty N=0": lambda: mdl_order_penalty(2, 0),
     "mdl_order_penalty N=True": lambda: mdl_order_penalty(2, True),
     "mdl_description_length N=2.5": lambda: mdl_description_length(
-        SimpleNamespace(params=_D2), rts_smooth(_D2, kalman_filter(_D2, _SCALAR)),
+        SimpleNamespace(params=_D2), rts_smooth(_D2, kalman_filter(_D2, _SCALAR)).means,
         _SCALAR, N=2.5),
+    # means of one step broadcast over the whole sequence and were scored
+    "complete_data_loglik means wrong T": lambda: complete_data_loglik(
+        _D2, np.zeros((1, 2)), _SCALAR),
+    "complete_data_loglik means wrong d": lambda: complete_data_loglik(
+        _D2, np.zeros((20, 1)), _SCALAR),
+    "mdl_description_length means wrong T": lambda: mdl_description_length(
+        SimpleNamespace(params=_D2), np.zeros((1, 2)), _SCALAR, N=20),
 }
 
 

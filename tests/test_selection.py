@@ -12,8 +12,8 @@ import pytest
 from ldsmdl import _engine, selection
 from ldsmdl import (DimensionError, EmConfig, ModelOrderBounds,
                     RandomLdsConfig, SequenceData, annihilation_search,
-                    count_params, em, grid_search, kalman_filter,
-                    random_stable_lds, simulate)
+                    count_params, delay_embed, em, grid_search, kalman_filter,
+                    mdl_description_length, random_stable_lds, rts_smooth, simulate)
 from ldsmdl.criteria import mdl_order_penalty
 from ldsmdl.selection import BUCKET_CELL_RATIO, BUCKET_DOUBLES, _buckets
 
@@ -288,6 +288,72 @@ class TestBucketPool:
         with pytest.raises(MemoryError, match="6.94 EiB"):
             annihilation_search(d2_data(1), ModelOrderBounds(1, 4), CFG)
         assert multiprocessing.active_children() == []
+
+
+class TestScoringPath:
+    """An order is scored from the compact smoother's means over its one B=1
+    filter pass, and the walk scores each order when it reaches it."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_stopped_walk_scores_only_the_orders_it_visits(self, usable_cpus, monkeypatch,
+                                                           cpus):
+        scored = []
+        real = selection.mdl_description_length
+
+        def counting(fit, *args, **kwargs):
+            scored.append(fit.params.d)
+            return real(fit, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "mdl_description_length", counting)
+        usable_cpus(cpus)
+        data, bounds = d2_data(0), ModelOrderBounds(1, 8)
+        trace = annihilation_search(data, bounds, CFG)
+        visited = [r.order for r in trace.per_order]
+        stop_bucket = next(b for b in _buckets(bounds, CFG.n_restarts, data.T, False)
+                           if visited[-1] in b)
+        # the walk stops above the lowest order of the bucket it stops in
+        assert trace.stopped_early and visited[-1] > stop_bucket[0]
+        assert scored == visited
+
+    @pytest.mark.parametrize("search", [grid_search, annihilation_search])
+    @pytest.mark.parametrize("observable", [False, True])
+    def test_no_search_expands_the_posterior(self, monkeypatch, search, observable):
+        calls = []
+
+        def spy(name, real):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return called
+
+        for module, name in ((_engine, "smoothed_covariances"), (selection, "rts_smooth"),
+                             (selection, "multi_restart_fit"), (em, "multi_restart_fit")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        # on one CPU every bucket runs in this process, where the calls are seen
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        trace = search(d2_data(), ModelOrderBounds(1, 4), CFG, observable_mode=observable)
+        assert all(r.fit is not None for r in trace.per_order)
+        assert calls == []
+
+    @pytest.mark.parametrize("search, bounds, observable", [
+        pytest.param(grid_search, (2, 6), False, id="grid-multi-order-buckets"),
+        pytest.param(grid_search, (1, 4), True, id="grid-observable"),
+        pytest.param(annihilation_search, (1, 8), False, id="walk"),
+        pytest.param(annihilation_search, (1, 4), True, id="walk-observable"),
+    ])
+    def test_dl_is_that_of_the_public_posterior_means(self, search, bounds, observable):
+        data = d2_data(0)
+        trace = search(data, ModelOrderBounds(*bounds), CFG, observable_mode=observable)
+        if not observable:
+            assert any(len(b) > 1 for b in _buckets(ModelOrderBounds(*bounds),
+                                                    CFG.n_restarts, data.T, False))
+        for r in trace.per_order:
+            data_d = delay_embed(data, r.order) if observable else data
+            means = rts_smooth(r.fit.params, kalman_filter(r.fit.params, data_d)).means
+            want = mdl_description_length(r.fit, means, data_d, N=data_d.T)
+            got = r.criterion("mdl")
+            assert float.hex(got.value) == float.hex(want.value)
+            assert got.components == want.components
 
 
 def d4_protocol_data(seed=0):

@@ -41,9 +41,9 @@ def test_observable_grid_reaches_every_fitting_layer(tracer, monkeypatch):
                                  EmConfig(eps=1e-2, max_iters=5, n_restarts=2),
                                  observable_mode=True)
     assert span_names(tracer) >= {
-        "selection.grid_search", "datagen.delay_embed", "em.multi_restart_fit",
+        "selection.grid_search", "datagen.delay_embed",
         "engine.em_loop", "engine.filter_batch", "engine.smooth_batch",
-        "engine.m_step_batch", "inference.kalman_filter", "inference.rts_smooth",
+        "engine.m_step_batch", "inference.kalman_filter",
         "criteria.mdl_description_length", "model.solve_discrete_lyapunov",
         "criteria.empirical_fisher_log_det"}
     metrics = layer_metrics(tracer.spans)
