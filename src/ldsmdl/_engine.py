@@ -16,32 +16,36 @@ degenerate where it has no Cholesky factor L or where ||M||_F
 that bound lies between kappa_2(M) and n^{3/2} kappa_2(M) for n x n M: it
 never passes a matrix whose eigenvalue ratio is below DEGENERACY_RCOND.
 
-For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, F_t, V_t)
-does not depend on Y and reaches a fixed point after a transient.  The
-filter runs the full step until the predicted covariance of every element
-still ``ok`` moves by at most ``SETTLE_RTOL`` relative to its own size in
-one time update.  Handed an earlier pass (``reuse``, as EM hands over the
-pass of its previous iteration), the filter does not test the steps before
-that pass's switch one at a time: it keeps each one's ``ok`` mask, and
-after its loop one vectorized test over the stored predicted covariances
-(``_first_settled``) finds the first settled step.  Should that step lie
-in the untested stretch, the pass goes back to it: the switch, P, x and
-``ok`` are read from that step and the frozen phase overwrites the steps
-after it.  So the switch is the first settled step whatever the hint.
-A transient step factors S = L L^T once; L and L^{-1}
-give the ``ok`` test, log|S|, K^T = S^{-1} C P, S^{-1} r and S^{-1} C, and
-P_{t+1} = sym(A P F^T + R1) with F = A (I - K C).  From the switch on, S,
-K^T and S^{-1} (the same kernel on C P, I and C) are frozen and the
-predicted mean follows x_{s+1} = F x_s + G y_s, G = A K, as a doubling
-scan (``_affine_scan``, Hillis & Steele 1986): ceil(log2(N + 1)) passes of
-one batched product each for N frozen steps, with F squared between
-passes; the innovations and their quadratic forms are then whole-stretch
-products.
-With one output (p = 1) S is a scalar s and ``_factor_solve`` calls no
-LAPACK routine: the factor is sqrt(s), the bound is exactly 1, and S^{-1} b
-is b * (1 / s), which are OpenBLAS's 1x1 Cholesky and LU solve bit for bit.
-A transient step of the filter takes that path inline while every element
-is ``ok`` and 0 < s < inf, and calls ``_factor_solve`` otherwise.
+For a time-invariant LDS the covariance recursion (P_t, S_t, K_t, F_t) does
+not depend on Y (Anderson & Moore, Optimal Filtering, 1979, ch. 4) and
+reaches a fixed point after a transient.  The filter's loop steps that
+recursion alone until the predicted covariance of every element still
+``ok`` moves by at most ``SETTLE_RTOL`` relative to its own size in one
+time update.  Handed an earlier pass (``reuse``, as EM hands over the pass
+of its previous iteration), the filter does not test the steps before that
+pass's switch one at a time: it keeps each one's ``ok`` mask, and after its
+loop one vectorized test over the stored predicted covariances
+(``_first_settled``) finds the first settled step.  Should that step lie in
+the untested stretch, the pass goes back to it: the switch and ``ok`` are
+read from that step and the frozen phase overwrites the steps after it.  So
+the switch is the first settled step whatever the hint.
+A transient step factors S = L L^T once; L and L^{-1} give the ``ok`` test,
+log|S|, S^{-1} and K^T = S^{-1} C P, and P_{t+1} = sym(A P F^T + R1) with
+F = A (I - K C).  From the switch on, S, K^T and S^{-1} (the same kernel on
+C P, I and C) are frozen.  Everything that reads Y is taken after the loop,
+over whole trajectories, as the E-step reads it (Shumway & Stoffer 1982):
+the predicted means follow x_{t+1} = F_t x_t + G_t y_t with G_t = A K_t, by
+one batched product a step over the transient and, over the N frozen
+steps, as a doubling scan (``_affine_scan``, Hillis & Steele 1986):
+ceil(log2(N + 1)) passes of one batched product each, with F squared
+between passes.  The innovations, S^{-1} r, their quadratic forms and the
+logliks of every step are then whole-trajectory products.
+With one output (p = 1) S is a scalar s, its own symmetric part, and
+``_factor_solve`` calls no LAPACK routine: the factor is sqrt(s), the bound
+is exactly 1, and S^{-1} b is b * (1 / s), which are OpenBLAS's 1x1
+Cholesky and LU solve bit for bit.  A transient step of the filter takes
+that path inline while every element is ``ok`` and 0 < s < inf, and calls
+``_factor_solve`` otherwise.
 
 The filter stores no filtered trajectory: it hands the smoother F_t,
 S_t^{-1} C and S_t^{-1} r_t, and the smoother runs the adjoint (modified
@@ -336,110 +340,120 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     handed over as ``reuse`` has its arrays overwritten by this one's.
     ``filtered_moments`` derives the filtered trajectories.
 
-    A transient step solves S once for the gain, the innovation and C,
-    inline at p = 1 while every element factors; the log-dets and
-    quadratic forms of the transient enter the logliks after it.  Once the
-    predicted covariance of every ``ok`` element has settled (see the module
-    docstring), S, K and log|S| are frozen, the means of the remaining
-    steps come from a doubling scan and their innovations and quadratic
-    forms from whole-stretch products; the stored covariances of those
-    steps are the frozen ones.  The steps before the switch of ``reuse``
-    are tested for settling after the loop, which goes back to the first
-    settled step should it lie among them: the outputs do not depend on
-    ``reuse``.
+    The loop steps the covariance recursion alone, which does not read Y:
+    C P_t, the factor of S_t (inline at p = 1 while every element factors),
+    S_t^{-1}, K_t^T, F_t^T and P_{t+1}, the last two stored in the pass's
+    arrays as they are made.  Once the predicted covariance of every ``ok``
+    element has settled (see the module docstring), S, K and log|S| are
+    frozen and the stored covariances of the remaining steps are the frozen
+    ones.  The steps before the switch of ``reuse`` are tested for settling
+    after the loop, which goes back to the first settled step should it lie
+    among them: the outputs do not depend on ``reuse``.  Everything that
+    reads Y is then taken over whole trajectories: the means,
+    x_{t+1} = x_t F_t^T + y_t G_t^T as rows with G_t^T = K_t^T A^T, by one
+    product a step over the transient and a doubling scan over the frozen
+    stretch; then the innovations, S^{-1} r and the logliks of every step at
+    once.  A failed element's S^{-1} C, G and v are zeroed from its failure
+    step after the loop, its F in the loop, where its P turns to the
+    identity.
     """
     B, d, p = pb.B, pb.d, pb.p
     T = Y.shape[0]
     ok = np.ones(B, dtype=bool) if ok is None else ok.copy()
     all_ok = bool(ok.all())
-    x = pb.mu0.copy()              # predicted mean at t
-    P = sym(pb.R0)                 # predicted covariance at t
+    failed_at = np.where(ok, T, 0)             # the step an element failed at, T if none
     # transposed views slow every batched product they enter: made contiguous once
     AT = np.ascontiguousarray(_T(pb.A))
     CT = np.ascontiguousarray(_T(pb.C))
-    step_ll = np.zeros((B, T))
-    diags, quads = [], []          # per transient step: (B, p) and (B,)
+    eye = np.broadcast_to(np.eye(p), (B, p, p))
     # the steps before the switch of the pass handed over are tested after the loop
     untested = 0 if reuse is None else reuse["switch"]
-    oks = []                       # ok at each untested step
+    oks = []                                   # ok at each untested step
     shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d), "FT": (B, T, d, d),
               "SinvC": (B, T, p, d), "v": (B, T, p)}
     out = {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
+    xs, Ps, FTs, SinvCs, vs = (out[k] for k in shapes)
+    # S_t^{-1} of each transient step; until they are taken after the loop,
+    # v holds the diagonal of S_t's Cholesky factor and SinvC G_t^T = (A K_t)^T
+    Sinvs = []
+    P = sym(pb.R0)                                 # predicted covariance at t
+    Ps[:, 0] = P
     t = 0
     while t < T:
-        out["pred_means"][:, t] = x
-        out["pred_covs"][:, t] = P
         CP = pb.C @ P                                  # (B, p, d)
-        innov = Y[t] - np.einsum("bpd,bd->bp", pb.C, x)
         S = CP @ CT + pb.R2
-        # S^{-1} [C P | r | C]: the transposed gain (B, p, d), S^{-1} r and S^{-1} C
         if p == 1:
+            # a 1x1 S is its own symmetric part; _factor_solve's 1x1 path,
+            # inline where every element factors
             s = S[:, 0, 0]
-            h = 0.5 * s
-            s = h + h                                  # sym(S) of a 1x1 S
-            if all_ok and 0 < s.min() and s.max() < np.inf:
-                # _factor_solve's 1x1 path where every element factors
-                inv = 1.0 / s
-                w = inv[:, None, None]
-                diag, KT, v, SinvC = np.sqrt(s)[:, None], CP * w, innov[:, 0] * inv, pb.C * w
-            else:
-                diag, (KT, v, SinvC), ok = _factor_solve(
-                    s[:, None, None], (CP, innov[..., None], pb.C), ok)
-                v = v[:, 0, 0]
-                all_ok = bool(ok.all())
-            # one-term sums: the plain products are the einsums' values
-            quads.append(innov[:, 0] * v)
-            x = x + KT[:, 0] * innov
-            v = v[:, None]
+            inline = all_ok and 0 < s.min() and s.max() < np.inf
         else:
-            diag, (KT, v, SinvC), ok = _factor_solve(sym(S), (CP, innov[..., None], pb.C), ok)
-            all_ok = bool(ok.all())
-            v = v[..., 0]
-            quads.append(np.einsum("bp,bp->b", innov, v))
-            x = x + np.einsum("bpd,bp->bd", KT, innov)
-        diags.append(diag)
-        if not all_ok:
-            x[~ok] = 0.0               # a failed element's mean is held at zero
-            v[~ok], SinvC[~ok] = 0.0, 0.0
-        out["v"][:, t] = v
-        out["SinvC"][:, t] = SinvC
+            S, inline = sym(S), False
+        if inline:
+            Sinv = (1.0 / s)[:, None, None]
+            np.sqrt(s, out=vs[:, t, 0])
+            KT = CP * Sinv
+        else:
+            vs[:, t], (KT, Sinv), ok = _factor_solve(S, (CP, eye), ok)
+            if not ok.all():
+                failed_at = np.where(ok, failed_at, np.minimum(failed_at, t))
+                all_ok = False
+        Sinvs.append(Sinv)
         t += 1
         if t == T:
             break
         # F^T = A^T - C^T (A K)^T
-        FT = AT - CT @ (KT @ AT)
+        GT = SinvCs[:, t - 1] = KT @ AT
+        FT = AT - CT @ GT
         if not all_ok:
             FT[~ok] = 0.0
-        out["FT"][:, t - 1] = FT
-        x = np.einsum("bde,be->bd", pb.A, x)
+        FTs[:, t - 1] = FT
         P_next = sym(pb.A @ P @ FT + pb.R1)
         if t < untested:
             oks.append(ok.copy())
             settled = False
         else:
             settled = _settled(P_next, P, ok)
-        # an element already not ok carries the identity: its placeholder
-        # covariance cannot grow without bound
-        P = P_next if all_ok else _identity_where_failed(P_next, ok)
+        if not all_ok:
+            # an element already not ok carries the identity: its placeholder
+            # covariance cannot grow without bound
+            P_next[~ok] = np.eye(d)
+        P = Ps[:, t] = P_next
         if settled:
             break
-    k = _first_settled(out["pred_covs"][:, :len(oks) + 1], np.array(oks)) if oks else None
+    k = _first_settled(Ps[:, :len(oks) + 1], np.array(oks)) if oks else None
     if k is not None:
         # the pass goes back to the first settled step, which the untested
         # stretch passed over; the frozen phase overwrites the steps after it
         t, ok = k, oks[k - 1]
-        x, P = out["pred_means"][:, k].copy(), out["pred_covs"][:, k].copy()
-        del diags[k:], quads[k:]
-    step_ll[:, :t] = -0.5 * (p * LOG_2PI + _log_det(np.stack(diags, axis=1))
-                             + np.stack(quads, axis=1))
+        del Sinvs[k:]
+    step_ll = np.empty((B, T))                     # log|S_t|, then the step logliks
+    step_ll[:, :t] = _log_det(vs[:, :t])
+    held = np.arange(t) >= failed_at[:, None]      # an element's steps from its failure on
+    # the means of the transient: x_{j+1} = x_j F_j^T + y_j G_j^T, with F_j
+    # and G_j zero for a failed element.  Step-major rows x_j (B, 1, d) make
+    # each step one batched product over contiguous rows
+    n = min(t, T - 1)
+    x = np.empty((n + 1, B, 1, d))
+    x[0, :, 0] = pb.mu0
+    np.einsum("sp,bspd->sbd", Y[:n], SinvCs[:, :n], out=x[1:, :, 0])
+    x[1:][held.T[:n]] = 0.0
+    for j in range(n):
+        x[j + 1] += x[j] @ FTs[:, j]
+    xs[:, :n + 1] = x[:, :, 0].swapaxes(0, 1)
+    Sinv = np.array(Sinvs)                         # (t, B, p, p)
+    np.einsum("sbpq,bqd->bspd", Sinv, pb.C, out=SinvCs[:, :t])
+    SinvCs[:, :t][held] = 0.0
     if t < T:
         # steady state from step t on: P is the fixed point of the recursion
+        P = Ps[:, t].copy()
         CP = pb.C @ P
         # S^{-1} [C P | I | C]: the transposed gain (B, p, d), S^{-1} (B, p, p)
         # and S^{-1} C (B, p, d)
-        diag, (KT, Sinv, SinvC), ok = _factor_solve(sym(CP @ CT + pb.R2), (
-            CP, np.broadcast_to(np.eye(p), (B, p, p)), pb.C), ok)
-        out["pred_covs"][:, t:] = P[:, None]
+        diag, (KT, Sinv_frozen, SinvC), ok = _factor_solve(sym(CP @ CT + pb.R2),
+                                                           (CP, eye, pb.C), ok)
+        Ps[:, t + 1:] = P[:, None]
+        step_ll[:, t:] = _log_det(diag)[:, None]
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
         # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
         # the batch, so y_s G^T of every element is one product with the
@@ -451,17 +465,18 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         FT = AT - CT @ GT                              # F^T = A^T - C^T G^T
         FT[~ok] = 0.0
         u = (Y[t:] @ G_all).reshape(T - t, B, d).swapaxes(0, 1)
-        xs = _affine_scan(FT, u, x)[:, :-1]            # predicted means of t..T-1
-        innov = Y[t:] - xs @ CT
-        # S^{-1} r, applied from the right, and r^T S^{-1} r
-        v = innov @ Sinv
-        step_ll[:, t:] = -0.5 * ((p * LOG_2PI + _log_det(diag))[:, None]
-                                 + np.einsum("bsp,bsp->bs", innov, v))
-        v[~ok], SinvC[~ok] = 0.0, 0.0
-        out["pred_means"][:, t:] = xs
-        out["v"][:, t:] = v
-        out["FT"][:, t] = FT
-        out["SinvC"][:, t] = SinvC
+        xs[:, t:] = _affine_scan(FT, u, xs[:, t])[:, :-1]
+        SinvC[~ok] = 0.0
+        FTs[:, t] = FT
+        SinvCs[:, t] = SinvC
+    # the innovations of every step, S^{-1} r (applied from the right) and r^T S^{-1} r
+    innov = Y - xs @ CT
+    np.einsum("bsp,sbpq->bsq", innov[:, :t], Sinv, out=vs[:, :t])
+    if t < T:
+        np.matmul(innov[:, t:], Sinv_frozen, out=vs[:, t:])
+    step_ll = -0.5 * (p * LOG_2PI + step_ll + np.einsum("bsp,bsp->bs", innov, vs))
+    vs[:, :t][held] = 0.0
+    vs[~ok, t:] = 0.0
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
     out["switch"] = t

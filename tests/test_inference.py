@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -886,12 +887,14 @@ class TestStandardUpdate:
 
         return (count(Y) - count(Y[:6])) / 6
 
-    @pytest.mark.parametrize("p, reuse, budget", [pytest.param(1, False, 31, id="1"),
-                                                   pytest.param(1, True, 24, id="1-reuse"),
-                                                   pytest.param(3, False, 66, id="3")])
+    @pytest.mark.parametrize("p, reuse, budget", [pytest.param(1, False, 15, id="1"),
+                                                   pytest.param(1, True, 8, id="1-reuse"),
+                                                   pytest.param(3, False, 33, id="3")])
     def test_transient_step_call_budget(self, p, reuse, budget, monkeypatch):
-        # a 1x1 innovation covariance is solved inline, without LAPACK; with
-        # an earlier pass handed over, no step makes its own settle test
+        # a transient step steps the covariances alone, the means and the
+        # innovations are taken after the loop; a 1x1 innovation covariance
+        # is solved inline, without LAPACK; with an earlier pass handed
+        # over, no step makes its own settle test
         pb = _engine.stack_params([random_model(4, p, seed=70 + b) for b in range(10)])
         assert self.calls_per_step(pb, monkeypatch, reuse) <= budget
 
@@ -924,6 +927,37 @@ class TestStandardUpdate:
         got = _engine.filtered_moments(pb, fr)[1][0]
         tol = 1e-10 * np.abs(got).max() + 1e-14 * np.abs(fr["pred_covs"][0]).max()
         np.testing.assert_allclose(got, Pf, rtol=0, atol=tol)
+
+
+class TestFilterMemory:
+    """A filter pass allocates its returned arrays and, beyond them, no array
+    with one (d, d) matrix per step: its temporaries stay within a fixed
+    margin, below one (B, T, d, d) array at either shape."""
+
+    #: bytes a pass may hold beyond its returned arrays
+    MARGIN = 640 * 1024
+
+    @pytest.mark.parametrize("B, T, d, observable", [
+        pytest.param(30, 100, 6, False, id="p1-B30-T100-d6"),
+        pytest.param(2, 1000, 10, True, id="observable-B2-T1000-d10")])
+    def test_pass_allocates_its_outputs_and_a_margin(self, B, T, d, observable):
+        if observable:
+            models = [random_model(d, d, seed=200 + b).replace(
+                C=np.eye(d), R2=_engine.OBSERVABLE_MODE_NOISE * np.eye(d)) for b in range(B)]
+        else:
+            models = [random_model(d, 1, seed=300 + b) for b in range(B)]
+        Y = simulate(models[0], T=T, seed=0).Y
+        batch = _engine.stack_params(models)
+        tracemalloc.start()
+        try:
+            fr = _engine.filter_batch(batch, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fr["ok"].all()
+        returned = sum(v.nbytes for v in fr.values() if isinstance(v, np.ndarray))
+        assert self.MARGIN < B * T * d * d * 8
+        assert peak <= returned + self.MARGIN
 
 
 class TestFactorSolve:
@@ -971,20 +1005,27 @@ class TestFactorSolve:
         np.testing.assert_array_equal(got_ok[400:409], [False] * 6 + [True] * 3)
         assert not got_ok[-18:].any() and got_ok[1:400:7].all()
 
-    @pytest.mark.parametrize("kind", ["nonpositive", "inf", "nan"])
-    def test_inline_filter_solve_matches_factor_solve(self, kind):
+    @pytest.mark.parametrize("kind, p", [
+        pytest.param(kind, p, id=kind if p == 1 else f"p3-{kind}")
+        for p in (1, 3) for kind in ("nonpositive", "inf", "nan")])
+    def test_inline_filter_solve_matches_factor_solve(self, kind, p):
         # the filter solves a 1x1 S inline only while every element factors;
-        # one element's s turns <= 0, +inf or NaN after step 0.  The
+        # one element's S turns indefinite, +inf or NaN after step 0.  The
         # reference has one more element, failed from the start, so that
-        # every step of it goes through _factor_solve
-        models = [random_model(3, 1, seed=90 + b) for b in range(5)]
+        # every step of it goes through _factor_solve.  At p = 3 every step
+        # does: the failure is kept apart from the other elements by its own
+        # masks, after the loop as in it
+        models = [random_model(3, p, seed=90 + b) for b in range(5)]
         Y = simulate(models[0], T=300, seed=1).Y
         batch, ref_batch = _engine.stack_params(models[:4]), _engine.stack_params(models)
         for pb in (batch, ref_batch):
             if kind == "nonpositive":
-                pb.R2[2], pb.R0[2] = -1e3, 1e6 * np.eye(3)
-            elif kind == "inf":                    # P grows x4 a step until s overflows
-                pb.A[2], pb.R2[2], pb.R0[2] = 2.0 * np.eye(3), 1e300, 1e290 * np.eye(3)
+                pb.R2[2], pb.R0[2] = -1e3 * np.eye(p), 1e6 * np.eye(3)
+            elif kind == "inf":
+                # P grows x4 a step until S overflows; at p = 3 every state is
+                # seen and P settles near 3 R2, so S ~ 4 R2 must overflow
+                r2 = 1e300 if p == 1 else 1e308
+                pb.A[2], pb.R2[2], pb.R0[2] = 2.0 * np.eye(3), r2 * np.eye(p), 1e290 * np.eye(3)
             else:
                 pb.R1[2, 0, 0] = np.nan
         with np.errstate(over="ignore", invalid="ignore"):
@@ -995,10 +1036,11 @@ class TestFactorSolve:
         # failed after step 0, and from then on its P is I and its F^T,
         # S^{-1} C and S^{-1} r are zero
         held = [np.array_equal(P, np.eye(3)) for P in got["pred_covs"][2, :got["switch"]]]
-        fail = held.index(True)
-        assert fail > 1 and all(held[fail:])
+        fail = held.index(True) - 1
+        assert fail > 0 and all(held[fail + 1:])
         for key in ("FT", "SinvC", "v"):
             assert not got[key][2, fail:got["switch"]].any(), key
+            assert got[key][2, :fail].all(), key
         for key, value in stored(got).items():
             if key != "switch":
                 assert np.array_equal(value, stored(want)[key][:4], equal_nan=True), key

@@ -12,24 +12,28 @@ calls.
 
 EM layers: for each ``grid-d4`` bucket shape in ``BUCKETS`` the change's
 ``em_loop`` runs ``EM_ITERS`` EM iterations from the bucket's seeded
-restarts on the benchmark's ``grid-d4`` input of ``--seed`` (the change's
-``perfbench``), as ``grid_search`` seeds them; both sides then time
-``filter_batch``, ``smooth_batch``, ``m_step_batch`` and the EM pass on
-those parameters.  The filter is handed the pass of the iteration before
-as ``reuse``, as ``em_loop`` hands it over, so that its settle test meets
-the switch of that pass.  The EM pass is that filter pass, then
-``smooth_batch``, ``m_step_batch`` and ``enforce_stability_batch``: one
-iteration of ``em_loop``.  Each side calls ``smooth_batch`` as its own
-``em_loop`` does: with the result of the pass before as ``reuse`` where
-``smooth_batch`` takes one, and ``m_step_batch`` reads that side's
-smoother result.  For each order of ``narma10-observable`` (2-10,
-observable mode, B = 2 restarts, T about 1000, where most of each pass is
-the frozen stretch) the change's ``em_loop`` runs the workload's own EM
-budget from its seeded restarts on the delay-embedded input of
-``--seed``, and both sides time ``filter_batch`` and ``smooth_batch`` the
-same way.  Each line gives the workload, the layer, (B, D), T, the switch
-of the pass before and the filter's switch step, each side's time, and
-change / parent.
+restarts on the benchmark's ``grid-d4`` input of ``--seed`` (the
+change's ``perfbench``), as ``grid_search`` seeds them; both sides then
+time ``filter_batch``, ``smooth_batch``, ``m_step_batch`` and the EM
+pass on those parameters.  The filter is handed the pass of the
+iteration before as ``reuse``, as ``em_loop`` hands it over, so that its
+settle test meets the switch of that pass.  Each filter pass is timed a
+second time on the observations cut to the change's switch + 1 steps
+(the ``filter [:s+1]`` row, whose T is that length), handed the pass
+before on the same cut: nearly all of that pass is its transient, so the
+row shows the transient's own cost beside the full pass.  The EM pass is
+that filter pass, then ``smooth_batch``, ``m_step_batch`` and
+``enforce_stability_batch``: one iteration of ``em_loop``.  Each side
+calls ``smooth_batch`` as its own ``em_loop`` does: with the result of
+the pass before as ``reuse`` where ``smooth_batch`` takes one, and
+``m_step_batch`` reads that side's smoother result.  For each order of
+``narma10-observable`` (2-10, observable mode, B = 2 restarts, T about
+1000, where most of each pass is the frozen stretch) the change's
+``em_loop`` runs the workload's own EM budget from its seeded restarts
+on the delay-embedded input of ``--seed``, and both sides time
+``filter_batch`` and ``smooth_batch`` the same way.  Each line gives the
+workload, the layer, (B, D), T, the switch of the pass before and the
+filter's switch step, each side's time, and change / parent.
 
 Fisher: the change's ``grid_search`` fits the ``narma10-observable`` input
 of ``--seed`` (orders 2-10, observable mode, T about 1000) and the
@@ -59,6 +63,8 @@ BUCKETS = ([2, 3], [4, 5, 6], [7, 8], [12])
 #: EM iterations run before the layers are timed
 EM_ITERS = 10
 SIDES = ("parent", "change")
+#: the layer row of a filter pass on the observations cut to its switch + 1 steps
+CUT = "filter [:s+1]"
 #: the orders whose Fisher is timed, per workload (None: every fitted order)
 FISHER_ORDERS = {"narma10-observable": None,
                  "grid-d4": [d for bucket in BUCKETS for d in bucket]}
@@ -90,11 +96,11 @@ def em_shapes(grid, narma, seed):
     layer shape timed: the grid-d4 buckets, then each NARMA order."""
     Y = grid.sequence(seed)
     shapes = [(grid, Y, orders, EM_ITERS,
-               ("filter_batch", "smooth_batch", "m_step_batch", "EM pass"))
+               ("filter_batch", CUT, "smooth_batch", "m_step_batch", "EM pass"))
               for orders in BUCKETS]
     Y = narma.sequence(seed)
     return shapes + [(narma, narma.observations(Y, d), [d], narma.max_iters,
-                      ("filter_batch", "smooth_batch"))
+                      ("filter_batch", CUT, "smooth_batch"))
                      for d in range(narma.d_min, narma.d_max + 1)]
 
 
@@ -146,6 +152,8 @@ def main(argv=None):
         for shape_wl, Y, orders, iters, layers in em_shapes(wl, narma, args.seed):
             before = bucket_params(m, shape_wl, Y, orders, args.seed, iters - 1)
             arrays = bucket_params(m, shape_wl, Y, orders, args.seed, iters)
+            # the change's switch on these parameters, where the cut ends
+            cut = Y[:m._engine.filter_batch(m._engine.ParamsBatch(*arrays), Y)["switch"] + 1]
             calls, switch = {}, {}
             for side, ms in mods.items():
                 eng = ms._engine
@@ -153,6 +161,7 @@ def main(argv=None):
                 # the pass before: each timed filter call overwrites its arrays,
                 # but reads the switch it was handed
                 prev = eng.filter_batch(eng.ParamsBatch(*(a.copy() for a in before)), Y)
+                prev_cut = eng.filter_batch(eng.ParamsBatch(*(a.copy() for a in before)), cut)
                 fr = eng.filter_batch(pb, Y)
                 sm = eng.smooth_batch(pb, fr)
                 switch[side] = (prev["switch"], fr["switch"])
@@ -170,6 +179,8 @@ def main(argv=None):
                 calls[side] = {
                     "filter_batch": lambda eng=eng, pb=pb, prev=prev, Y=Y:
                         eng.filter_batch(pb, Y, reuse=prev),
+                    CUT: lambda eng=eng, pb=pb, prev=prev_cut, Y=cut:
+                        eng.filter_batch(pb, Y, reuse=prev),
                     "smooth_batch": lambda eng=eng, pb=pb, fr=fr, kw=smooth_kw:
                         eng.smooth_batch(pb, fr, **kw),
                     "m_step_batch": lambda eng=eng, sm=sm, Y=Y, obs=shape_wl.observable:
@@ -182,7 +193,8 @@ def main(argv=None):
             for layer in layers:
                 best = alternate({side: calls[side][layer] for side in SIDES}, args.runs)
                 p, c = best["parent"] * 1e3, best["change"] * 1e3
-                print(f"{shape_wl.name:<19} {layer:<13} {shape:>8} {len(Y):>5} {hint:>5} {sw:>6} "
+                T = len(cut if layer == CUT else Y)
+                print(f"{shape_wl.name:<19} {layer:<13} {shape:>8} {T:>5} {hint:>5} {sw:>6} "
                       f"{p:>10.3f} {c:>10.3f} {c / p:>6.3f}", flush=True)
         print(f"\n{'Fisher':<19} {'d':>3} {'n':>4} {'T':>5} {'switch':>6} {'parent ms':>10} "
               f"{'change ms':>10} {'ratio':>6}")
