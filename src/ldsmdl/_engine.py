@@ -39,7 +39,10 @@ one batched product a step over the transient and, over the N frozen
 steps, as a doubling scan (``_affine_scan``, Hillis & Steele 1986):
 ceil(log2(N + 1)) passes of one batched product each, with F squared
 between passes.  The innovations, S^{-1} r, their quadratic forms and the
-logliks of every step are then whole-trajectory products.
+logliks of every step are then whole-trajectory products.  The transient's
+S^{-1} wait for them in runs of at most SCAN_CHUNK doubles, a run taken
+within the loop as it fills, so a transient that runs long holds no
+(T, p, p) stack.
 With one output (p = 1) S is a scalar s, its own symmetric part, and
 ``_factor_solve`` calls no LAPACK routine: the factor is sqrt(s), the bound
 is exactly 1, and S^{-1} b is b * (1 / s), which are OpenBLAS's 1x1
@@ -103,7 +106,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
-#: doubles in one panel of tangent-pass scores and in its (K, n, d) block states
+#: doubles in one panel of tangent-pass scores and in its (K, n, d) block
+#: states, in one run of the filter's held S^{-1} and in one settle-test array
 SCAN_CHUNK = 2 ** 15
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
@@ -349,13 +353,16 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     ones.  The steps before the switch of ``reuse`` are tested for settling
     after the loop, which goes back to the first settled step should it lie
     among them: the outputs do not depend on ``reuse``.  Everything that
-    reads Y is then taken over whole trajectories: the means,
+    reads Y is taken over whole stretches of steps: the means,
     x_{t+1} = x_t F_t^T + y_t G_t^T as rows with G_t^T = K_t^T A^T, by one
     product a step over the transient and a doubling scan over the frozen
-    stretch; then the innovations, S^{-1} r and the logliks of every step at
-    once.  A failed element's S^{-1} C, G and v are zeroed from its failure
-    step after the loop, its F in the loop, where its P turns to the
-    identity.
+    stretch; then the innovations, S^{-1} r, S^{-1} C and the logliks.  The
+    transient's S_t^{-1} are held until then, in runs of steps whose (p, p)
+    matrices hold at most SCAN_CHUNK doubles: a run that fills is taken in
+    the loop, the last after it, so a long transient keeps no (T, p, p)
+    stack.  A failed element's S^{-1} C, G and v are zeroed from its
+    failure step as its steps are taken, its F in the loop, where its P
+    turns to the identity.
     """
     B, d, p = pb.B, pb.d, pb.p
     T = Y.shape[0]
@@ -373,13 +380,45 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
               "SinvC": (B, T, p, d), "v": (B, T, p)}
     out = {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
     xs, Ps, FTs, SinvCs, vs = (out[k] for k in shapes)
-    # S_t^{-1} of each transient step; until they are taken after the loop,
-    # v holds the diagonal of S_t's Cholesky factor and SinvC G_t^T = (A K_t)^T
+    step_ll = np.empty((B, T))                     # log|S_t|, then the step logliks
+    # S_t^{-1} of the transient steps from ``taken`` on, taken in runs whose
+    # (B, p, p) matrices with their stack, or means, hold about SCAN_CHUNK
+    # doubles.  Until a step's data-side quantities are taken, v holds the
+    # diagonal of its S's Cholesky factor and SinvC its G^T = (A K)^T
+    run = max(1, SCAN_CHUNK // (2 * B * max(p * p, d)))
     Sinvs = []
+
+    def take(a: int, b: int) -> None:
+        """Take the data-side quantities of the transient steps a .. b - 1
+        from their S^{-1}, the ``Sinvs`` emptied here: log|S_t|, the means
+        up to x_b (to x_{T-1} at most), S^{-1} C and S^{-1} r."""
+        Sinv = np.array(Sinvs[:b - a])                 # (b - a, B, p, p)
+        Sinvs.clear()
+        step_ll[:, a:b] = _log_det(vs[:, a:b])
+        held = np.arange(a, b) >= failed_at[:, None]
+        # x_{j+1} = x_j F_j^T + y_j G_j^T, with F_j and G_j zero for a failed
+        # element.  Step-major rows x_j (B, 1, d) make each step one batched
+        # product over contiguous rows
+        m = min(b, T - 1)
+        x = np.empty((m - a + 1, B, 1, d))
+        x[0, :, 0] = xs[:, a]
+        np.einsum("sp,bspd->sbd", Y[a:m], SinvCs[:, a:m], out=x[1:, :, 0])
+        x[1:][held.T[:m - a]] = 0.0
+        for j in range(m - a):
+            x[j + 1] += x[j] @ FTs[:, a + j]
+        xs[:, a:m + 1] = x[:, :, 0].swapaxes(0, 1)
+        np.einsum("sbpq,bqd->bspd", Sinv, pb.C, out=SinvCs[:, a:b])
+        SinvCs[:, a:b][held] = 0.0
+        np.einsum("bsp,sbpq->bsq", Y[a:b] - xs[:, a:b] @ CT, Sinv, out=vs[:, a:b])
+
     P = sym(pb.R0)                                 # predicted covariance at t
     Ps[:, 0] = P
-    t = 0
+    xs[:, 0] = pb.mu0
+    t = taken = 0
     while t < T:
+        if t - taken == run:
+            take(taken, t)
+            taken = t
         CP = pb.C @ P                                  # (B, p, d)
         S = CP @ CT + pb.R2
         if p == 1:
@@ -426,32 +465,16 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         # the pass goes back to the first settled step, which the untested
         # stretch passed over; the frozen phase overwrites the steps after it
         t, ok = k, oks[k - 1]
-        del Sinvs[k:]
-    step_ll = np.empty((B, T))                     # log|S_t|, then the step logliks
-    step_ll[:, :t] = _log_det(vs[:, :t])
-    held = np.arange(t) >= failed_at[:, None]      # an element's steps from its failure on
-    # the means of the transient: x_{j+1} = x_j F_j^T + y_j G_j^T, with F_j
-    # and G_j zero for a failed element.  Step-major rows x_j (B, 1, d) make
-    # each step one batched product over contiguous rows
-    n = min(t, T - 1)
-    x = np.empty((n + 1, B, 1, d))
-    x[0, :, 0] = pb.mu0
-    np.einsum("sp,bspd->sbd", Y[:n], SinvCs[:, :n], out=x[1:, :, 0])
-    x[1:][held.T[:n]] = 0.0
-    for j in range(n):
-        x[j + 1] += x[j] @ FTs[:, j]
-    xs[:, :n + 1] = x[:, :, 0].swapaxes(0, 1)
-    Sinv = np.array(Sinvs)                         # (t, B, p, p)
-    np.einsum("sbpq,bqd->bspd", Sinv, pb.C, out=SinvCs[:, :t])
-    SinvCs[:, :t][held] = 0.0
+    if taken < t:
+        take(taken, t)
     if t < T:
         # steady state from step t on: P is the fixed point of the recursion
         P = Ps[:, t].copy()
         CP = pb.C @ P
         # S^{-1} [C P | I | C]: the transposed gain (B, p, d), S^{-1} (B, p, p)
         # and S^{-1} C (B, p, d)
-        diag, (KT, Sinv_frozen, SinvC), ok = _factor_solve(sym(CP @ CT + pb.R2),
-                                                           (CP, eye, pb.C), ok)
+        diag, (KT, Sinv, SinvC), ok = _factor_solve(sym(CP @ CT + pb.R2),
+                                                    (CP, eye, pb.C), ok)
         Ps[:, t + 1:] = P[:, None]
         step_ll[:, t:] = _log_det(diag)[:, None]
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
@@ -469,13 +492,12 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         SinvC[~ok] = 0.0
         FTs[:, t] = FT
         SinvCs[:, t] = SinvC
-    # the innovations of every step, S^{-1} r (applied from the right) and r^T S^{-1} r
+    # the innovations of every step, S^{-1} r of the frozen ones and r^T S^{-1} r
     innov = Y - xs @ CT
-    np.einsum("bsp,sbpq->bsq", innov[:, :t], Sinv, out=vs[:, :t])
     if t < T:
-        np.matmul(innov[:, t:], Sinv_frozen, out=vs[:, t:])
+        np.matmul(innov[:, t:], Sinv, out=vs[:, t:])
     step_ll = -0.5 * (p * LOG_2PI + step_ll + np.einsum("bsp,bsp->bs", innov, vs))
-    vs[:, :t][held] = 0.0
+    vs[:, :t][np.arange(t) >= failed_at[:, None]] = 0.0
     vs[~ok, t:] = 0.0
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok

@@ -149,28 +149,19 @@ def _fit_bucket(data: SequenceData, orders: list, config: EmConfig,
     return data_d, fits
 
 
-def _order_pass(data_d: SequenceData, fit: FitResult) -> tuple:
-    """The one B=1 filter pass at the fitted parameters and the compact
-    smoother's (T, d) means over it, which are all the DL reads."""
-    fr = kalman_filter(fit.params, data_d)
-    sm = _engine.smooth_batch(_engine.stack_params([fit.params]), fr.engine_pass)
-    return fr, sm["means"][0]
-
-
 def _order_result(data_d: SequenceData, fit, order: int, observable_mode: bool,
-                  all_criteria: bool, means: Optional[np.ndarray] = None) -> OrderResult:
+                  all_criteria: bool) -> OrderResult:
     """Score one order's entry of ``_fit_bucket`` on the data it was fitted
     to: the description length and, with ``all_criteria``, the other four
-    criteria before it.  The DL reads the smoothed ``means`` the caller
-    hands over, or else those of ``_order_pass``, whose filter pass also
-    serves the Fisher of FIA.  A fitting or scoring failure becomes an
-    error row."""
+    criteria before it.  One filter pass at the fitted parameters serves the
+    DL, through the compact smoother's means alone, and the Fisher of FIA.
+    A fitting or scoring failure becomes an error row."""
     if isinstance(fit, LdsError):
         return OrderResult(order=order, fit=None, error=str(fit))
     try:
-        if means is None:
-            fr, means = _order_pass(data_d, fit)
-        dl_value = mdl_description_length(fit, means, data_d, N=data_d.T)
+        fr = kalman_filter(fit.params, data_d)
+        sm = _engine.smooth_batch(_engine.stack_params([fit.params]), fr.engine_pass)
+        dl_value = mdl_description_length(fit, sm["means"][0], data_d, N=data_d.T)
         values = [dl_value]
         if all_criteria:
             n = data_d.T
@@ -192,23 +183,6 @@ def _scored_bucket(data: SequenceData, orders: list, config: EmConfig,
     """The grid's job: ``_fit_bucket``, then all five criteria of each order."""
     data_d, fits = _fit_bucket(data, orders, config, observable_mode)
     return [_order_result(data_d, fits[d], d, observable_mode, True) for d in orders]
-
-
-def _smoothed_bucket(data: SequenceData, orders: list, config: EmConfig,
-                     observable_mode: bool) -> tuple:
-    """The walk's job: ``_fit_bucket``, then the smoothed means of each
-    fitted order (``_order_pass``), so that the walk only takes the DL of
-    the orders it reaches.  An order whose pass fails maps to that
-    LdsError among the fits."""
-    data_d, fits = _fit_bucket(data, orders, config, observable_mode)
-    means = {}
-    for d in orders:
-        if not isinstance(fits[d], LdsError):
-            try:
-                means[d] = _order_pass(data_d, fits[d])[1]
-            except LdsError as exc:
-                fits[d] = exc
-    return data_d, fits, means
 
 
 def _workers(n_jobs: int) -> int:
@@ -324,9 +298,7 @@ def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
     walk that never stops is ``grid_search`` scored by the DL alone.  It
     scores and reports only the orders it visits, but it fits buckets
     whole, and with several usable CPUs it fits the buckets below the one
-    being read ahead of it (``_run_jobs``).  A bucket's job also makes the
-    smoothed means of its orders (``_smoothed_bucket``), so that the walk
-    itself takes only the DL of each order it reaches.
+    being read ahead of it (``_run_jobs``).
     """
     _check_data(data, observable_mode)
     jobs = _buckets(bounds, config.n_restarts, data.T, observable_mode)[::-1]
@@ -334,11 +306,11 @@ def annihilation_search(data: SequenceData, bounds: ModelOrderBounds,
     per_order = []
     prev_dl = math.inf
     with contextlib.closing(_run_jobs(
-            lambda b: _smoothed_bucket(data, b, config, observable_mode),
+            lambda b: _fit_bucket(data, b, config, observable_mode),
             jobs, workers)) as fitted:
-        for orders, (data_d, fits, means) in zip(jobs, fitted):
+        for orders, (data_d, fits) in zip(jobs, fitted):
             for d in reversed(orders):
-                r = _order_result(data_d, fits[d], d, observable_mode, False, means.get(d))
+                r = _order_result(data_d, fits[d], d, observable_mode, False)
                 per_order.append(r)
                 if r.fit is None:
                     continue

@@ -931,16 +931,21 @@ class TestStandardUpdate:
 
 class TestFilterMemory:
     """A filter pass allocates its returned arrays and, beyond them, no array
-    with one (d, d) matrix per step: its temporaries stay within a fixed
-    margin, below one (B, T, d, d) array at either shape."""
+    with one (d, d) or (p, p) matrix per step: its temporaries stay within a
+    fixed margin, below one (B, T, d, d) array at either shape, also where
+    the transient runs to the end (no switch) at p = d."""
 
     #: bytes a pass may hold beyond its returned arrays
     MARGIN = 640 * 1024
 
-    @pytest.mark.parametrize("B, T, d, observable", [
-        pytest.param(30, 100, 6, False, id="p1-B30-T100-d6"),
-        pytest.param(2, 1000, 10, True, id="observable-B2-T1000-d10")])
-    def test_pass_allocates_its_outputs_and_a_margin(self, B, T, d, observable):
+    @pytest.mark.parametrize("B, T, d, observable, never_settle", [
+        pytest.param(30, 100, 6, False, False, id="p1-B30-T100-d6"),
+        pytest.param(2, 1000, 10, True, False, id="observable-B2-T1000-d10"),
+        pytest.param(2, 1000, 10, True, True, id="observable-B2-T1000-d10-no-switch")])
+    def test_pass_allocates_its_outputs_and_a_margin(self, B, T, d, observable, never_settle,
+                                                     monkeypatch):
+        if never_settle:
+            monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
         if observable:
             models = [random_model(d, d, seed=200 + b).replace(
                 C=np.eye(d), R2=_engine.OBSERVABLE_MODE_NOISE * np.eye(d)) for b in range(B)]
@@ -954,10 +959,45 @@ class TestFilterMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fr["ok"].all()
+        assert fr["ok"].all() and (fr["switch"] == T or not never_settle)
         returned = sum(v.nbytes for v in fr.values() if isinstance(v, np.ndarray))
         assert self.MARGIN < B * T * d * d * 8
         assert peak <= returned + self.MARGIN
+
+    @pytest.mark.parametrize("p, hinted", [pytest.param(1, False, id="p1"),
+                                           pytest.param(3, False, id="p3"),
+                                           pytest.param(3, True, id="p3-hinted")])
+    def test_transient_taken_step_by_step_matches_one_run(self, p, hinted, monkeypatch):
+        # with SCAN_CHUNK = 1 the pass takes the data-side quantities of its
+        # transient one step at a time, inside the loop: it defines what one
+        # run after the loop defines, the covariances bit for bit and the
+        # rest to rounding, with a failed element zeroed from the same step.
+        # The hint never settled, so the hinted pass goes back to its first
+        # settled step after every step was taken
+        models = [random_model(3, p, seed=90 + b) for b in range(4)]
+        Y = simulate(models[0], T=300, seed=1).Y
+        pb = _engine.stack_params(models)
+        pb.R2[2], pb.R0[2] = -1e3 * np.eye(p), 1e6 * np.eye(3)
+
+        def run():
+            reuse = None
+            if hinted:
+                with monkeypatch.context() as m:
+                    m.setattr(_engine, "SETTLE_RTOL", -np.inf)
+                    reuse = _engine.filter_batch(pb, Y)
+            return stored(_engine.filter_batch(pb, Y, reuse=reuse))
+
+        one = run()
+        monkeypatch.setattr(_engine, "SCAN_CHUNK", 1)
+        steps = run()
+        np.testing.assert_array_equal(steps["ok"], [True, True, False, True])
+        assert steps["switch"] == one["switch"] < len(Y)
+        for key in ("pred_covs", "FT"):
+            np.testing.assert_array_equal(steps[key], one[key])
+        for key in ("pred_means", "v", "SinvC", "loglik"):
+            np.testing.assert_array_equal(steps[key] == 0, one[key] == 0)
+            np.testing.assert_allclose(steps[key], one[key], rtol=1e-12,
+                                       atol=1e-12 * np.abs(one[key]).max())
 
 
 class TestFactorSolve:
