@@ -11,7 +11,8 @@ from .em import (EmConfig, FitResult, default_init, em_fit, m_step,
                  multi_restart_fit)
 from .errors import (DegeneracyError, DegenerateDataError, DimensionError,
                      DivergenceError, InstabilityError, InsufficientDataError,
-                     LdsError, RankDeficiencyError, SingularityError)
+                     LdsError, RankDeficiencyError, SingularityError,
+                     WorkerDiedError)
 from .inference import (FilterResult, SmoothedPosterior, complete_data_loglik,
                         kalman_filter, rts_smooth)
 from .model import (LdsParams, ModelOrderBounds, SequenceData,

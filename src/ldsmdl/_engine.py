@@ -27,8 +27,12 @@ pass's switch one at a time: it keeps each one's ``ok`` mask, and after its
 loop one vectorized test over the stored predicted covariances
 (``_first_settled``) finds the first settled step.  Should that step lie in
 the untested stretch, the pass goes back to it: the switch and ``ok`` are
-read from that step and the frozen phase overwrites the steps after it.  So
+read from that step and the frozen phase overwrites the step after it.  So
 the switch is the first settled step whatever the hint.
+A pass stores its covariance side (P_t, F_t and S_t^{-1} C) for the steps
+up to the switch alone: its frozen values once, at the switch, for every
+later step.  Only the public accessors expand such a stack to all T steps
+(``expand_steps``), so scoring an order holds no (T, d, d) trajectory.
 A transient step factors S = L L^T once; L and L^{-1} give the ``ok`` test,
 log|S|, S^{-1} and K^T = S^{-1} C P, and P_{t+1} = sym(A P F^T + R1) with
 F = A (I - K C).  From the switch on, S, K^T and S^{-1} (the same kernel on
@@ -107,8 +111,11 @@ DEGENERACY_RCOND = 1e-12
 #: relative move below which a covariance recursion counts as settled
 SETTLE_RTOL = 8.0 * np.finfo(float).eps
 #: doubles in one panel of tangent-pass scores and in its (K, n, d) block
-#: states, in one run of the filter's held S^{-1} and in one settle-test array
+#: states, in one run of the filter's held S^{-1}, in one settle-test array
+#: and in a new filter pass's covariance side until its transient outgrows it
 SCAN_CHUNK = 2 ** 15
+#: the covariance side of a pass: the keys of its (B, k, .., ..) step stacks
+STEP_KEYS = ("pred_covs", "FT", "SinvC")
 #: eigenvalue floor applied to M-step covariance estimates
 COV_FLOOR = 1e-10
 #: fixed observation noise scale in observable-state mode
@@ -256,6 +263,26 @@ def _first_settled(covs, oks):
     return None
 
 
+def _storage(a):
+    """The array whose leading steps the stored step stack ``a`` views."""
+    return a if a.base is None else a.base
+
+
+def _grown(a, n: int):
+    """A (B, n, ..) array whose leading steps are those of the (B, m, ..) ``a``."""
+    out = np.empty(a.shape[:1] + (n,) + a.shape[2:])
+    out[:, :a.shape[1]] = a
+    return out
+
+
+def expand_steps(a, T: int):
+    """The (B, T, ..) trajectory of a pass's (B, k, ..) covariance-side stack
+    ``a``, whose steps k .. T - 1 share step k - 1's values."""
+    out = _grown(a, T)
+    out[:, a.shape[1]:] = a[:, -1:]
+    return out
+
+
 def _affine_scan(M, u, x0):
     """All states of x_{i+1} = x_i M + u_i from x_0 = x0, as a doubling scan.
 
@@ -331,28 +358,33 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
                  reuse: dict | None = None) -> dict:
     """Batched Kalman filter, storing what the adjoint smoother reads.
 
-    Returns a dict with the predicted ``pred_means`` (B, T, d) and
-    ``pred_covs`` (B, T, d, d), ``FT`` = F_t^T = (A (I - K_t C))^T
-    (B, T, d, d), ``SinvC`` = S_t^{-1} C (B, T, p, d), ``v`` = S_t^{-1} r_t
-    (B, T, p), per-element logliks, an ``ok`` mask (False where an
-    innovation covariance degenerated) and the ``switch`` step (the first
-    frozen step, T when the filter never froze).  FT and SinvC are stored
-    for the steps 0 .. switch only (FT before T - 1): later steps share the
-    switch's.  An element not ``ok`` stores F = 0, S^{-1} C = 0 and v = 0
-    from the step it fails at.  Elements False in the caller's ``ok`` (all
-    True by default) fail from step 0.  An earlier pass of the same shapes
-    handed over as ``reuse`` has its arrays overwritten by this one's.
-    ``filtered_moments`` derives the filtered trajectories.
+    Returns a dict with the data side, the predicted means ``pred_means``
+    (B, T, d) and ``v`` = S_t^{-1} r_t (B, T, p); the covariance side, the
+    predicted covariances ``pred_covs`` (B, k, d, d), ``FT`` = F_t^T =
+    (A (I - K_t C))^T (B, k, d, d) and ``SinvC`` = S_t^{-1} C (B, k, p, d)
+    (``STEP_KEYS``) of the steps 0 .. k - 1 alone, k = min(switch, T - 1) +
+    1, the frozen ones at k - 1 (FT at T - 1 is not defined); per-element
+    logliks, an ``ok`` mask (False where an innovation covariance
+    degenerated) and the ``switch`` step (the first frozen step, T when the
+    filter never froze).  The steps after k - 1 share its covariances;
+    ``expand_steps`` writes them out.  The covariance side is the leading
+    steps of arrays that hold about SCAN_CHUNK doubles, grown to T steps
+    should the transient outgrow them.  An element not ``ok`` stores F = 0,
+    S^{-1} C = 0 and v = 0 from the step it fails at.  Elements False in
+    the caller's ``ok`` (all True by default) fail from step 0.  An earlier
+    pass of the same shapes handed over as ``reuse`` has its arrays, and
+    the arrays its covariance side views, overwritten by this one's.
+    ``filtered_moments`` derives the filtered moments.
 
     The loop steps the covariance recursion alone, which does not read Y:
     C P_t, the factor of S_t (inline at p = 1 while every element factors),
     S_t^{-1}, K_t^T, F_t^T and P_{t+1}, the last two stored in the pass's
     arrays as they are made.  Once the predicted covariance of every ``ok``
     element has settled (see the module docstring), S, K and log|S| are
-    frozen and the stored covariances of the remaining steps are the frozen
-    ones.  The steps before the switch of ``reuse`` are tested for settling
-    after the loop, which goes back to the first settled step should it lie
-    among them: the outputs do not depend on ``reuse``.  Everything that
+    frozen and stored once, for the remaining steps.  The steps before the
+    switch of ``reuse`` are tested for settling after the loop, which goes
+    back to the first settled step should it lie among them: the outputs do
+    not depend on ``reuse``.  Everything that
     reads Y is taken over whole stretches of steps: the means,
     x_{t+1} = x_t F_t^T + y_t G_t^T as rows with G_t^T = K_t^T A^T, by one
     product a step over the transient and a doubling scan over the frozen
@@ -376,10 +408,17 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     # the steps before the switch of the pass handed over are tested after the loop
     untested = 0 if reuse is None else reuse["switch"]
     oks = []                                   # ok at each untested step
-    shapes = {"pred_means": (B, T, d), "pred_covs": (B, T, d, d), "FT": (B, T, d, d),
-              "SinvC": (B, T, p, d), "v": (B, T, p)}
+    shapes = {"pred_means": (B, T, d), "v": (B, T, p)}
     out = {k: np.empty(shape) if reuse is None else reuse[k] for k, shape in shapes.items()}
-    xs, Ps, FTs, SinvCs, vs = (out[k] for k in shapes)
+    xs, vs = out["pred_means"], out["v"]
+    # the covariance side: the leading steps of arrays that hold about
+    # SCAN_CHUNK doubles (those handed over: their own steps) and grow to T
+    # steps should the loop reach their end
+    if reuse is None:
+        cap = min(T, max(1, SCAN_CHUNK // (B * (2 * d + p) * d)))
+        Ps, FTs, SinvCs = (np.empty((B, cap) + m) for m in ((d, d), (d, d), (p, d)))
+    else:
+        Ps, FTs, SinvCs = (_storage(reuse[k]) for k in STEP_KEYS)
     step_ll = np.empty((B, T))                     # log|S_t|, then the step logliks
     # S_t^{-1} of the transient steps from ``taken`` on, taken in runs whose
     # (B, p, p) matrices with their stack, or means, hold about SCAN_CHUNK
@@ -457,6 +496,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
             # an element already not ok carries the identity: its placeholder
             # covariance cannot grow without bound
             P_next[~ok] = np.eye(d)
+        if t == Ps.shape[1]:
+            Ps, FTs, SinvCs = (_grown(a, T) for a in (Ps, FTs, SinvCs))
         P = Ps[:, t] = P_next
         if settled:
             break
@@ -475,7 +516,6 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
         # and S^{-1} C (B, p, d)
         diag, (KT, Sinv, SinvC), ok = _factor_solve(sym(CP @ CT + pb.R2),
                                                     (CP, eye, pb.C), ok)
-        Ps[:, t + 1:] = P[:, None]
         step_ll[:, t:] = _log_det(diag)[:, None]
         # the predicted mean follows x_{s+1} = F x_s + G y_s with G = A K and
         # F = A - G C; as rows, x_{s+1} = x_s F^T + y_s G^T.  Y is shared by
@@ -499,6 +539,8 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
     step_ll = -0.5 * (p * LOG_2PI + step_ll + np.einsum("bsp,bsp->bs", innov, vs))
     vs[:, :t][np.arange(t) >= failed_at[:, None]] = 0.0
     vs[~ok, t:] = 0.0
+    k = min(t, T - 1) + 1
+    out.update(zip(STEP_KEYS, (Ps[:, :k], FTs[:, :k], SinvCs[:, :k])))
     out["loglik"] = step_ll.sum(axis=1)
     out["ok"] = ok
     out["switch"] = t
@@ -507,20 +549,17 @@ def filter_batch(pb: ParamsBatch, Y: np.ndarray, ok: np.ndarray | None = None,
 
 def filtered_moments(pb: ParamsBatch, fr: dict):
     """The (B, T, d) filtered means x_t + P_t C^T S_t^{-1} r_t and the
-    (B, T, d, d) filtered covariances P_t - (C P_t)^T S_t^{-1} C P_t of the
-    ``filter_batch`` pass ``fr`` of ``pb``, from what the pass stored: the
-    steps after the switch share its covariances."""
+    filtered covariances P_t - (C P_t)^T S_t^{-1} C P_t of the
+    ``filter_batch`` pass ``fr`` of ``pb``, the latter as a (B, k, d, d)
+    stack like the pass's own: the steps after the switch share its
+    covariances."""
     P, x = fr["pred_covs"], fr["pred_means"]
-    T = x.shape[1]
-    s = min(fr["switch"], T - 1)
+    s = P.shape[1] - 1
     Cv = fr["v"] @ pb.C
-    means, covs = np.empty_like(x), np.empty_like(P)
-    Pt = P[:, :s + 1]
-    means[:, :s + 1] = x[:, :s + 1] + (Cv[:, :s + 1, None] @ Pt)[:, :, 0]
+    means = np.empty_like(x)
+    means[:, :s + 1] = x[:, :s + 1] + (Cv[:, :s + 1, None] @ P)[:, :, 0]
     means[:, s + 1:] = x[:, s + 1:] + Cv[:, s + 1:] @ P[:, s]
-    covs[:, :s + 1] = sym(Pt - _T(pb.C[:, None] @ Pt) @ (fr["SinvC"][:, :s + 1] @ Pt))
-    covs[:, s + 1:] = covs[:, s, None]
-    return means, covs
+    return means, sym(P - _T(pb.C[:, None] @ P) @ (fr["SinvC"] @ P))
 
 
 def _adjoint_sums(FT, F, c, n: int):
@@ -704,10 +743,10 @@ def _tangent_innovation(params: LdsParams, dR2, dCT, P, dP, work):
     S = C P C^T + R2, and along every direction d(C P)^T, dS and
     dK = d(K^T)^T, into the first three of the five (d, n, p), (p, n, p) and
     (d, n, p) stacks of ``work`` (the last two are scratch).  Stacks are
-    indexed (a, n, b) like dP, dR2 and ``dCT`` = dC^T (None when no
-    direction moves C).  dP is symmetric, so d(C P)^T = dP C^T + P dC^T; dS
-    is the symmetric part of C d(C P)^T + C P dC^T + dR2; and dS is
-    symmetric, so dK = (d(C P)^T - K dS) S^{-T}.
+    indexed (a, n, b) like dP, dR2 and ``dCT`` = dC^T; dR2 and dCT are
+    None when no direction moves R2 or C.  dP is symmetric, so d(C P)^T =
+    dP C^T + P dC^T; dS is the symmetric part of C d(C P)^T + C P dC^T +
+    dR2; and dS is symmetric, so dK = (d(C P)^T - K dS) S^{-T}.
     """
     C = params.C
     p = C.shape[0]
@@ -721,7 +760,8 @@ def _tangent_innovation(params: LdsParams, dR2, dCT, P, dP, work):
     _left(C, dCPT, tS)
     if dCT is not None:
         tS += _left(CP, dCT, dS)
-    tS += dR2
+    if dR2 is not None:
+        tS += dR2
     np.add(tS, tS.transpose(2, 1, 0), out=dS)         # sym: 0.5 (X + X^T) for each X
     dS *= 0.5
     np.subtract(dCPT, _left(KT.T, dS, tK), out=tK)
@@ -733,21 +773,23 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
     """Empirical Fisher information sum_t g_t g_t^T of the exact per-step
     loglik scores, by a forward sensitivity (tangent-linear) pass over the
     filter pass ``fr`` of ``params`` (an ``inference.FilterResult``, read by
-    attribute): the caller's own pass, not a second one.
+    attribute, its covariances from the compact ``pred_cov_steps`` and
+    ``filt_cov_steps``): the caller's own pass, not a second one.
 
     ``dirs`` holds the n directions as a batch: element i is the derivative
-    of every parameter block along direction i.  A transient step carries
+    of every parameter block along direction i, and a block that no
+    direction moves is None (C and R2 in observable mode).  A transient step carries
     the derivatives dx (n, d) of the predicted mean and dP of its
     covariance; the score is
     g_t = -1/2 [tr(S^{-1} dS) + 2 v^T dr - v^T dS v], v = S^{-1} r,
     dr = -dC x - C dx.  Direction stacks are laid out by ``_by_rows``, so a
     product with a shared matrix on either side is one 2-D product into a
-    work array made once per call; when no direction moves C (observable
-    mode), its terms get no columns.  From the filter's switch on dP, dS
+    work array made once per call and released at the switch; the terms of
+    a block that is None get no columns.  From the filter's switch on dP, dS
     and dK^T are frozen like P, S and K, and dx_{t+1} = F dx_t + U_t with
     F = A (I - K C) and U_t = dA x^f_t + A dK r_t - A K dC x_t.
     The scores go in panels of at most SCAN_CHUNK doubles, each added to
-    the information as one G^T G.  The N frozen steps of a panel form K
+    the information as one G^T G, made in one (n, n) buffer.  The N frozen steps of a panel form K
     blocks of L = ceil(sqrt(N)) steps (more where K (n, d) states would
     exceed SCAN_CHUNK doubles): the part of dx that U drives is stepped in
     all blocks at once from zero, one (K n, d) (d, d) product a step; the
@@ -759,12 +801,13 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
     T, p = Y.shape
     n, d = dirs.B, params.d
     s = fr.switch
-    xp, Pp, xf, Pf = fr.pred_means, fr.pred_covs, fr.filt_means, fr.filt_covs
-    dC = dirs.C.reshape(n * p, d) if dirs.C.any() else None
+    xp, Pp, xf, Pf = fr.pred_means, fr.pred_cov_steps, fr.filt_means, fr.filt_cov_steps
+    dC = None if dirs.C is None else dirs.C.reshape(n * p, d)
     dCT = None if dC is None else _by_rows(_T(dirs.C))
-    dA, dR2 = _by_rows(dirs.A), dirs.R2.transpose(1, 0, 2)
+    dR2 = None if dirs.R2 is None else dirs.R2.transpose(1, 0, 2)
+    dA = _by_rows(dirs.A)
     rows_per_panel = max(1, SCAN_CHUNK // n)
-    info = np.zeros((n, n))
+    info, gram = np.zeros((n, n)), np.empty((n, n))
     work = [np.empty(shape) for shape in ((d, n, p), (p, n, p), (d, n, p), (p, n, p), (d, n, p))]
     dPf, X = np.empty((d, n, d)), np.empty((d, n, d))
     dx, dP = dirs.mu0.copy(), _by_rows(sym(dirs.R0))
@@ -779,7 +822,7 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
         rows.append(-0.5 * np.einsum("anb,ab->n", dS, Sinv - np.outer(v, v)) - dr @ v)
         if len(rows) == rows_per_panel or t == s - 1:
             G = np.array(rows)
-            info += G.T @ G
+            info += np.matmul(G.T, G, out=gram)
             rows = []
         if t == T - 1:
             break
@@ -799,6 +842,8 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
     if s == T:
         return info
     CP, Sinv, KT, dCPT, dS, dK = _tangent_innovation(params, dR2, dCT, Pp[s], dP, work)
+    # the transient's workspace goes: only dS, dK and dA are read again
+    del work, dPf, X, dP, dCPT
     AK = A @ KT.T
     FT = np.ascontiguousarray(_T(A - AK @ C))
     r = Y[s:] - xp[s:] @ C.T
@@ -816,9 +861,11 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
         W.append(-(AK @ _by_rows(dirs.C).reshape(p, -1)).reshape(d, n, d))
         Z.append(xp[s:])
         coefT.append(dirs.C.reshape(n, -1).T)
-    WT = np.concatenate([w.transpose(2, 1, 0).reshape(-1, n * d) for w in W])
+    # reshaped once joined: a transposed block reshaped alone would be copied
+    WT = np.concatenate([w.transpose(2, 1, 0) for w in W]).reshape(-1, n * d)
     Z = np.concatenate(Z, axis=1)
     coefT = np.concatenate(coefT)
+    del dA, W, dS, dK
     blocks = max(1, SCAN_CHUNK // (n * d))             # (n, d) block states at most
     powers = [np.eye(d)]                               # F^T to the powers 0, 1, ..
     for plo in range(0, T - s, rows_per_panel):
@@ -846,13 +893,14 @@ def tangent_fisher(params: LdsParams, fr, Y: np.ndarray, dirs: ParamsBatch) -> n
             e = U
         ends[:len(e)] = e
         # the share of each block's start: start F^q C^T v at its step q
-        Cvb = np.pad(Cvp, ((0, K * L - N), (0, 0))).reshape(K, L, d, 1)
-        w = (np.array(powers[:L]) @ Cvb)[..., 0]
+        Cvb = np.zeros((K * L, d))
+        Cvb[:N] = Cvp
+        w = (np.array(powers[:L]) @ Cvb.reshape(K, L, d, 1))[..., 0]
         for b in range(K):
             lo, m = b * L, min(L, N - b * L)
             G[lo:lo + m] += w[b, :m] @ dx.T
             dx = dx @ powers[m] + ends[b]
-        info += G.T @ G
+        info += np.matmul(G.T, G, out=gram)
     return info
 
 

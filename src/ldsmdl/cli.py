@@ -2,8 +2,9 @@
 
 Exit codes, from the ``STAGES`` table: 0 success, 2 config error, 3
 generation error (or out of memory), 4 fitting failure (or out of
-memory), 5 I/O error.  The environment variable LDSMDL_SEED overrides
---seed when set; a negative seed is a config error.
+memory, or a bucket worker that died), 5 I/O error.  The environment
+variable LDSMDL_SEED overrides --seed when set; a negative seed is a
+config error.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .criteria import CRITERION_NAMES
 from .datagen import (NarmaSpec, RandomLdsConfig, narma_generate,
                       preprocess_center_trim, random_stable_lds)
 from .em import EmConfig
-from .errors import LdsError
+from .errors import LdsError, WorkerDiedError
 from .model import (LdsParams, ModelOrderBounds, check_integer, read_sequence_csv,
                     simulate, write_sequence_csv)
 from .selection import (annihilation_search, criterion_table, grid_search,
@@ -36,7 +37,7 @@ _BAD_VALUE = (ValueError, KeyError, TypeError, OverflowError)
 STAGES = {
     "config": ((OSError,) + _BAD_VALUE, EXIT_CONFIG, "config error"),
     "generation": ((LdsError, MemoryError) + _BAD_VALUE, EXIT_GENERATION, "generation error"),
-    "fitting": ((LdsError, MemoryError), EXIT_FITTING, "fitting failure"),
+    "fitting": ((LdsError, MemoryError, WorkerDiedError), EXIT_FITTING, "fitting failure"),
     "io": ((OSError,), EXIT_IO, "I/O error"),
 }
 

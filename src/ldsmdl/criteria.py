@@ -156,12 +156,16 @@ def normalize_values(values) -> list:
 
 def _directions(params: LdsParams, fix_observation: bool) -> _engine.ParamsBatch:
     """One unit direction per free parameter of ``_free_layout``, in its
-    order, as a batch: element i is 1 at free entry i and at its mirror."""
+    order, as a batch: element i is 1 at free entry i and at its mirror.  A
+    block with no free entry (C and R2 under ``fix_observation``) is None."""
     layout = _free_layout(params.d, params.d_out, fix_observation)
     n = sum(free[0].size for free, _mirror in layout.values())
     fields = {}
     first = 0
     for name, (free, mirror) in layout.items():
+        if not free[0].size:
+            fields[name] = None
+            continue
         unit = np.zeros((n,) + getattr(params, name).shape)
         i = first + np.arange(free[0].size)
         unit[(i,) + free] = 1.0

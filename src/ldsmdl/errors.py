@@ -35,3 +35,8 @@ class DegenerateDataError(LdsError):
 
 class InsufficientDataError(LdsError):
     """The sequence is too short for the requested operation."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A process that fitted buckets ended without handing back its results
+    (killed, say, by the kernel when memory ran out)."""

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,19 +16,32 @@ class FilterResult:
     """Forward-pass quantities: predicted/filtered moments and the innovation loglik.
 
     ``switch`` is the first step whose covariances are the frozen
-    steady-state ones (every later step stores the same), or T when the
-    covariance recursion never settled; the smoother reads it.
-    ``engine_pass`` is the engine's batch-of-one pass these were read
-    from, which ``rts_smooth`` reads.
+    steady-state ones (every later step has the same), or T when the
+    covariance recursion never settled; the smoother reads it.  The pass
+    stores the covariances of the steps 0 .. k - 1 alone, k =
+    min(switch, T - 1) + 1, as ``pred_cov_steps`` and ``filt_cov_steps``;
+    ``pred_covs`` and ``filt_covs`` expand them to every step on first
+    access.  ``engine_pass`` is the engine's batch-of-one pass these were
+    read from, which ``rts_smooth`` reads.
     """
 
-    pred_means: np.ndarray  # (T, d)
-    pred_covs: np.ndarray   # (T, d, d)
-    filt_means: np.ndarray  # (T, d)
-    filt_covs: np.ndarray   # (T, d, d)
+    pred_means: np.ndarray      # (T, d)
+    pred_cov_steps: np.ndarray  # (k, d, d)
+    filt_means: np.ndarray      # (T, d)
+    filt_cov_steps: np.ndarray  # (k, d, d)
     loglik: float
     switch: int
     engine_pass: dict = field(repr=False, compare=False)
+
+    @cached_property
+    def pred_covs(self) -> np.ndarray:
+        """The (T, d, d) predicted covariances of every step."""
+        return _engine.expand_steps(self.pred_cov_steps[None], len(self.pred_means))[0]
+
+    @cached_property
+    def filt_covs(self) -> np.ndarray:
+        """The (T, d, d) filtered covariances of every step."""
+        return _engine.expand_steps(self.filt_cov_steps[None], len(self.filt_means))[0]
 
 
 @dataclass(frozen=True)
@@ -63,8 +77,8 @@ def kalman_filter(params: LdsParams, data: SequenceData) -> FilterResult:
     if not fr["ok"][0]:
         raise DegeneracyError("innovation covariance is numerically singular")
     means, covs = _engine.filtered_moments(pb, fr)
-    return FilterResult(pred_means=fr["pred_means"][0], pred_covs=fr["pred_covs"][0],
-                        filt_means=means[0], filt_covs=covs[0],
+    return FilterResult(pred_means=fr["pred_means"][0], pred_cov_steps=fr["pred_covs"][0],
+                        filt_means=means[0], filt_cov_steps=covs[0],
                         loglik=float(fr["loglik"][0]), switch=fr["switch"], engine_pass=fr)
 
 

@@ -23,14 +23,15 @@ from .datagen import delay_embed
 # multi_restart_fit and rts_smooth are not called here; the benchmark's tracer
 # (perfbench/tracing.py) wraps them by these names (ROADMAP item 4b)
 from .em import EmConfig, FitResult, multi_order_fit, multi_restart_fit
-from .errors import DegeneracyError, DimensionError, LdsError
+from .errors import DegeneracyError, DimensionError, LdsError, WorkerDiedError
 from .inference import kalman_filter, rts_smooth
 from .model import LdsParams, ModelOrderBounds, SequenceData
 
 #: an order bucket's cell runs from a to floor(BUCKET_CELL_RATIO * a) = a + a // 2,
 #: so no member pays more than BUCKET_CELL_RATIO**3 of its own flops
 BUCKET_CELL_RATIO = 1.5
-#: doubles in a bucket's (B, T, D, D) covariance trajectory, at most
+#: a bucket's B T D^2, at most: the doubles of each covariance-side stack of
+#: its EM passes should their transient run to T
 BUCKET_DOUBLES = 2 ** 17
 
 
@@ -107,10 +108,11 @@ def _buckets(bounds: ModelOrderBounds, n_restarts: int, T: int,
     The buckets cut a fixed partition of the order axis, so the bucket of an
     order never depends on the range: cells [a, floor(3a/2)] (1 | 2-3 | 4-6
     | 7-10 | 11-16 | ..), each cut greedily upward so that a bucket's
-    (B, T, D, D) covariance trajectory holds at most BUCKET_DOUBLES doubles,
-    with B = members * n_restarts.  Observable mode keeps one order per
-    bucket, since each order has its own delay-embedded data.  The walk
-    begins at the start of d_min's cell, or at d_min itself where that
+    B T D^2 is at most BUCKET_DOUBLES, with B = members * n_restarts.  A
+    filter pass stores no (B, T, D, D) trajectory unless its transient runs
+    to T, but the rule stays: moving a bucket moves its results.
+    Observable mode keeps one order per bucket, since each order has its
+    own delay-embedded data.  The walk begins at the start of d_min's cell, or at d_min itself where that
     order is alone in its bucket anyway.
     """
     d_min = bounds.d_min
@@ -200,7 +202,7 @@ def _run_jobs(run, jobs: list, workers: int):
     one shared counter; a child sends each result back over its own pipe,
     and this process runs a job whenever the result due next has not come
     in.  A job that raises raises here when its result is due, and a child
-    that dies raises RuntimeError.  Leaving the generator, by exhausting,
+    that dies raises WorkerDiedError.  Leaving the generator, by exhausting,
     raising or closing it, stops and joins the children.
     """
     if workers <= 1:
@@ -246,7 +248,7 @@ def _run_jobs(run, jobs: list, workers: int):
                         done[i] = attempt(i)
                         continue
                     if not children:            # a child left without its result
-                        raise RuntimeError(f"no worker holds job {due}")
+                        raise WorkerDiedError(f"no worker holds job {due}")
                     ready = wait(list(children))
                 for conn in ready:
                     try:
@@ -256,7 +258,7 @@ def _run_jobs(run, jobs: list, workers: int):
                         proc = children.pop(conn)
                         proc.join()
                         if proc.exitcode != 0:
-                            raise RuntimeError(f"a bucket worker ended with exit code "
+                            raise WorkerDiedError(f"a bucket worker ended with exit code "
                                                f"{proc.exitcode}")
             ok, value = done.pop(due)
             if not ok:

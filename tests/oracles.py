@@ -4,6 +4,8 @@ Everything here works on the explicit joint Gaussian of (x_{1:T}, y_{1:T}),
 on direct series summation, or on the textbook per-step recursions written
 out for one sequence at a time, never on the batched code paths under test.
 """
+import dataclasses
+
 import numpy as np
 
 from ldsmdl.model import STABILITY_MARGIN, STABILITY_RESCALE
@@ -194,6 +196,10 @@ def reference_tangent_fisher(params, fr, Y, dirs, chunk=2 ** 15):
     A, C = params.A, params.C
     T, p = Y.shape
     n, d = dirs.A.shape[0], A.shape[0]
+    # a block that no direction moves is None: its zero derivatives enter
+    zero = {"C": (n, p, d), "R2": (n, p, p)}
+    dirs = dataclasses.replace(dirs, **{f: np.zeros(shape) for f, shape in zero.items()
+                                        if getattr(dirs, f) is None})
     s = fr.switch
     xp, Pp, xf, Pf = fr.pred_means, fr.pred_covs, fr.filt_means, fr.filt_covs
     L = max(1, chunk // (n * max(d, p)))

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -266,6 +267,32 @@ class TestSelect:
         assert main(["select", seq, "--dmin", "1", "--dmax", "2",
                      "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
         assert capsys.readouterr().err == "fitting failure: Unable to allocate 74.5 GiB\n"
+        assert marker.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_bucket_worker_exit(self, tmp_path, monkeypatch, capsys):
+        # a child killed outright (as by the kernel when memory runs out)
+        # ends the search as a fitting failure, not with a traceback
+        import ldsmdl.selection as selection
+        seq = simulate_lds(tmp_path, seed=1, length=60, d=2)
+        parent, marker = os.getpid(), tmp_path / "child-started"
+        real = selection._fit_bucket
+
+        def dies_in_the_child(*args, **kwargs):
+            if os.getpid() != parent:
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(selection, "_fit_bucket", dies_in_the_child)
+        assert main(["select", seq, "--dmin", "1", "--dmax", "2",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_FITTING
+        assert capsys.readouterr().err == ("fitting failure: a bucket worker ended "
+                                           "with exit code -9\n")
         assert marker.exists()
         assert multiprocessing.active_children() == []
 

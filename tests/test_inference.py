@@ -144,6 +144,13 @@ def switch_step(pred_covs):
     return t
 
 
+def every_step(fr, key="pred_covs", moments=None):
+    """Every step of the pass ``fr``'s covariance-side stack ``key`` (or of
+    the compact ``moments``), as (B, T, ..)."""
+    return _engine.expand_steps(fr[key] if moments is None else moments,
+                                fr["pred_means"].shape[1])
+
+
 def stored(fr):
     """What a ``filter_batch`` pass defines: every step of its trajectories,
     F^T and S^{-1} C of the steps 0 .. s = min(switch, T - 1) (F^T before
@@ -190,7 +197,7 @@ class TestSteadyState:
         # through the public B = 1 wrappers and through the batched engine
         for models, batch, Y in self.long_batches():
             fr = _engine.filter_batch(batch, Y)
-            assert switch_step(fr["pred_covs"]) < len(Y) // 2
+            assert switch_step(every_step(fr)) < len(Y) // 2
             sm = _engine.smooth_batch(batch, fr)
             one = kalman_filter(models[0], SequenceData(Y=Y))
             one_sm = rts_smooth(models[0], one)
@@ -211,11 +218,29 @@ class TestSteadyState:
             fr = _engine.filter_batch(batch, Y)
             s = fr["switch"]
             assert 0 < s < len(Y) // 2
-            assert switch_step(fr["pred_covs"]) <= s
-            for frozen in (fr["pred_covs"][:, s:],
-                           _engine.filtered_moments(batch, fr)[1][:, s:]):
+            assert switch_step(every_step(fr)) <= s
+            for frozen in (every_step(fr)[:, s:],
+                           every_step(fr, moments=_engine.filtered_moments(batch, fr)[1])[:, s:]):
                 np.testing.assert_array_equal(frozen, np.broadcast_to(frozen[:, :1],
                                                                       frozen.shape))
+
+    def test_public_results_hold_every_step(self):
+        # FilterResult expands the pass's compact covariance side on first
+        # access; the public posterior has every step's covariances
+        for models, _, Y in self.long_batches():
+            fr = kalman_filter(models[0], SequenceData(Y=Y))
+            T, d = len(Y), models[0].d
+            k = min(fr.switch, T - 1) + 1
+            assert k < T // 2
+            for steps, covs in ((fr.pred_cov_steps, fr.pred_covs),
+                                (fr.filt_cov_steps, fr.filt_covs)):
+                assert steps.shape == (k, d, d) and covs.shape == (T, d, d)
+                np.testing.assert_array_equal(covs[:k], steps)
+                np.testing.assert_array_equal(covs[k:], np.broadcast_to(steps[-1], (T - k, d, d)))
+            assert fr.pred_covs is fr.pred_covs
+            np.testing.assert_array_equal(fr.pred_cov_steps, fr.engine_pass["pred_covs"][0])
+            sm = rts_smooth(models[0], fr)
+            assert sm.covs.shape == (T, d, d) and sm.cross_covs.shape == (T - 1, d, d)
 
     def test_smoother_without_switch_matches_handed_over_switch(self):
         # switch = T: the frozen F^T and S^{-1} C copied to every later step,
@@ -225,9 +250,8 @@ class TestSteadyState:
             s = fr["switch"]
             handed = _engine.smooth_batch(batch, fr)
             every = dict(fr, switch=len(Y))
-            for key in ("FT", "SinvC"):
-                every[key] = fr[key].copy()
-                every[key][:, s + 1:] = fr[key][:, s, None]
+            for key in _engine.STEP_KEYS:
+                every[key] = every_step(fr, key)
             stepped = _engine.smooth_batch(batch, every)
             assert stepped["transient"].shape[1] == len(Y)
             for key in ("means",) + STATS:
@@ -252,10 +276,11 @@ class TestSteadyState:
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
         np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
-        assert switch_step(fr["pred_covs"]) <= fr["switch"] < 200
+        assert switch_step(every_step(fr)) <= fr["switch"] < 200
         # the failed element carries the identity instead of a growing
         # covariance, and its means are held at zero from the failing step on
         filt_means, filt_covs = _engine.filtered_moments(batch, fr)
+        filt_covs = every_step(fr, moments=filt_covs)
         assert np.isfinite(fr["pred_covs"][1]).all() and np.isfinite(filt_covs[1]).all()
         assert not filt_means[1, 1:].any() and not fr["pred_means"][1, 1:].any()
         sm = _engine.smooth_batch(batch, fr)
@@ -275,9 +300,10 @@ class TestSteadyState:
             one = _engine.filter_batch(pb, Y)
             one_sm = _engine.smooth_batch(pb, one)
             assert fr["loglik"][b] == pytest.approx(one["loglik"][0], rel=1e-12)
-            for got, want in zip((fr["pred_means"], fr["pred_covs"], filt_means, filt_covs),
-                                 (one["pred_means"], one["pred_covs"])
-                                 + _engine.filtered_moments(pb, one)):
+            one_means, one_covs = _engine.filtered_moments(pb, one)
+            for got, want in zip((fr["pred_means"], every_step(fr), filt_means, filt_covs),
+                                 (one["pred_means"], every_step(one), one_means,
+                                  every_step(one, moments=one_covs))):
                 np.testing.assert_allclose(got[b], want[0], rtol=1e-12, atol=1e-12)
             for key in ("means",) + STATS:
                 np.testing.assert_allclose(sm[key][b], one_sm[key][0],
@@ -371,7 +397,7 @@ class TestDeferredSettle:
             monkeypatch.setattr(_engine, "SETTLE_RTOL", -np.inf)
             stepped = _engine.filter_batch(batch, Y)
             assert not stepped["ok"][-1]
-            held = [np.array_equal(P, np.eye(2)) for P in stepped["pred_covs"][-1, s:s + 7]]
+            held = [np.array_equal(P, np.eye(2)) for P in every_step(stepped)[-1, s:s + 7]]
             assert not held[0] and held[-1]
 
 
@@ -459,7 +485,7 @@ class TestBlockedScan:
         Y = simulate(models[0], T=1000, seed=d).Y
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
-        assert switch_step(fr["pred_covs"]) < len(Y) // 2
+        assert switch_step(every_step(fr)) < len(Y) // 2
         sm = _engine.smooth_batch(batch, fr)
         expanded = _engine.smoothed_covariances(batch, sm, fr)
         for b, model in enumerate(models):
@@ -510,8 +536,10 @@ class TestBlockedScan:
         assert old_f["switch"] != fresh_f["switch"]
         f = _engine.filter_batch(batch, Y, reuse=old_f)
         s = _engine.smooth_batch(batch, f)
-        for key in ("pred_means", "pred_covs", "FT", "SinvC", "v"):
+        for key in ("pred_means", "v"):
             assert f[key] is old_f[key]
+        for key in _engine.STEP_KEYS:
+            assert _engine._storage(f[key]) is _engine._storage(old_f[key])
         assert f.keys() == fresh_f.keys()
         for new, fresh in ((stored(f), stored(fresh_f)), (s, fresh_s)):
             assert new.keys() == fresh.keys()
@@ -617,7 +645,7 @@ class TestGuardedFactorizations:
         pred_covs = fr["pred_covs"].copy()
         _engine.smooth_batch(batch, fr)
         np.testing.assert_array_equal(fr["ok"], [True, False, True, True])
-        transient = switch_step(fr["pred_covs"])
+        transient = switch_step(every_step(fr))
         assert transient > 1
         # the filter's transient steps and its switch; the smoother factors nothing
         assert calls["batched"] == transient + 1
@@ -633,7 +661,7 @@ class TestGuardedFactorizations:
         Y = simulate(models[0], T=200, seed=2).Y
         batch = _engine.stack_params(models)
         fr = _engine.filter_batch(batch, Y)
-        assert fr["ok"].all() and switch_step(fr["pred_covs"]) > 1
+        assert fr["ok"].all() and switch_step(every_step(fr)) > 1
         calls = []
 
         def counting(name):
@@ -752,16 +780,17 @@ class TestSpdSolve:
                 batch.C[3], batch.R2[3] = 0.0, 0.0
             fr = _engine.filter_batch(batch, Y)
             np.testing.assert_array_equal(fr["ok"], [True, True, True, False])
-            held = [np.array_equal(P, np.eye(3)) for P in fr["pred_covs"][3]]
+            held = [np.array_equal(P, np.eye(3)) for P in every_step(fr)[3]]
             start = held.index(True)
             fail_at = start - 1
             assert (fail_at > 1 if late else fail_at == 0) and all(held[start:])
             sm = _engine.smooth_batch(batch, fr)
             covs, cross = _engine.smoothed_covariances(batch, sm, fr)
             means_f, covs_f = _engine.filtered_moments(batch, fr)
+            covs_f = every_step(fr, moments=covs_f)
             np.testing.assert_array_equal(sm["means"][3, fail_at:], means_f[3, fail_at:])
             np.testing.assert_array_equal(covs[3, fail_at:], covs_f[3, fail_at:])
-            np.testing.assert_array_equal(covs_f[3, fail_at:], fr["pred_covs"][3, fail_at:])
+            np.testing.assert_array_equal(covs_f[3, fail_at:], every_step(fr)[3, fail_at:])
             assert not cross[3, fail_at:].any() and not sm["means"][3, start:].any()
             for key in ("means", "cov_sum", "cross_sum", "cov_first", "cov_last"):
                 assert np.isfinite(sm[key][3]).all(), key
@@ -924,7 +953,7 @@ class TestStandardUpdate:
         assert fr["loglik"][0] == pytest.approx(loglik, rel=1e-12)
         # the standard form's roundoff scales with P, the Joseph form's with
         # P_f: in observable mode P_f ~ R2 = 1e-6 I while P_0 = R0 is of order 1
-        got = _engine.filtered_moments(pb, fr)[1][0]
+        got = every_step(fr, moments=_engine.filtered_moments(pb, fr)[1])[0]
         tol = 1e-10 * np.abs(got).max() + 1e-14 * np.abs(fr["pred_covs"][0]).max()
         np.testing.assert_allclose(got, Pf, rtol=0, atol=tol)
 
@@ -933,7 +962,8 @@ class TestFilterMemory:
     """A filter pass allocates its returned arrays and, beyond them, no array
     with one (d, d) or (p, p) matrix per step: its temporaries stay within a
     fixed margin, below one (B, T, d, d) array at either shape, also where
-    the transient runs to the end (no switch) at p = d."""
+    the transient runs to the end (no switch) at p = d.  A pass that settles
+    stores its covariance side up to its switch alone."""
 
     #: bytes a pass may hold beyond its returned arrays
     MARGIN = 640 * 1024
@@ -960,9 +990,13 @@ class TestFilterMemory:
         finally:
             tracemalloc.stop()
         assert fr["ok"].all() and (fr["switch"] == T or not never_settle)
-        returned = sum(v.nbytes for v in fr.values() if isinstance(v, np.ndarray))
+        # the covariance side's step stacks view the leading steps of their storage
+        held = [_engine._storage(v) for v in fr.values() if isinstance(v, np.ndarray)]
+        returned = sum(v.nbytes for v in held)
         assert self.MARGIN < B * T * d * d * 8
         assert peak <= returned + self.MARGIN
+        # a pass that settles within its first steps stores no (B, T, d, d) array
+        assert fr["switch"] == T or max(v.size for v in held) < B * T * d * d
 
     @pytest.mark.parametrize("p, hinted", [pytest.param(1, False, id="p1"),
                                            pytest.param(3, False, id="p3"),

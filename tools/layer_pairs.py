@@ -1,7 +1,7 @@
 """Time the EM layers and the Fisher of two source checkouts in one
 process, alternately.
 
-    python3 tools/layer_pairs.py PARENT_DIR CHANGE_DIR [--runs 40] [--seed 0]
+    python3 tools/layer_pairs.py PARENT_DIR CHANGE_DIR [--runs 40] [--seed 0] [--memory]
 
 The ``src/ldsmdl`` package of each checkout is copied into a temporary
 directory as ``ldsmdl_parent`` and ``ldsmdl_change`` and both are imported
@@ -41,8 +41,17 @@ of ``--seed`` (orders 2-10, observable mode, T about 1000) and the
 ``BUCKETS`` are kept), as the benchmark calls it; both sides then time
 ``criteria.empirical_fisher_log_det`` on each fitted order, called the same
 way on both (the public call, which filters at the parameters itself).
-Each line gives the workload, d, the number n of free parameters, T, the
-filter's switch step, each side's time, and change / parent.
+Each line gives the workload, the call, d, the number n of free
+parameters, T, the filter's switch step, each side's time, and change /
+parent.
+
+With ``--memory`` each side's ``tracemalloc`` peak of one call, in KB,
+takes the place of its time, at the same shapes and on the same inputs:
+``filter_batch`` handed no pass (the ``filter (new)`` row, whose peak
+holds the arrays the pass stores) and handed the pass before,
+``smooth_batch`` and the EM pass of every EM shape, and ``kalman_filter`` and
+``empirical_fisher_log_det`` of every fitted order.  The peak counts what
+the call allocates, its result included, and not what it is handed.
 
 Needs numpy.
 """
@@ -54,6 +63,7 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -65,6 +75,11 @@ EM_ITERS = 10
 SIDES = ("parent", "change")
 #: the layer row of a filter pass on the observations cut to its switch + 1 steps
 CUT = "filter [:s+1]"
+#: the layer row of a filter pass handed no earlier pass, as em_loop's first
+NEW = "filter (new)"
+#: the layers whose traced peak ``--memory`` reports, of an EM shape and of a fitted order
+MEMORY_LAYERS = (NEW, "filter_batch", "smooth_batch", "EM pass")
+SCORING = ("kalman_filter", "empirical_fisher_log_det")
 #: the orders whose Fisher is timed, per workload (None: every fitted order)
 FISHER_ORDERS = {"narma10-observable": None,
                  "grid-d4": [d for bucket in BUCKETS for d in bucket]}
@@ -115,6 +130,19 @@ def alternate(calls, runs):
     return best
 
 
+def peaks(calls):
+    """The tracemalloc peak of one call of each side, in bytes."""
+    best = {}
+    for side in SIDES:
+        tracemalloc.start()
+        try:
+            calls[side]()
+            best[side] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return best
+
+
 def fisher_cases(m, workloads, seed):
     """(workload, order, params arrays, observations, observable) of every
     order whose Fisher is timed, fitted by ``m``'s ``grid_search``."""
@@ -137,7 +165,15 @@ def main(argv=None):
     ap.add_argument("change")
     ap.add_argument("--runs", type=int, default=40, help="timed calls per side and layer")
     ap.add_argument("--seed", type=int, default=0, help="the input seed of both workloads")
+    ap.add_argument("--memory", action="store_true",
+                    help="report each call's tracemalloc peak in KB instead of its time")
     args = ap.parse_args(argv)
+    if args.memory:
+        unit, scale = "KB", 1 / 1024
+        measure = peaks
+    else:
+        unit, scale = "ms", 1e3
+        measure = lambda calls: alternate(calls, args.runs)
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     sys.path.insert(0, checkouts["change"])
     from perfbench.workloads import GridD4, Narma10Observable
@@ -148,7 +184,7 @@ def main(argv=None):
         m = mods["change"]
         wl, narma = GridD4(m, None), Narma10Observable(m, None)
         print(f"{'EM layers':<19} {'layer':<13} {'(B, D)':>8} {'T':>5} {'hint':>5} {'switch':>6} "
-              f"{'parent ms':>10} {'change ms':>10} {'ratio':>6}")
+              f"{'parent ' + unit:>10} {'change ' + unit:>10} {'ratio':>6}")
         for shape_wl, Y, orders, iters, layers in em_shapes(wl, narma, args.seed):
             before = bucket_params(m, shape_wl, Y, orders, args.seed, iters - 1)
             arrays = bucket_params(m, shape_wl, Y, orders, args.seed, iters)
@@ -177,6 +213,7 @@ def main(argv=None):
                     eng.enforce_stability_batch(new.A)
 
                 calls[side] = {
+                    NEW: lambda eng=eng, pb=pb, Y=Y: eng.filter_batch(pb, Y),
                     "filter_batch": lambda eng=eng, pb=pb, prev=prev, Y=Y:
                         eng.filter_batch(pb, Y, reuse=prev),
                     CUT: lambda eng=eng, pb=pb, prev=prev_cut, Y=cut:
@@ -190,27 +227,32 @@ def main(argv=None):
             shape = f"({arrays[0].shape[0]}, {arrays[0].shape[1]})"
             hint, sw = (str(v) if v == switch["change"][i] else f"{v}/{switch['change'][i]}"
                         for i, v in enumerate(switch["parent"]))
-            for layer in layers:
-                best = alternate({side: calls[side][layer] for side in SIDES}, args.runs)
-                p, c = best["parent"] * 1e3, best["change"] * 1e3
+            for layer in ((NEW,) + layers if args.memory else layers):
+                if args.memory and layer not in MEMORY_LAYERS:
+                    continue
+                best = measure({side: calls[side][layer] for side in SIDES})
+                p, c = best["parent"] * scale, best["change"] * scale
                 T = len(cut if layer == CUT else Y)
                 print(f"{shape_wl.name:<19} {layer:<13} {shape:>8} {T:>5} {hint:>5} {sw:>6} "
                       f"{p:>10.3f} {c:>10.3f} {c / p:>6.3f}", flush=True)
-        print(f"\n{'Fisher':<19} {'d':>3} {'n':>4} {'T':>5} {'switch':>6} {'parent ms':>10} "
-              f"{'change ms':>10} {'ratio':>6}")
+        print(f"\n{'Fisher':<19} {'call':<24} {'d':>3} {'n':>4} {'T':>5} {'switch':>6} "
+              f"{'parent ' + unit:>10} {'change ' + unit:>10} {'ratio':>6}")
         for name, d, arrays, Yd, observable in fisher_cases(m, (narma, wl), args.seed):
-            calls = {}
+            calls = {call: {} for call in SCORING}
             for side, ms in mods.items():
                 params, data = ms.LdsParams(**arrays), ms.SequenceData(Y=Yd)
-                calls[side] = lambda ms=ms, params=params, data=data: \
+                calls["kalman_filter"][side] = lambda ms=ms, params=params, data=data: \
+                    ms.kalman_filter(params, data)
+                calls["empirical_fisher_log_det"][side] = lambda ms=ms, params=params, data=data: \
                     ms.criteria.empirical_fisher_log_det(params, data,
                                                          fix_observation=observable)
             n = m.count_params(d, Yd.shape[1], fix_observation=observable).n_theta
             switch = m.kalman_filter(m.LdsParams(**arrays), m.SequenceData(Y=Yd)).switch
-            best = alternate(calls, args.runs)
-            p, c = best["parent"] * 1e3, best["change"] * 1e3
-            print(f"{name:<19} {d:>3} {n:>4} {len(Yd):>5} {switch:>6} {p:>10.3f} {c:>10.3f} "
-                  f"{c / p:>6.3f}", flush=True)
+            for call in SCORING if args.memory else SCORING[1:]:
+                best = measure(calls[call])
+                p, c = best["parent"] * scale, best["change"] * scale
+                print(f"{name:<19} {call:<24} {d:>3} {n:>4} {len(Yd):>5} {switch:>6} "
+                      f"{p:>10.3f} {c:>10.3f} {c / p:>6.3f}", flush=True)
     return 0
 
 
